@@ -107,31 +107,17 @@ void BM_EvaluateAllConfigsSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateAllConfigsSerial)->Unit(benchmark::kMillisecond);
 
-// --- DANCE_COST=exact vs =lut on the analytical hot path --------------------
-// The LUT-compiled model answers the same batched evaluation with divides
-// replaced by reciprocal-table multiplies (accuracy bound: docs/cost_table.md).
+// --- the analytical hot path: whole network vs the batched layer entry ------
 
-void BM_NetworkCostExact(benchmark::State& state) {
+void BM_NetworkCost(benchmark::State& state) {
   Env& e = env();
-  const accel::CostModel exact(e.model.tech(), accel::CostMode::kExact);
   const auto layers = e.arch_space.lower(e.arch_space.random(e.rng));
   const accel::AcceleratorConfig cfg = e.hw_space.config_at(e.hw_space.size() / 2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(exact.network_cost(cfg, layers));
+    benchmark::DoNotOptimize(e.model.network_cost(cfg, layers));
   }
 }
-BENCHMARK(BM_NetworkCostExact)->Unit(benchmark::kMicrosecond);
-
-void BM_NetworkCostLut(benchmark::State& state) {
-  Env& e = env();
-  const accel::CostModel lut(e.model.tech(), accel::CostMode::kLut);
-  const auto layers = e.arch_space.lower(e.arch_space.random(e.rng));
-  const accel::AcceleratorConfig cfg = e.hw_space.config_at(e.hw_space.size() / 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(lut.network_cost(cfg, layers));
-  }
-}
-BENCHMARK(BM_NetworkCostLut)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_NetworkCost)->Unit(benchmark::kMicrosecond);
 
 void BM_LayerCostBatch(benchmark::State& state) {
   Env& e = env();
@@ -145,25 +131,14 @@ void BM_LayerCostBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_LayerCostBatch)->Unit(benchmark::kMicrosecond);
 
-void BM_CostTableBuildExact(benchmark::State& state) {
+void BM_CostTableBuild(benchmark::State& state) {
   Env& e = env();
-  const accel::CostModel exact(e.model.tech(), accel::CostMode::kExact);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        arch::build_cost_table(e.arch_space, e.hw_space, exact));
+        arch::build_cost_table(e.arch_space, e.hw_space, e.model));
   }
 }
-BENCHMARK(BM_CostTableBuildExact)->Unit(benchmark::kMillisecond);
-
-void BM_CostTableBuildLut(benchmark::State& state) {
-  Env& e = env();
-  const accel::CostModel lut(e.model.tech(), accel::CostMode::kLut);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        arch::build_cost_table(e.arch_space, e.hw_space, lut));
-  }
-}
-BENCHMARK(BM_CostTableBuildLut)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CostTableBuild)->Unit(benchmark::kMillisecond);
 
 void BM_CoordinateDescent(benchmark::State& state) {
   Env& e = env();
@@ -208,11 +183,6 @@ struct PlanEnv {
     evaluator->set_training(false);
     plan = infer::Plan::compile(*evaluator);
     row = e.arch_space.encode(e.arch_space.random(rng));
-    std::vector<std::vector<float>> calib;
-    for (int i = 0; i < 64; ++i) {
-      calib.push_back(e.arch_space.encode(e.arch_space.random(rng)));
-    }
-    plan.calibrate(calib);
     metrics.resize(3);
     hw.resize(static_cast<std::size_t>(plan.hw_width()));
   }
@@ -226,22 +196,11 @@ PlanEnv& plan_env() {
 void BM_PlanFusedInference(benchmark::State& state) {
   PlanEnv& p = plan_env();
   for (auto _ : state) {
-    p.plan.run(p.row.data(), 1, p.metrics.data(), p.hw.data(), p.arena,
-               infer::Mode::kFused);
+    p.plan.run(p.row.data(), 1, p.metrics.data(), p.hw.data(), p.arena);
     benchmark::DoNotOptimize(p.metrics.data());
   }
 }
 BENCHMARK(BM_PlanFusedInference)->Unit(benchmark::kMillisecond);
-
-void BM_PlanInt8Inference(benchmark::State& state) {
-  PlanEnv& p = plan_env();
-  for (auto _ : state) {
-    p.plan.run(p.row.data(), 1, p.metrics.data(), p.hw.data(), p.arena,
-               infer::Mode::kInt8);
-    benchmark::DoNotOptimize(p.metrics.data());
-  }
-}
-BENCHMARK(BM_PlanInt8Inference)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

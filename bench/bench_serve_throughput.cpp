@@ -25,16 +25,15 @@
 // publish plus the cold-namespace re-warm right after the swap) — the
 // price of a swap is a transient dip, never a dropped or errored response.
 //
-// A second section compares the surrogate's inference tiers (DANCE_INFER):
-// the same single-query trace answered by the autograd graph walk, the fused
-// frozen plan, and the plan's int8 tier — QPS, p50/p95 latency, and the
-// cost-ordering agreement of each tier against the autograd reference
-// (fraction of unique-key pairs ranked the same by predicted latency; fused
-// is bit-identical so its agreement is exactly 1).
+// A second section prices the surrogate's serving path: the same
+// single-query trace answered by the autograd oracle
+// (Evaluator::forward_batch) and by SurrogateBackend, which serves through
+// the fused frozen plan — QPS, p50/p95 latency, and a bit-identity check of
+// the two over every unique key.
 //
 // A third section prices the exact ground-truth path's startup and serving
-// under the CostProvider API: an in-memory CostTable build (DANCE_COST=exact
-// and =lut) vs mmap-loading a compiled DCTB artifact — build/load wall time,
+// under the CostProvider API: an in-memory CostTable build vs mmap-loading a
+// compiled DCTB artifact — build/load wall time,
 // RSS delta, file size, and ExactBackend QPS/p50/p99 through each provider,
 // with a bit-identity check between the mmap and in-memory answers. Rows go
 // to bench/data/cost_table.csv. Set DANCE_BENCH_ONLY=costtable to run just
@@ -66,7 +65,6 @@
 #include "evalnet/evaluator.h"
 #include "fault/fault.h"
 #include "fault/faulty_backend.h"
-#include "infer/plan.h"
 #include "registry/registry.h"
 #include "serve/backend.h"
 #include "serve/resilient.h"
@@ -410,34 +408,32 @@ int main_comparison(const HotSwapResult& hot) {
   return (identical && service_identical) ? 0 : 1;
 }
 
-// --- inference tiers: autograd vs fused plan vs int8 ------------------------
+// --- surrogate serving: autograd oracle vs the fused plan -------------------
 
 struct TierRow {
-  infer::Mode mode = infer::Mode::kAutograd;
   double seconds = 0.0;
   double p50_us = 0.0;
   double p95_us = 0.0;
-  float calib_error = 0.0F;
-  float calib_agreement = 1.0F;
+  std::vector<float> unique_metrics;  ///< [unique, 3], for the bit check
 };
 
-/// Replays the trace one request at a time through a backend pinned to
-/// `mode` (single-query latency is what the tiers differ most on — batching
-/// already amortizes the autograd graph walk). Also answers every unique key
-/// once, batched, into `unique_lat` for the ordering-agreement column.
-TierRow replay_tier(infer::Mode mode, std::vector<float>& unique_lat) {
+/// Replays the trace one request at a time through `answer` (single-query
+/// latency is where the paths differ most — batching already amortizes the
+/// autograd graph walk), then answers every unique key once, batched, into
+/// `unique_metrics`. `answer(reqs, out)` appends [reqs.size(), 3] metrics.
+template <typename Answer>
+TierRow replay_tier(Answer&& answer) {
   Env& e = env();
-  serve::SurrogateBackend backend(*e.evaluator, mode);
   TierRow row;
-  row.mode = mode;
+  std::vector<float> sink;
   std::vector<double> lat;
   lat.reserve(e.trace.size());
   const auto start = std::chrono::steady_clock::now();
   for (const auto& req : e.trace) {
     const auto t0 = std::chrono::steady_clock::now();
-    auto resp =
-        backend.query_batch(std::span<const serve::Request>(&req, 1));
-    benchmark::DoNotOptimize(resp);
+    sink.clear();
+    answer(std::span<const serve::Request>(&req, 1), sink);
+    benchmark::DoNotOptimize(sink.data());
     lat.push_back(1e6 * seconds_since(t0));
   }
   row.seconds = seconds_since(start);
@@ -445,8 +441,6 @@ TierRow replay_tier(infer::Mode mode, std::vector<float>& unique_lat) {
   row.p50_us = lat[lat.size() / 2];
   row.p95_us = lat[std::min(lat.size() - 1, (lat.size() * 95) / 100)];
 
-  unique_lat.clear();
-  unique_lat.reserve(e.unique_keys.size());
   std::vector<serve::Request> reqs;
   for (std::size_t at = 0; at < e.unique_keys.size(); at += kChunk) {
     const std::size_t hi = std::min(at + kChunk, e.unique_keys.size());
@@ -454,95 +448,61 @@ TierRow replay_tier(infer::Mode mode, std::vector<float>& unique_lat) {
     for (std::size_t i = at; i < hi; ++i) {
       reqs.push_back(serve::Request{e.unique_keys[i]});
     }
-    for (const auto& r : backend.query_batch(reqs)) {
-      unique_lat.push_back(static_cast<float>(r.metrics.latency_ms));
-    }
-  }
-  if (backend.plan() != nullptr && mode == infer::Mode::kInt8) {
-    row.calib_error = backend.plan()->calibration_error();
-    row.calib_agreement = backend.plan()->calibration_agreement();
+    answer(std::span<const serve::Request>(reqs), row.unique_metrics);
   }
   return row;
-}
-
-/// Fraction of key pairs (over the first 512 unique keys) that `got` ranks
-/// in the same predicted-latency order as `ref`; ties must match ties.
-double ordering_agreement(const std::vector<float>& ref,
-                          const std::vector<float>& got) {
-  const std::size_t k =
-      std::min<std::size_t>(512, std::min(ref.size(), got.size()));
-  if (k < 2) return 1.0;
-  std::size_t same = 0;
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = i + 1; j < k; ++j) {
-      const int a = ref[i] < ref[j] ? -1 : (ref[i] > ref[j] ? 1 : 0);
-      const int b = got[i] < got[j] ? -1 : (got[i] > got[j] ? 1 : 0);
-      same += static_cast<std::size_t>(a == b);
-      ++total;
-    }
-  }
-  return static_cast<double>(same) / static_cast<double>(total);
 }
 
 int main_tiers() {
   Env& e = env();
   const auto n = static_cast<double>(e.trace.size());
 
-  std::vector<float> lat_autograd;
-  std::vector<float> lat_fused;
-  std::vector<float> lat_int8;
-  const TierRow autograd = replay_tier(infer::Mode::kAutograd, lat_autograd);
-  const TierRow fused = replay_tier(infer::Mode::kFused, lat_fused);
-  const TierRow int8 = replay_tier(infer::Mode::kInt8, lat_int8);
+  const TierRow autograd = replay_tier(
+      [&](std::span<const serve::Request> reqs, std::vector<float>& out) {
+        std::vector<std::vector<float>> rows;
+        rows.reserve(reqs.size());
+        for (const auto& r : reqs) rows.push_back(r.encoding);
+        const auto fwd = e.evaluator->forward_batch(rows);
+        const float* m = fwd.metrics.value().data();
+        out.insert(out.end(), m, m + 3 * reqs.size());
+      });
+  serve::SurrogateBackend backend(*e.evaluator);
+  const TierRow fused = replay_tier(
+      [&](std::span<const serve::Request> reqs, std::vector<float>& out) {
+        for (const auto& r : backend.query_batch(reqs)) {
+          out.push_back(static_cast<float>(r.metrics.latency_ms));
+          out.push_back(static_cast<float>(r.metrics.energy_mj));
+          out.push_back(static_cast<float>(r.metrics.area_mm2));
+        }
+      });
+  const bool identical =
+      autograd.unique_metrics.size() == fused.unique_metrics.size() &&
+      std::memcmp(autograd.unique_metrics.data(), fused.unique_metrics.data(),
+                  fused.unique_metrics.size() * sizeof(float)) == 0;
 
-  const double agree_fused = ordering_agreement(lat_autograd, lat_fused);
-  const double agree_int8 = ordering_agreement(lat_autograd, lat_int8);
-
-  util::Table table({"tier", "seconds", "QPS", "p50 us", "p95 us",
-                     "speedup", "ordering agreement"});
-  const auto add = [&](const char* name, const TierRow& row, double agree) {
-    table.add_row({name, util::Table::fmt(row.seconds, 3),
-                   util::Table::fmt(n / row.seconds, 0),
-                   util::Table::fmt(row.p50_us, 1),
-                   util::Table::fmt(row.p95_us, 1),
-                   util::Table::fmt(autograd.seconds / row.seconds, 2),
-                   util::Table::fmt(100.0 * agree, 2) + "%"});
-  };
-  add("autograd", autograd, 1.0);
-  add("fused", fused, agree_fused);
-  add("int8", int8, agree_int8);
-  std::printf("%s\n", table.to_string().c_str());
-  std::printf("int8 calibration self-check: worst error %.2f%% of column "
-              "range, config agreement %.1f%%\n",
-              100.0 * int8.calib_error, 100.0 * int8.calib_agreement);
-  const double fused_speedup = autograd.seconds / fused.seconds;
-  std::printf("fused single-query speedup over autograd: %.1fx %s\n\n",
-              fused_speedup,
-              fused_speedup >= 2.0 ? "(>= 2x target met)"
-                                   : "(below 2x target)");
-
+  util::Table table({"path", "seconds", "QPS", "p50 us", "p95 us",
+                     "speedup", "bit-identical"});
   util::CsvWriter csv(bench::data_path("infer_tiers.csv"),
                       {"tier", "requests", "seconds", "qps", "p50_us",
-                       "p95_us", "speedup_vs_autograd",
-                       "cost_ordering_agreement", "calib_error",
-                       "calib_agreement"});
+                       "p95_us", "speedup_vs_autograd", "bit_identical"});
   const std::string nreq = std::to_string(e.trace.size());
-  const auto row = [&](const char* name, const TierRow& r, double agree) {
+  const auto add = [&](const char* name, const TierRow& r) {
+    const std::string speedup = util::Table::fmt(autograd.seconds / r.seconds, 2);
+    table.add_row({name, util::Table::fmt(r.seconds, 3),
+                   util::Table::fmt(n / r.seconds, 0),
+                   util::Table::fmt(r.p50_us, 1), util::Table::fmt(r.p95_us, 1),
+                   speedup, identical ? "yes" : "NO"});
     csv.add_row({name, nreq, util::Table::fmt(r.seconds, 4),
                  util::Table::fmt(n / r.seconds, 1),
                  util::Table::fmt(r.p50_us, 2), util::Table::fmt(r.p95_us, 2),
-                 util::Table::fmt(autograd.seconds / r.seconds, 2),
-                 util::Table::fmt(agree, 4),
-                 util::Table::fmt(r.calib_error, 4),
-                 util::Table::fmt(r.calib_agreement, 4)});
+                 speedup, identical ? "1" : "0"});
   };
-  row("autograd", autograd, 1.0);
-  row("fused", fused, agree_fused);
-  row("int8", int8, agree_int8);
+  add("autograd", autograd);
+  add("fused", fused);
+  std::printf("%s\n", table.to_string().c_str());
   csv.flush();
   std::printf("wrote %s\n\n", bench::data_path("infer_tiers.csv").c_str());
-  return agree_fused == 1.0 ? 0 : 1;
+  return identical ? 0 : 1;
 }
 
 // --- google-benchmark micros for the per-query primitives -------------------
@@ -636,33 +596,19 @@ int main_cost_table() {
         .count();
   };
 
-  // Row 1: in-memory build, exact mode (the seed analytical path every
-  // shard used to pay at startup).
-  const accel::CostModel exact_model(accel::TechnologyParams{},
-                                     accel::CostMode::kExact);
+  // Row 1: in-memory build (the analytical path every shard used to pay at
+  // startup).
+  const accel::CostModel model;
   long rss0 = rss_kb();
   std::unique_ptr<arch::CostTable> mem_table;
-  const double build_exact_ms = timed_ms([&] {
-    mem_table = std::make_unique<arch::CostTable>(e.arch_space, e.hw_space,
-                                                  exact_model);
+  const double build_ms = timed_ms([&] {
+    mem_table =
+        std::make_unique<arch::CostTable>(e.arch_space, e.hw_space, model);
   });
   const long mem_rss_kb = rss_kb() - rss0;
   const ExactServeStats mem_stats = replay_exact(*mem_table, reqs);
 
-  // Row 2: in-memory build, LUT-compiled model (same table shape; the
-  // build sweep runs with reciprocal tables instead of divides).
-  const accel::CostModel lut_model(accel::TechnologyParams{},
-                                   accel::CostMode::kLut);
-  double build_lut_ms = 0.0;
-  {
-    std::unique_ptr<arch::CostTable> lut_table;
-    build_lut_ms = timed_ms([&] {
-      lut_table = std::make_unique<arch::CostTable>(e.arch_space, e.hw_space,
-                                                    lut_model);
-    });
-  }
-
-  // Row 3: compile once to a DCTB artifact, then mmap it — the per-shard
+  // Row 2: compile once to a DCTB artifact, then mmap it — the per-shard
   // startup cost drops to a load + checksum pass over shared pages.
   const std::string artifact = bench::data_path("cost_table.dctb");
   arch::save_cost_table(*mem_table, artifact);
@@ -681,13 +627,11 @@ int main_cost_table() {
 
   util::Table table({"source", "startup ms", "RSS delta KB", "file bytes",
                      "QPS", "p50 us", "p99 us"});
-  table.add_row({"build (exact)", util::Table::fmt(build_exact_ms, 1),
+  table.add_row({"build", util::Table::fmt(build_ms, 1),
                  std::to_string(mem_rss_kb), "-",
                  util::Table::fmt(mem_stats.qps, 0),
                  util::Table::fmt(mem_stats.p50_us, 1),
                  util::Table::fmt(mem_stats.p99_us, 1)});
-  table.add_row({"build (lut)", util::Table::fmt(build_lut_ms, 1), "-", "-",
-                 "-", "-", "-"});
   table.add_row({"mmap (DCTB)", util::Table::fmt(load_ms, 1),
                  std::to_string(map_rss_kb), std::to_string(file_bytes),
                  util::Table::fmt(map_stats.qps, 0),
@@ -700,18 +644,16 @@ int main_cost_table() {
               static_cast<unsigned long long>(mapped->checksum()));
 
   util::CsvWriter csv(bench::data_path("cost_table.csv"),
-                      {"source", "cost_mode", "startup_ms", "rss_delta_kb",
+                      {"source", "startup_ms", "rss_delta_kb",
                        "file_bytes", "queries", "qps", "p50_us", "p99_us",
                        "bit_identical"});
   const std::string nqs = std::to_string(nq);
-  csv.add_row({"build", "exact", util::Table::fmt(build_exact_ms, 2),
+  csv.add_row({"build", util::Table::fmt(build_ms, 2),
                std::to_string(mem_rss_kb), "0", nqs,
                util::Table::fmt(mem_stats.qps, 1),
                util::Table::fmt(mem_stats.p50_us, 2),
                util::Table::fmt(mem_stats.p99_us, 2), "1"});
-  csv.add_row({"build", "lut", util::Table::fmt(build_lut_ms, 2), "-", "0",
-               "0", "-", "-", "-", "-"});
-  csv.add_row({"mmap", "exact", util::Table::fmt(load_ms, 2),
+  csv.add_row({"mmap", util::Table::fmt(load_ms, 2),
                std::to_string(map_rss_kb), std::to_string(file_bytes), nqs,
                util::Table::fmt(map_stats.qps, 1),
                util::Table::fmt(map_stats.p50_us, 2),
@@ -792,10 +734,9 @@ int main(int argc, char** argv) {
               "re-warm.\n\n");
   const HotSwapResult hot = run_hotswap();
   const int rc = main_comparison(hot);
-  std::printf("== surrogate inference tiers: autograd vs fused plan vs int8 "
-              "(DANCE_INFER) ==\n");
-  std::printf("single-query replay of the same trace per tier; ordering "
-              "agreement vs autograd over 512 unique keys.\n\n");
+  std::printf("== surrogate serving: autograd oracle vs fused plan ==\n");
+  std::printf("single-query replay of the same trace per path; bit-identity "
+              "checked over every unique key.\n\n");
   const int tier_rc = main_tiers();
   std::printf("== exact ground truth: in-memory CostTable vs mmap DCTB "
               "artifact ==\n\n");

@@ -4,9 +4,8 @@
 // is closed-form, the other walks tiles and pays pipeline fill/drain), but
 // the orderings that drive co-exploration agree.
 //
-// A closing section times the *surrogate* cost backend on its active
-// inference tier (DANCE_INFER=autograd|fused|int8; the tier is printed in
-// the banner and the end-of-run report).
+// A closing section times the *surrogate* cost backend (the evaluator served
+// through its compiled infer::Plan).
 //
 // Run: ./build/examples/backend_comparison
 #include <chrono>
@@ -19,7 +18,6 @@
 #include "accel/systolic_sim.h"
 #include "arch/space.h"
 #include "evalnet/evaluator.h"
-#include "infer/plan.h"
 #include "serve/backend.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -34,10 +32,8 @@ int main() {
   accel::CostModel model;
   accel::SystolicSimulator sim;
 
-  std::printf("Backend comparison on %zu conv layers (%.1f MMACs)\n",
+  std::printf("Backend comparison on %zu conv layers (%.1f MMACs)\n\n",
               layers.size(), static_cast<double>(space.macs(net)) / 1e6);
-  std::printf("surrogate inference tier: %s (DANCE_INFER)\n\n",
-              infer::to_string(infer::mode_from_env()));
 
   util::Table t({"Config", "Analytical lat(ms)", "Simulated lat(ms)",
                  "Analytical E(mJ)", "Simulated E(mJ)"});
@@ -70,7 +66,7 @@ int main() {
   }
   std::printf("%s\n", b.to_string().c_str());
 
-  // Surrogate backend on the active inference tier: time single-query
+  // Surrogate backend: time single-query
   // answers (untrained weights — the numbers are meaningless, the cost of
   // producing them is the point).
   {
@@ -92,12 +88,9 @@ int main() {
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
-    std::printf("Surrogate single-query cost on the '%s' tier: %zu queries "
-                "in %.3f ms (%.0f QPS)\n",
-                infer::to_string(backend.infer_mode()), answered, 1e3 * secs,
-                static_cast<double>(answered) / secs);
-    std::printf("[backend_comparison] active inference tier: %s\n",
-                infer::to_string(backend.infer_mode()));
+    std::printf("Surrogate single-query cost: %zu queries in %.3f ms "
+                "(%.0f QPS)\n",
+                answered, 1e3 * secs, static_cast<double>(answered) / secs);
   }
   return 0;
 }

@@ -10,10 +10,6 @@
 //   --verify     reload the written artifact and check every (config, op)
 //                entry answers bit-identically to the in-memory table
 //
-// The model's evaluation strategy follows DANCE_COST=exact|lut; the mode
-// is baked into the emitted numbers, so compile with the mode you intend
-// to serve.
-//
 // Example:
 //   ./build/examples/costtable_compile --out=cost.dctb --verify
 //   ./build/examples/serve_jsonl --backend=exact --table=cost.dctb
@@ -79,10 +75,10 @@ int main(int argc, char** argv) {
     const std::uint64_t checksum = arch::save_cost_table(table, out_path);
     const double save_ms = ms_since(t_save);
     std::fprintf(stderr,
-                 "[costtable_compile] cost_mode=%s configs=%zu slots=%d "
-                 "build_ms=%.1f save_ms=%.1f\n",
-                 accel::to_string(model.mode()).c_str(), hw_space.size(),
-                 arch_space.num_searchable(), build_ms, save_ms);
+                 "[costtable_compile] configs=%zu slots=%d build_ms=%.1f "
+                 "save_ms=%.1f\n",
+                 hw_space.size(), arch_space.num_searchable(), build_ms,
+                 save_ms);
     // stdout carries the machine-readable line (CI captures it).
     std::printf("path=%s checksum=%016llx\n", out_path.c_str(),
                 static_cast<unsigned long long>(checksum));

@@ -147,8 +147,7 @@ int main(int argc, char** argv) {
   opts.base.constraints.latency_slo_ms = args.latency_slo;
   opts.sweep = search::lambda2_sweep(args.lambda2);
 
-  std::printf("sweeping %zu lambda2 values (%s, %s)...\n", opts.sweep.size(),
-              opts.parallel ? "parallel" : "serial",
+  std::printf("sweeping %zu lambda2 values (%s)...\n", opts.sweep.size(),
               opts.base.constraints.enabled() ? "constrained"
                                               : "unconstrained");
   const search::ParetoResult result =

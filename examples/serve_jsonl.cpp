@@ -15,9 +15,7 @@
 //
 // Flags:
 //   --backend=exact|surrogate  ground-truth LUT (default) or the evaluator
-//                              (the surrogate's inference tier follows
-//                              DANCE_INFER=autograd|fused|int8 and is printed
-//                              in the banner and the EOF report)
+//                              (served through its compiled infer::Plan)
 //   --small                    tiny hardware space (fast startup; CI smoke)
 //   --table=PATH               mmap a compiled DCTB cost table (see
 //                              costtable_compile) instead of rebuilding the
@@ -71,7 +69,6 @@
 #include "evalnet/evaluator.h"
 #include "fault/fault.h"
 #include "fault/faulty_backend.h"
-#include "infer/plan.h"
 #include "obs/span.h"
 #include "registry/recalibrate.h"
 #include "registry/registry.h"
@@ -282,7 +279,6 @@ int main(int argc, char** argv) {
   std::unique_ptr<arch::CostProvider> table;
   std::unique_ptr<evalnet::Evaluator> evaluator;
   std::unique_ptr<serve::CostQueryBackend> backend;
-  serve::SurrogateBackend* surrogate = nullptr;  // for tier reporting
   if (backend_name == "exact") {
     try {
       table = make_table();
@@ -307,9 +303,7 @@ int main(int argc, char** argv) {
                    "[serve_jsonl] note: surrogate backend running with "
                    "untrained weights (pass --hwgen-ckpt/--cost-ckpt)\n");
     }
-    auto sb = std::make_unique<serve::SurrogateBackend>(*evaluator);
-    surrogate = sb.get();
-    backend = std::move(sb);
+    backend = std::make_unique<serve::SurrogateBackend>(*evaluator);
   }
 
   // Fault injection: --fault wins over DANCE_FAULT; either installs the
@@ -360,16 +354,9 @@ int main(int argc, char** argv) {
   }
 
   serve::Service service(*serving);  // options from DANCE_SERVE_* env
-  if (surrogate != nullptr) {
-    std::fprintf(stderr,
-                 "[serve_jsonl] backend=%s (inference tier: %s, DANCE_INFER), "
-                 "reading JSON lines from stdin\n",
-                 serving->name(), infer::to_string(surrogate->infer_mode()));
-  } else {
-    std::fprintf(stderr,
-                 "[serve_jsonl] backend=%s, reading JSON lines from stdin\n",
-                 serving->name());
-  }
+  std::fprintf(stderr,
+               "[serve_jsonl] backend=%s, reading JSON lines from stdin\n",
+               serving->name());
   const std::string metrics_path = util::env_string("DANCE_METRICS_JSON", "");
   if (!metrics_path.empty()) {
     std::fprintf(stderr, "[serve_jsonl] metrics will be exported to %s at exit\n",
@@ -387,14 +374,6 @@ int main(int argc, char** argv) {
   }
 
   std::fputs(service.stats_report().c_str(), stderr);
-  if (surrogate != nullptr) {
-    std::fprintf(stderr, "[serve_jsonl] surrogate inference tier: %s\n",
-                 infer::to_string(surrogate->infer_mode()));
-  }
-  if (fallback) {
-    std::fprintf(stderr, "[serve_jsonl] fallback surrogate inference tier: %s\n",
-                 infer::to_string(fallback->infer_mode()));
-  }
   if (resilient) {
     const auto rs = resilient->stats();
     std::fprintf(stderr,

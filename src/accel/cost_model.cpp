@@ -1,21 +1,10 @@
 #include "accel/cost_model.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
-#include "util/env.h"
 
 namespace dance::accel {
-
-CostMode cost_mode_from_env() {
-  const std::string v = util::env_string("DANCE_COST", "exact");
-  return v == "lut" ? CostMode::kLut : CostMode::kExact;
-}
-
-std::string to_string(CostMode mode) {
-  return mode == CostMode::kLut ? "lut" : "exact";
-}
 
 std::string to_string(Dataflow df) {
   switch (df) {
@@ -51,45 +40,7 @@ long rf_avail(const AcceleratorConfig& c) { return std::max(1, c.rf_size - 2); }
 
 }  // namespace
 
-CostModel::CostModel(const TechnologyParams& tech, CostMode mode)
-    : tech_(tech), mode_(mode) {
-  if (mode_ != CostMode::kLut) return;
-  // Compile the technology constants into clamped tables once per model
-  // (VLSIGR builds its 1024-entry routing cost tables the same way). Each
-  // entry is evaluated with the exact expression, so in-range table hits
-  // reproduce the exact value of *that* expression; the LUT-vs-exact
-  // divergence comes only from replacing divides with reciprocal
-  // multiplies (div_by_int, the roofline terms below).
-  inv_lut_.resize(kCostLutBins);
-  rf_access_pj_lut_.resize(kCostLutBins);
-  inv_lut_[0] = 0.0;  // never read: div_by_int falls back for den <= 0
-  for (long i = 1; i < kCostLutBins; ++i) {
-    inv_lut_[i] = 1.0 / static_cast<double>(i);
-  }
-  for (long i = 0; i < kCostLutBins; ++i) {
-    rf_access_pj_lut_[i] =
-        tech_.rf_energy_base_pj + tech_.rf_energy_per_word_pj * i;
-  }
-  inv_gb_bw_ = 1.0 / tech_.gb_bandwidth;
-  inv_dram_bw_ = 1.0 / tech_.dram_bandwidth;
-}
-
-double CostModel::div_by_int(double num, long den) const {
-  // Clamp, don't extrapolate: only in-range operands hit the table; at or
-  // past the last bin (and for degenerate denominators) the exact divide
-  // answers, so the table boundary introduces no discontinuity in domain.
-  if (mode_ == CostMode::kLut && den > 0 && den < kCostLutBins) {
-    return num * inv_lut_[den];
-  }
-  return num / static_cast<double>(den);
-}
-
-double CostModel::rf_access_energy_pj(int rf_size) const {
-  if (mode_ == CostMode::kLut && rf_size >= 0 && rf_size < kCostLutBins) {
-    return rf_access_pj_lut_[rf_size];
-  }
-  return tech_.rf_energy_base_pj + tech_.rf_energy_per_word_pj * rf_size;
-}
+CostModel::CostModel(const TechnologyParams& tech) : tech_(tech) {}
 
 // --- Weight stationary -----------------------------------------------------
 // Output channels K map to the X dimension of the array and input channels
@@ -150,11 +101,11 @@ CostModel::Mapping CostModel::map_output_stationary(const AcceleratorConfig& c,
   // The RF caches up to rf_avail/S filter rows of the sliding input window,
   // giving up to R-fold vertical reuse of the input fetches.
   const double row_reuse =
-      std::clamp(div_by_int(static_cast<double>(rf_avail(c)), s.s), 1.0,
-                 static_cast<double>(s.r));
-  const double inputs_gb =
-      div_by_int(i_vol * static_cast<double>(s.k), s.groups) *
-      static_cast<double>(s.r) / row_reuse;
+      std::clamp(static_cast<double>(rf_avail(c)) / static_cast<double>(s.s),
+                 1.0, static_cast<double>(s.r));
+  const double inputs_gb = i_vol * static_cast<double>(s.k) /
+                           static_cast<double>(s.groups) *
+                           static_cast<double>(s.r) / row_reuse;
   const double outputs_gb = o_vol;  // psums never leave the PE until done
   m.gb_words = weights_gb + inputs_gb + outputs_gb;
   m.dram_words = w_vol + i_vol + o_vol;
@@ -202,7 +153,8 @@ CostModel::Mapping CostModel::map_row_stationary(const AcceleratorConfig& c,
 CostModel::ConfigCoeffs CostModel::coeffs_for(
     const AcceleratorConfig& c) const {
   ConfigCoeffs co;
-  co.rf_access_pj = rf_access_energy_pj(c.rf_size);
+  co.rf_access_pj =
+      tech_.rf_energy_base_pj + tech_.rf_energy_per_word_pj * c.rf_size;
   co.avg_hops = 0.5 * (c.pe_x + c.pe_y);
   return co;
 }
@@ -226,13 +178,8 @@ CostBreakdown CostModel::explain_with(const ConfigCoeffs& co,
   CostBreakdown b;
   // Roofline: the layer is bound by compute, the global buffer port, or DRAM.
   b.compute_cycles = m.compute_cycles;
-  if (mode_ == CostMode::kLut) {
-    b.gb_cycles = m.gb_words * inv_gb_bw_;
-    b.dram_cycles = m.dram_words * inv_dram_bw_;
-  } else {
-    b.gb_cycles = m.gb_words / tech_.gb_bandwidth;
-    b.dram_cycles = m.dram_words / tech_.dram_bandwidth;
-  }
+  b.gb_cycles = m.gb_words / tech_.gb_bandwidth;
+  b.dram_cycles = m.dram_words / tech_.dram_bandwidth;
   b.gb_words = m.gb_words;
   b.dram_words = m.dram_words;
   b.rf_accesses = m.rf_accesses;
@@ -268,7 +215,7 @@ void CostModel::layer_cost_batch(const AcceleratorConfig& config,
   }
   // The per-config coefficients are hoisted out of the loop; explain_with
   // evaluates the exact same expressions as the per-layer path, so
-  // batch results are bit-identical to layer_cost in either CostMode.
+  // batch results are bit-identical to layer_cost.
   const ConfigCoeffs co = coeffs_for(config);
   for (std::size_t i = 0; i < shapes.size(); ++i) {
     validate(config, shapes[i]);

@@ -2,38 +2,11 @@
 
 #include <algorithm>
 #include <span>
-#include <string>
-#include <vector>
 
 #include "accel/accelerator.h"
 #include "accel/conv_shape.h"
 
 namespace dance::accel {
-
-/// How the analytical model evaluates its arithmetic-heavy terms.
-///
-///  * kExact — every term is computed with the textbook expression
-///    (divides for the roofline and RF-reuse terms). This is the historical
-///    behaviour and the bit-compatibility baseline for the CostTable.
-///  * kLut  — the per-`TechnologyParams` constants are compiled once into
-///    clamped lookup tables (reciprocals, per-word RF energies) in the
-///    spirit of VLSIGR's 1024-entry routing-cost tables, turning the
-///    hot-path divides into table loads + multiplies. Results differ from
-///    kExact only by reciprocal-multiply rounding (well inside the PBT
-///    |log10| oracle bands; see docs/cost_table.md for the bound).
-enum class CostMode { kExact, kLut };
-
-/// Reads the DANCE_COST knob ("exact" | "lut", case-sensitive). Unset,
-/// empty or unrecognized values degrade to kExact, matching the
-/// fallback-not-clamp convention of the other DANCE_* knobs.
-[[nodiscard]] CostMode cost_mode_from_env();
-
-[[nodiscard]] std::string to_string(CostMode mode);
-
-/// Number of bins in the compiled lookup tables (and therefore the largest
-/// integer operand they cover). Inputs at or past the last bin fall back to
-/// the exact expression — the tables clamp, they never extrapolate.
-inline constexpr long kCostLutBins = 1024;
 
 /// Per-layer simulation result (before unit conversion).
 struct LayerCost {
@@ -111,10 +84,7 @@ struct CostBreakdown {
 /// evaluator network must learn (see DESIGN.md §2).
 class CostModel {
  public:
-  /// `mode` defaults to the DANCE_COST knob; pass an explicit CostMode to
-  /// pin a model to one evaluation strategy regardless of environment.
-  explicit CostModel(const TechnologyParams& tech = {},
-                     CostMode mode = cost_mode_from_env());
+  explicit CostModel(const TechnologyParams& tech = {});
 
   /// Latency & energy of one layer on one accelerator configuration.
   [[nodiscard]] LayerCost layer_cost(const AcceleratorConfig& config,
@@ -123,10 +93,9 @@ class CostModel {
   /// Batched form of layer_cost: evaluates `shapes[i]` into `out[i]` for
   /// every i, hoisting the per-config coefficients (RF access energy,
   /// average NoC hop count) out of the per-layer loop. Bit-identical to
-  /// calling layer_cost once per shape, in either CostMode — this is the
-  /// single entry point the CostTable build, network_cost and the hwgen
-  /// benches all route through. Throws std::invalid_argument when `out` is
-  /// smaller than `shapes`.
+  /// calling layer_cost once per shape — this is the single entry point the
+  /// CostTable build, network_cost and the hwgen benches all route through.
+  /// Throws std::invalid_argument when `out` is smaller than `shapes`.
   void layer_cost_batch(const AcceleratorConfig& config,
                         std::span<const ConvShape> shapes,
                         std::span<LayerCost> out) const;
@@ -144,7 +113,6 @@ class CostModel {
       const AcceleratorConfig& config, std::span<const ConvShape> layers) const;
 
   [[nodiscard]] const TechnologyParams& tech() const { return tech_; }
-  [[nodiscard]] CostMode mode() const { return mode_; }
 
  private:
   /// Intermediate mapping statistics of one layer on one config.
@@ -174,22 +142,7 @@ class CostModel {
                                            const AcceleratorConfig& config,
                                            const ConvShape& shape) const;
 
-  /// `num / den` with the reciprocal table in kLut mode. Operands at or
-  /// past kCostLutBins (or non-positive) fall back to the exact divide —
-  /// no extrapolation past the last bin.
-  [[nodiscard]] double div_by_int(double num, long den) const;
-
-  /// RF access energy for a given RF size; table-backed in kLut mode with
-  /// the same clamp-or-exact-fallback contract as div_by_int.
-  [[nodiscard]] double rf_access_energy_pj(int rf_size) const;
-
   TechnologyParams tech_;
-  CostMode mode_ = CostMode::kExact;
-  // Compiled tables (populated only in kLut mode; ~16 KiB total).
-  std::vector<double> inv_lut_;           ///< inv_lut_[i] = 1.0 / i, i >= 1
-  std::vector<double> rf_access_pj_lut_;  ///< indexed by rf_size
-  double inv_gb_bw_ = 0.0;
-  double inv_dram_bw_ = 0.0;
 };
 
 }  // namespace dance::accel

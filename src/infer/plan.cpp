@@ -1,7 +1,6 @@
 #include "infer/plan.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <stdexcept>
 
@@ -9,47 +8,11 @@
 #include "obs/registry.h"
 #include "runtime/profiler.h"
 #include "tensor/gemm.h"
-#include "util/env.h"
 #include "util/parallel.h"
 
 namespace dance::infer {
 
 namespace gemm = tensor::gemm;
-
-const char* to_string(Mode mode) {
-  switch (mode) {
-    case Mode::kAutograd:
-      return "autograd";
-    case Mode::kFused:
-      return "fused";
-    case Mode::kInt8:
-      return "int8";
-  }
-  return "unknown";
-}
-
-bool parse_mode(const std::string& text, Mode& out) {
-  if (text == "autograd") {
-    out = Mode::kAutograd;
-    return true;
-  }
-  if (text == "fused") {
-    out = Mode::kFused;
-    return true;
-  }
-  if (text == "int8") {
-    out = Mode::kInt8;
-    return true;
-  }
-  return false;
-}
-
-Mode mode_from_env() {
-  const std::string text = util::env_string("DANCE_INFER", "autograd");
-  Mode mode = Mode::kAutograd;
-  if (!parse_mode(text, mode)) mode = Mode::kAutograd;
-  return mode;
-}
 
 // ---------------------------------------------------------------------------
 // Arena
@@ -59,8 +22,6 @@ void Arena::prepare(const Plan& plan, int rows) {
   if (rows <= rows_) return;
   const auto r = static_cast<std::size_t>(rows);
   f32_.resize(r * plan.floats_per_row());
-  q8_.resize(r * static_cast<std::size_t>(plan.max_in_width_));
-  i32_.resize(r * static_cast<std::size_t>(plan.max_out_width_));
   rows_ = rows;
 }
 
@@ -151,12 +112,6 @@ Plan Plan::compile(const evalnet::FrozenEvaluator& frozen) {
   if (plan.cost_.in_dim != plan.cost_in_width_ || plan.cost_.out_dim != 3) {
     throw std::invalid_argument("Plan: cost trunk width mismatch");
   }
-  for (const auto* trunk : {&plan.hwgen_, &plan.cost_}) {
-    for (const auto& step : trunk->steps) {
-      plan.max_in_width_ = std::max(plan.max_in_width_, step.in);
-      plan.max_out_width_ = std::max(plan.max_out_width_, step.out);
-    }
-  }
   obs::Registry::global().counter("infer.plan.compiles").inc();
   return plan;
 }
@@ -204,89 +159,21 @@ inline void epilogue_row(float* row, int width, const float* bias,
   }
 }
 
-inline std::int8_t quantize_one(float scaled) {
-  if (scaled != scaled) return 0;  // NaN: the int8 tier has no poison contract
-  if (scaled >= 127.0F) return 127;
-  if (scaled <= -127.0F) return -127;
-  return static_cast<std::int8_t>(std::lrintf(scaled));
-}
-
-/// Unsigned activation grid (0..255), stored through the same int8 buffer;
-/// the accumulate loop reads it back as uint8.
-inline std::int8_t quantize_one_unsigned(float scaled) {
-  if (scaled != scaled) return 0;
-  if (scaled >= 255.0F) return static_cast<std::int8_t>(std::uint8_t{255});
-  if (scaled <= 0.0F) return 0;
-  return static_cast<std::int8_t>(
-      static_cast<std::uint8_t>(std::lrintf(scaled)));
-}
-
 }  // namespace
 
 void Plan::run_trunk_rows(const Trunk& trunk, long lo, long hi,
-                          const float* in, float* h, float* z, float* out,
-                          Arena& arena, Mode mode) const {
+                          const float* in, float* h, float* z,
+                          float* out) const {
   for (std::size_t s = 0; s < trunk.steps.size(); ++s) {
     const Step& step = trunk.steps[s];
     const bool is_head = s + 1 == trunk.steps.size();
     const float* src = (s == 0) ? in : h;
     float* dst = is_head ? out : (step.residual ? z : h);
 
-    if (mode == Mode::kInt8) {
-      // Dynamic per-row activation quantization: the scale comes from the
-      // row being quantized, so there is no calibration-range mismatch and
-      // no clipping regardless of the serving distribution. Rows whose
-      // inputs are all non-negative (ReLU outputs, residual sums of ReLUs,
-      // one-hot/probability encodings — every layer of these nets in
-      // practice) use the unsigned 0..255 grid for double resolution.
-      // Per-row scales depend only on that row, so results stay invariant
-      // under any pool partition and the tier remains a pure function of
-      // the request. (u)int8 x int8 -> int32 accumulate, then dequant.
-      for (long r = lo; r < hi; ++r) {
-        const float* src_row = src + r * step.in;
-        float mx = 0.0F;
-        bool neg = false;
-        for (int c = 0; c < step.in; ++c) {
-          const float v = src_row[c];
-          if (v < 0.0F) neg = true;
-          const float a = std::fabs(v);
-          if (std::isfinite(a) && a > mx) mx = a;
-        }
-        const float scale = mx / (neg ? 127.0F : 255.0F);
-        const float inv = scale > 0.0F ? 1.0F / scale : 0.0F;
-        std::int8_t* q = arena.q8_.data() + r * max_in_width_;
-        if (neg) {
-          for (int c = 0; c < step.in; ++c) {
-            q[c] = quantize_one(src_row[c] * inv);
-          }
-        } else {
-          for (int c = 0; c < step.in; ++c) {
-            q[c] = quantize_one_unsigned(src_row[c] * inv);
-          }
-        }
-        std::int32_t* acc = arena.i32_.data() + r * max_out_width_;
-        std::fill(acc, acc + step.out, 0);
-        for (int kk = 0; kk < step.in; ++kk) {
-          const std::int32_t qv =
-              neg ? static_cast<std::int32_t>(q[kk])
-                  : static_cast<std::int32_t>(static_cast<std::uint8_t>(q[kk]));
-          if (qv == 0) continue;
-          const std::int8_t* wrow =
-              step.qweight.data() + static_cast<std::size_t>(kk) * step.out;
-          for (int j = 0; j < step.out; ++j) acc[j] += qv * wrow[j];
-        }
-        float* dst_row = dst + r * step.out;
-        for (int j = 0; j < step.out; ++j) {
-          dst_row[j] = static_cast<float>(acc[j]) *
-                       (scale * step.wscale[static_cast<std::size_t>(j)]);
-        }
-      }
-    } else {
-      // The shared blocked kernel: same code object as ops::matmul forward.
-      std::fill(dst + lo * step.out, dst + hi * step.out, 0.0F);
-      gemm::gemm_rows(src, step.weight.data(), dst, lo, hi, step.in, step.out,
-                      step.b_finite);
-    }
+    // The shared blocked kernel: same code object as ops::matmul forward.
+    std::fill(dst + lo * step.out, dst + hi * step.out, 0.0F);
+    gemm::gemm_rows(src, step.weight.data(), dst, lo, hi, step.in, step.out,
+                    step.b_finite);
 
     const float* bias = step.bias.numel() != 0 ? step.bias.data() : nullptr;
     const float* gamma = step.has_norm ? step.gamma.data() : nullptr;
@@ -306,8 +193,7 @@ void Plan::run_trunk_rows(const Trunk& trunk, long lo, long hi,
 }
 
 void Plan::run_rows(long lo, long hi, int n, const float* input,
-                    float* metrics_out, float* hw_out, Arena& arena,
-                    Mode mode) const {
+                    float* metrics_out, float* hw_out, Arena& arena) const {
   // Arena slab layout (stride n rows, in this order).
   float* base = arena.f32_.data();
   float* hw_h = base;
@@ -320,7 +206,7 @@ void Plan::run_rows(long lo, long hi, int n, const float* input,
                      : 0);
   float* cost_z = cost_h + static_cast<std::size_t>(n) * cost_.hidden_dim;
 
-  run_trunk_rows(hwgen_, lo, hi, input, hw_h, hw_z, logits, arena, mode);
+  run_trunk_rows(hwgen_, lo, hi, input, hw_h, hw_z, logits);
 
   // Per-head hard argmax of the logits -> one-hot hardware encoding. Strict
   // > scan from the head's first column: first-max-wins, matching
@@ -353,8 +239,7 @@ void Plan::run_rows(long lo, long hi, int n, const float* input,
     cost_src = cost_in;
   }
 
-  run_trunk_rows(cost_, lo, hi, cost_src, cost_h, cost_z, metrics_out, arena,
-                 mode);
+  run_trunk_rows(cost_, lo, hi, cost_src, cost_h, cost_z, metrics_out);
 
   // Output scaling: ops::mul_rowvec with the float-cast scales.
   for (long r = lo; r < hi; ++r) {
@@ -364,16 +249,8 @@ void Plan::run_rows(long lo, long hi, int n, const float* input,
 }
 
 void Plan::run(const float* input, int n, float* metrics_out, float* hw_out,
-               Arena& arena, Mode mode) const {
+               Arena& arena) const {
   if (n <= 0) throw std::invalid_argument("Plan::run: n <= 0");
-  if (mode == Mode::kAutograd) {
-    throw std::invalid_argument(
-        "Plan::run: the autograd tier is served by the Evaluator, not the "
-        "plan");
-  }
-  if (mode == Mode::kInt8 && !int8_ready_) {
-    throw std::logic_error("Plan::run: int8 tier requires calibrate() first");
-  }
   arena.prepare(*this, n);
   DANCE_PROFILE_SCOPE("infer.plan.run");
   // The whole schedule is row-parallel: every step (GEMM rows, epilogues,
@@ -385,104 +262,9 @@ void Plan::run(const float* input, int n, float* metrics_out, float* hw_out,
   util::parallel_for(
       0, n,
       [&](long lo, long hi) {
-        run_rows(lo, hi, n, input, metrics_out, hw_out, arena, mode);
+        run_rows(lo, hi, n, input, metrics_out, hw_out, arena);
       },
       /*grain=*/1);
-}
-
-// ---------------------------------------------------------------------------
-// int8 calibration
-
-void Plan::calibrate(const std::vector<std::vector<float>>& rows) {
-  if (rows.empty()) {
-    throw std::invalid_argument("Plan::calibrate: empty calibration set");
-  }
-  for (const auto& r : rows) {
-    if (static_cast<int>(r.size()) != arch_width_) {
-      throw std::invalid_argument(
-          "Plan::calibrate: calibration row width != arch_width");
-    }
-  }
-  DANCE_PROFILE_SCOPE("infer.plan.calibrate");
-
-  // Symmetric per-output-column weight quantization. Activation scales are
-  // not baked here: the executor derives them per row at run time (dynamic
-  // quantization), so serving inputs outside the calibration range cannot
-  // clip. Everything in this pass is deterministic — no RNG — so a
-  // calibrated plan stays a pure function of its input (the serve-cache
-  // prerequisite).
-  auto quantize_trunk = [](Trunk& trunk) {
-    for (Step& step : trunk.steps) {
-      const auto in = static_cast<std::size_t>(step.in);
-      const auto out = static_cast<std::size_t>(step.out);
-      step.wscale.assign(out, 0.0F);
-      const float* w = step.weight.data();
-      for (std::size_t j = 0; j < out; ++j) {
-        float m = 0.0F;
-        for (std::size_t kk = 0; kk < in; ++kk) {
-          m = std::max(m, std::fabs(w[kk * out + j]));
-        }
-        step.wscale[j] = m / 127.0F;
-      }
-      step.qweight.assign(in * out, 0);
-      for (std::size_t kk = 0; kk < in; ++kk) {
-        for (std::size_t j = 0; j < out; ++j) {
-          const float ws = step.wscale[j];
-          step.qweight[kk * out + j] =
-              ws > 0.0F ? quantize_one(w[kk * out + j] / ws) : std::int8_t{0};
-        }
-      }
-    }
-  };
-  quantize_trunk(hwgen_);
-  quantize_trunk(cost_);
-  int8_ready_ = true;
-
-  // Self-check: run the calibration rows through both tiers (serially) and
-  // record the tier's empirical quality — worst metric error as a fraction
-  // of each column's dynamic range (over rows where both tiers decoded the
-  // same hardware config) and the config agreement rate. Serving code and
-  // the benches surface these via calibration_error / calibration_agreement.
-  const int n = static_cast<int>(rows.size());
-  Arena arena;
-  arena.prepare(*this, n);
-  float* input = arena.stage_input(n, arch_width_);
-  for (int i = 0; i < n; ++i) {
-    std::memcpy(input + static_cast<std::size_t>(i) * arch_width_,
-                rows[static_cast<std::size_t>(i)].data(),
-                static_cast<std::size_t>(arch_width_) * sizeof(float));
-  }
-  const auto nn = static_cast<std::size_t>(n);
-  const auto hw_w = static_cast<std::size_t>(hw_width_);
-  std::vector<float> mf(nn * 3);
-  std::vector<float> mq(nn * 3);
-  std::vector<float> hf(nn * hw_w);
-  std::vector<float> hq(nn * hw_w);
-  run_rows(0, n, n, input, mf.data(), hf.data(), arena, Mode::kFused);
-  run_rows(0, n, n, input, mq.data(), hq.data(), arena, Mode::kInt8);
-  std::array<float, 3> col_scale{};
-  for (std::size_t r = 0; r < nn; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      col_scale[c] = std::max(col_scale[c], std::fabs(mf[r * 3 + c]));
-    }
-  }
-  int agree = 0;
-  float worst = 0.0F;
-  for (std::size_t r = 0; r < nn; ++r) {
-    if (std::memcmp(hf.data() + r * hw_w, hq.data() + r * hw_w,
-                    hw_w * sizeof(float)) != 0) {
-      continue;
-    }
-    ++agree;
-    for (std::size_t c = 0; c < 3; ++c) {
-      const float err = std::fabs(mq[r * 3 + c] - mf[r * 3 + c]);
-      worst = std::max(worst,
-                       col_scale[c] > 0.0F ? err / col_scale[c] : err);
-    }
-  }
-  calib_error_ = worst;
-  calib_agreement_ = static_cast<float>(agree) / static_cast<float>(n);
-  obs::Registry::global().counter("infer.plan.calibrations").inc();
 }
 
 }  // namespace dance::infer

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <array>
-#include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,32 +12,17 @@ class Evaluator;
 
 namespace dance::infer {
 
-/// Which implementation answers a surrogate cost query.
-///   kAutograd  walk the generic nn::Module graph (the training machinery)
-///   kFused     frozen plan, fp32 fused kernels — bit-identical to autograd
-///   kInt8      frozen plan, int8 weights/activations — approximate, fast
-enum class Mode { kAutograd, kFused, kInt8 };
-
-[[nodiscard]] const char* to_string(Mode mode);
-/// Parses "autograd" / "fused" / "int8" (exact, lowercase). Returns false on
-/// anything else and leaves `out` untouched.
-[[nodiscard]] bool parse_mode(const std::string& text, Mode& out);
-/// The DANCE_INFER environment knob, default autograd (the historical
-/// behavior); unrecognized values degrade to the default, matching the
-/// util::env convention. The read is recorded in the obs registry.
-[[nodiscard]] Mode mode_from_env();
-
 class Plan;
 
 /// Per-caller scratch for plan execution: every intermediate activation the
-/// schedule touches, laid out as [rows, width] slabs in one allocation per
-/// dtype. Grows monotonically to the largest batch seen and is then reused,
-/// so steady-state execution performs zero heap allocation.
+/// schedule touches, laid out as [rows, width] slabs in one allocation.
+/// Grows monotonically to the largest batch seen and is then reused, so
+/// steady-state execution performs zero heap allocation.
 ///
 /// Threading: one Arena serves all pool lanes of a single Plan::run call
 /// (lanes write disjoint row ranges). Distinct concurrent run calls need
-/// distinct Arenas; the Plan itself is immutable after compile/quantize and
-/// may be shared freely.
+/// distinct Arenas; the Plan itself is immutable after compile and may be
+/// shared freely.
 class Arena {
  public:
   Arena() = default;
@@ -53,16 +36,13 @@ class Arena {
   [[nodiscard]] float* stage_input(int rows, int width);
 
   [[nodiscard]] std::size_t bytes() const {
-    return f32_.capacity() * sizeof(float) + input_.capacity() * sizeof(float) +
-           q8_.capacity() + i32_.capacity() * sizeof(std::int32_t);
+    return (f32_.capacity() + input_.capacity()) * sizeof(float);
   }
 
  private:
   friend class Plan;
   std::vector<float> f32_;
   std::vector<float> input_;
-  std::vector<std::int8_t> q8_;
-  std::vector<std::int32_t> i32_;
   int rows_ = 0;
 };
 
@@ -72,13 +52,9 @@ class Arena {
 /// the shared blocked GEMM (tensor/gemm.h).
 ///
 /// Contracts:
-///   * run(Mode::kFused) is bit-identical to
-///     Evaluator::forward_deterministic / forward_batch on the same
-///     checkpoint (property-tested; see docs/inference.md for why each step
-///     preserves bits).
-///   * run(Mode::kInt8) requires a prior calibrate() and trades bit-exactness
-///     for speed; its error is exercised against the PBT |log10| bands and
-///     its cost-ordering agreement rate is reported by the serve benches.
+///   * run() is bit-identical to Evaluator::forward_deterministic /
+///     forward_batch on the same checkpoint (property-tested; see
+///     docs/inference.md for why each step preserves bits).
 ///   * A Plan is an immutable snapshot: training or loading a checkpoint
 ///     after compile() does not change it — recompile to pick up new
 ///     weights.
@@ -94,33 +70,8 @@ class Plan {
   /// Executes the plan for `n` stacked rows at `input` ([n, arch_width]).
   /// Writes predicted metrics to `metrics_out` ([n, 3], latency/energy/area
   /// order) and the one-hot hardware encoding to `hw_out` ([n, hw_width]).
-  /// `mode` must be kFused or kInt8 (kInt8 additionally requires a prior
-  /// calibrate()); pass Mode::kAutograd and it throws — that tier is served
-  /// by the Evaluator itself.
   void run(const float* input, int n, float* metrics_out, float* hw_out,
-           Arena& arena, Mode mode = Mode::kFused) const;
-
-  /// Calibrates the int8 tier: quantizes every Linear's weights to
-  /// per-output-channel symmetric int8, then runs `rows` through both the
-  /// fp32 and int8 paths to record the tier's empirical error and
-  /// hardware-config agreement rate (see calibration_error /
-  /// calibration_agreement). Activation scales are NOT baked in — the
-  /// executor derives them per row at run time (dynamic quantization), so
-  /// serving inputs outside the calibration range cannot clip. Deterministic
-  /// (no RNG), so a calibrated plan stays a pure function of its input — the
-  /// serve-cache prerequisite. Throws std::invalid_argument on an empty
-  /// calibration set or width-mismatched rows.
-  void calibrate(const std::vector<std::vector<float>>& rows);
-  [[nodiscard]] bool int8_ready() const { return int8_ready_; }
-  /// Worst |int8 - fp32| metric error over the calibration rows, as a
-  /// fraction of each metric column's dynamic range (measured on rows where
-  /// both tiers decoded the same hardware config). 0 before calibrate().
-  [[nodiscard]] float calibration_error() const { return calib_error_; }
-  /// Fraction of calibration rows whose int8 hardware one-hot bit-matches
-  /// the fp32 decode. 1 before calibrate().
-  [[nodiscard]] float calibration_agreement() const {
-    return calib_agreement_;
-  }
+           Arena& arena) const;
 
   [[nodiscard]] int arch_width() const { return arch_width_; }
   [[nodiscard]] int hw_width() const { return hw_width_; }
@@ -145,10 +96,6 @@ class Plan {
     bool residual = false;
     int in = 0;
     int out = 0;
-    // int8 tier (filled by calibrate()). Activations carry no static scale:
-    // the executor quantizes them dynamically per row (see run_trunk_rows).
-    std::vector<std::int8_t> qweight;  ///< [in, out], per-column symmetric
-    std::vector<float> wscale;         ///< [out], dequant scale per column
   };
   struct Trunk {
     std::vector<Step> steps;
@@ -162,11 +109,9 @@ class Plan {
   /// Executes rows [lo, hi) of the whole schedule on the calling lane.
   /// `n` is the full batch (arena slab stride).
   void run_rows(long lo, long hi, int n, const float* input,
-                float* metrics_out, float* hw_out, Arena& arena,
-                Mode mode) const;
+                float* metrics_out, float* hw_out, Arena& arena) const;
   void run_trunk_rows(const Trunk& trunk, long lo, long hi, const float* in,
-                      float* h, float* z, float* out, Arena& arena,
-                      Mode mode) const;
+                      float* h, float* z, float* out) const;
 
   Trunk hwgen_;
   Trunk cost_;
@@ -176,13 +121,6 @@ class Plan {
   int arch_width_ = 0;
   int hw_width_ = 0;
   int cost_in_width_ = 0;
-  int max_in_width_ = 0;   ///< widest Linear input (int8 staging)
-  int max_out_width_ = 0;  ///< widest Linear output (int8 accumulators)
-  bool int8_ready_ = false;
-  float calib_error_ = 0.0F;
-  float calib_agreement_ = 1.0F;
-
-  friend class Arena;  ///< arena sizing reads the width fields
 };
 
 }  // namespace dance::infer

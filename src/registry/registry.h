@@ -17,9 +17,8 @@ namespace dance::registry {
 
 /// One resident (model, generation): the evaluator reconstructed from its
 /// checkpoints plus its own SurrogateBackend — i.e. its own compiled
-/// infer::Plan (the fused/int8 tiers recompile per generation at
-/// construction). Versions are held and handed out as
-/// `shared_ptr<const ModelVersion>`: a query pins one version for its whole
+/// infer::Plan (recompiled per generation at construction). Versions are
+/// held and handed out as `shared_ptr<const ModelVersion>`: a query pins one version for its whole
 /// lifetime, so `publish()` can swap the live pointer while in-flight
 /// queries keep answering — and keep their Plan alive — on the generation
 /// they started on. The last pin to drop frees the version (RCU by

@@ -7,6 +7,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "hwgen/pareto.h"
 #include "obs/registry.h"
 #include "obs/span.h"
 #include "util/csv.h"
@@ -21,16 +22,6 @@ std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.10g", v);
   return buf;
-}
-
-/// Strict (latency, energy, area) dominance between raw metric triples —
-/// the hardware-level check verify_front runs per architecture.
-bool dominates_metrics(const accel::CostMetrics& a, const accel::CostMetrics& b) {
-  const bool le = a.latency_ms <= b.latency_ms && a.energy_mj <= b.energy_mj &&
-                  a.area_mm2 <= b.area_mm2;
-  const bool lt = a.latency_ms < b.latency_ms || a.energy_mj < b.energy_mj ||
-                  a.area_mm2 < b.area_mm2;
-  return le && lt;
 }
 
 }  // namespace
@@ -108,9 +99,6 @@ std::vector<std::size_t> pareto_front_indices(
   return front;
 }
 
-ParetoOptions::ParetoOptions()
-    : parallel(util::env_bool("DANCE_SEARCH_PARALLEL_SWEEP", true)) {}
-
 ParetoCoSearch::ParetoCoSearch(const data::SyntheticTask& task,
                                const arch::CostProvider& cost_provider,
                                evalnet::Evaluator& evaluator,
@@ -162,15 +150,13 @@ ParetoResult ParetoCoSearch::run() {
       }
     }
   };
-  if (opts_.parallel && n > 1) {
-    // Grain 1: one sweep entry per chunk. Inner tensor/search loops issued
-    // from inside this job run inline (pool reentrancy), so the sweep is the
-    // only level of parallelism and each entry stays bit-identical to a
-    // serial run.
-    util::parallel_for(0, static_cast<long>(n), body, /*grain=*/1);
-  } else {
-    body(0, static_cast<long>(n));
-  }
+  // Grain 1: one sweep entry per chunk. Inner tensor/search loops issued
+  // from inside this job run inline (pool reentrancy), so the sweep is the
+  // only level of parallelism. Entries share no mutable state — the
+  // evaluator is pre-frozen (reads only) and every entry owns its RNG — so
+  // each stays bit-identical to a serial run (runtime::SerialGuard or
+  // DANCE_NUM_THREADS=1).
+  util::parallel_for(0, static_cast<long>(n), body, /*grain=*/1);
   for (const auto& e : errors) {  // first failure in sweep order, if any
     if (e) std::rethrow_exception(e);
   }
@@ -279,7 +265,7 @@ std::string verify_front(const ParetoResult& result,
     const auto all = provider.evaluate_all(p.outcome.architecture);
     for (std::size_t c = 0; c < all.size(); ++c) {
       if (!spec.feasible(all[c])) continue;
-      if (dominates_metrics(all[c], p.outcome.metrics)) {
+      if (hwgen::dominates(all[c], p.outcome.metrics)) {
         return "front point " + std::to_string(result.front[fi]) +
                " hardware is dominated by feasible config " +
                std::to_string(c) + " of its own architecture";

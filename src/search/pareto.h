@@ -84,14 +84,6 @@ struct ParetoResult {
 struct ParetoOptions {
   DanceOptions base;
   std::vector<Scalarization> sweep;
-  /// Run sweep entries concurrently on the global pool (each entry's inner
-  /// tensor loops then run inline — the pool's reentrancy contract). The
-  /// result is bit-identical to the serial order because entries share no
-  /// mutable state: the evaluator is pre-frozen (reads only) and every entry
-  /// owns its RNG. Default from DANCE_SEARCH_PARALLEL_SWEEP (on).
-  bool parallel;
-
-  ParetoOptions();
 };
 
 /// One-run Pareto-front co-search: runs every scalarization in

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "obs/registry.h"
-#include "util/rng.h"
 
 namespace dance::serve {
 
@@ -37,8 +36,7 @@ std::vector<Response> ExactBackend::query_batch(
 namespace {
 
 /// Decodes one response from contiguous [3] metrics and [hw_width] one-hot
-/// rows — shared by the autograd (Tensor-backed) and plan (arena-backed)
-/// paths so every tier builds responses identically.
+/// rows of the plan output.
 Response decode_response(const float* metrics_row, const float* hw_row,
                          const std::array<std::pair<int, int>, 4>& ranges,
                          const hwgen::HwSearchSpace& space) {
@@ -62,67 +60,28 @@ Response decode_response(const float* metrics_row, const float* hw_row,
   return resp;
 }
 
-/// Fixed-seed synthetic calibration rows for the int8 tier: uniform [0, 1)
-/// values, the range one-hot(-ish) arch encodings occupy. Deterministic, so
-/// two backends built from the same checkpoint answer identically.
-std::vector<std::vector<float>> calibration_rows(int width) {
-  constexpr int kRows = 64;
-  util::Rng rng(0xCA11B8);
-  std::vector<std::vector<float>> rows(kRows);
-  for (auto& row : rows) {
-    row.resize(static_cast<std::size_t>(width));
-    for (auto& v : row) v = rng.uniform();
-  }
-  return rows;
+/// Serving prerequisite: frozen parameters, eval-mode batch norm. Without
+/// eval mode the deterministic forward (and so Plan::compile) throws.
+evalnet::Evaluator& freeze_for_serving(evalnet::Evaluator& evaluator) {
+  evaluator.set_frozen(true);
+  evaluator.set_training(false);
+  return evaluator;
 }
 
 }  // namespace
 
 SurrogateBackend::SurrogateBackend(evalnet::Evaluator& evaluator)
-    : SurrogateBackend(evaluator, infer::mode_from_env()) {}
+    : evaluator_(freeze_for_serving(evaluator)),
+      plan_(infer::Plan::compile(evaluator_)) {}
 
-SurrogateBackend::SurrogateBackend(evalnet::Evaluator& evaluator,
-                                   infer::Mode mode)
-    : evaluator_(evaluator), mode_(mode) {
-  // Serving prerequisite: frozen parameters, eval-mode batch norm. Without
-  // eval mode the deterministic forward throws (see evaluator.h).
-  evaluator_.set_frozen(true);
-  evaluator_.set_training(false);
-  if (mode_ != infer::Mode::kAutograd) {
-    plan_ = std::make_unique<infer::Plan>(infer::Plan::compile(evaluator_));
-    if (mode_ == infer::Mode::kInt8) {
-      plan_->calibrate(calibration_rows(plan_->arch_width()));
-    }
-  }
-}
-
-std::vector<Response> SurrogateBackend::query_autograd(
+std::vector<Response> SurrogateBackend::query_batch(
     std::span<const Request> requests) {
-  std::vector<std::vector<float>> rows;
-  rows.reserve(requests.size());
-  for (const Request& req : requests) rows.push_back(req.encoding);
+  auto& reg = obs::Registry::global();
+  reg.counter("infer.batches.fused").inc();
+  reg.counter("infer.queries.fused").inc(requests.size());
 
-  const evalnet::Evaluator::Output out = evaluator_.forward_batch(rows);
-  const auto& metrics = out.metrics.value();      // [N, 3]
-  const auto& hw = out.hw_encoding.value();       // [N, hw_width] one-hot
-  const auto ranges = evaluator_.hwgen_net().head_ranges();
-  const hwgen::HwSearchSpace& space = evaluator_.hwgen_net().space();
-  const int hw_width = hw.cols();
-
-  std::vector<Response> responses;
-  responses.reserve(requests.size());
-  for (int r = 0; r < metrics.rows(); ++r) {
-    responses.push_back(decode_response(metrics.data() + 3 * r,
-                                        hw.data() + r * hw_width, ranges,
-                                        space));
-  }
-  return responses;
-}
-
-std::vector<Response> SurrogateBackend::query_plan(
-    std::span<const Request> requests) {
   const int n = static_cast<int>(requests.size());
-  const int width = plan_->arch_width();
+  const int width = plan_.arch_width();
   float* input = arena_.stage_input(n, width);
   for (int i = 0; i < n; ++i) {
     const auto& enc = requests[static_cast<std::size_t>(i)].encoding;
@@ -133,40 +92,20 @@ std::vector<Response> SurrogateBackend::query_plan(
                 static_cast<std::size_t>(width) * sizeof(float));
   }
   metrics_.resize(static_cast<std::size_t>(n) * 3);
-  hw_.resize(static_cast<std::size_t>(n) * plan_->hw_width());
-  plan_->run(input, n, metrics_.data(), hw_.data(), arena_, mode_);
+  hw_.resize(static_cast<std::size_t>(n) * plan_.hw_width());
+  plan_.run(input, n, metrics_.data(), hw_.data(), arena_);
 
-  const auto& ranges = plan_->head_ranges();
+  const auto& ranges = plan_.head_ranges();
   const hwgen::HwSearchSpace& space = evaluator_.hwgen_net().space();
   std::vector<Response> responses;
   responses.reserve(requests.size());
   for (int r = 0; r < n; ++r) {
     responses.push_back(decode_response(
         metrics_.data() + 3 * r,
-        hw_.data() + static_cast<std::size_t>(r) * plan_->hw_width(), ranges,
+        hw_.data() + static_cast<std::size_t>(r) * plan_.hw_width(), ranges,
         space));
   }
   return responses;
-}
-
-std::vector<Response> SurrogateBackend::query_batch(
-    std::span<const Request> requests) {
-  auto& reg = obs::Registry::global();
-  switch (mode_) {
-    case infer::Mode::kAutograd:
-      reg.counter("infer.batches.autograd").inc();
-      reg.counter("infer.queries.autograd").inc(requests.size());
-      return query_autograd(requests);
-    case infer::Mode::kFused:
-      reg.counter("infer.batches.fused").inc();
-      reg.counter("infer.queries.fused").inc(requests.size());
-      return query_plan(requests);
-    case infer::Mode::kInt8:
-      reg.counter("infer.batches.int8").inc();
-      reg.counter("infer.queries.int8").inc(requests.size());
-      return query_plan(requests);
-  }
-  throw std::logic_error("SurrogateBackend: unknown inference mode");
 }
 
 }  // namespace dance::serve

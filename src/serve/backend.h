@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -53,47 +52,24 @@ class ExactBackend : public CostQueryBackend {
 
 /// Trained-surrogate backend: one deterministic [N, W] forward per batch.
 /// Construction puts the evaluator into frozen eval mode — the
-/// deterministic-inference prerequisite. The hardware configuration is
-/// decoded from the tau-frozen one-hot heads.
-///
-/// Inference tiers (docs/inference.md). The forward runs on one of three
-/// implementations, selected at construction (default: the DANCE_INFER
-/// environment knob, which defaults to autograd):
-///   * autograd — Evaluator::forward_batch through the nn::Module graph;
-///     the historical path.
-///   * fused — infer::Plan compiled from the frozen checkpoint;
-///     bit-identical responses to autograd (property-tested), ~the cost of
-///     the raw GEMMs.
-///   * int8 — the fused plan's quantized tier: approximate metrics, 4x
-///     smaller weights; faster than autograd, though at these trunk widths
-///     the blocked fp32 GEMM still beats the scalar int8 loops (see
-///     bench/data/infer_tiers.csv). Weight quantization happens once at
-///     construction on a fixed-seed synthetic row set, so the backend stays
-///     a pure function of the request (the cache/batcher determinism
-///     contract holds for every tier; int8 merely answers with different —
-///     still deterministic — bits).
+/// deterministic-inference prerequisite — and compiles it into an
+/// infer::Plan, which answers every batch. The plan is bit-identical to
+/// Evaluator::forward_batch (property-tested; docs/inference.md), which
+/// stays as the test oracle. The hardware configuration is decoded from the
+/// tau-frozen one-hot heads.
 class SurrogateBackend : public CostQueryBackend {
  public:
-  /// Tier from the DANCE_INFER environment knob.
   explicit SurrogateBackend(evalnet::Evaluator& evaluator);
-  /// Explicit tier selection (benchmarks, tests, tier comparisons).
-  SurrogateBackend(evalnet::Evaluator& evaluator, infer::Mode mode);
 
   [[nodiscard]] std::vector<Response> query_batch(
       std::span<const Request> requests) override;
   [[nodiscard]] const char* name() const override { return "surrogate"; }
 
-  [[nodiscard]] infer::Mode infer_mode() const { return mode_; }
-  /// The compiled plan (nullptr on the autograd tier).
-  [[nodiscard]] const infer::Plan* plan() const { return plan_.get(); }
+  [[nodiscard]] const infer::Plan& plan() const { return plan_; }
 
  private:
-  std::vector<Response> query_autograd(std::span<const Request> requests);
-  std::vector<Response> query_plan(std::span<const Request> requests);
-
   evalnet::Evaluator& evaluator_;
-  infer::Mode mode_;
-  std::unique_ptr<infer::Plan> plan_;
+  infer::Plan plan_;
   infer::Arena arena_;  ///< reused scratch; query_batch is single-threaded
   std::vector<float> metrics_;  ///< [N, 3] plan output, reused per batch
   std::vector<float> hw_;       ///< [N, hw_width] plan output, reused

@@ -1,6 +1,7 @@
 #include "serve/wire.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -85,6 +86,14 @@ ParseOutcome parse_request(const std::string& line,
   out.request.id = parse_long_field(line, "id").value_or(-1);
 
   if (auto enc = parse_array_field(line, "encoding")) {
+    // Finiteness only: soft (non-one-hot) encodings are valid surrogate
+    // input, but a NaN/inf would answer arbitrarily and poison the cache.
+    for (const float v : *enc) {
+      if (!std::isfinite(v)) {
+        out.error = "encoding values must be finite";
+        return out;
+      }
+    }
     out.request.encoding = std::move(*enc);
   } else if (auto ops = parse_array_field(line, "arch")) {
     if (static_cast<int>(ops->size()) != space.num_searchable()) {
@@ -92,13 +101,15 @@ ParseOutcome parse_request(const std::string& line,
       return out;
     }
     arch::Architecture a;
-    for (float v : *ops) {
-      const int op = static_cast<int>(v);
-      if (op < 0 || op >= arch::kNumCandidateOps ||
-          static_cast<float>(op) != v) {
+    for (const float v : *ops) {
+      // Range-check the float before the cast: casting NaN or an
+      // out-of-range value to int is undefined behaviour.
+      if (!(v >= 0.0F && v < static_cast<float>(arch::kNumCandidateOps)) ||
+          v != std::floor(v)) {
         out.error = "arch entries must be integer op indices in [0, 6]";
         return out;
       }
+      const int op = static_cast<int>(v);
       a.push_back(arch::kAllCandidateOps[static_cast<std::size_t>(op)]);
     }
     out.request.encoding = space.encode(a);
@@ -139,8 +150,21 @@ std::string response_line(long id, const Response& r) {
 }
 
 std::string error_line(long id, const std::string& message) {
-  return "{\"id\": " + std::to_string(id) + ", \"error\": \"" + message +
-         "\"}";
+  std::string out = "{\"id\": " + std::to_string(id) + ", \"error\": \"";
+  for (const char c : message) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char esc[8];
+      std::snprintf(esc, sizeof(esc), "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      out += esc;
+    } else {
+      out += c;
+    }
+  }
+  return out + "\"}";
 }
 
 std::string answer_line(const std::string& line, const arch::ArchSpace& space,

@@ -63,7 +63,9 @@ struct ParseOutcome {
                                          const arch::ArchSpace& space);
 
 /// Serializers. Exact output bytes are part of the protocol contract:
-/// floats go through "%.6g", booleans are literal true/false.
+/// floats go through "%.6g", booleans are literal true/false. error_line
+/// JSON-escapes its message ('"' and '\\' backslash-escaped, other control
+/// characters as \u00XX), so any message yields one valid line.
 [[nodiscard]] std::string response_line(long id, const Response& response);
 [[nodiscard]] std::string error_line(long id, const std::string& message);
 

@@ -1,23 +1,10 @@
-// LUT-compiled cost model (DANCE_COST=lut) and the DCTB cost-table
-// artifact pipeline. Suite names carry the "costtable" tag so
-// `ctest -R costtable` runs exactly these suites plus the property fuzz
-// (tests/test_property_costtable.cpp).
-//
-// The LUT contract under test (src/accel/cost_model.h):
-//   - table entries are computed with the exact expressions, so paths whose
-//     operands stay in range and whose reciprocals are exactly
-//     representable answer bit-identically to kExact;
-//   - operands at or past kCostLutBins fall back to the exact divide — no
-//     extrapolation past the last bin;
-//   - genuine divergence (reciprocal-multiply rounding on non-power-of-two
-//     denominators) stays far inside the |log10| bands the backend
-//     differential suite calibrates.
+// Batched cost-model evaluation and the DCTB cost-table artifact pipeline.
+// Suite names carry the "costtable" tag so `ctest -R costtable` runs exactly
+// these suites plus the property fuzz (tests/test_property_costtable.cpp).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
@@ -36,32 +23,6 @@
 namespace {
 
 using namespace dance;
-
-// --- DANCE_COST knob --------------------------------------------------------
-
-TEST(costtable_lut, EnvKnobParsing) {
-  ASSERT_EQ(unsetenv("DANCE_COST"), 0);
-  EXPECT_EQ(accel::cost_mode_from_env(), accel::CostMode::kExact);
-  ASSERT_EQ(setenv("DANCE_COST", "exact", 1), 0);
-  EXPECT_EQ(accel::cost_mode_from_env(), accel::CostMode::kExact);
-  ASSERT_EQ(setenv("DANCE_COST", "lut", 1), 0);
-  EXPECT_EQ(accel::cost_mode_from_env(), accel::CostMode::kLut);
-  // Unknown values fall back to exact — never a crash, never a clamp.
-  ASSERT_EQ(setenv("DANCE_COST", "fast-but-wrong", 1), 0);
-  EXPECT_EQ(accel::cost_mode_from_env(), accel::CostMode::kExact);
-  ASSERT_EQ(unsetenv("DANCE_COST"), 0);
-
-  EXPECT_EQ(accel::to_string(accel::CostMode::kExact), "exact");
-  EXPECT_EQ(accel::to_string(accel::CostMode::kLut), "lut");
-
-  const accel::CostModel exact(accel::TechnologyParams{},
-                               accel::CostMode::kExact);
-  const accel::CostModel lut(accel::TechnologyParams{}, accel::CostMode::kLut);
-  EXPECT_EQ(exact.mode(), accel::CostMode::kExact);
-  EXPECT_EQ(lut.mode(), accel::CostMode::kLut);
-}
-
-// --- LUT accuracy -----------------------------------------------------------
 
 std::vector<accel::ConvShape> probe_shapes() {
   return {
@@ -86,124 +47,36 @@ std::vector<accel::AcceleratorConfig> probe_configs() {
   };
 }
 
-TEST(costtable_lut, LutWithinBandOfExact) {
-  const accel::CostModel exact(accel::TechnologyParams{},
-                               accel::CostMode::kExact);
-  const accel::CostModel lut(accel::TechnologyParams{}, accel::CostMode::kLut);
-  // Reciprocal-multiply rounding is a couple of ulps; the band here is
-  // absurdly tighter than the 3.0 |log10| cross-backend tolerance, on
-  // purpose — the LUT is a compilation of the same model, not a new model.
-  constexpr double kBand = 1e-9;
-  for (const auto& cfg : probe_configs()) {
-    for (const auto& s : probe_shapes()) {
-      const auto a = exact.layer_cost(cfg, s);
-      const auto b = lut.layer_cost(cfg, s);
-      EXPECT_LT(std::fabs(std::log10(b.cycles / a.cycles)), kBand)
-          << cfg.to_string() << " x " << s.to_string();
-      EXPECT_LT(std::fabs(std::log10(b.energy_pj / a.energy_pj)), kBand)
-          << cfg.to_string() << " x " << s.to_string();
-    }
-    // The area model has no divides; it must not move at all.
-    EXPECT_EQ(exact.area_mm2(cfg), lut.area_mm2(cfg));
-  }
-}
-
-TEST(costtable_lut, NonDividingDataflowsAreBitIdentical) {
-  // Weight- and row-stationary mappings never route through div_by_int, and
-  // the default bandwidths (16, 64) have exactly representable reciprocals,
-  // so for those dataflows "lut" must be a bit-identical spelling of
-  // "exact" — any drift means a table entry was not built with the exact
-  // expression.
-  const accel::CostModel exact(accel::TechnologyParams{},
-                               accel::CostMode::kExact);
-  const accel::CostModel lut(accel::TechnologyParams{}, accel::CostMode::kLut);
-  for (const auto& cfg : probe_configs()) {
-    if (cfg.dataflow == accel::Dataflow::kOutputStationary) continue;
-    for (const auto& s : probe_shapes()) {
-      const auto a = exact.layer_cost(cfg, s);
-      const auto b = lut.layer_cost(cfg, s);
-      EXPECT_EQ(std::memcmp(&a, &b, sizeof(a)), 0)
-          << cfg.to_string() << " x " << s.to_string();
-    }
-  }
-}
-
-TEST(costtable_lut, BinEdgeClampFallsBackToExact) {
-  // div_by_int's denominators are the filter width and the group count
-  // (output-stationary mapping). A group count at or past kCostLutBins must
-  // take the exact-divide fallback, making the whole layer bit-identical
-  // across modes; just inside the edge the LUT path is exercised.
-  const accel::CostModel exact(accel::TechnologyParams{},
-                               accel::CostMode::kExact);
-  const accel::CostModel lut(accel::TechnologyParams{}, accel::CostMode::kLut);
-  const accel::AcceleratorConfig os{16, 16, 32,
-                                    accel::Dataflow::kOutputStationary};
-
-  const auto grouped = [](int groups) {
-    accel::ConvShape s;
-    s.k = groups;
-    s.c = groups;
-    s.h = 7;
-    s.w = 7;
-    s.r = 3;
-    s.s = 1;  // filter-width denominator 1: reciprocal exact
-    s.groups = groups;
-    return s;
-  };
-
-  // At the boundary and beyond: fallback, so bitwise equality.
-  for (const int g : {static_cast<int>(accel::kCostLutBins),
-                      static_cast<int>(accel::kCostLutBins) + 1,
-                      2 * static_cast<int>(accel::kCostLutBins)}) {
-    const auto shape = grouped(g);
-    ASSERT_TRUE(shape.valid());
-    const auto a = exact.layer_cost(os, shape);
-    const auto b = lut.layer_cost(os, shape);
-    EXPECT_EQ(std::memcmp(&a, &b, sizeof(a)), 0) << "groups=" << g;
-  }
-
-  // Just inside the boundary: the LUT path answers and stays in band.
-  const auto shape = grouped(static_cast<int>(accel::kCostLutBins) - 1);
-  ASSERT_TRUE(shape.valid());
-  const auto a = exact.layer_cost(os, shape);
-  const auto b = lut.layer_cost(os, shape);
-  EXPECT_LT(std::fabs(std::log10(b.cycles / a.cycles)), 1e-9);
-  EXPECT_LT(std::fabs(std::log10(b.energy_pj / a.energy_pj)), 1e-9);
-}
-
 // --- batched evaluation -----------------------------------------------------
 
 TEST(costtable_batch, BatchMatchesPerLayerBitwise) {
   util::Rng rng(0xba7c);
-  for (const auto mode : {accel::CostMode::kExact, accel::CostMode::kLut}) {
-    const accel::CostModel model(accel::TechnologyParams{}, mode);
-    for (const auto& cfg : probe_configs()) {
-      std::vector<accel::ConvShape> shapes;
-      for (int i = 0; i < 40; ++i) {  // > the 32-shape network_cost chunk
-        auto s = probe_shapes()[static_cast<std::size_t>(rng.randint(0, 3))];
-        s.h = rng.randint(1, 32);
-        s.w = rng.randint(1, 32);
-        shapes.push_back(s);
-      }
-      std::vector<accel::LayerCost> batch(shapes.size());
-      model.layer_cost_batch(cfg, shapes, batch);
-      for (std::size_t i = 0; i < shapes.size(); ++i) {
-        const auto one = model.layer_cost(cfg, shapes[i]);
-        EXPECT_EQ(std::memcmp(&one, &batch[i], sizeof(one)), 0)
-            << accel::to_string(mode) << " layer " << i;
-      }
-      // network_cost is routed through the same batch path; its sums must
-      // match the per-layer accumulation exactly (same order, same terms).
-      const auto net = model.network_cost(cfg, shapes);
-      double cycles = 0.0;
-      double pj = 0.0;
-      for (const auto& lc : batch) {
-        cycles += lc.cycles;
-        pj += lc.energy_pj;
-      }
-      EXPECT_EQ(net.latency_ms, cycles / (model.tech().clock_ghz * 1e6));
-      EXPECT_EQ(net.energy_mj, pj * 1e-9);
+  const accel::CostModel model;
+  for (const auto& cfg : probe_configs()) {
+    std::vector<accel::ConvShape> shapes;
+    for (int i = 0; i < 40; ++i) {  // > the 32-shape network_cost chunk
+      auto s = probe_shapes()[static_cast<std::size_t>(rng.randint(0, 3))];
+      s.h = rng.randint(1, 32);
+      s.w = rng.randint(1, 32);
+      shapes.push_back(s);
     }
+    std::vector<accel::LayerCost> batch(shapes.size());
+    model.layer_cost_batch(cfg, shapes, batch);
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      const auto one = model.layer_cost(cfg, shapes[i]);
+      EXPECT_EQ(std::memcmp(&one, &batch[i], sizeof(one)), 0) << "layer " << i;
+    }
+    // network_cost is routed through the same batch path; its sums must
+    // match the per-layer accumulation exactly (same order, same terms).
+    const auto net = model.network_cost(cfg, shapes);
+    double cycles = 0.0;
+    double pj = 0.0;
+    for (const auto& lc : batch) {
+      cycles += lc.cycles;
+      pj += lc.energy_pj;
+    }
+    EXPECT_EQ(net.latency_ms, cycles / (model.tech().clock_ghz * 1e6));
+    EXPECT_EQ(net.energy_mj, pj * 1e-9);
   }
 }
 
@@ -226,7 +99,7 @@ struct costtable_artifact : ::testing::Test {
   std::string path;
 
   void SetUp() override {
-    path = ::testing::TempDir() + "cost_lut_artifact_" +
+    path = ::testing::TempDir() + "costtable_artifact_" +
            std::to_string(getpid()) + ".dctb";
   }
   void TearDown() override { std::remove(path.c_str()); }

@@ -3,13 +3,11 @@
 //  * infer_fused — the fused fp32 plan is bit-identical to the autograd
 //    Evaluator on randomized checkpoints (hidden width, depth, feature
 //    forwarding, output scales) and randomized batch shapes. This is the
-//    contract that lets serve swap tiers without invalidating its cache.
+//    contract that lets serve answer from the plan while the autograd
+//    Evaluator stays the oracle.
 //  * infer_gemm — the blocked, cache-tiled GEMM is bit-identical to the
 //    naive triple loop over randomized shapes and values, including the
 //    zero-skip/non-finite-B poisoning corner.
-//  * infer_int8 — the calibrated int8 tier tracks the fp32 plan within
-//    magnitude-scaled error bands (|log10| ratio for large values) and its
-//    argmin-by-latency choice is near-tie-equivalent to fp32's.
 //  * infer_hammer — concurrent Plan::run calls with per-thread Arenas are
 //    race-free (TSan) and bit-identical to a serial reference.
 //
@@ -254,113 +252,6 @@ TEST(infer_gemm, BlockedBitIdenticalToNaive) {
       });
   EXPECT_TRUE(result.ok) << result.report;
   EXPECT_GE(result.trials_run, 100);
-}
-
-TEST(infer_int8, TracksFp32WithinMagnitudeBands) {
-  const auto space = tiny_space();
-  const auto result = testing_::check<CheckpointCase>(
-      "int8 tier error bands + argmin agreement", checkpoint_gen(),
-      [&](const CheckpointCase& c_in, util::Rng& rng) -> std::string {
-        CheckpointCase c = c_in;
-        c.batch = std::max(c.batch, 4);  // argmin needs a real batch
-        // Input-width floor: a width-<=4 "architecture encoding" drives the
-        // untrained trunks with so little signal that the metric dynamic
-        // range collapses toward zero and the relative bands lose meaning.
-        // Real encodings are tens of columns (layers x choices); the
-        // fused/hammer properties keep the full width range.
-        c.arch_width = std::max(c.arch_width, 6);
-        auto ev = build_evaluator(c, space);
-        infer::Plan plan = infer::Plan::compile(*ev);
-        plan.calibrate(sample_rows(32, c.arch_width, rng));
-
-        const auto rows = sample_rows(c.batch, c.arch_width, rng);
-        const tensor::Tensor stacked = evalnet::Evaluator::stack_rows(rows);
-        const auto n = static_cast<std::size_t>(c.batch);
-        const auto hw_w = static_cast<std::size_t>(plan.hw_width());
-        infer::Arena arena;
-        std::vector<float> fp32(n * 3), int8(n * 3);
-        std::vector<float> hw_f(n * hw_w), hw_q(n * hw_w);
-        plan.run(stacked.data(), c.batch, fp32.data(), hw_f.data(), arena);
-        plan.run(stacked.data(), c.batch, int8.data(), hw_q.data(), arena,
-                 infer::Mode::kInt8);
-
-        // Quantization noise can flip a near-tied hardware head, and under
-        // feature forwarding that discontinuously changes the cost input —
-        // the int8 metric then describes a *different* (still valid) config,
-        // so the continuous error bands only apply to rows where both tiers
-        // chose the same config. Flip rate on near-tied untrained logits is
-        // what the serve bench reports as the agreement column.
-        std::vector<bool> same_config(n);
-        for (std::size_t r = 0; r < n; ++r) {
-          same_config[r] =
-              bit_equal(hw_f.data() + r * hw_w, hw_q.data() + r * hw_w, hw_w);
-        }
-
-        // Magnitude-scaled bands per metric column for config-agreeing rows:
-        // int8 must stay within 25% of the column's dynamic range, and
-        // within a factor of 2 (|log10 ratio| <= log10 2) wherever the fp32
-        // value dominates the column scale. Untrained residual trunks are
-        // the worst case — quantization noise compounds through every block
-        // — so the bands bound that, not the (much tighter) trained
-        // behavior.
-        for (int col = 0; col < 3; ++col) {
-          float scale = 0.0F;
-          for (std::size_t r = 0; r < n; ++r) {
-            scale = std::max(scale, std::fabs(fp32[r * 3 + col]));
-          }
-          for (std::size_t r = 0; r < n; ++r) {
-            const float q = int8[r * 3 + col];
-            if (!std::isfinite(q)) return "int8 produced non-finite metric";
-            if (!same_config[r]) continue;
-            const float f = fp32[r * 3 + col];
-            const float err = std::fabs(q - f);
-            if (err > 0.25F * scale + 1e-3F) {
-              return "int8 error outside absolute band (col " +
-                     std::to_string(col) + ": fp32=" + std::to_string(f) +
-                     " int8=" + std::to_string(q) + ")";
-            }
-            if (std::fabs(f) >= 0.5F * scale && f * q > 0.0F) {
-              const float ratio =
-                  std::fabs(std::log10(std::fabs(q) / std::fabs(f)));
-              if (ratio > std::log10(2.0F)) {
-                return "int8 outside |log10| band (col " +
-                       std::to_string(col) + ": fp32=" + std::to_string(f) +
-                       " int8=" + std::to_string(q) + ")";
-              }
-            }
-          }
-        }
-
-        // Cost-ordering agreement over the config-agreeing rows: the row
-        // int8 ranks cheapest (by latency) must be a near-tie with the fp32
-        // minimum — exact index equality is deliberately not required (ties
-        // flip on untrained nets).
-        std::vector<std::size_t> agreeing;
-        for (std::size_t r = 0; r < n; ++r) {
-          if (same_config[r]) agreeing.push_back(r);
-        }
-        if (agreeing.size() >= 2) {
-          const auto argmin = [&agreeing](const std::vector<float>& m) {
-            std::size_t best = agreeing.front();
-            for (const std::size_t r : agreeing) {
-              if (m[r * 3] < m[best * 3]) best = r;
-            }
-            return best;
-          };
-          float lat_scale = 0.0F;
-          for (const std::size_t r : agreeing) {
-            lat_scale = std::max(lat_scale, std::fabs(fp32[r * 3]));
-          }
-          const float true_min = fp32[argmin(fp32) * 3];
-          const float chosen = fp32[argmin(int8) * 3];
-          if (chosen - true_min > 0.25F * lat_scale + 1e-3F) {
-            return "int8 argmin picked a row far from the fp32 optimum";
-          }
-        }
-        return "";
-      },
-      heavy_config(40));
-  EXPECT_TRUE(result.ok) << result.report;
 }
 
 TEST(infer_hammer, ConcurrentRunsWithPrivateArenasAreRaceFreeAndExact) {

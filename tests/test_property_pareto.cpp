@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "arch/cost_table.h"
+#include "runtime/thread_pool.h"
 #include "search/pareto.h"
 #include "testing/property.h"
 
@@ -327,12 +328,13 @@ TEST(pareto_property, ParallelSweepBitIdenticalToSerial) {
   const std::vector<float> ladder = {0.0F, 0.7F, 1.4F};
   opts.sweep = search::lambda2_sweep(ladder);
 
-  opts.parallel = false;
-  const auto serial =
-      search::ParetoCoSearch(se.task, e.table, se.evaluator, se.net_config,
-                             opts)
-          .run();
-  opts.parallel = true;
+  search::ParetoResult serial;
+  {
+    const runtime::SerialGuard guard;
+    serial = search::ParetoCoSearch(se.task, e.table, se.evaluator,
+                                    se.net_config, opts)
+                 .run();
+  }
   const auto parallel =
       search::ParetoCoSearch(se.task, e.table, se.evaluator, se.net_config,
                              opts)

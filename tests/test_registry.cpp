@@ -380,4 +380,20 @@ TEST(registry_wire, FrontendServesReloadsAndRoutes) {
   EXPECT_TRUE(frontend.answer_line("   ", arch_space).empty());
 }
 
+TEST(registry_wire, UnknownCmdEchoIsAValidJsonLine) {
+  // {"cmd": "a\"b"}: the string scanner stops at the escaped quote, so the
+  // echoed command is `a\` — its backslash must be escaped in the error line
+  // or it would swallow the closing quote.
+  const std::string dir = test_dir("wire_escape");
+  registry::ModelRegistry::init(dir);
+  registry::ModelRegistry reg(dir, small_space());
+  registry::RegistryBackend backend;
+  serve::Service service(backend);
+  registry::Frontend frontend(reg, service, "default");
+  arch::ArchSpace arch_space(arch::cifar10_backbone());
+
+  EXPECT_EQ(frontend.answer_line(R"({"cmd": "a\"b"})", arch_space),
+            R"({"id": -1, "error": "unknown cmd: a\\"})");
+}
+
 }  // namespace

@@ -12,6 +12,7 @@
 #include <initializer_list>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "serve/batcher.h"
 #include "serve/cache.h"
 #include "serve/service.h"
+#include "serve/wire.h"
 #include "util/rng.h"
 
 namespace {
@@ -435,6 +437,65 @@ TEST_F(serve_service, StatsReportMentionsEveryBlock) {
 
   service.reset_stats();
   EXPECT_EQ(service.stats().queries, 0U);
+}
+
+// --- wire front-end input validation --------------------------------------
+
+/// An encoding line of the backbone's width with `bad` at column 5.
+std::string encoding_line(long id, int width, const char* bad) {
+  std::string line = "{\"id\": " + std::to_string(id) + ", \"encoding\": [";
+  for (int i = 0; i < width; ++i) {
+    if (i != 0) line += ", ";
+    line += i == 5 ? bad : "0";
+  }
+  return line + "]}";
+}
+
+TEST_F(serve_service, WireRejectsNonFiniteEncodingWithoutCaching) {
+  serve::ExactBackend backend(table_, accel::edap_cost());
+  serve::Service::Options opts;
+  opts.batch.max_batch = 1;
+  serve::Service service(backend, opts);
+  const int width = arch_space_.encoding_width();
+
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "1e39"}) {
+    const std::string out = serve::wire::answer_line(
+        encoding_line(3, width, bad), arch_space_, service);
+    EXPECT_EQ(out, R"({"id": 3, "error": "encoding values must be finite"})")
+        << bad;
+    EXPECT_EQ(service.stats().cache.entries, 0U) << bad;
+  }
+  // Soft (non-one-hot) but finite encodings stay valid surrogate input.
+  const std::string soft = serve::wire::answer_line(
+      encoding_line(4, width, "0.25"), arch_space_, service);
+  EXPECT_EQ(soft.find("error"), std::string::npos) << soft;
+  EXPECT_EQ(service.stats().cache.entries, 1U);
+}
+
+TEST_F(serve_service, WireRangeChecksArchBeforeCasting) {
+  serve::ExactBackend backend(table_, accel::edap_cost());
+  serve::Service::Options opts;
+  opts.batch.max_batch = 1;
+  serve::Service service(backend, opts);
+
+  for (const char* bad : {"nan", "inf", "-inf", "1e10", "-1e10", "7", "-1",
+                          "2.5", "-0.5"}) {
+    const std::string line = std::string(R"({"id": 9, "arch": [0, 1, 2, 3, )") +
+                             bad + ", 5, 6, 0, 1]}";
+    const std::string out = serve::wire::answer_line(line, arch_space_, service);
+    EXPECT_EQ(out, R"({"id": 9, "error": "arch entries must be integer op )"
+                   R"(indices in [0, 6]"})")
+        << bad;
+    EXPECT_EQ(out.find('\n'), std::string::npos);
+    EXPECT_EQ(service.stats().cache.entries, 0U) << bad;
+  }
+}
+
+TEST(serve_wire, ErrorLineEscapesItsMessage) {
+  EXPECT_EQ(serve::wire::error_line(-1, "unknown cmd: a\\"),
+            R"({"id": -1, "error": "unknown cmd: a\\"})");
+  EXPECT_EQ(serve::wire::error_line(2, "say \"hi\"\n\tnow"),
+            R"({"id": 2, "error": "say \"hi\"\u000a\u0009now"})");
 }
 
 TEST(serve_options, FromEnvParsesAndIgnoresGarbage) {
