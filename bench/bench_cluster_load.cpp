@@ -42,13 +42,12 @@
 
 #include <unistd.h>
 
-#include "arch/cost_table.h"
 #include "bench_common.h"
 #include "cluster/ring.h"
 #include "cluster/shard.h"
 #include "net/client.h"
-#include "serve/backend.h"
 #include "serve/service.h"
+#include "serve/stack.h"
 #include "util/csv.h"
 #include "util/table.h"
 
@@ -68,17 +67,15 @@ double us_since(Clock::time_point from, Clock::time_point to) {
 /// CI-smoke configuration) behind a ShardServer on a unix socket.
 struct Shard {
   arch::ArchSpace arch_space{arch::cifar10_backbone()};
-  hwgen::HwSearchSpace hw_space{{.pe_min = 8, .pe_max = 12, .rf_min = 8,
-                                 .rf_max = 32, .rf_step = 8}};
-  accel::CostModel model;  ///< CostTable keeps a reference
-  arch::CostTable table{arch_space, hw_space, model};
-  serve::ExactBackend backend{table, accel::edap_cost()};
+  hwgen::HwSearchSpace hw_space = hwgen::HwSearchSpace::small();
+  std::unique_ptr<serve::CostQueryBackend> backend =
+      serve::make_backend({}, arch_space, hw_space);
   serve::Service service;
   cluster::ShardServer server;
   net::Endpoint endpoint;
 
   explicit Shard(int id)
-      : service(backend),
+      : service(*backend),
         server(service, arch_space, cluster::ShardServer::Options{}) {
     const std::string path = "/tmp/dance_bench_" + std::to_string(getpid()) +
                              "_shard" + std::to_string(id) + ".sock";

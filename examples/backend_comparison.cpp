@@ -9,16 +9,15 @@
 //
 // Run: ./build/examples/backend_comparison
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "accel/cost_model.h"
 #include "accel/systolic_sim.h"
 #include "arch/space.h"
-#include "evalnet/evaluator.h"
-#include "serve/backend.h"
+#include "serve/stack.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -70,11 +69,14 @@ int main() {
   // answers (untrained weights — the numbers are meaningless, the cost of
   // producing them is the point).
   {
-    hwgen::HwSearchSpace hw_space;
-    util::Rng rng(17);
-    auto evaluator = std::make_unique<evalnet::Evaluator>(
-        space.encoding_width(), hw_space, rng);
-    serve::SurrogateBackend backend(*evaluator);
+    const hwgen::HwSearchSpace hw_space;
+    serve::BackendSpec surrogate;
+    surrogate.kind = "surrogate";
+    const auto backend = serve::make_backend(surrogate, space, hw_space);
+    // The timed requests come from their own generator; make_backend seeds
+    // the evaluator's weights separately.
+    constexpr std::uint64_t kRequestSeed = 17;
+    util::Rng rng(kRequestSeed);
     std::vector<serve::Request> reqs;
     for (int i = 0; i < 256; ++i) {
       reqs.push_back(serve::Request{space.encode(space.random(rng))});
@@ -83,7 +85,7 @@ int main() {
     std::size_t answered = 0;
     for (const auto& req : reqs) {
       answered +=
-          backend.query_batch(std::span<const serve::Request>(&req, 1)).size();
+          backend->query_batch(std::span<const serve::Request>(&req, 1)).size();
     }
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -21,13 +21,9 @@
 #include "accel/cost_model.h"
 #include "arch/cost_artifact.h"
 #include "arch/cost_table.h"
+#include "util/cli.h"
 
 namespace {
-
-const char* flag_value(const char* arg, const char* flag) {
-  const std::size_t n = std::strlen(flag);
-  return std::strncmp(arg, flag, n) == 0 ? arg + n : nullptr;
-}
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -43,7 +39,7 @@ int main(int argc, char** argv) {
   bool small = false;
   bool verify = false;
   for (int i = 1; i < argc; ++i) {
-    if (const char* v = flag_value(argv[i], "--out=")) {
+    if (const char* v = util::flag_value(argv[i], "--out=")) {
       out_path = v;
     } else if (std::strcmp(argv[i], "--small") == 0) {
       small = true;
@@ -61,9 +57,7 @@ int main(int argc, char** argv) {
 
   arch::ArchSpace arch_space(arch::cifar10_backbone());
   const hwgen::HwSearchSpace hw_space =
-      small ? hwgen::HwSearchSpace({.pe_min = 8, .pe_max = 12, .rf_min = 8,
-                                    .rf_max = 32, .rf_step = 8})
-            : hwgen::HwSearchSpace();
+      small ? hwgen::HwSearchSpace::small() : hwgen::HwSearchSpace();
   const accel::CostModel model;
 
   const auto t_build = std::chrono::steady_clock::now();

@@ -95,10 +95,7 @@ int main(int argc, char** argv) {
   // --- Spaces, task, cost table. ---
   arch::ArchSpace arch_space(arch::cifar10_backbone());
   const hwgen::HwSearchSpace hw_space =
-      args.small ? hwgen::HwSearchSpace({.pe_min = 8, .pe_max = 12,
-                                         .rf_min = 8, .rf_max = 32,
-                                         .rf_step = 8})
-                 : hwgen::HwSearchSpace();
+      args.small ? hwgen::HwSearchSpace::small() : hwgen::HwSearchSpace();
   accel::CostModel model;
   arch::CostTable table(arch_space, hw_space, model);
 

@@ -26,22 +26,12 @@
 #include "evalnet/evaluator.h"
 #include "hwgen/search_space.h"
 #include "registry/registry.h"
+#include "util/cli.h"
 #include "util/rng.h"
 
 namespace {
 
 using namespace dance;
-
-const char* flag_value(const char* arg, const char* flag) {
-  const std::size_t n = std::strlen(flag);
-  return std::strncmp(arg, flag, n) == 0 ? arg + n : nullptr;
-}
-
-hwgen::HwSearchSpace make_hw_space(bool small) {
-  return small ? hwgen::HwSearchSpace({.pe_min = 8, .pe_max = 12, .rf_min = 8,
-                                       .rf_max = 32, .rf_step = 8})
-               : hwgen::HwSearchSpace();
-}
 
 int usage() {
   std::fprintf(stderr,
@@ -78,11 +68,11 @@ int main(int argc, char** argv) {
         small = true;
       } else if (std::strcmp(argv[i], "--candidate") == 0) {
         candidate = true;
-      } else if (const char* v = flag_value(argv[i], "--seed=")) {
+      } else if (const char* v = util::flag_value(argv[i], "--seed=")) {
         seed = std::strtoull(v, nullptr, 0);
-      } else if (const char* v = flag_value(argv[i], "--hwgen-ckpt=")) {
+      } else if (const char* v = util::flag_value(argv[i], "--hwgen-ckpt=")) {
         hwgen_ckpt = v;
-      } else if (const char* v = flag_value(argv[i], "--cost-ckpt=")) {
+      } else if (const char* v = util::flag_value(argv[i], "--cost-ckpt=")) {
         cost_ckpt = v;
       } else if (model_name.empty() && argv[i][0] != '-') {
         model_name = argv[i];
@@ -98,7 +88,8 @@ int main(int argc, char** argv) {
       if (model_name.empty()) return usage();
     }
 
-    const hwgen::HwSearchSpace hw_space = make_hw_space(small);
+    const hwgen::HwSearchSpace hw_space =
+        small ? hwgen::HwSearchSpace::small() : hwgen::HwSearchSpace();
     registry::ModelRegistry reg(dir, hw_space);
 
     if (cmd == "publish") {

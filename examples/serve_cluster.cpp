@@ -58,30 +58,21 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "arch/cost_artifact.h"
-#include "arch/cost_table.h"
 #include "cluster/router.h"
 #include "cluster/shard.h"
-#include "evalnet/evaluator.h"
-#include "fault/fault.h"
 #include "net/client.h"
 #include "net/socket.h"
 #include "registry/registry.h"
 #include "registry/serving.h"
 #include "registry/shadow.h"
-#include "serve/backend.h"
 #include "serve/service.h"
+#include "serve/stack.h"
 #include "serve/wire.h"
-#include "util/env.h"
+#include "util/cli.h"
 
 namespace {
 
 using namespace dance;
-
-const char* flag_value(const char* arg, const char* flag) {
-  const std::size_t n = std::strlen(flag);
-  return std::strncmp(arg, flag, n) == 0 ? arg + n : nullptr;
-}
 
 struct Args {
   std::string role = "router";
@@ -89,11 +80,10 @@ struct Args {
   int shard_id = -1;
   std::string listen;
   std::string connect;
-  std::string backend = "exact";
+  serve::BackendSpec backend;  ///< --backend and --table
   std::string snapshot_dir;
   std::string registry_dir;
   std::string model = "default";
-  std::string table_path;
   bool small = false;
 };
 
@@ -148,45 +138,6 @@ char wait_for_signal() {
   return byte;
 }
 
-// --- shard backend construction ---------------------------------------------
-// Mirrors serve_jsonl's --backend handling; every shard builds the same
-// backend so the cluster's answers match the single-process baseline.
-
-struct ShardStack {
-  arch::ArchSpace arch_space{arch::cifar10_backbone()};
-  hwgen::HwSearchSpace hw_space;
-  accel::CostModel model;  ///< consulted only while building the table
-  std::unique_ptr<arch::CostProvider> table;
-  std::unique_ptr<evalnet::Evaluator> evaluator;
-  std::unique_ptr<serve::CostQueryBackend> backend;
-  std::unique_ptr<serve::Service> service;
-
-  ShardStack(const std::string& backend_name, bool small,
-             const std::string& table_path) {
-    if (small) {
-      hw_space = hwgen::HwSearchSpace({.pe_min = 8, .pe_max = 12, .rf_min = 8,
-                                       .rf_max = 32, .rf_step = 8});
-    }
-    if (backend_name == "exact") {
-      // --table: mmap the compiled artifact (shared pages, no build);
-      // otherwise every shard builds its own private copy.
-      table = table_path.empty()
-                  ? std::unique_ptr<arch::CostProvider>(
-                        std::make_unique<arch::CostTable>(arch_space, hw_space,
-                                                          model))
-                  : arch::load_cost_table(table_path, arch_space);
-      backend =
-          std::make_unique<serve::ExactBackend>(*table, accel::edap_cost());
-    } else {
-      util::Rng rng(17);  // serve_jsonl's seed: identical untrained weights
-      evaluator = std::make_unique<evalnet::Evaluator>(
-          arch_space.encoding_width(), hw_space, rng);
-      backend = std::make_unique<serve::SurrogateBackend>(*evaluator);
-    }
-    service = std::make_unique<serve::Service>(*backend);
-  }
-};
-
 std::string shard_socket_path(const net::Endpoint& listen, int shard_id) {
   const std::string base = listen.kind == net::Endpoint::Kind::kUnix
                                ? listen.path
@@ -197,51 +148,67 @@ std::string shard_socket_path(const net::Endpoint& listen, int shard_id) {
 
 // --- roles ------------------------------------------------------------------
 
-// Registry-mode shard: the same ShardServer transport, but every line goes
-// through the registry front-end (pin -> generation-scoped cache -> wire)
-// via Options::handler_override instead of the plain pipeline. SIGHUP
-// (forwarded by the router) hot-reloads the MANIFEST without stopping the
-// server; in-flight queries finish on the generation they pinned.
-int run_shard_registry(const Args& args) {
+// One shard: a ShardServer over a Service on serve::make_backend (the
+// builder serve_jsonl uses, so answers match the single process). Registry
+// shards answer through registry::Frontend via handler_override; SIGHUP,
+// forwarded by the router, hot-reloads the MANIFEST while serving.
+int run_shard(const Args& args) {
   arm_signal_pipe();
-  arch::ArchSpace arch_space(arch::cifar10_backbone());
-  hwgen::HwSearchSpace hw_space;
-  if (args.small) {
-    hw_space = hwgen::HwSearchSpace({.pe_min = 8, .pe_max = 12, .rf_min = 8,
-                                     .rf_max = 32, .rf_step = 8});
+  const arch::ArchSpace arch_space(arch::cifar10_backbone());
+  const hwgen::HwSearchSpace hw_space =
+      args.small ? hwgen::HwSearchSpace::small() : hwgen::HwSearchSpace();
+  std::unique_ptr<registry::ModelRegistry> reg;
+  std::unique_ptr<serve::CostQueryBackend> backend;
+  if (args.registry_dir.empty()) {
+    backend = serve::make_backend(args.backend, arch_space, hw_space);
+  } else {
+    reg = std::make_unique<registry::ModelRegistry>(args.registry_dir,
+                                                    hw_space);
+    backend = std::make_unique<registry::RegistryBackend>();
   }
-  registry::ModelRegistry reg(args.registry_dir, hw_space);
-  registry::RegistryBackend backend;
-  serve::Service service(backend);
-  std::unique_ptr<registry::ShadowMirror> shadow;
-  const auto shadow_opts = registry::ShadowMirror::Options::from_env();
-  if (shadow_opts.pct > 0.0) {
-    shadow = std::make_unique<registry::ShadowMirror>(reg, shadow_opts);
-  }
-  registry::Frontend frontend(reg, service, args.model, shadow.get());
+  serve::Service service(*backend);
 
   cluster::ShardServer::Options opts = cluster::ShardServer::Options::from_env();
-  // Generation-scoped cache keys don't fit the snapshot format's
-  // width-derived layout; registry shards always start cold.
-  opts.snapshot_path.clear();
-  opts.handler_override = [&frontend, &arch_space](const std::string& line) {
-    return frontend.answer_line(line, arch_space);
-  };
+  std::unique_ptr<registry::ShadowMirror> shadow;
+  std::unique_ptr<registry::Frontend> frontend;
+  if (reg) {
+    const auto shadow_opts = registry::ShadowMirror::Options::from_env();
+    if (shadow_opts.pct > 0.0) {
+      shadow = std::make_unique<registry::ShadowMirror>(*reg, shadow_opts);
+    }
+    frontend = std::make_unique<registry::Frontend>(*reg, service, args.model,
+                                                    shadow.get());
+    opts.handler_override = [&frontend, &arch_space](const std::string& line) {
+      return frontend->answer_line(line, arch_space);
+    };
+    // Generation-scoped cache keys don't fit the snapshot format's
+    // width-derived layout; registry shards always start cold.
+    opts.snapshot_path.clear();
+  } else if (!args.snapshot_dir.empty()) {
+    opts.snapshot_path =
+        args.snapshot_dir + "/shard_" + std::to_string(args.shard_id) + ".snap";
+  }
+
   cluster::ShardServer shard(service, arch_space, opts);
   const net::Endpoint bound = shard.start(net::Endpoint::parse(args.listen));
-  std::fprintf(stderr,
-               "[shard %d] serving on %s (registry=%s, model=%s, live gen "
-               "%llu)\n",
-               args.shard_id, bound.to_string().c_str(),
-               args.registry_dir.c_str(), args.model.c_str(),
-               static_cast<unsigned long long>(
-                   reg.live_generation(args.model)));
+  if (reg) {
+    std::fprintf(stderr,
+                 "[shard %d] serving on %s (registry=%s, model=%s, live gen "
+                 "%llu)\n",
+                 args.shard_id, bound.to_string().c_str(),
+                 args.registry_dir.c_str(), args.model.c_str(),
+                 static_cast<unsigned long long>(
+                     reg->live_generation(args.model)));
+  } else {
+    std::fprintf(stderr, "[shard %d] serving on %s (backend=%s, warm=%zu)\n",
+                 args.shard_id, bound.to_string().c_str(),
+                 args.backend.kind.c_str(), shard.warm_entries());
+  }
 
-  for (;;) {
-    const char byte = wait_for_signal();
-    if (byte != kSignalReload) break;
+  while (wait_for_signal() == kSignalReload) {
+    if (!reg) continue;  // plain shards have nothing to reload
     try {
-      const std::size_t swaps = frontend.reload();
+      const std::size_t swaps = reg->reload();
       std::fprintf(stderr, "[shard %d] SIGHUP reload: %zu swaps\n",
                    args.shard_id, swaps);
     } catch (const std::exception& e) {
@@ -274,36 +241,6 @@ int run_shard_registry(const Args& args) {
   return 0;
 }
 
-int run_shard(const Args& args) {
-  if (!args.registry_dir.empty()) return run_shard_registry(args);
-  arm_signal_pipe();
-  ShardStack stack(args.backend, args.small, args.table_path);
-  cluster::ShardServer::Options opts = cluster::ShardServer::Options::from_env();
-  if (!args.snapshot_dir.empty()) {
-    opts.snapshot_path =
-        args.snapshot_dir + "/shard_" + std::to_string(args.shard_id) + ".snap";
-  }
-  cluster::ShardServer shard(*stack.service, stack.arch_space, opts);
-  const net::Endpoint bound = shard.start(net::Endpoint::parse(args.listen));
-  std::fprintf(stderr, "[shard %d] serving on %s (backend=%s, warm=%zu)\n",
-               args.shard_id, bound.to_string().c_str(), args.backend.c_str(),
-               shard.warm_entries());
-
-  while (wait_for_signal() == kSignalReload) {
-    // Plain shards have nothing to reload; ignore and keep serving.
-  }
-  shard.drain_and_stop();
-  const auto stats = shard.net_stats();
-  std::fprintf(stderr,
-               "[shard %d] drained: requests=%llu accepted=%llu "
-               "protocol_errors=%llu\n",
-               args.shard_id, static_cast<unsigned long long>(stats.requests),
-               static_cast<unsigned long long>(stats.accepted),
-               static_cast<unsigned long long>(stats.protocol_errors));
-  std::fputs(stack.service->stats_report().c_str(), stderr);
-  return 0;
-}
-
 int run_router(const Args& args, const char* argv0) {
   arm_signal_pipe();
   const net::Endpoint listen = net::Endpoint::parse(args.listen);
@@ -319,11 +256,11 @@ int run_router(const Args& args, const char* argv0) {
         "--role=shard",
         "--shard-id=" + std::to_string(id),
         "--listen=unix:" + sock,
-        "--backend=" + args.backend,
+        "--backend=" + args.backend.kind,
     };
     if (args.small) child_args.push_back("--small");
-    if (!args.table_path.empty()) {
-      child_args.push_back("--table=" + args.table_path);
+    if (!args.backend.table_path.empty()) {
+      child_args.push_back("--table=" + args.backend.table_path);
     }
     if (!args.snapshot_dir.empty()) {
       child_args.push_back("--snapshot-dir=" + args.snapshot_dir);
@@ -421,26 +358,26 @@ int main(int argc, char** argv) {
   Args args;
   bool client_mode = false;
   for (int i = 1; i < argc; ++i) {
-    if (const char* v = flag_value(argv[i], "--role=")) {
+    if (const char* v = util::flag_value(argv[i], "--role=")) {
       args.role = v;
-    } else if (const char* v = flag_value(argv[i], "--shards=")) {
+    } else if (const char* v = util::flag_value(argv[i], "--shards=")) {
       args.shards = std::atoi(v);
-    } else if (const char* v = flag_value(argv[i], "--shard-id=")) {
+    } else if (const char* v = util::flag_value(argv[i], "--shard-id=")) {
       args.shard_id = std::atoi(v);
-    } else if (const char* v = flag_value(argv[i], "--listen=")) {
+    } else if (const char* v = util::flag_value(argv[i], "--listen=")) {
       args.listen = v;
-    } else if (const char* v = flag_value(argv[i], "--connect=")) {
+    } else if (const char* v = util::flag_value(argv[i], "--connect=")) {
       args.connect = v;
-    } else if (const char* v = flag_value(argv[i], "--backend=")) {
-      args.backend = v;
-    } else if (const char* v = flag_value(argv[i], "--snapshot-dir=")) {
+    } else if (const char* v = util::flag_value(argv[i], "--backend=")) {
+      args.backend.kind = v;
+    } else if (const char* v = util::flag_value(argv[i], "--snapshot-dir=")) {
       args.snapshot_dir = v;
-    } else if (const char* v = flag_value(argv[i], "--registry=")) {
+    } else if (const char* v = util::flag_value(argv[i], "--registry=")) {
       args.registry_dir = v;
-    } else if (const char* v = flag_value(argv[i], "--model=")) {
+    } else if (const char* v = util::flag_value(argv[i], "--model=")) {
       args.model = v;
-    } else if (const char* v = flag_value(argv[i], "--table=")) {
-      args.table_path = v;
+    } else if (const char* v = util::flag_value(argv[i], "--table=")) {
+      args.backend.table_path = v;
     } else if (std::strcmp(argv[i], "--small") == 0) {
       args.small = true;
     } else if (std::strcmp(argv[i], "--client") == 0) {
@@ -450,7 +387,7 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (args.backend != "exact" && args.backend != "surrogate") {
+  if (args.backend.kind != "exact" && args.backend.kind != "surrogate") {
     std::fprintf(stderr, "--backend must be exact or surrogate\n");
     return 2;
   }

@@ -1,17 +1,13 @@
 // JSON-lines front-end for the dance::serve cost-query service.
 //
 // Reads one request per line from stdin, answers one JSON object per line on
-// stdout, and prints the service stats report to stderr at EOF. Request
-// forms (whitespace-insensitive, keys in any order):
+// stdout, and prints the service stats report to stderr at EOF. The request,
+// response and error forms are the wire protocol of src/serve/wire.h, e.g.
 //   {"id": 1, "arch": [0, 3, 6, 0, 1, 2, 4, 5, 0]}   per-slot op indices
-//   {"id": 2, "encoding": [1.0, 0.0, ...]}           raw evaluator encoding
-// Response:
-//   {"id": 1, "latency_ms": ..., "energy_mj": ..., "area_mm2": ...,
-//    "pe_x": 16, "pe_y": 16, "rf_size": 32, "dataflow": "RS",
-//    "cached": false, "degraded": false}
-// Malformed lines get {"id": <id or -1>, "error": "..."} and processing
-// continues. "degraded" marks answers that came from the resilience
-// fallback tier instead of the primary backend.
+// Malformed lines get an error line and processing continues. "degraded"
+// marks answers from the resilience fallback tier. Both modes build their
+// backends with serve::make_backend and answer through serve::wire's one
+// per-line pipeline; the registry mode plugs in registry::Frontend.
 //
 // Flags:
 //   --backend=exact|surrogate  ground-truth LUT (default) or the evaluator
@@ -61,12 +57,8 @@
 #include <iostream>
 #include <memory>
 #include <string>
-#include <vector>
 
-#include "accel/cost_function.h"
 #include "arch/cost_artifact.h"
-#include "arch/cost_table.h"
-#include "evalnet/evaluator.h"
 #include "fault/fault.h"
 #include "fault/faulty_backend.h"
 #include "obs/span.h"
@@ -74,10 +66,11 @@
 #include "registry/registry.h"
 #include "registry/serving.h"
 #include "registry/shadow.h"
-#include "serve/backend.h"
 #include "serve/resilient.h"
 #include "serve/service.h"
+#include "serve/stack.h"
 #include "serve/wire.h"
+#include "util/cli.h"
 #include "util/env.h"
 
 namespace {
@@ -98,212 +91,129 @@ void arm_sighup() {
   sigaction(SIGHUP, &sa, nullptr);
 }
 
-// Request parsing and response serialization live in serve::wire — the same
-// code path the socket servers (src/net, src/cluster) speak, so this
-// stdin front-end and a cluster shard produce byte-identical lines.
+struct Args {
+  serve::BackendSpec backend;
+  std::string fault_spec;
+  std::string registry_dir;
+  std::string model = "default";
+  bool small = false;
+  bool resilient = false;
+  bool recalibrate = false;
+};
 
-const char* flag_value(const char* arg, const char* flag) {
-  const std::size_t n = std::strlen(flag);
-  return std::strncmp(arg, flag, n) == 0 ? arg + n : nullptr;
+/// The stdin loop; `answer` returns "" for lines owed no response.
+template <class Answer>
+void serve_stdin(Answer&& answer) {
+  obs::ScopedSpan stream_span("serve_jsonl.stream");
+  std::string line;
+  while (std::getline(std::cin, line)) {
+    const std::string out = answer(line);
+    if (out.empty()) continue;
+    std::fwrite(out.data(), 1, out.size(), stdout);
+    std::fputc('\n', stdout);
+    std::fflush(stdout);
+  }
 }
 
-}  // namespace
+/// Registry mode: pinned generations, hot reload, shadow A/B, optional
+/// continual recalibration. Lines go through registry::Frontend.
+int run_registry(const Args& args, const arch::ArchSpace& arch_space,
+                 const hwgen::HwSearchSpace& hw_space) {
+  try {
+    registry::ModelRegistry reg(args.registry_dir, hw_space);
+    registry::RegistryBackend backend;
+    serve::Service service(backend);  // options from DANCE_SERVE_* env
 
-int main(int argc, char** argv) {
-  std::string backend_name = "exact";
-  std::string hwgen_ckpt;
-  std::string cost_ckpt;
-  std::string fault_spec_text;
-  std::string registry_dir;
-  std::string model_name = "default";
-  std::string table_path;
-  bool small = false;
-  bool resilient_mode = false;
-  bool recalibrate = false;
-  for (int i = 1; i < argc; ++i) {
-    if (const char* v = flag_value(argv[i], "--backend=")) {
-      backend_name = v;
-    } else if (const char* v = flag_value(argv[i], "--hwgen-ckpt=")) {
-      hwgen_ckpt = v;
-    } else if (const char* v = flag_value(argv[i], "--cost-ckpt=")) {
-      cost_ckpt = v;
-    } else if (const char* v = flag_value(argv[i], "--fault=")) {
-      fault_spec_text = v;
-    } else if (const char* v = flag_value(argv[i], "--registry=")) {
-      registry_dir = v;
-    } else if (const char* v = flag_value(argv[i], "--model=")) {
-      model_name = v;
-    } else if (const char* v = flag_value(argv[i], "--table=")) {
-      table_path = v;
-    } else if (std::strcmp(argv[i], "--recalibrate") == 0) {
-      recalibrate = true;
-    } else if (std::strcmp(argv[i], "--resilient") == 0) {
-      resilient_mode = true;
-    } else if (std::strcmp(argv[i], "--small") == 0) {
-      small = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      return 2;
+    const auto shadow_opts = registry::ShadowMirror::Options::from_env();
+    std::unique_ptr<registry::ShadowMirror> shadow;
+    if (shadow_opts.pct > 0.0) {
+      shadow = std::make_unique<registry::ShadowMirror>(reg, shadow_opts);
     }
-  }
-  if (backend_name != "exact" && backend_name != "surrogate") {
-    std::fprintf(stderr, "--backend must be exact or surrogate\n");
-    return 2;
-  }
-  if (!registry_dir.empty() &&
-      (resilient_mode || !fault_spec_text.empty())) {
+    std::unique_ptr<serve::CostQueryBackend> oracle;
+    std::unique_ptr<registry::Recalibrator> recal;
+    if (args.recalibrate) {
+      serve::BackendSpec exact = args.backend;
+      exact.kind = "exact";
+      oracle = serve::make_backend(exact, arch_space, hw_space);
+      recal = std::make_unique<registry::Recalibrator>(
+          reg, args.model, *oracle, registry::Recalibrator::Options::from_env());
+    }
+    registry::Frontend frontend(reg, service, args.model, shadow.get(),
+                                recal.get());
+    arm_sighup();
     std::fprintf(stderr,
-                 "--registry is mutually exclusive with --fault/--resilient\n");
-    return 2;
-  }
-  if (recalibrate && registry_dir.empty()) {
-    std::fprintf(stderr, "--recalibrate requires --registry\n");
-    return 2;
-  }
+                 "[serve_jsonl] registry=%s model=%s live_generation=%llu "
+                 "shadow_pct=%g recalibrate=%s, reading JSON lines from "
+                 "stdin (SIGHUP or {\"cmd\": \"reload\"} hot-swaps)\n",
+                 args.registry_dir.c_str(), args.model.c_str(),
+                 static_cast<unsigned long long>(
+                     reg.live_generation(args.model)),
+                 shadow_opts.pct, args.recalibrate ? "on" : "off");
 
-  arch::ArchSpace arch_space(arch::cifar10_backbone());
-  const hwgen::HwSearchSpace hw_space =
-      small ? hwgen::HwSearchSpace({.pe_min = 8, .pe_max = 12, .rf_min = 8,
-                                    .rf_max = 32, .rf_step = 8})
-            : hwgen::HwSearchSpace();
-  accel::CostModel model;
-
-  // Ground-truth table: mmap the compiled artifact when --table is given
-  // (zero build time, pages shared with every other process mapping it),
-  // otherwise build in memory. Both answer bit-identically.
-  const auto make_table = [&]() -> std::unique_ptr<arch::CostProvider> {
-    if (!table_path.empty()) {
-      auto mapped = arch::load_cost_table(table_path, arch_space);
-      std::fprintf(stderr,
-                   "[serve_jsonl] mapped cost table %s (%zu bytes, checksum "
-                   "%016llx)\n",
-                   mapped->path().c_str(), mapped->mapped_bytes(),
-                   static_cast<unsigned long long>(mapped->checksum()));
-      return mapped;
-    }
-    return std::make_unique<arch::CostTable>(arch_space, hw_space, model);
-  };
-
-  if (!registry_dir.empty()) {
-    // Registry serving path: pinned generations, hot reload, shadow A/B,
-    // optional continual recalibration. Kept as its own straight-line block
-    // — the single-backend path below stays byte-identical to what the
-    // cluster smoke diffs against.
-    try {
-      registry::ModelRegistry reg(registry_dir, hw_space);
-      registry::RegistryBackend backend;
-      serve::Service service(backend);  // options from DANCE_SERVE_* env
-
-      const auto shadow_opts = registry::ShadowMirror::Options::from_env();
-      std::unique_ptr<registry::ShadowMirror> shadow;
-      if (shadow_opts.pct > 0.0) {
-        shadow = std::make_unique<registry::ShadowMirror>(reg, shadow_opts);
-      }
-      std::unique_ptr<arch::CostProvider> oracle_table;
-      std::unique_ptr<serve::ExactBackend> oracle;
-      std::unique_ptr<registry::Recalibrator> recal;
-      if (recalibrate) {
-        oracle_table = make_table();
-        oracle = std::make_unique<serve::ExactBackend>(*oracle_table,
-                                                       accel::edap_cost());
-        recal = std::make_unique<registry::Recalibrator>(
-            reg, model_name, *oracle, registry::Recalibrator::Options::from_env());
-      }
-      registry::Frontend frontend(reg, service, model_name, shadow.get(),
-                                  recal.get());
-      arm_sighup();
-      std::fprintf(stderr,
-                   "[serve_jsonl] registry=%s model=%s live_generation=%llu "
-                   "shadow_pct=%g recalibrate=%s, reading JSON lines from "
-                   "stdin (SIGHUP or {\"cmd\": \"reload\"} hot-swaps)\n",
-                   registry_dir.c_str(), model_name.c_str(),
-                   static_cast<unsigned long long>(
-                       reg.live_generation(model_name)),
-                   shadow_opts.pct, recalibrate ? "on" : "off");
-
-      obs::ScopedSpan stream_span("serve_jsonl.stream");
-      std::string line;
-      while (std::getline(std::cin, line)) {
-        if (g_reload_requested != 0) {
-          g_reload_requested = 0;
-          try {
-            const std::size_t swaps = frontend.reload();
-            std::fprintf(stderr, "[serve_jsonl] SIGHUP reload: %zu swaps\n",
-                         swaps);
-          } catch (const std::exception& e) {
-            std::fprintf(stderr, "[serve_jsonl] SIGHUP reload failed: %s\n",
-                         e.what());
-          }
+    serve_stdin([&](const std::string& line) {
+      if (g_reload_requested != 0) {
+        g_reload_requested = 0;
+        try {
+          const std::size_t swaps = reg.reload();
+          std::fprintf(stderr, "[serve_jsonl] SIGHUP reload: %zu swaps\n",
+                       swaps);
+        } catch (const std::exception& e) {
+          std::fprintf(stderr, "[serve_jsonl] SIGHUP reload failed: %s\n",
+                       e.what());
         }
-        const std::string out = frontend.answer_line(line, arch_space);
-        if (out.empty()) continue;
-        std::fwrite(out.data(), 1, out.size(), stdout);
-        std::fputc('\n', stdout);
-        std::fflush(stdout);
       }
+      return frontend.answer_line(line, arch_space);
+    });
 
-      if (shadow) {
-        shadow->drain();
-        const auto ss = shadow->stats();
-        std::fprintf(stderr,
-                     "[serve_jsonl] shadow: sampled=%llu mirrored=%llu "
-                     "disagreements=%llu agreement_rate=%.3f "
-                     "order_agreement_rate=%.3f\n",
-                     static_cast<unsigned long long>(ss.sampled),
-                     static_cast<unsigned long long>(ss.mirrored),
-                     static_cast<unsigned long long>(ss.disagreements),
-                     ss.agreement_rate(), ss.order_agreement_rate());
-      }
-      if (recal) {
-        const std::uint64_t published = recal->train_now();  // final flush
-        const auto rs = recal->stats();
-        std::fprintf(stderr,
-                     "[serve_jsonl] recalibration: observed=%llu labeled=%llu "
-                     "trainings=%llu last_candidate_generation=%llu%s\n",
-                     static_cast<unsigned long long>(rs.observed),
-                     static_cast<unsigned long long>(rs.labeled),
-                     static_cast<unsigned long long>(rs.trainings),
-                     static_cast<unsigned long long>(rs.last_published),
-                     published != 0 ? " (published at EOF)" : "");
-      }
-      std::fputs(service.stats_report().c_str(), stderr);
-      return 0;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "[serve_jsonl] registry startup failed: %s\n",
-                   e.what());
-      return 1;
+    if (shadow) {
+      shadow->drain();
+      const auto ss = shadow->stats();
+      std::fprintf(stderr,
+                   "[serve_jsonl] shadow: sampled=%llu mirrored=%llu "
+                   "disagreements=%llu agreement_rate=%.3f "
+                   "order_agreement_rate=%.3f\n",
+                   static_cast<unsigned long long>(ss.sampled),
+                   static_cast<unsigned long long>(ss.mirrored),
+                   static_cast<unsigned long long>(ss.disagreements),
+                   ss.agreement_rate(), ss.order_agreement_rate());
     }
+    if (recal) {
+      const std::uint64_t published = recal->train_now();  // final flush
+      const auto rs = recal->stats();
+      std::fprintf(stderr,
+                   "[serve_jsonl] recalibration: observed=%llu labeled=%llu "
+                   "trainings=%llu last_candidate_generation=%llu%s\n",
+                   static_cast<unsigned long long>(rs.observed),
+                   static_cast<unsigned long long>(rs.labeled),
+                   static_cast<unsigned long long>(rs.trainings),
+                   static_cast<unsigned long long>(rs.last_published),
+                   published != 0 ? " (published at EOF)" : "");
+    }
+    std::fputs(service.stats_report().c_str(), stderr);
+    return 0;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "[serve_jsonl] registry startup failed: %s\n",
+                 e.what());
+    return 1;
   }
+}
 
-  // Built lazily per backend: the LUT is only worth building for --backend=exact.
-  std::unique_ptr<arch::CostProvider> table;
-  std::unique_ptr<evalnet::Evaluator> evaluator;
+/// Plain mode: one backend from serve::make_backend, optionally decorated
+/// with fault injection and resilience. Lines go through
+/// serve::wire::answer_line.
+int run_plain(const Args& args, const arch::ArchSpace& arch_space,
+              const hwgen::HwSearchSpace& hw_space) {
   std::unique_ptr<serve::CostQueryBackend> backend;
-  if (backend_name == "exact") {
-    try {
-      table = make_table();
-    } catch (const arch::ArtifactError& e) {
-      std::fprintf(stderr,
-                   "[serve_jsonl] cost-table load failed: %s (path=%s "
-                   "offset=%zu expected=%016llx actual=%016llx)\n",
-                   e.what(), e.path().c_str(), e.offset(),
-                   static_cast<unsigned long long>(e.expected_checksum()),
-                   static_cast<unsigned long long>(e.actual_checksum()));
-      return 1;
-    }
-    backend = std::make_unique<serve::ExactBackend>(*table, accel::edap_cost());
-  } else {
-    util::Rng rng(17);
-    evaluator = std::make_unique<evalnet::Evaluator>(
-        arch_space.encoding_width(), hw_space, rng);
-    if (!hwgen_ckpt.empty()) evaluator->hwgen_net().load(hwgen_ckpt);
-    if (!cost_ckpt.empty()) evaluator->cost_net().load(cost_ckpt);
-    if (hwgen_ckpt.empty() && cost_ckpt.empty()) {
-      std::fprintf(stderr,
-                   "[serve_jsonl] note: surrogate backend running with "
-                   "untrained weights (pass --hwgen-ckpt/--cost-ckpt)\n");
-    }
-    backend = std::make_unique<serve::SurrogateBackend>(*evaluator);
+  try {
+    backend = serve::make_backend(args.backend, arch_space, hw_space);
+  } catch (const arch::ArtifactError& e) {
+    std::fprintf(stderr,
+                 "[serve_jsonl] cost-table load failed: %s (path=%s "
+                 "offset=%zu expected=%016llx actual=%016llx)\n",
+                 e.what(), e.path().c_str(), e.offset(),
+                 static_cast<unsigned long long>(e.expected_checksum()),
+                 static_cast<unsigned long long>(e.actual_checksum()));
+    return 1;
   }
 
   // Fault injection: --fault wins over DANCE_FAULT; either installs the
@@ -311,9 +221,9 @@ int main(int argc, char** argv) {
   // and decorates the backend with the "backend"-site chaos wrapper.
   std::shared_ptr<fault::FaultInjector> injector;
   try {
-    if (!fault_spec_text.empty()) {
+    if (!args.fault_spec.empty()) {
       injector = std::make_shared<fault::FaultInjector>(
-          fault::FaultSpec::parse(fault_spec_text),
+          fault::FaultSpec::parse(args.fault_spec),
           util::env_u64("DANCE_FAULT_SEED", 0xFA17));
       fault::install_global(injector);
     } else {
@@ -336,17 +246,14 @@ int main(int argc, char** argv) {
   // retries and the breaker. With an exact primary, an untrained-or-loaded
   // surrogate acts as the degradation tier; a surrogate primary has no
   // cheaper tier to fall back to.
-  std::unique_ptr<serve::SurrogateBackend> fallback;
+  std::unique_ptr<serve::CostQueryBackend> fallback;
   std::unique_ptr<serve::ResilientBackend> resilient;
   serve::CostQueryBackend* serving = primary;
-  if (resilient_mode) {
-    if (backend_name == "exact") {
-      util::Rng rng(17);
-      evaluator = std::make_unique<evalnet::Evaluator>(
-          arch_space.encoding_width(), hw_space, rng);
-      if (!hwgen_ckpt.empty()) evaluator->hwgen_net().load(hwgen_ckpt);
-      if (!cost_ckpt.empty()) evaluator->cost_net().load(cost_ckpt);
-      fallback = std::make_unique<serve::SurrogateBackend>(*evaluator);
+  if (args.resilient) {
+    if (args.backend.kind == "exact") {
+      serve::BackendSpec surrogate = args.backend;
+      surrogate.kind = "surrogate";
+      fallback = serve::make_backend(surrogate, arch_space, hw_space);
     }
     resilient = std::make_unique<serve::ResilientBackend>(
         *primary, fallback.get(), serve::ResilientBackend::Options::from_env());
@@ -363,15 +270,9 @@ int main(int argc, char** argv) {
                  metrics_path.c_str());
   }
 
-  obs::ScopedSpan stream_span("serve_jsonl.stream");
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    const std::string out = serve::wire::answer_line(line, arch_space, service);
-    if (out.empty()) continue;  // blank input line: no response owed
-    std::fwrite(out.data(), 1, out.size(), stdout);
-    std::fputc('\n', stdout);
-    std::fflush(stdout);
-  }
+  serve_stdin([&](const std::string& line) {
+    return serve::wire::answer_line(line, arch_space, service);
+  });
 
   std::fputs(service.stats_report().c_str(), stderr);
   if (resilient) {
@@ -400,4 +301,56 @@ int main(int argc, char** argv) {
     fault::install_global(nullptr);  // disarm the pool hook before teardown
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Args args;
+  for (int i = 1; i < argc; ++i) {
+    if (const char* v = util::flag_value(argv[i], "--backend=")) {
+      args.backend.kind = v;
+    } else if (const char* v = util::flag_value(argv[i], "--hwgen-ckpt=")) {
+      args.backend.hwgen_ckpt = v;
+    } else if (const char* v = util::flag_value(argv[i], "--cost-ckpt=")) {
+      args.backend.cost_ckpt = v;
+    } else if (const char* v = util::flag_value(argv[i], "--fault=")) {
+      args.fault_spec = v;
+    } else if (const char* v = util::flag_value(argv[i], "--registry=")) {
+      args.registry_dir = v;
+    } else if (const char* v = util::flag_value(argv[i], "--model=")) {
+      args.model = v;
+    } else if (const char* v = util::flag_value(argv[i], "--table=")) {
+      args.backend.table_path = v;
+    } else if (std::strcmp(argv[i], "--recalibrate") == 0) {
+      args.recalibrate = true;
+    } else if (std::strcmp(argv[i], "--resilient") == 0) {
+      args.resilient = true;
+    } else if (std::strcmp(argv[i], "--small") == 0) {
+      args.small = true;
+    } else {
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      return 2;
+    }
+  }
+  if (args.backend.kind != "exact" && args.backend.kind != "surrogate") {
+    std::fprintf(stderr, "--backend must be exact or surrogate\n");
+    return 2;
+  }
+  if (!args.registry_dir.empty() &&
+      (args.resilient || !args.fault_spec.empty())) {
+    std::fprintf(stderr,
+                 "--registry is mutually exclusive with --fault/--resilient\n");
+    return 2;
+  }
+  if (args.recalibrate && args.registry_dir.empty()) {
+    std::fprintf(stderr, "--recalibrate requires --registry\n");
+    return 2;
+  }
+
+  const arch::ArchSpace arch_space(arch::cifar10_backbone());
+  const hwgen::HwSearchSpace hw_space =
+      args.small ? hwgen::HwSearchSpace::small() : hwgen::HwSearchSpace();
+  return args.registry_dir.empty() ? run_plain(args, arch_space, hw_space)
+                                   : run_registry(args, arch_space, hw_space);
 }

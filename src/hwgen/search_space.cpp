@@ -6,6 +6,11 @@ namespace dance::hwgen {
 
 HwSearchSpace::HwSearchSpace() : HwSearchSpace(Options{}) {}
 
+HwSearchSpace HwSearchSpace::small() {
+  return HwSearchSpace(
+      {.pe_min = 8, .pe_max = 12, .rf_min = 8, .rf_max = 32, .rf_step = 8});
+}
+
 HwSearchSpace::HwSearchSpace(const Options& opts) : opts_(opts) {
   if (opts.pe_min <= 0 || opts.pe_max < opts.pe_min) {
     throw std::invalid_argument("HwSearchSpace: bad PE range");

@@ -23,6 +23,10 @@ class HwSearchSpace {
   HwSearchSpace();  ///< paper defaults (§4.1)
   explicit HwSearchSpace(const Options& opts);
 
+  /// The 300-config space behind every example's --small flag: PE_X, PE_Y
+  /// in [8, 12], RF size in {8, 16, 24, 32}.
+  [[nodiscard]] static HwSearchSpace small();
+
   [[nodiscard]] int num_pe_choices() const { return pe_count_; }
   [[nodiscard]] int num_rf_choices() const { return rf_count_; }
   [[nodiscard]] int num_dataflow_choices() const { return 3; }

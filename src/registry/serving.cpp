@@ -3,7 +3,6 @@
 #include <exception>
 #include <utility>
 
-#include "obs/span.h"
 #include "serve/wire.h"
 
 namespace dance::registry {
@@ -20,12 +19,10 @@ Frontend::Frontend(ModelRegistry& registry, serve::Service& service,
 std::string Frontend::answer_line(const std::string& line,
                                   const arch::ArchSpace& space) {
   namespace wire = serve::wire;
-  if (wire::is_blank(line)) return "";
-
   if (const auto cmd = wire::parse_string_field(line, "cmd")) {
     if (*cmd == "reload") {
       try {
-        const std::size_t swaps = reload();
+        const std::size_t swaps = registry_.reload();
         return "{\"reloaded\": true, \"swaps\": " + std::to_string(swaps) +
                "}";
       } catch (const std::exception& e) {
@@ -35,32 +32,24 @@ std::string Frontend::answer_line(const std::string& line,
     return wire::error_line(-1, "unknown cmd: " + *cmd);
   }
 
-  const wire::ParseOutcome parsed = wire::parse_request(line, space);
-  if (!parsed.ok) return wire::error_line(parsed.request.id, parsed.error);
-  const std::string model =
-      wire::parse_string_field(line, "model").value_or(default_model_);
-
-  try {
-    obs::ScopedSpan request_span("serve.wire.request");
+  return wire::answer_with(line, space, [&](wire::ParsedRequest& request) {
+    const std::string model =
+        wire::parse_string_field(line, "model").value_or(default_model_);
     // The pin taken here rides inside the Request through the cache, the
     // batcher and the backend: this query answers on this generation even
     // if a publish lands while it is in flight.
     const VersionPtr pin = registry_.pin(model);
     serve::Response response = service_.query(
-        ModelRegistry::make_request(pin, parsed.request.encoding));
+        ModelRegistry::make_request(pin, request.encoding));
     // Authoritative even for cache hits (a hit's key carries this exact
     // generation by construction) and snapshot-restored entries.
     response.generation = pin->generation();
-    if (shadow_ != nullptr) {
-      shadow_->observe(model, parsed.request.encoding, response);
-    }
+    if (shadow_ != nullptr) shadow_->observe(model, request.encoding, response);
     if (recal_ != nullptr && !response.degraded) {
-      recal_->observe(parsed.request.encoding);
+      recal_->observe(request.encoding);
     }
-    return wire::response_line(parsed.request.id, response);
-  } catch (const std::exception& e) {
-    return wire::error_line(parsed.request.id, e.what());
-  }
+    return response;
+  });
 }
 
 }  // namespace dance::registry

@@ -10,19 +10,15 @@
 
 namespace dance::registry {
 
-/// Registry-aware wire pipeline: the serve::wire::answer_line equivalent
-/// used by registry front-ends (serve_jsonl --registry, cluster shards in
-/// registry mode). Differences from the plain pipeline:
-///
-///   * every request is pinned to one generation before it enters the
-///     service, and the pin scope is folded into the cache key;
-///   * an optional `"model": "name"` request field selects among resident
-///     models (default: the front-end's --model);
-///   * `{"cmd": "reload"}` re-reads the MANIFEST and hot-swaps externally
-///     published generations, answering `{"reloaded": true, "swaps": N}`;
-///   * after the live answer is produced, the query is offered to the
-///     shadow mirror and the recalibration driver (both optional, both off
-///     the response path).
+/// Registry-aware front-end (serve_jsonl --registry, registry-mode cluster
+/// shards): the query step it plugs into serve::wire::answer_with pins the
+/// request's model (its optional `"model"` field, else the default model)
+/// to the live generation, queries through the generation-scoped cache key
+/// (ModelRegistry::make_request), stamps `generation` into the response and
+/// offers the query to the shadow mirror and the recalibration driver (both
+/// optional, both off the response path). Before the pipeline it answers
+/// `{"cmd": "reload"}`: re-read the MANIFEST, hot-swap externally published
+/// generations, reply `{"reloaded": true, "swaps": N}`.
 class Frontend {
  public:
   /// `service` must be backed by a RegistryBackend. `shadow` and `recal`
@@ -31,18 +27,10 @@ class Frontend {
            std::string default_model, ShadowMirror* shadow = nullptr,
            Recalibrator* recal = nullptr);
 
-  /// Full per-line pipeline; same contract as serve::wire::answer_line
-  /// (empty string for blank lines, error lines instead of exceptions).
+  /// Same contract as serve::wire::answer_line (empty string for blank
+  /// lines, error lines instead of exceptions).
   [[nodiscard]] std::string answer_line(const std::string& line,
                                         const arch::ArchSpace& space);
-
-  /// Re-reads the MANIFEST (SIGHUP handler path). Returns swap count; any
-  /// error is reported to the returned string's consumer via exception.
-  std::size_t reload() { return registry_.reload(); }
-
-  [[nodiscard]] const std::string& default_model() const {
-    return default_model_;
-  }
 
  private:
   ModelRegistry& registry_;

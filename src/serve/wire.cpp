@@ -5,29 +5,43 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 
 #include "arch/ops.h"
-#include "obs/span.h"
 
 namespace dance::serve::wire {
 
 namespace {
 
-/// Finds `"key"` and returns the offset just past the following ':', or
-/// npos when the key is absent.
-std::size_t after_key(const std::string& line, const char* key) {
-  const std::string quoted = std::string("\"") + key + "\"";
-  const std::size_t at = line.find(quoted);
-  if (at == std::string::npos) return std::string::npos;
-  const std::size_t colon = line.find(':', at + quoted.size());
-  return colon == std::string::npos ? std::string::npos : colon + 1;
+std::size_t skip_space(const std::string& line, std::size_t at) {
+  while (at < line.size() &&
+         std::isspace(static_cast<unsigned char>(line[at]))) {
+    ++at;
+  }
+  return at;
 }
 
-}  // namespace
+/// Finds `"key"` in key position — the quoted name followed by optional
+/// whitespace and ':' — and returns the offset of its value (past the ':'
+/// and any whitespace), or npos when the key is absent. A string value
+/// spelled like a key name (`"model": "encoding"`) is not followed by ':'
+/// and is skipped.
+std::size_t value_offset(const std::string& line, const char* key) {
+  const std::string quoted = std::string("\"") + key + "\"";
+  for (std::size_t at = line.find(quoted); at != std::string::npos;
+       at = line.find(quoted, at + 1)) {
+    const std::size_t colon = skip_space(line, at + quoted.size());
+    if (colon < line.size() && line[colon] == ':') {
+      return skip_space(line, colon + 1);
+    }
+  }
+  return std::string::npos;
+}
 
+/// The integer value of `key`.
 std::optional<long> parse_long_field(const std::string& line,
                                      const char* key) {
-  const std::size_t from = after_key(line, key);
+  const std::size_t from = value_offset(line, key);
   if (from == std::string::npos) return std::nullopt;
   char* end = nullptr;
   const long v = std::strtol(line.c_str() + from, &end, 10);
@@ -35,14 +49,10 @@ std::optional<long> parse_long_field(const std::string& line,
   return v;
 }
 
+/// The float array value '[' number (',' number)* ']' of `key`.
 std::optional<std::vector<float>> parse_array_field(const std::string& line,
                                                     const char* key) {
-  std::size_t at = after_key(line, key);
-  if (at == std::string::npos) return std::nullopt;
-  while (at < line.size() &&
-         std::isspace(static_cast<unsigned char>(line[at]))) {
-    ++at;
-  }
+  std::size_t at = value_offset(line, key);  // npos fails the size check
   if (at >= line.size() || line[at] != '[') return std::nullopt;
   ++at;
   std::vector<float> values;
@@ -62,14 +72,11 @@ std::optional<std::vector<float>> parse_array_field(const std::string& line,
   }
 }
 
+}  // namespace
+
 std::optional<std::string> parse_string_field(const std::string& line,
                                               const char* key) {
-  std::size_t at = after_key(line, key);
-  if (at == std::string::npos) return std::nullopt;
-  while (at < line.size() &&
-         std::isspace(static_cast<unsigned char>(line[at]))) {
-    ++at;
-  }
+  const std::size_t at = value_offset(line, key);  // npos fails below
   if (at >= line.size() || line[at] != '"') return std::nullopt;
   const std::size_t close = line.find('"', at + 1);
   if (close == std::string::npos) return std::nullopt;
@@ -169,16 +176,9 @@ std::string error_line(long id, const std::string& message) {
 
 std::string answer_line(const std::string& line, const arch::ArchSpace& space,
                         Service& service) {
-  if (is_blank(line)) return "";
-  const ParseOutcome parsed = parse_request(line, space);
-  if (!parsed.ok) return error_line(parsed.request.id, parsed.error);
-  try {
-    obs::ScopedSpan request_span("serve.wire.request");
-    return response_line(parsed.request.id,
-                         service.query(Request{parsed.request.encoding}));
-  } catch (const std::exception& e) {
-    return error_line(parsed.request.id, e.what());
-  }
+  return answer_with(line, space, [&service](ParsedRequest& request) {
+    return service.query(Request{std::move(request.encoding)});
+  });
 }
 
 }  // namespace dance::serve::wire

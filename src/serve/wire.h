@@ -1,10 +1,12 @@
 #pragma once
 
+#include <exception>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "arch/space.h"
+#include "obs/span.h"
 #include "serve/service.h"
 #include "serve/types.h"
 
@@ -29,15 +31,8 @@ namespace dance::serve::wire {
 /// Errors:
 ///   {"id": 1, "error": "..."}   (id -1 when the request carried none)
 
-/// Low-level field scanners (exposed for tests and bespoke front-ends).
-/// `parse_long_field` reads the integer value of `key`; `parse_array_field`
-/// reads a float array value '[' number (',' number)* ']'.
-[[nodiscard]] std::optional<long> parse_long_field(const std::string& line,
-                                                   const char* key);
-[[nodiscard]] std::optional<std::vector<float>> parse_array_field(
-    const std::string& line, const char* key);
-/// Reads a double-quoted string value (no escape handling — values are
-/// identifiers like model names, not free text).
+/// Reads the double-quoted string value of `key` (no escape handling —
+/// values are identifiers like model names, not free text).
 [[nodiscard]] std::optional<std::string> parse_string_field(
     const std::string& line, const char* key);
 
@@ -69,11 +64,27 @@ struct ParseOutcome {
 [[nodiscard]] std::string response_line(long id, const Response& response);
 [[nodiscard]] std::string error_line(long id, const std::string& message);
 
-/// The full per-line pipeline: parse, query the service, serialize — the
-/// single code path behind every front-end. Returns the response (or
-/// error) line without a terminator, or an empty string for blank input
-/// (no response owed). Service exceptions (Overloaded, backend failures)
-/// become error lines; this function does not throw.
+/// The per-line pipeline behind every front-end: "" for blank lines (no
+/// response owed), the error line for malformed ones, otherwise
+/// `query(ParsedRequest&) -> Response` (which may consume the encoding)
+/// inside the `serve.wire.request` span, serialized. Exceptions become
+/// error lines; this function does not throw.
+template <class Query>
+[[nodiscard]] std::string answer_with(const std::string& line,
+                                      const arch::ArchSpace& space,
+                                      Query&& query) {
+  if (is_blank(line)) return "";
+  ParseOutcome parsed = parse_request(line, space);
+  if (!parsed.ok) return error_line(parsed.request.id, parsed.error);
+  try {
+    obs::ScopedSpan request_span("serve.wire.request");
+    return response_line(parsed.request.id, query(parsed.request));
+  } catch (const std::exception& e) {
+    return error_line(parsed.request.id, e.what());
+  }
+}
+
+/// answer_with over `service`: the plain single-backend pipeline.
 [[nodiscard]] std::string answer_line(const std::string& line,
                                       const arch::ArchSpace& space,
                                       Service& service);

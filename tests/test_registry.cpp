@@ -22,8 +22,10 @@
 #include "registry/manifest.h"
 #include "registry/registry.h"
 #include "registry/serving.h"
+#include "serve/backend.h"
 #include "serve/service.h"
 #include "serve/types.h"
+#include "serve/wire.h"
 #include "util/fs.h"
 #include "util/rng.h"
 
@@ -378,6 +380,65 @@ TEST(registry_wire, FrontendServesReloadsAndRoutes) {
 
   // Blank lines are skipped, like serve::wire::answer_line.
   EXPECT_TRUE(frontend.answer_line("   ", arch_space).empty());
+}
+
+TEST(registry_wire, FrontendIsThePlainPipelineOnThePinnedGeneration) {
+  // Oracle for the registry front-end: its line for every request equals
+  // serve::wire::answer_line over a fresh Service on a SurrogateBackend
+  // built from the published generation's checkpoints, with
+  // `, "generation": N` before the closing brace. Error lines and blank
+  // lines are identical. The 40-query CI stream repeats every arch seven
+  // queries later, so the `cached` flag is covered.
+  const std::string dir = test_dir("oracle");
+  registry::ModelRegistry::init(dir);
+  const hwgen::HwSearchSpace space = small_space();
+  {
+    registry::ModelRegistry writer(dir, space);
+    evalnet::Evaluator e = make_evaluator(space, 18);
+    ASSERT_EQ(writer.publish("default", e), 1U);
+    evalnet::Evaluator e2 = make_evaluator(space, 19);
+    ASSERT_EQ(writer.publish("default", e2), 2U);
+  }
+  registry::ModelRegistry reg(dir, space);
+  registry::RegistryBackend backend;
+  serve::Service service(backend);
+  registry::Frontend frontend(reg, service, "default");
+
+  const auto evaluator = reg.load_evaluator("default", 2);
+  serve::SurrogateBackend plain_backend(*evaluator);
+  serve::Service plain(plain_backend);
+  arch::ArchSpace arch_space(arch::cifar10_backbone());
+
+  std::vector<std::string> lines;
+  for (int i = 0; i < 40; ++i) {
+    std::string line = "{\"id\": " + std::to_string(i) + ", \"arch\": [";
+    for (int j = 0; j < arch_space.num_searchable(); ++j) {
+      line += (j == 0 ? "" : ", ") + std::to_string((i + j) % 7);
+    }
+    lines.push_back(line + "]}");
+  }
+  for (const char* bad :
+       {R"({"id": 40, "arch": [1, 2]})", R"({"id": 41})", "not json", "",
+        "   ", R"({"id": 42, "arch": [0, 1, 2, 3, 9, 5, 6, 0, 1]})",
+        R"({"id": 43, "encoding": [nan, 1]})",
+        R"({"id": 44, "model": "default", "arch": [0,1,2,3,4,5,6,0,1]})"}) {
+    lines.emplace_back(bad);
+  }
+
+  int cached = 0;
+  int errors = 0;
+  for (const std::string& line : lines) {
+    std::string expected = serve::wire::answer_line(line, arch_space, plain);
+    if (expected.find("\"error\"") != std::string::npos) {
+      ++errors;
+    } else if (!expected.empty()) {
+      expected.insert(expected.size() - 1, ", \"generation\": 2");
+    }
+    if (expected.find("\"cached\": true") != std::string::npos) ++cached;
+    EXPECT_EQ(frontend.answer_line(line, arch_space), expected) << line;
+  }
+  EXPECT_EQ(cached, 34);
+  EXPECT_EQ(errors, 5);
 }
 
 TEST(registry_wire, UnknownCmdEchoIsAValidJsonLine) {

@@ -16,9 +16,14 @@
 #include <thread>
 #include <vector>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include "accel/cost_function.h"
 #include "arch/backbone.h"
 #include "arch/cost_table.h"
+#include "registry/registry.h"
+#include "registry/serving.h"
 #include "serve/backend.h"
 #include "serve/batcher.h"
 #include "serve/cache.h"
@@ -496,6 +501,54 @@ TEST(serve_wire, ErrorLineEscapesItsMessage) {
             R"({"id": -1, "error": "unknown cmd: a\\"})");
   EXPECT_EQ(serve::wire::error_line(2, "say \"hi\"\n\tnow"),
             R"({"id": 2, "error": "say \"hi\"\u000a\u0009now"})");
+}
+
+TEST(serve_wire, StringValueSpelledLikeAKeyDoesNotShadowTheKey) {
+  // `"model": "encoding"` carries the key name "encoding" as a value. It
+  // must not be read as the "encoding" key (which would take the arch array
+  // as a 9-float encoding: "encoding has the wrong width"); a key matches
+  // only where its quoted name is followed by ':'.
+  const arch::ArchSpace space(arch::cifar10_backbone());
+  const std::string shadowed =
+      R"({"id": 2, "model": "encoding", "arch": [0,1,2,3,4,5,6,0,1]})";
+  const std::string reordered =
+      R"({"id": 2, "arch": [0,1,2,3,4,5,6,0,1], "model": "encoding"})";
+  const auto parsed = serve::wire::parse_request(shadowed, space);
+  EXPECT_TRUE(parsed.ok) << parsed.error;
+  EXPECT_EQ(parsed.request.id, 2);
+  EXPECT_EQ(parsed.request.encoding,
+            serve::wire::parse_request(reordered, space).request.encoding);
+  EXPECT_EQ(serve::wire::parse_string_field(shadowed, "model"), "encoding");
+  EXPECT_EQ(serve::wire::parse_request(
+                R"({"k": "id", "id" : 7, "arch": [0,1,2,3,4,5,6,0,1]})", space)
+                .request.id,
+            7);
+
+  // The registry front-end answers it on the model named "encoding" — the
+  // only one published; the front-end's default model does not exist.
+  const std::string dir = "/tmp/dance_serve_wire_test_" +
+                          std::to_string(getpid());
+  mkdir(dir.c_str(), 0755);
+  registry::ModelRegistry::init(dir);
+  const hwgen::HwSearchSpace hw_space = hwgen::HwSearchSpace::small();
+  {
+    evalnet::Evaluator::Options opts;
+    opts.hwgen.hidden_dim = 16;
+    opts.hwgen.num_layers = 2;
+    opts.cost.hidden_dim = 16;
+    opts.cost.num_layers = 2;
+    util::Rng rng(21);
+    evalnet::Evaluator e(space.encoding_width(), hw_space, rng, opts);
+    registry::ModelRegistry writer(dir, hw_space);
+    ASSERT_EQ(writer.publish("encoding", e), 1U);
+  }
+  registry::ModelRegistry reg(dir, hw_space);
+  registry::RegistryBackend backend;
+  serve::Service service(backend);
+  registry::Frontend frontend(reg, service, "default");
+  const std::string answer = frontend.answer_line(shadowed, space);
+  EXPECT_EQ(answer.find("error"), std::string::npos) << answer;
+  EXPECT_NE(answer.find("\"generation\": 1}"), std::string::npos) << answer;
 }
 
 TEST(serve_options, FromEnvParsesAndIgnoresGarbage) {
