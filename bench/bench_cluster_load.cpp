@@ -277,9 +277,7 @@ int main(int argc, char** argv) {
       for (double target : targets) {
         if (!cached) {
           // Fresh cache per point so every request stays a miss.
-          for (const auto& s : shards) {
-            if (s->service.cache() != nullptr) s->service.cache()->clear();
-          }
+          for (const auto& s : shards) s->service.cache()->clear();
         }
         const SweepPoint p =
             run_point(shards, w, target, seconds, /*seed=*/7 + num_shards);

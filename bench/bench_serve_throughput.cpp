@@ -8,7 +8,7 @@
 //   serial          one Evaluator::forward_deterministic per request
 //   batched         Evaluator::forward_batch in max_batch-sized chunks
 //   cached+batched  Service::query_many in 512-request arrival windows
-//                   (sharded LRU across windows + within-call dedup +
+//                   (LRU across windows + within-call dedup +
 //                   batched backend)
 // plus a degraded-mode row: the cached+batched stack with 10% injected
 // backend errors behind the resilience decorator (retries + fallback), to
@@ -705,7 +705,7 @@ BENCHMARK(BM_ServiceQueryCacheHit)->Unit(benchmark::kMicrosecond);
 
 void BM_CacheGetHit(benchmark::State& state) {
   Env& e = env();
-  serve::ShardedLruCache cache(1024, 8);
+  serve::LruCache cache(1024);
   const auto key = serve::canonical_key(e.unique_keys[0]);
   cache.put(key, serve::Response{});
   for (auto _ : state) {

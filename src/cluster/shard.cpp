@@ -30,7 +30,7 @@ ShardServer::ShardServer(serve::Service& service, const arch::ArchSpace& space,
 
 net::Endpoint ShardServer::start(const net::Endpoint& listen_at) {
   warm_entries_ = 0;
-  if (!opts_.snapshot_path.empty() && service_.cache() != nullptr) {
+  if (!opts_.snapshot_path.empty()) {
     struct stat st{};
     if (::stat(opts_.snapshot_path.c_str(), &st) == 0) {
       try {
@@ -48,7 +48,7 @@ net::Endpoint ShardServer::start(const net::Endpoint& listen_at) {
 
 bool ShardServer::drain_and_stop(long drain_timeout_ms) {
   const bool drained = server_.drain(drain_timeout_ms);
-  if (!opts_.snapshot_path.empty() && service_.cache() != nullptr) {
+  if (!opts_.snapshot_path.empty()) {
     try {
       save_snapshot(*service_.cache(), space_.encoding_width(),
                     opts_.snapshot_path);

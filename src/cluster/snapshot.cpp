@@ -61,7 +61,7 @@ struct Cursor {
 
 }  // namespace
 
-std::size_t save_snapshot(const serve::ShardedLruCache& cache,
+std::size_t save_snapshot(const serve::LruCache& cache,
                           int encoding_width, const std::string& path) {
   const auto entries = cache.entries();
 
@@ -98,7 +98,7 @@ std::size_t save_snapshot(const serve::ShardedLruCache& cache,
 }
 
 std::size_t load_snapshot(const std::string& path, int expected_width,
-                          serve::ShardedLruCache& cache) {
+                          serve::LruCache& cache) {
   auto fail = [](const std::string& why) -> SnapshotError {
     obs::Registry::global().counter("cluster.snapshot.errors").inc();
     return SnapshotError(why);
@@ -150,14 +150,14 @@ std::size_t load_snapshot(const std::string& path, int expected_width,
 
   // Parse fully before the first put() so a truncated/garbled body can
   // never half-populate the cache.
-  std::vector<std::pair<serve::ShardedLruCache::Key, serve::Response>> parsed;
+  std::vector<std::pair<serve::LruCache::Key, serve::Response>> parsed;
   parsed.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     const auto key_len = cur.get<std::uint32_t>();
     if (static_cast<std::size_t>(key_len) * sizeof(float) > cur.left) {
       throw fail("snapshot truncated");
     }
-    serve::ShardedLruCache::Key key(key_len);
+    serve::LruCache::Key key(key_len);
     cur.raw(key.data(), key_len * sizeof(float));
     serve::Response r;
     r.metrics.latency_ms = cur.get<double>();

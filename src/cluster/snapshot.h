@@ -35,14 +35,15 @@ class SnapshotError : public std::runtime_error {
 ///     u8  flags          = 0    (cached/degraded are per-query, not stored)
 ///   u64 checksum                FNV-1a over every preceding byte
 ///
-/// Entries are written in ShardedLruCache::entries() order (LRU-first per
-/// shard) and replayed through put(), so recency survives the round trip.
+/// Entries are written in LruCache::entries() order (least-recently-used
+/// first) and replayed through put(), so loading into a cache of the same
+/// capacity restores recency exactly.
 ///
 /// Obs counters: cluster.snapshot.{saved_entries,loaded_entries,errors}.
 
 /// Writes `cache` to `path` atomically (temp file + rename). Returns the
 /// entry count written. Throws SnapshotError on I/O failure.
-std::size_t save_snapshot(const serve::ShardedLruCache& cache,
+std::size_t save_snapshot(const serve::LruCache& cache,
                           int encoding_width, const std::string& path);
 
 /// Replays `path` into `cache` via put(). The whole file is parsed and
@@ -50,6 +51,6 @@ std::size_t save_snapshot(const serve::ShardedLruCache& cache,
 /// half-populates the cache. `expected_width` must match the stored width
 /// (pass 0 to skip the check). Returns the entry count restored.
 std::size_t load_snapshot(const std::string& path, int expected_width,
-                          serve::ShardedLruCache& cache);
+                          serve::LruCache& cache);
 
 }  // namespace dance::cluster

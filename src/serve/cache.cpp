@@ -1,93 +1,65 @@
 #include "serve/cache.h"
 
 #include <algorithm>
-#include <memory>
 
 namespace dance::serve {
 
-ShardedLruCache::ShardedLruCache(std::size_t capacity, int num_shards)
-    : obs_hits_(obs::Registry::global().counter("serve.cache.hits")),
+LruCache::LruCache(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(1, capacity)),
+      obs_hits_(obs::Registry::global().counter("serve.cache.hits")),
       obs_misses_(obs::Registry::global().counter("serve.cache.misses")),
-      obs_evictions_(obs::Registry::global().counter("serve.cache.evictions")) {
-  capacity_ = std::max<std::size_t>(1, capacity);
-  const std::size_t shards = std::clamp<std::size_t>(
-      num_shards < 1 ? 1 : static_cast<std::size_t>(num_shards), 1, capacity_);
-  per_shard_capacity_ = (capacity_ + shards - 1) / shards;
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
+      obs_evictions_(obs::Registry::global().counter("serve.cache.evictions")) {}
 
-std::optional<Response> ShardedLruCache::get(const Key& key) {
-  Shard& s = shard_for(key);
-  std::lock_guard<std::mutex> lk(s.mu);
-  const auto it = s.map.find(key);
-  if (it == s.map.end()) {
-    ++s.misses;
+std::optional<Response> LruCache::get(const Key& key) {
+  std::lock_guard<std::mutex> lk(mu_);
+  const auto it = map_.find(key);
+  if (it == map_.end()) {
+    ++misses_;
     obs_misses_.inc();
     return std::nullopt;
   }
-  ++s.hits;
+  ++hits_;
   obs_hits_.inc();
   // Refresh recency: splice the node to the front without reallocating.
-  s.lru.splice(s.lru.begin(), s.lru, it->second);
+  lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->second;
 }
 
-void ShardedLruCache::put(const Key& key, const Response& response) {
-  Shard& s = shard_for(key);
-  std::lock_guard<std::mutex> lk(s.mu);
-  const auto it = s.map.find(key);
-  if (it != s.map.end()) {
+void LruCache::put(const Key& key, const Response& response) {
+  std::lock_guard<std::mutex> lk(mu_);
+  const auto it = map_.find(key);
+  if (it != map_.end()) {
     it->second->second = response;
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  s.lru.emplace_front(key, response);
-  s.map.emplace(key, s.lru.begin());
-  if (s.map.size() > per_shard_capacity_) {
-    s.map.erase(s.lru.back().first);
-    s.lru.pop_back();
-    ++s.evictions;
+  lru_.emplace_front(key, response);
+  map_.emplace(key, lru_.begin());
+  if (map_.size() > capacity_) {
+    map_.erase(lru_.back().first);
+    lru_.pop_back();
+    ++evictions_;
     obs_evictions_.inc();
   }
 }
 
-ShardedLruCache::Stats ShardedLruCache::stats() const {
-  Stats out;
-  out.capacity = capacity_;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lk(shard->mu);
-    out.hits += shard->hits;
-    out.misses += shard->misses;
-    out.evictions += shard->evictions;
-    out.entries += shard->map.size();
-  }
-  return out;
+LruCache::Stats LruCache::stats() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return {hits_, misses_, evictions_, map_.size(), capacity_};
 }
 
-std::vector<std::pair<ShardedLruCache::Key, Response>>
-ShardedLruCache::entries() const {
-  std::vector<std::pair<Key, Response>> out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lk(shard->mu);
-    // lru front is most recent; emit back-to-front so a replay of put()
-    // calls ends with the most recent entry freshest.
-    for (auto it = shard->lru.rbegin(); it != shard->lru.rend(); ++it) {
-      out.push_back(*it);
-    }
-  }
-  return out;
+std::vector<std::pair<LruCache::Key, Response>> LruCache::entries() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  // lru_ front is most recent; emit back-to-front so a replay of put()
+  // calls ends with the most recent entry freshest.
+  return {lru_.rbegin(), lru_.rend()};
 }
 
-void ShardedLruCache::clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lk(shard->mu);
-    shard->map.clear();
-    shard->lru.clear();
-    shard->hits = shard->misses = shard->evictions = 0;
-  }
+void LruCache::clear() {
+  std::lock_guard<std::mutex> lk(mu_);
+  map_.clear();
+  lru_.clear();
+  hits_ = misses_ = evictions_ = 0;
 }
 
 }  // namespace dance::serve

@@ -2,10 +2,10 @@
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/registry.h"
@@ -13,25 +13,25 @@
 
 namespace dance::serve {
 
-/// Thread-safe sharded LRU memoization cache for cost-query responses.
+/// Thread-safe LRU memoization cache for cost-query responses: one mutex,
+/// one hash map and one recency list. Holds at most `capacity` entries and
+/// evicts the least-recently-used one on overflow; `get` refreshes recency.
 ///
-/// The key space is split across `num_shards` independent shards (selected
-/// by the key hash), each with its own mutex, map and LRU list, so
-/// concurrent lookups of different keys rarely contend on a lock. Each
-/// shard holds at most ceil(capacity / num_shards) entries and evicts its
-/// own least-recently-used entry on overflow; `get` refreshes recency.
+/// One lock, not lock striping: `KeyHash % 8` put every one-hot key on the
+/// same stripe, and this cache measured no slower than the 8-stripe one it
+/// replaced (docs/serve.md, "Why one lock").
 ///
 /// Transparency contract: the cache stores responses verbatim and never
 /// synthesizes one, so for a deterministic backend a cached answer is
 /// bit-identical to an uncached one (tests/test_property_serve.cpp hammers
 /// this from many threads). Keys must be canonicalized (`canonical_key`)
 /// before insertion/lookup — the Service does this for every query.
-class ShardedLruCache {
+class LruCache {
  public:
   using Key = std::vector<float>;
 
-  /// Aggregate hit/miss/eviction counters across all shards, for THIS cache
-  /// instance. The same events also feed the process-global obs counters
+  /// Hit/miss/eviction counters for THIS cache instance. The same events
+  /// also feed the process-global obs counters
   /// serve.cache.{hits,misses,evictions}, which is what the JSON/Prometheus
   /// exporters report.
   struct Stats {
@@ -48,50 +48,37 @@ class ShardedLruCache {
     }
   };
 
-  /// `capacity` is the total entry budget (>= 1 enforced); `num_shards` is
-  /// clamped to [1, capacity] so every shard can hold at least one entry.
-  explicit ShardedLruCache(std::size_t capacity, int num_shards = 8);
+  /// `capacity` is the entry budget (>= 1 enforced).
+  explicit LruCache(std::size_t capacity);
 
   /// Lookup; refreshes the entry's recency on hit. Counts a hit or a miss.
   [[nodiscard]] std::optional<Response> get(const Key& key);
 
-  /// Insert or overwrite. Evicts the shard's LRU entry on overflow.
+  /// Insert or overwrite. Evicts the LRU entry on overflow.
   void put(const Key& key, const Response& response);
 
   [[nodiscard]] Stats stats() const;
   void clear();
 
-  /// Every entry, least-recently-used first within each internal shard, so
-  /// replaying `put` in the returned order reproduces contents *and*
-  /// per-shard recency (exactly, when the reloading cache has the same
-  /// shard count; approximately otherwise — cross-shard order is
-  /// arbitrary either way). This is the cluster snapshot export path.
+  /// Every entry, least-recently-used first, so replaying `put` in the
+  /// returned order into a cache of the same capacity reproduces contents
+  /// and recency exactly. This is the cluster snapshot export path.
   [[nodiscard]] std::vector<std::pair<Key, Response>> entries() const;
 
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] int num_shards() const { return static_cast<int>(shards_.size()); }
 
  private:
-  struct Shard {
-    std::mutex mu;
-    /// Most-recent at the front; holds the key so eviction can erase the
-    /// map entry without a second copy of the key in the node.
-    std::list<std::pair<Key, Response>> lru;
-    std::unordered_map<Key, std::list<std::pair<Key, Response>>::iterator,
-                       KeyHash, KeyEq>
-        map;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-  };
+  using Lru = std::list<std::pair<Key, Response>>;
 
-  [[nodiscard]] Shard& shard_for(const Key& key) {
-    return *shards_[KeyHash{}(key) % shards_.size()];
-  }
-
-  std::size_t capacity_ = 0;
-  std::size_t per_shard_capacity_ = 0;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  const std::size_t capacity_;
+  mutable std::mutex mu_;
+  /// Most-recent at the front; holds the key so eviction can erase the map
+  /// entry without a second copy of the key in the node.
+  Lru lru_;
+  std::unordered_map<Key, Lru::iterator, KeyHash, KeyEq> map_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t evictions_ = 0;
 
   // Process-global counters (obs registry instruments are never destroyed,
   // so caching the references is safe and keeps the hot path lock-free).
@@ -99,5 +86,9 @@ class ShardedLruCache {
   obs::Counter& obs_misses_;
   obs::Counter& obs_evictions_;
 };
+
+/// The name the cache had while it was split into shards; kept for the
+/// benchmark program (perfbench/), which still spells it that way.
+using ShardedLruCache = LruCache;
 
 }  // namespace dance::serve

@@ -19,8 +19,6 @@ Service::Options Service::Options::from_env() {
   Options opts;
   opts.cache_capacity = static_cast<std::size_t>(util::env_long(
       "DANCE_SERVE_CACHE_CAP", static_cast<long>(opts.cache_capacity), 1));
-  opts.cache_shards = util::env_int("DANCE_SERVE_SHARDS", opts.cache_shards, 1);
-  opts.enable_cache = util::env_bool("DANCE_SERVE_CACHE", opts.enable_cache);
   opts.batch.max_batch =
       util::env_int("DANCE_SERVE_MAX_BATCH", opts.batch.max_batch, 1);
   opts.batch.max_wait_us =
@@ -33,14 +31,11 @@ Service::Options Service::Options::from_env() {
 
 Service::Service(CostQueryBackend& backend, Options opts)
     : opts_(opts),
+      cache_(opts.cache_capacity),
       batcher_(backend, opts.batch),
       obs_queries_(obs::Registry::global().counter("serve.queries")),
       obs_latency_us_(obs::Registry::global().histogram(
           "serve.latency_us", obs::default_latency_bounds_us())) {
-  if (opts_.enable_cache) {
-    cache_ = std::make_unique<ShardedLruCache>(opts_.cache_capacity,
-                                               opts_.cache_shards);
-  }
   latency_ring_.reserve(kLatencySampleCap);
   window_start_ = std::chrono::steady_clock::now();
 }
@@ -50,22 +45,17 @@ Response Service::query(const Request& request) {
   const std::vector<float> key = canonical_key(request);
 
   Response response;
-  bool from_cache = false;
-  if (cache_) {
-    if (auto hit = cache_->get(key)) {
-      response = *hit;
-      from_cache = true;
-    }
-  }
-  if (!from_cache) {
+  if (auto hit = cache_.get(key)) {
+    response = *hit;
+    response.cached = true;
+  } else {
     response = batcher_.query(request);
     response.cached = false;
     // Degraded (fallback-tier) answers are never memoized: once the primary
     // recovers, a repeat of this key should fetch — and then cache — the
     // exact answer instead of pinning the degraded one forever.
-    if (cache_ && !response.degraded) cache_->put(key, response);
+    if (!response.degraded) cache_.put(key, response);
   }
-  response.cached = from_cache;
 
   const auto end = std::chrono::steady_clock::now();
   record_latency_us(
@@ -85,12 +75,10 @@ std::vector<Response> Service::query_many(std::span<const Request> requests) {
   std::unordered_map<std::vector<float>, std::size_t, KeyHash, KeyEq> pending;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     std::vector<float> key = canonical_key(requests[i]);
-    if (cache_) {
-      if (auto hit = cache_->get(key)) {
-        out[i] = *hit;
-        out[i].cached = true;
-        continue;
-      }
+    if (auto hit = cache_.get(key)) {
+      out[i] = *hit;
+      out[i].cached = true;
+      continue;
     }
     const auto [it, inserted] = pending.try_emplace(std::move(key), misses.size());
     if (inserted) misses.push_back(requests[i]);
@@ -110,8 +98,8 @@ std::vector<Response> Service::query_many(std::span<const Request> requests) {
     for (std::size_t m = 0; m < misses.size(); ++m) {
       answered[m].cached = false;
       // Same rule as query(): degraded answers are not memoized.
-      if (cache_ && !answered[m].degraded) {
-        cache_->put(canonical_key(misses[m]), answered[m]);
+      if (!answered[m].degraded) {
+        cache_.put(canonical_key(misses[m]), answered[m]);
       }
     }
   }
@@ -157,7 +145,7 @@ ServiceStats Service::stats() const {
   s.qps = s.window_seconds > 0.0
               ? static_cast<double>(s.queries) / s.window_seconds
               : 0.0;
-  if (cache_) s.cache = cache_->stats();
+  s.cache = cache_.stats();
   s.batcher = batcher_.stats();
   return s;
 }

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -20,7 +19,7 @@ struct ServiceStats {
   std::uint64_t queries = 0;
   double window_seconds = 0.0;
   double qps = 0.0;
-  ShardedLruCache::Stats cache;
+  LruCache::Stats cache;
   MicroBatcher::Stats batcher;
   /// Client-observed per-query latency percentiles (microseconds), over the
   /// most recent samples (bounded ring, like the runtime profiler).
@@ -30,16 +29,14 @@ struct ServiceStats {
 
 /// The embeddable cost-query service: cache -> micro-batcher -> backend.
 ///
-/// `query` is the hot path: canonicalize the encoding, probe the sharded
-/// LRU cache, and on a miss ride the micro-batcher into a batched backend
+/// `query` is the hot path: canonicalize the encoding, probe the LRU
+/// cache, and on a miss ride the micro-batcher into a batched backend
 /// call, memoizing the answer on the way out. Every query's wall latency is
 /// recorded for the p50/p95 report. Thread-safe: any number of client
 /// threads may call `query` concurrently.
 ///
 /// Knobs (environment, read by Options::from_env; constructor args win):
-///   DANCE_SERVE_CACHE_CAP   total cache entries        (default 65536)
-///   DANCE_SERVE_SHARDS      cache shard count          (default 8)
-///   DANCE_SERVE_CACHE       "0" disables the cache     (default on)
+///   DANCE_SERVE_CACHE_CAP   cache entries              (default 8192)
 ///   DANCE_SERVE_MAX_BATCH   batch count trigger        (default 32)
 ///   DANCE_SERVE_MAX_WAIT_US batch deadline trigger     (default 200)
 ///   DANCE_SERVE_MAX_PENDING load-shedding queue cap    (default 4096,
@@ -47,9 +44,7 @@ struct ServiceStats {
 class Service {
  public:
   struct Options {
-    std::size_t cache_capacity = 1 << 16;
-    int cache_shards = 8;
-    bool enable_cache = true;
+    std::size_t cache_capacity = 8192;
     MicroBatcher::Options batch;
 
     /// Defaults overridden by any DANCE_SERVE_* variables that parse as a
@@ -87,15 +82,15 @@ class Service {
 
   [[nodiscard]] const Options& options() const { return opts_; }
   [[nodiscard]] CostQueryBackend& backend() { return batcher_.backend(); }
-  /// The memoization cache, or nullptr when disabled. Exposed so the
-  /// cluster snapshot layer can export/restore entries for warm starts.
-  [[nodiscard]] ShardedLruCache* cache() { return cache_.get(); }
+  /// The memoization cache; never null. Exposed so the cluster snapshot
+  /// layer can export/restore entries for warm starts.
+  [[nodiscard]] LruCache* cache() { return &cache_; }
 
  private:
   void record_latency_us(double us);
 
   Options opts_;
-  std::unique_ptr<ShardedLruCache> cache_;  ///< null when disabled
+  LruCache cache_;
   MicroBatcher batcher_;
 
   mutable std::mutex stats_mu_;

@@ -105,8 +105,11 @@ inline std::vector<float> canonical_key(const Request& request) {
   return key;
 }
 
-/// FNV-1a over the key bytes. Used for shard selection and the per-shard
-/// hash maps; byte-hashing is exact because keys are canonicalized.
+/// FNV-1a over the key bytes. Used by the cache's hash map, by
+/// `query_many`'s within-call dedup and by the cluster's hash ring;
+/// byte-hashing is exact because keys are canonicalized. Its low three bits
+/// are the same for every one-hot key (0.0f bytes leave them alone), so
+/// `hash % 8` cannot spread such keys over eight stripes.
 struct KeyHash {
   std::size_t operator()(const std::vector<float>& key) const {
     std::uint64_t h = 0xcbf29ce484222325ULL;

@@ -1,6 +1,7 @@
 #include "serve/wire.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -38,37 +39,45 @@ std::size_t value_offset(const std::string& line, const char* key) {
   return std::string::npos;
 }
 
-/// The integer value of `key`.
-std::optional<long> parse_long_field(const std::string& line,
-                                     const char* key) {
+/// Reads the integer value of `key` into `value`, which is left alone when
+/// the key is absent. False when the value is not an in-range integer
+/// followed by optional whitespace and ',' or '}'.
+bool parse_long_field(const std::string& line, const char* key, long& value) {
   const std::size_t from = value_offset(line, key);
-  if (from == std::string::npos) return std::nullopt;
+  if (from == std::string::npos) return true;
+  const char* begin = line.c_str() + from;
   char* end = nullptr;
-  const long v = std::strtol(line.c_str() + from, &end, 10);
-  if (end == line.c_str() + from) return std::nullopt;
-  return v;
+  errno = 0;
+  const long v = std::strtol(begin, &end, 10);
+  if (end == begin || errno == ERANGE) return false;
+  const std::size_t after =
+      skip_space(line, static_cast<std::size_t>(end - line.c_str()));
+  if (after >= line.size() || (line[after] != ',' && line[after] != '}')) {
+    return false;
+  }
+  value = v;
+  return true;
 }
 
-/// The float array value '[' number (',' number)* ']' of `key`.
+/// The float array value '[' [number (',' number)*] ']' of `key`: exactly
+/// one ',' between numbers, none before the first or after the last.
 std::optional<std::vector<float>> parse_array_field(const std::string& line,
                                                     const char* key) {
   std::size_t at = value_offset(line, key);  // npos fails the size check
   if (at >= line.size() || line[at] != '[') return std::nullopt;
-  ++at;
+  at = skip_space(line, at + 1);
   std::vector<float> values;
+  if (at < line.size() && line[at] == ']') return values;
   while (true) {
-    while (at < line.size() &&
-           (std::isspace(static_cast<unsigned char>(line[at])) ||
-            line[at] == ',')) {
-      ++at;
-    }
-    if (at >= line.size()) return std::nullopt;  // unterminated array
-    if (line[at] == ']') return values;
     char* end = nullptr;
     const float v = std::strtof(line.c_str() + at, &end);
     if (end == line.c_str() + at) return std::nullopt;
     values.push_back(v);
-    at = static_cast<std::size_t>(end - line.c_str());
+    at = skip_space(line, static_cast<std::size_t>(end - line.c_str()));
+    if (at >= line.size()) return std::nullopt;  // unterminated array
+    if (line[at] == ']') return values;
+    if (line[at] != ',') return std::nullopt;
+    ++at;
   }
 }
 
@@ -90,7 +99,10 @@ bool is_blank(const std::string& line) {
 ParseOutcome parse_request(const std::string& line,
                            const arch::ArchSpace& space) {
   ParseOutcome out;
-  out.request.id = parse_long_field(line, "id").value_or(-1);
+  if (!parse_long_field(line, "id", out.request.id)) {
+    out.error = "id must be an integer";
+    return out;
+  }
 
   if (auto enc = parse_array_field(line, "encoding")) {
     // Finiteness only: soft (non-one-hot) encodings are valid surrogate

@@ -21,6 +21,8 @@ namespace dance::serve::wire {
 /// Request (one object per line, whitespace-insensitive, keys any order):
 ///   {"id": 1, "arch": [0, 3, 6, 0, 1, 2, 4, 5, 0]}   per-slot op indices
 ///   {"id": 2, "encoding": [1.0, 0.0, ...]}           raw evaluator encoding
+/// "id" is optional; when present it must be an integer that fits a long.
+/// Arrays take exactly one ',' between numbers.
 /// Response:
 ///   {"id": 1, "latency_ms": ..., "energy_mj": ..., "area_mm2": ...,
 ///    "pe_x": 16, "pe_y": 16, "rf_size": 32, "dataflow": "RS",
@@ -29,7 +31,7 @@ namespace dance::serve::wire {
 /// is omitted when generation is 0 so non-registry deployments keep the
 /// exact historical bytes (the cluster CI smoke diffs them).
 /// Errors:
-///   {"id": 1, "error": "..."}   (id -1 when the request carried none)
+///   {"id": 1, "error": "..."}   (id -1 when the request carried no valid id)
 
 /// Reads the double-quoted string value of `key` (no escape handling —
 /// values are identifiers like model names, not free text).

@@ -92,17 +92,33 @@ serve::Response snapshot_response(float seed) {
 }
 
 TEST(cluster_snapshot, RoundTripsEntriesAndRecency) {
-  serve::ShardedLruCache cache(64, 4);
-  for (int k = 0; k < 10; ++k) {
+  // A full cache whose oldest key (0) was touched, so key 1 is now the
+  // least recently used.
+  constexpr int kCapacity = 10;
+  serve::LruCache cache(kCapacity);
+  for (int k = 0; k < kCapacity; ++k) {
     cache.put({static_cast<float>(k), 2.0F},
               snapshot_response(static_cast<float>(k)));
   }
+  ASSERT_TRUE(cache.get({0.0F, 2.0F}).has_value());
   const std::string path = test_path("snap");
   EXPECT_EQ(cluster::save_snapshot(cache, 2, path), 10U);
 
-  serve::ShardedLruCache restored(64, 4);
+  serve::LruCache restored(kCapacity);
   EXPECT_EQ(cluster::load_snapshot(path, 2, restored), 10U);
-  for (int k = 0; k < 10; ++k) {
+  const auto want_order = cache.entries();
+  const auto got_order = restored.entries();
+  ASSERT_EQ(got_order.size(), want_order.size());
+  for (std::size_t i = 0; i < want_order.size(); ++i) {
+    EXPECT_EQ(got_order[i].first, want_order[i].first) << "position " << i;
+  }
+
+  // One new key evicts exactly the original's LRU key; the touched one stays.
+  restored.put({99.0F, 2.0F}, snapshot_response(99.0F));
+  EXPECT_EQ(restored.stats().evictions, 1U);
+  EXPECT_FALSE(restored.get({1.0F, 2.0F}).has_value());
+  for (int k = 0; k < kCapacity; ++k) {
+    if (k == 1) continue;
     const auto got = restored.get({static_cast<float>(k), 2.0F});
     ASSERT_TRUE(got.has_value()) << "key " << k;
     const auto want = snapshot_response(static_cast<float>(k));
@@ -115,12 +131,12 @@ TEST(cluster_snapshot, RoundTripsEntriesAndRecency) {
 }
 
 TEST(cluster_snapshot, RejectsWrongWidthAndMissingFile) {
-  serve::ShardedLruCache cache(8, 1);
+  serve::LruCache cache(8);
   cache.put({1.0F, 2.0F}, snapshot_response(1.0F));
   const std::string path = test_path("snapw");
   (void)cluster::save_snapshot(cache, 2, path);
 
-  serve::ShardedLruCache target(8, 1);
+  serve::LruCache target(8);
   EXPECT_THROW((void)cluster::load_snapshot(path, 3, target),
                cluster::SnapshotError);
   EXPECT_THROW((void)cluster::load_snapshot(test_path("absent"), 2, target),
@@ -130,7 +146,7 @@ TEST(cluster_snapshot, RejectsWrongWidthAndMissingFile) {
 }
 
 TEST(cluster_snapshot, RejectsCorruptionEverywhere) {
-  serve::ShardedLruCache cache(16, 2);
+  serve::LruCache cache(16);
   for (int k = 0; k < 5; ++k) {
     cache.put({static_cast<float>(k)}, snapshot_response(2.0F));
   }
@@ -156,7 +172,7 @@ TEST(cluster_snapshot, RejectsCorruptionEverywhere) {
     ASSERT_NE(w, nullptr);
     std::fwrite(bad.data(), 1, bad.size(), w);
     std::fclose(w);
-    serve::ShardedLruCache target(16, 2);
+    serve::LruCache target(16);
     EXPECT_THROW((void)cluster::load_snapshot(path, 1, target),
                  cluster::SnapshotError)
         << "flip at " << at;
@@ -167,7 +183,7 @@ TEST(cluster_snapshot, RejectsCorruptionEverywhere) {
     ASSERT_NE(w, nullptr);
     std::fwrite(image.data(), 1, keep, w);
     std::fclose(w);
-    serve::ShardedLruCache target(16, 2);
+    serve::LruCache target(16);
     EXPECT_THROW((void)cluster::load_snapshot(path, 1, target),
                  cluster::SnapshotError)
         << "truncated to " << keep;

@@ -492,8 +492,10 @@ TEST_F(fault_replay, TenKQueriesUnderTenPercentErrorsStayCorrect) {
   }
 
   // Faulted run: 10% injected errors on the exact backend, retries absorb
-  // almost all of them, the surrogate catches the rest. Cache disabled so
-  // every request actually exercises the faulted path.
+  // almost all of them, the surrogate catches the rest. The 10k random
+  // architectures are drawn from 7^9, so they almost never repeat and
+  // nearly every request misses the cache and exercises the faulted path;
+  // degraded answers are never cached.
   serve::ExactBackend exact_again(table_, accel::edap_cost());
   auto injector = std::make_shared<fault::FaultInjector>(
       fault::FaultSpec::parse("backend:error=0.1"), 0xFA17);
@@ -507,7 +509,6 @@ TEST_F(fault_replay, TenKQueriesUnderTenPercentErrorsStayCorrect) {
   serve::ResilientBackend resilient(faulty, &surrogate, ropts);
 
   serve::Service::Options sopts;
-  sopts.enable_cache = false;
   sopts.batch.max_batch = 4;
   serve::Service service(resilient, sopts);
 

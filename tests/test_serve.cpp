@@ -1,5 +1,5 @@
-// Unit tests for the dance::serve cost-query service layer: sharded LRU
-// cache semantics, micro-batcher coalescing, backend correctness against the
+// Unit tests for the dance::serve cost-query service layer: LRU cache
+// semantics, micro-batcher coalescing, backend correctness against the
 // ground-truth toolchain and the Service facade wiring. Suite names carry a
 // lowercase "serve_" prefix on purpose: `ctest -R serve` selects exactly the
 // serve suites (including the concurrent property suites, which CI runs
@@ -14,6 +14,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <sys/stat.h>
@@ -37,7 +38,7 @@ using namespace dance;
 using serve::Request;
 using serve::Response;
 
-serve::ShardedLruCache::Key key_of(std::initializer_list<float> vals) {
+serve::LruCache::Key key_of(std::initializer_list<float> vals) {
   return std::vector<float>(vals);
 }
 
@@ -48,7 +49,7 @@ Response response_with_latency(double latency_ms) {
 }
 
 TEST(serve_cache, PutGetRoundTripAndCounters) {
-  serve::ShardedLruCache cache(8, 2);
+  serve::LruCache cache(8);
   EXPECT_FALSE(cache.get(key_of({1.0F})).has_value());
   cache.put(key_of({1.0F}), response_with_latency(3.5));
   const auto hit = cache.get(key_of({1.0F}));
@@ -63,8 +64,8 @@ TEST(serve_cache, PutGetRoundTripAndCounters) {
 }
 
 TEST(serve_cache, EvictsLeastRecentlyUsedPerShard) {
-  // One shard, capacity 2: inserting a third key evicts the stalest.
-  serve::ShardedLruCache cache(2, 1);
+  // Capacity 2: inserting a third key evicts the stalest.
+  serve::LruCache cache(2);
   cache.put(key_of({1.0F}), response_with_latency(1.0));
   cache.put(key_of({2.0F}), response_with_latency(2.0));
   // Touch key 1 so key 2 becomes the LRU entry.
@@ -79,7 +80,7 @@ TEST(serve_cache, EvictsLeastRecentlyUsedPerShard) {
 }
 
 TEST(serve_cache, OverwriteRefreshesInsteadOfGrowing) {
-  serve::ShardedLruCache cache(2, 1);
+  serve::LruCache cache(2);
   cache.put(key_of({1.0F}), response_with_latency(1.0));
   cache.put(key_of({1.0F}), response_with_latency(9.0));
   EXPECT_EQ(cache.stats().entries, 1U);
@@ -87,23 +88,8 @@ TEST(serve_cache, OverwriteRefreshesInsteadOfGrowing) {
   EXPECT_EQ(cache.stats().evictions, 0U);
 }
 
-TEST(serve_cache, ShardCountClampsToCapacity) {
-  // 64 shards over 4 entries must not create starved zero-capacity shards.
-  serve::ShardedLruCache cache(4, 64);
-  EXPECT_LE(cache.num_shards(), 4);
-  for (float v = 0.0F; v < 4.0F; v += 1.0F) {
-    cache.put(key_of({v}), response_with_latency(v));
-  }
-  int present = 0;
-  for (float v = 0.0F; v < 4.0F; v += 1.0F) {
-    present += cache.get(key_of({v})).has_value() ? 1 : 0;
-  }
-  EXPECT_GE(present, 1);
-  EXPECT_LE(cache.stats().entries, 4U);
-}
-
 TEST(serve_cache, ClearDropsEntriesAndCounters) {
-  serve::ShardedLruCache cache(4, 2);
+  serve::LruCache cache(4);
   cache.put(key_of({1.0F}), response_with_latency(1.0));
   (void)cache.get(key_of({1.0F}));
   cache.clear();
@@ -379,20 +365,6 @@ TEST_F(serve_service, SecondIdenticalQueryIsACacheHit) {
   EXPECT_EQ(stats.batcher.requests, 1U);  // only the miss reached the backend
 }
 
-TEST_F(serve_service, DisabledCacheAlwaysQueriesBackend) {
-  serve::ExactBackend backend(table_, accel::edap_cost());
-  serve::Service::Options opts;
-  opts.enable_cache = false;
-  opts.batch.max_batch = 1;
-  serve::Service service(backend, opts);
-
-  const Request req = request_for_seed(3);
-  (void)service.query(req);
-  const Response again = service.query(req);
-  EXPECT_FALSE(again.cached);
-  EXPECT_EQ(service.stats().batcher.requests, 2U);
-}
-
 TEST_F(serve_service, QueryManyPreservesOrderAndMemoizes) {
   serve::ExactBackend backend(table_, accel::edap_cost());
   serve::Service::Options opts;
@@ -503,6 +475,54 @@ TEST(serve_wire, ErrorLineEscapesItsMessage) {
             R"({"id": 2, "error": "say \"hi\"\u000a\u0009now"})");
 }
 
+TEST(serve_wire, NonIntegerOrOutOfRangeIdIsRejected) {
+  // An id that is not a whole integer in range must not be answered under
+  // a truncated, defaulted or saturated id that another request may own.
+  const arch::ArchSpace space(arch::cifar10_backbone());
+  const std::string arch = R"("arch": [0,1,2,3,4,5,6,0,1])";
+  for (const std::string id :
+       {"5.9", "\"6\"", "99999999999999999999", "-99999999999999999999",
+        "1e3", "null", "7x"}) {
+    const std::string line = "{\"id\": " + id + ", " + arch + "}";
+    const auto parsed = serve::wire::parse_request(line, space);
+    EXPECT_FALSE(parsed.ok) << line;
+    EXPECT_EQ(serve::wire::error_line(parsed.request.id, parsed.error),
+              R"({"id": -1, "error": "id must be an integer"})")
+        << line;
+  }
+  // Valid ids: followed by ',' or '}', with optional whitespace; a line
+  // without an id is still answered, under -1.
+  for (const auto& [line, id] : std::vector<std::pair<std::string, long>>{
+           {"{\"id\": 5 , " + arch + "}", 5},
+           {"{" + arch + ", \"id\": -3}", -3},
+           {"{" + arch + ", \"id\":12 }", 12},
+           {"{" + arch + "}", -1}}) {
+    const auto parsed = serve::wire::parse_request(line, space);
+    EXPECT_TRUE(parsed.ok) << line << ": " << parsed.error;
+    EXPECT_EQ(parsed.request.id, id) << line;
+  }
+}
+
+TEST(serve_wire, ArraysNeedExactlyOneCommaBetweenElements) {
+  const arch::ArchSpace space(arch::cifar10_backbone());
+  for (const char* ops :
+       {"[0,,1,2,3,4,5,6,0,1]", "[,0,1,2,3,4,5,6,0,1]", "[0,1,2,3,4,5,6,0,1,]",
+        "[0 1 2 3 4 5 6 0 1]", "[0,1,2,3,4,5,6,0 1]", "[,]", "[0,1,2"}) {
+    const std::string line = std::string(R"({"id": 4, "arch": )") + ops + "}";
+    const auto parsed = serve::wire::parse_request(line, space);
+    EXPECT_FALSE(parsed.ok) << ops;
+    EXPECT_EQ(parsed.error, "request needs an 'encoding' or 'arch' array")
+        << ops;
+  }
+  const auto spaced = serve::wire::parse_request(
+      R"({"id": 4, "arch": [ 0 , 1,2 ,3, 4,5,6,0,1 ]})", space);
+  EXPECT_TRUE(spaced.ok) << spaced.error;
+  EXPECT_EQ(spaced.request.encoding,
+            serve::wire::parse_request(
+                R"({"id": 4, "arch": [0,1,2,3,4,5,6,0,1]})", space)
+                .request.encoding);
+}
+
 TEST(serve_wire, StringValueSpelledLikeAKeyDoesNotShadowTheKey) {
   // `"model": "encoding"` carries the key name "encoding" as a value. It
   // must not be read as the "encoding" key (which would take the arch array
@@ -553,30 +573,22 @@ TEST(serve_wire, StringValueSpelledLikeAKeyDoesNotShadowTheKey) {
 
 TEST(serve_options, FromEnvParsesAndIgnoresGarbage) {
   setenv("DANCE_SERVE_CACHE_CAP", "128", 1);
-  setenv("DANCE_SERVE_SHARDS", "3", 1);
   setenv("DANCE_SERVE_MAX_BATCH", "7", 1);
   setenv("DANCE_SERVE_MAX_WAIT_US", "0", 1);
-  setenv("DANCE_SERVE_CACHE", "0", 1);
   auto opts = serve::Service::Options::from_env();
   EXPECT_EQ(opts.cache_capacity, 128U);
-  EXPECT_EQ(opts.cache_shards, 3);
   EXPECT_EQ(opts.batch.max_batch, 7);
   EXPECT_EQ(opts.batch.max_wait_us, 0);
-  EXPECT_FALSE(opts.enable_cache);
 
   setenv("DANCE_SERVE_CACHE_CAP", "garbage", 1);
   setenv("DANCE_SERVE_MAX_BATCH", "-4", 1);
-  setenv("DANCE_SERVE_CACHE", "1", 1);
   opts = serve::Service::Options::from_env();
   EXPECT_EQ(opts.cache_capacity, serve::Service::Options{}.cache_capacity);
   EXPECT_EQ(opts.batch.max_batch, serve::Service::Options{}.batch.max_batch);
-  EXPECT_TRUE(opts.enable_cache);
 
   unsetenv("DANCE_SERVE_CACHE_CAP");
-  unsetenv("DANCE_SERVE_SHARDS");
   unsetenv("DANCE_SERVE_MAX_BATCH");
   unsetenv("DANCE_SERVE_MAX_WAIT_US");
-  unsetenv("DANCE_SERVE_CACHE");
 }
 
 }  // namespace
