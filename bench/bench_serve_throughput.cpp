@@ -10,9 +10,6 @@
 //   cached+batched  Service::query_many in 512-request arrival windows
 //                   (LRU across windows + within-call dedup +
 //                   batched backend)
-// plus a degraded-mode row: the cached+batched stack with 10% injected
-// backend errors behind the resilience decorator (retries + fallback), to
-// price what fault tolerance costs when the backend actually misbehaves.
 // Expected shape: batching amortizes per-call overhead for a low-single-digit
 // multiple; the cache turns the ~75% repeats into lookups for >=5x combined.
 // The serial and batched answers are checked bit-identical first — the
@@ -63,11 +60,8 @@
 #include "arch/cost_table.h"
 #include "bench_common.h"
 #include "evalnet/evaluator.h"
-#include "fault/fault.h"
-#include "fault/faulty_backend.h"
 #include "registry/registry.h"
 #include "serve/backend.h"
-#include "serve/resilient.h"
 #include "serve/service.h"
 #include "util/csv.h"
 #include "util/table.h"
@@ -308,36 +302,6 @@ int main_comparison(const HotSwapResult& hot) {
   std::printf("cached+batched vs serial agreement: %s\n\n",
               service_identical ? "OK" : "FAILED — served answers diverge");
 
-  // Degraded mode: the same stack, but the primary sees a 10% injected
-  // error rate and the resilience decorator absorbs it (retry first, fall
-  // back to the bare surrogate when retries run out). Backoff is zeroed so
-  // the row prices the resilience machinery, not its sleeps.
-  auto injector = std::make_shared<fault::FaultInjector>(
-      fault::FaultSpec::parse("backend:error=0.1"), 0xFA17);
-  fault::FaultyBackend faulty(backend, injector);
-  serve::ResilientBackend::Options ropts;
-  ropts.retries = 3;
-  ropts.backoff_us = 0;
-  serve::ResilientBackend resilient_backend(faulty, &backend, ropts);
-  serve::Service resilient_service(resilient_backend, opts);
-  std::size_t degraded = 0;
-  const auto rstart = std::chrono::steady_clock::now();
-  for (std::size_t at = 0; at < e.trace.size(); at += kWindow) {
-    const std::size_t hi = std::min(at + kWindow, e.trace.size());
-    auto window = resilient_service.query_many(
-        std::span<const serve::Request>(e.trace.data() + at, hi - at));
-    for (const auto& r : window) {
-      if (r.degraded) ++degraded;
-    }
-  }
-  const double resilient_s = seconds_since(rstart);
-  const auto rstats = resilient_service.stats();
-  const double degraded_rate = n > 0.0 ? static_cast<double>(degraded) / n : 0.0;
-  std::printf("resilient replay under 10%% injected errors: retries=%llu "
-              "degraded=%zu (%.2f%% of responses)\n\n",
-              static_cast<unsigned long long>(resilient_backend.stats().retries),
-              degraded, 100.0 * degraded_rate);
-
   util::Table table({"mode", "requests", "seconds", "QPS", "speedup", "hit rate"});
   const double serial_qps = n / serial_s;
   table.add_row({"serial forward", std::to_string(e.trace.size()),
@@ -352,11 +316,6 @@ int main_comparison(const HotSwapResult& hot) {
                  util::Table::fmt(n / service_s, 0),
                  util::Table::fmt(serial_s / service_s, 2),
                  util::Table::fmt(100.0 * stats.cache.hit_rate(), 1) + "%"});
-  table.add_row({"resilient+10% faults", std::to_string(e.trace.size()),
-                 util::Table::fmt(resilient_s, 3),
-                 util::Table::fmt(n / resilient_s, 0),
-                 util::Table::fmt(serial_s / resilient_s, 2),
-                 util::Table::fmt(100.0 * rstats.cache.hit_rate(), 1) + "%"});
   table.add_row({"registry+hot swap", std::to_string(e.trace.size()),
                  util::Table::fmt(hot.seconds, 3),
                  util::Table::fmt(n / hot.seconds, 0),
@@ -372,34 +331,26 @@ int main_comparison(const HotSwapResult& hot) {
 
   util::CsvWriter csv(bench::data_path("serve_throughput.csv"),
                       {"mode", "requests", "unique_keys", "seconds", "qps",
-                       "speedup_vs_serial", "cache_hit_rate", "degraded_rate",
+                       "speedup_vs_serial", "cache_hit_rate",
                        "swap_window_qps", "swap_window_p99_us",
                        "steady_p99_us"});
   const std::string nreq = std::to_string(e.trace.size());
   const std::string nuniq = std::to_string(e.unique_keys.size());
   csv.add_row({"serial", nreq, nuniq, util::Table::fmt(serial_s, 4),
-               util::Table::fmt(serial_qps, 1), "1.0", "0", "0", "0", "0",
-               "0"});
+               util::Table::fmt(serial_qps, 1), "1.0", "0", "0", "0", "0"});
   csv.add_row({"batched", nreq, nuniq, util::Table::fmt(batched_s, 4),
                util::Table::fmt(n / batched_s, 1),
-               util::Table::fmt(serial_s / batched_s, 2), "0", "0", "0", "0",
+               util::Table::fmt(serial_s / batched_s, 2), "0", "0", "0",
                "0"});
   csv.add_row({"cached_batched", nreq, nuniq, util::Table::fmt(service_s, 4),
                util::Table::fmt(n / service_s, 1),
                util::Table::fmt(combined_speedup, 2),
-               util::Table::fmt(stats.cache.hit_rate(), 3), "0", "0", "0",
-               "0"});
-  csv.add_row({"resilient_faulted", nreq, nuniq,
-               util::Table::fmt(resilient_s, 4),
-               util::Table::fmt(n / resilient_s, 1),
-               util::Table::fmt(serial_s / resilient_s, 2),
-               util::Table::fmt(rstats.cache.hit_rate(), 3),
-               util::Table::fmt(degraded_rate, 4), "0", "0", "0"});
+               util::Table::fmt(stats.cache.hit_rate(), 3), "0", "0", "0"});
   csv.add_row({"registry_hotswap", nreq, nuniq,
                util::Table::fmt(hot.seconds, 4),
                util::Table::fmt(n / hot.seconds, 1),
                util::Table::fmt(serial_s / hot.seconds, 2),
-               util::Table::fmt(hot.hit_rate, 3), "0",
+               util::Table::fmt(hot.hit_rate, 3),
                util::Table::fmt(hot.swap_qps, 1),
                util::Table::fmt(hot.swap_p99_us, 2),
                util::Table::fmt(hot.steady_p99_us, 2)});

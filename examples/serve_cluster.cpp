@@ -39,6 +39,10 @@
 //                        "default"; requests may override per line)
 //   --shard-id=K         internal (shard role)
 //
+// DANCE_FAULT (net.accept/net.read/net.write sites) injects connection
+// faults into the router and every shard; the retrying net::Clients absorb
+// them. Each shard reports its count as `faults=` on its `drained:` line.
+//
 // Example:
 //   ./build/examples/serve_cluster --shards=2 --small \
 //       --listen=unix:/tmp/dance.sock &
@@ -60,6 +64,7 @@
 
 #include "cluster/router.h"
 #include "cluster/shard.h"
+#include "fault/fault.h"
 #include "net/client.h"
 #include "net/socket.h"
 #include "registry/registry.h"
@@ -233,10 +238,11 @@ int run_shard(const Args& args) {
   const auto stats = shard.net_stats();
   std::fprintf(stderr,
                "[shard %d] drained: requests=%llu accepted=%llu "
-               "protocol_errors=%llu\n",
+               "protocol_errors=%llu faults=%llu\n",
                args.shard_id, static_cast<unsigned long long>(stats.requests),
                static_cast<unsigned long long>(stats.accepted),
-               static_cast<unsigned long long>(stats.protocol_errors));
+               static_cast<unsigned long long>(stats.protocol_errors),
+               static_cast<unsigned long long>(stats.faults));
   std::fputs(service.stats_report().c_str(), stderr);
   return 0;
 }
@@ -395,6 +401,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "--registry and --snapshot-dir are mutually exclusive "
                  "(registry cache keys are generation-scoped)\n");
+    return 2;
+  }
+  // Every server reads DANCE_FAULT; reject a bad spec before forking shards.
+  try {
+    (void)fault::FaultSpec::from_env();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bad DANCE_FAULT: %s\n", e.what());
     return 2;
   }
   if (client_mode) {

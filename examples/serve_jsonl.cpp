@@ -4,8 +4,8 @@
 // stdout, and prints the service stats report to stderr at EOF. The request,
 // response and error forms are the wire protocol of src/serve/wire.h, e.g.
 //   {"id": 1, "arch": [0, 3, 6, 0, 1, 2, 4, 5, 0]}   per-slot op indices
-// Malformed lines get an error line and processing continues. "degraded"
-// marks answers from the resilience fallback tier. Both modes build their
+// Malformed lines get an error line and processing continues; "degraded"
+// is always false (wire.h says why the key stays). Both modes build their
 // backends with serve::make_backend and answer through serve::wire's one
 // per-line pipeline; the registry mode plugs in registry::Frontend.
 //
@@ -21,13 +21,6 @@
 //                              backend and the --recalibrate oracle.
 //   --hwgen-ckpt=PATH          load HwGenNet weights  (surrogate only)
 //   --cost-ckpt=PATH           load CostNet weights   (surrogate only)
-//   --fault=SPEC               install a fault injector (same grammar as
-//                              DANCE_FAULT; overrides the env variable)
-//   --resilient                wrap the backend in serve::ResilientBackend
-//                              (deadlines/retries/breaker via the
-//                              DANCE_SERVE_* knobs); with --backend=exact a
-//                              surrogate fallback tier is built so faulted
-//                              queries degrade instead of erroring
 //   --registry=DIR             serve from a model registry (docs/registry.md)
 //                              instead of a single backend: requests pin the
 //                              live generation of --model (or the request's
@@ -35,8 +28,8 @@
 //                              SIGHUP hot-swap externally published
 //                              generations, and responses carry
 //                              "generation". Mutually exclusive with
-//                              --backend/--fault/--resilient. Shadow A/B
-//                              mirroring follows DANCE_REGISTRY_SHADOW_PCT.
+//                              --backend. Shadow A/B mirroring follows
+//                              DANCE_REGISTRY_SHADOW_PCT.
 //   --model=NAME               default model for --registry (default:
 //                              "default")
 //   --recalibrate              with --registry: label served queries with
@@ -49,8 +42,6 @@
 //     ./build/examples/serve_jsonl --backend=exact --small
 //   ./build/examples/serve_jsonl --backend=surrogate
 //     --hwgen-ckpt=evaluator_hwgen.ckpt --cost-ckpt=evaluator_cost.ckpt < q.jsonl
-//   ./build/examples/serve_jsonl --small --resilient
-//     --fault='backend:error=0.2,latency=0.1:2000' < q.jsonl
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -59,14 +50,11 @@
 #include <string>
 
 #include "arch/cost_artifact.h"
-#include "fault/fault.h"
-#include "fault/faulty_backend.h"
 #include "obs/span.h"
 #include "registry/recalibrate.h"
 #include "registry/registry.h"
 #include "registry/serving.h"
 #include "registry/shadow.h"
-#include "serve/resilient.h"
 #include "serve/service.h"
 #include "serve/stack.h"
 #include "serve/wire.h"
@@ -93,11 +81,9 @@ void arm_sighup() {
 
 struct Args {
   serve::BackendSpec backend;
-  std::string fault_spec;
   std::string registry_dir;
   std::string model = "default";
   bool small = false;
-  bool resilient = false;
   bool recalibrate = false;
 };
 
@@ -198,8 +184,7 @@ int run_registry(const Args& args, const arch::ArchSpace& arch_space,
   }
 }
 
-/// Plain mode: one backend from serve::make_backend, optionally decorated
-/// with fault injection and resilience. Lines go through
+/// Plain mode: one backend from serve::make_backend. Lines go through
 /// serve::wire::answer_line.
 int run_plain(const Args& args, const arch::ArchSpace& arch_space,
               const hwgen::HwSearchSpace& hw_space) {
@@ -216,54 +201,10 @@ int run_plain(const Args& args, const arch::ArchSpace& arch_space,
     return 1;
   }
 
-  // Fault injection: --fault wins over DANCE_FAULT; either installs the
-  // injector globally (arming the pool-site hook when the spec asks for it)
-  // and decorates the backend with the "backend"-site chaos wrapper.
-  std::shared_ptr<fault::FaultInjector> injector;
-  try {
-    if (!args.fault_spec.empty()) {
-      injector = std::make_shared<fault::FaultInjector>(
-          fault::FaultSpec::parse(args.fault_spec),
-          util::env_u64("DANCE_FAULT_SEED", 0xFA17));
-      fault::install_global(injector);
-    } else {
-      injector = fault::install_from_env();
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bad fault spec: %s\n", e.what());
-    return 2;
-  }
-  std::unique_ptr<fault::FaultyBackend> faulty;
-  serve::CostQueryBackend* primary = backend.get();
-  if (injector) {
-    faulty = std::make_unique<fault::FaultyBackend>(*backend, injector);
-    primary = faulty.get();
-    std::fprintf(stderr, "[serve_jsonl] fault injection armed (seed=0x%llx)\n",
-                 static_cast<unsigned long long>(injector->seed()));
-  }
-
-  // Resilience: decorate the (possibly faulty) primary with deadlines,
-  // retries and the breaker. With an exact primary, an untrained-or-loaded
-  // surrogate acts as the degradation tier; a surrogate primary has no
-  // cheaper tier to fall back to.
-  std::unique_ptr<serve::CostQueryBackend> fallback;
-  std::unique_ptr<serve::ResilientBackend> resilient;
-  serve::CostQueryBackend* serving = primary;
-  if (args.resilient) {
-    if (args.backend.kind == "exact") {
-      serve::BackendSpec surrogate = args.backend;
-      surrogate.kind = "surrogate";
-      fallback = serve::make_backend(surrogate, arch_space, hw_space);
-    }
-    resilient = std::make_unique<serve::ResilientBackend>(
-        *primary, fallback.get(), serve::ResilientBackend::Options::from_env());
-    serving = resilient.get();
-  }
-
-  serve::Service service(*serving);  // options from DANCE_SERVE_* env
+  serve::Service service(*backend);  // options from DANCE_SERVE_* env
   std::fprintf(stderr,
                "[serve_jsonl] backend=%s, reading JSON lines from stdin\n",
-               serving->name());
+               backend->name());
   const std::string metrics_path = util::env_string("DANCE_METRICS_JSON", "");
   if (!metrics_path.empty()) {
     std::fprintf(stderr, "[serve_jsonl] metrics will be exported to %s at exit\n",
@@ -275,31 +216,6 @@ int run_plain(const Args& args, const arch::ArchSpace& arch_space,
   });
 
   std::fputs(service.stats_report().c_str(), stderr);
-  if (resilient) {
-    const auto rs = resilient->stats();
-    std::fprintf(stderr,
-                 "[serve_jsonl] resilience: primary_calls=%llu retries=%llu "
-                 "fallbacks=%llu deadline_expired=%llu breaker_opens=%llu "
-                 "breaker_closes=%llu shed=%llu\n",
-                 static_cast<unsigned long long>(rs.primary_calls),
-                 static_cast<unsigned long long>(rs.retries),
-                 static_cast<unsigned long long>(rs.fallbacks),
-                 static_cast<unsigned long long>(rs.deadline_expired),
-                 static_cast<unsigned long long>(rs.breaker_opens),
-                 static_cast<unsigned long long>(rs.breaker_closes),
-                 static_cast<unsigned long long>(service.stats().batcher.shed));
-  }
-  if (injector) {
-    const auto fs = injector->stats();
-    std::fprintf(stderr,
-                 "[serve_jsonl] faults injected: visits=%llu errors=%llu "
-                 "latency_spikes=%llu hangs=%llu\n",
-                 static_cast<unsigned long long>(fs.visits),
-                 static_cast<unsigned long long>(fs.errors),
-                 static_cast<unsigned long long>(fs.latency_spikes),
-                 static_cast<unsigned long long>(fs.hangs));
-    fault::install_global(nullptr);  // disarm the pool hook before teardown
-  }
   return 0;
 }
 
@@ -314,8 +230,6 @@ int main(int argc, char** argv) {
       args.backend.hwgen_ckpt = v;
     } else if (const char* v = util::flag_value(argv[i], "--cost-ckpt=")) {
       args.backend.cost_ckpt = v;
-    } else if (const char* v = util::flag_value(argv[i], "--fault=")) {
-      args.fault_spec = v;
     } else if (const char* v = util::flag_value(argv[i], "--registry=")) {
       args.registry_dir = v;
     } else if (const char* v = util::flag_value(argv[i], "--model=")) {
@@ -324,8 +238,6 @@ int main(int argc, char** argv) {
       args.backend.table_path = v;
     } else if (std::strcmp(argv[i], "--recalibrate") == 0) {
       args.recalibrate = true;
-    } else if (std::strcmp(argv[i], "--resilient") == 0) {
-      args.resilient = true;
     } else if (std::strcmp(argv[i], "--small") == 0) {
       args.small = true;
     } else {
@@ -335,12 +247,6 @@ int main(int argc, char** argv) {
   }
   if (args.backend.kind != "exact" && args.backend.kind != "surrogate") {
     std::fprintf(stderr, "--backend must be exact or surrogate\n");
-    return 2;
-  }
-  if (!args.registry_dir.empty() &&
-      (args.resilient || !args.fault_spec.empty())) {
-    std::fprintf(stderr,
-                 "--registry is mutually exclusive with --fault/--resilient\n");
     return 2;
   }
   if (args.recalibrate && args.registry_dir.empty()) {

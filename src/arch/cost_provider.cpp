@@ -75,34 +75,4 @@ hwgen::HwSearchResult TableCostProvider::optimal(
                                metrics(best_index, a), best_cost};
 }
 
-accel::CostMetrics TableCostProvider::expected_metrics(
-    std::size_t config_index,
-    const std::vector<std::vector<double>>& probs) const {
-  if (static_cast<int>(probs.size()) != view_.slots) {
-    throw std::invalid_argument("CostProvider::expected_metrics: slot mismatch");
-  }
-  if (config_index >= view_.num_configs) {
-    throw std::out_of_range("CostProvider::expected_metrics: bad config index");
-  }
-  double cycles = view_.fixed_cycles[config_index];
-  double energy = view_.fixed_energy[config_index];
-  for (int slot = 0; slot < view_.slots; ++slot) {
-    const auto& p = probs[static_cast<std::size_t>(slot)];
-    if (static_cast<int>(p.size()) != kNumCandidateOps) {
-      throw std::invalid_argument("CostProvider::expected_metrics: op mismatch");
-    }
-    for (int op = 0; op < kNumCandidateOps; ++op) {
-      cycles += p[static_cast<std::size_t>(op)] *
-                view_.choice_cycles[slot_offset(slot, op) + config_index];
-      energy += p[static_cast<std::size_t>(op)] *
-                view_.choice_energy[slot_offset(slot, op) + config_index];
-    }
-  }
-  accel::CostMetrics m;
-  m.latency_ms = cycles / (view_.clock_ghz * 1e6);
-  m.energy_mj = energy * 1e-9;
-  m.area_mm2 = view_.area[config_index];
-  return m;
-}
-
 }  // namespace dance::arch

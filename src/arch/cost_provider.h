@@ -37,12 +37,6 @@ class CostProvider {
   [[nodiscard]] virtual hwgen::HwSearchResult optimal(
       const Architecture& a, const accel::HwCostFn& cost_fn) const = 0;
 
-  /// Expected metrics under per-slot op probability distributions
-  /// `probs[slot][op]` for a fixed config.
-  [[nodiscard]] virtual accel::CostMetrics expected_metrics(
-      std::size_t config_index,
-      const std::vector<std::vector<double>>& probs) const = 0;
-
   [[nodiscard]] virtual const hwgen::HwSearchSpace& hw_space() const = 0;
   [[nodiscard]] virtual const ArchSpace& arch_space() const = 0;
 };
@@ -60,9 +54,6 @@ class TableCostProvider : public CostProvider {
       const Architecture& a) const override;
   [[nodiscard]] hwgen::HwSearchResult optimal(
       const Architecture& a, const accel::HwCostFn& cost_fn) const override;
-  [[nodiscard]] accel::CostMetrics expected_metrics(
-      std::size_t config_index,
-      const std::vector<std::vector<double>>& probs) const override;
 
  protected:
   /// Borrowed pointers into the derived class's storage. Layout:

@@ -32,7 +32,7 @@ class SnapshotError : public std::runtime_error {
 ///     f64 latency_ms, f64 energy_mj, f64 area_mm2
 ///     i32 pe_x, i32 pe_y, i32 rf_size
 ///     u8  dataflow              index into accel::kAllDataflows
-///     u8  flags          = 0    (cached/degraded are per-query, not stored)
+///     u8  flags          = 0    (reserved; `cached` is per-query, not stored)
 ///   u64 checksum                FNV-1a over every preceding byte
 ///
 /// Entries are written in LruCache::entries() order (least-recently-used

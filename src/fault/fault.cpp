@@ -5,7 +5,6 @@
 #include <thread>
 #include <utility>
 
-#include "runtime/thread_pool.h"
 #include "testing/property.h"
 #include "util/env.h"
 
@@ -79,17 +78,18 @@ FaultSpec FaultSpec::parse(const std::string& text) {
     clause_begin = clause_end + 1;
     if (clause.empty()) continue;
 
-    // A ':' before the first '=' is a site prefix (the ':' inside
-    // latency=P:US comes after the '=').
-    std::string site = kBackendSite;
-    std::string body = clause;
+    // The site prefix ends at the first ':' before the first '=' (the ':'
+    // inside latency=P:US comes after the '=').
     const std::size_t colon = clause.find(':');
     const std::size_t eq = clause.find('=');
-    if (colon != std::string::npos &&
-        (eq == std::string::npos || colon < eq)) {
-      site = trim(clause.substr(0, colon));
-      body = clause.substr(colon + 1);
-      if (site.empty()) bad_spec("empty site name in clause", clause);
+    if (colon == std::string::npos || (eq != std::string::npos && eq < colon)) {
+      bad_spec("clause needs a site prefix", clause);
+    }
+    const std::string site = trim(clause.substr(0, colon));
+    const std::string body = clause.substr(colon + 1);
+    if (site != kNetAcceptSite && site != kNetReadSite &&
+        site != kNetWriteSite) {
+      bad_spec("unknown site (net.accept, net.read or net.write)", site);
     }
 
     SiteSpec& s = out.sites[site];
@@ -188,6 +188,13 @@ void FaultInjector::at(const std::string& site) {
   }
 }
 
+std::shared_ptr<FaultInjector> FaultInjector::from_env() {
+  FaultSpec spec = FaultSpec::from_env();
+  if (spec.empty()) return nullptr;
+  return std::make_shared<FaultInjector>(
+      std::move(spec), util::env_u64("DANCE_FAULT_SEED", 0xFA17));
+}
+
 FaultInjector::Stats FaultInjector::stats() const {
   Stats out;
   out.visits = visits_.load(std::memory_order_relaxed);
@@ -195,52 +202,6 @@ FaultInjector::Stats FaultInjector::stats() const {
   out.latency_spikes = latency_.load(std::memory_order_relaxed);
   out.hangs = hangs_.load(std::memory_order_relaxed);
   return out;
-}
-
-namespace {
-
-std::mutex g_injector_mu;
-std::shared_ptr<FaultInjector> g_injector;  // NOLINT: guarded by g_injector_mu
-
-/// The pool's job-boundary hook. Copies the shared_ptr out under the lock
-/// so an uninstall racing a pool job cannot free the injector mid-visit.
-void pool_boundary_hook() {
-  std::shared_ptr<FaultInjector> injector;
-  {
-    std::lock_guard<std::mutex> lk(g_injector_mu);
-    injector = g_injector;
-  }
-  if (injector) injector->at(kPoolSite);
-}
-
-}  // namespace
-
-void install_global(std::shared_ptr<FaultInjector> injector) {
-  const bool want_pool_hook =
-      injector != nullptr && injector->spec().active_at(kPoolSite);
-  {
-    std::lock_guard<std::mutex> lk(g_injector_mu);
-    g_injector = std::move(injector);
-  }
-  runtime::set_job_boundary_hook(want_pool_hook ? &pool_boundary_hook
-                                                : nullptr);
-}
-
-std::shared_ptr<FaultInjector> global_injector() {
-  std::lock_guard<std::mutex> lk(g_injector_mu);
-  return g_injector;
-}
-
-std::shared_ptr<FaultInjector> install_from_env() {
-  FaultSpec spec = FaultSpec::from_env();
-  if (spec.empty()) {
-    install_global(nullptr);
-    return nullptr;
-  }
-  const std::uint64_t seed = util::env_u64("DANCE_FAULT_SEED", 0xFA17);
-  auto injector = std::make_shared<FaultInjector>(std::move(spec), seed);
-  install_global(injector);
-  return injector;
 }
 
 }  // namespace dance::fault

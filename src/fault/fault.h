@@ -14,25 +14,25 @@
 namespace dance::fault {
 
 /// The error an injector raises at a faulted site. Deliberately a plain
-/// std::runtime_error subtype: resilience code must treat it like any other
-/// transient backend failure, and tests can still catch it by exact type to
-/// prove a failure was injected rather than organic.
+/// std::runtime_error subtype: net::Server turns it into the same
+/// connection failure an organic one causes, and tests can still catch it
+/// by exact type to prove a failure was injected rather than organic.
 class InjectedFault : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
 
-/// Injection sites wired up by this library. Backends decorated with
-/// FaultyBackend visit `kBackendSite` once per query_batch; the runtime
-/// thread pool visits `kPoolSite` once per submitted job (via the
-/// job-boundary hook) when a global injector with an active pool site is
-/// installed. Specs may name other sites; they are simply never visited
-/// until someone calls `FaultInjector::at` with that name.
-inline constexpr const char* kBackendSite = "backend";
-inline constexpr const char* kPoolSite = "pool";
+/// The injection sites, all in the net::Server connection layer. An
+/// injected error at accept drops the new connection; at read/write it
+/// fails the connection, dropping its queued lines: the failure the
+/// retrying net::Client is built to absorb. These are the only site names a
+/// spec may use.
+inline constexpr const char* kNetAcceptSite = "net.accept";
+inline constexpr const char* kNetReadSite = "net.read";
+inline constexpr const char* kNetWriteSite = "net.write";
 
 /// Fault probabilities for one injection site. Rates are per *visit*
-/// (per backend batch call / per pool job), independent draws.
+/// (per accepted connection / per read or write), independent draws.
 struct SiteSpec {
   double error_rate = 0.0;    ///< P(throw InjectedFault)
   double latency_rate = 0.0;  ///< P(sleep latency_us)
@@ -50,17 +50,19 @@ struct SiteSpec {
 ///
 /// Grammar (whitespace around tokens ignored):
 ///   spec    := clause (';' clause)*
-///   clause  := [site ':'] pair (',' pair)*
+///   clause  := site ':' pair (',' pair)*
+///   site    := 'net.accept' | 'net.read' | 'net.write'
 ///   pair    := 'error'   '=' rate
 ///            | 'latency' '=' rate [':' micros]
 ///            | 'hang'    '=' rate [':' micros]
-/// A clause without a site prefix targets "backend". Examples:
-///   error=0.1
-///   backend:error=0.1,latency=0.05:2000;pool:hang=0.01:10000
+/// Examples:
+///   net.read:error=0.1
+///   net.read:error=0.1,latency=0.05:2000;net.write:hang=0.01:10000
 /// Rates must parse and lie in [0, 1]; durations must be positive integers.
-/// Unlike the env knobs (fallback on garbage), a malformed chaos spec
-/// throws std::invalid_argument — silently not injecting the faults an
-/// operator asked for would make a chaos run vacuously green.
+/// Unlike the env knobs (fallback on garbage), a malformed chaos spec, a
+/// clause without a site and an unknown site all throw
+/// std::invalid_argument: silently not injecting the faults an operator
+/// asked for would make a chaos run vacuously green.
 struct FaultSpec {
   std::map<std::string, SiteSpec> sites;
 
@@ -73,7 +75,8 @@ struct FaultSpec {
   [[nodiscard]] bool active_at(const std::string& site) const;
 };
 
-/// Seeded fault source shared by every injection site in a process.
+/// Seeded fault source for the sites of one server (or of several that
+/// share it).
 ///
 /// Each site owns an independent util::Rng stream derived from
 /// testing::mix_seed(seed, fnv1a(site)), and every visit draws the same
@@ -87,6 +90,11 @@ struct FaultSpec {
 class FaultInjector {
  public:
   FaultInjector(FaultSpec spec, std::uint64_t seed);
+
+  /// Builds the injector DANCE_FAULT asks for (seeded by DANCE_FAULT_SEED,
+  /// default 0xFA17); null when DANCE_FAULT is unset or empty. Throws
+  /// std::invalid_argument on a malformed spec.
+  [[nodiscard]] static std::shared_ptr<FaultInjector> from_env();
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -126,20 +134,5 @@ class FaultInjector {
   obs::Counter& obs_latency_;
   obs::Counter& obs_hangs_;
 };
-
-/// Installs `injector` as the process-global fault source (nullptr
-/// uninstalls). When the injector's spec has an active "pool" site this
-/// also arms the runtime thread pool's job-boundary hook; otherwise the
-/// hook is cleared, so fault-free operation costs the pool one null check.
-void install_global(std::shared_ptr<FaultInjector> injector);
-
-/// The currently installed global injector (may be null).
-[[nodiscard]] std::shared_ptr<FaultInjector> global_injector();
-
-/// Convenience for main()s: parse DANCE_FAULT (+ DANCE_FAULT_SEED, default
-/// 0xFA17), build and install the injector, and return it. Returns null —
-/// and uninstalls any previous global — when DANCE_FAULT is unset/empty.
-/// Throws std::invalid_argument on a malformed spec.
-std::shared_ptr<FaultInjector> install_from_env();
 
 }  // namespace dance::fault

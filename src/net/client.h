@@ -10,12 +10,13 @@
 
 namespace dance::net {
 
-/// Blocking request/response client for the line protocol, with the
-/// resilience story the chaos tests lean on: any connection-level failure
-/// (dial refused, reset, EOF mid-exchange, truncated frame) tears the
-/// connection down and retries the whole exchange on a fresh one, up to
-/// `retries` times with linear backoff. Safe because cost queries are pure
-/// and idempotent — a resend can only re-answer, never double-apply.
+/// Blocking request/response client for the line protocol, carrying the
+/// system's only retry policy (the chaos tests lean on it): any
+/// connection-level failure (dial refused, reset, EOF mid-exchange,
+/// truncated frame) tears the connection down and retries the whole
+/// exchange on a fresh one, up to `retries` times with linear backoff.
+/// Safe because cost queries are pure and idempotent — a resend can only
+/// re-answer, never double-apply.
 ///
 /// Not thread-safe: callers own one Client per thread or pool them (the
 /// Router keeps a small per-shard pool).

@@ -32,6 +32,7 @@ Server::Options Server::Options::from_env() {
   opts.backlog = util::env_int("DANCE_CLUSTER_BACKLOG", opts.backlog, 1);
   opts.max_line_bytes = static_cast<std::size_t>(util::env_long(
       "DANCE_CLUSTER_MAX_LINE", static_cast<long>(opts.max_line_bytes), 64));
+  opts.injector = fault::FaultInjector::from_env();
   return opts;
 }
 
@@ -51,7 +52,6 @@ Server::~Server() { stop(); }
 
 Endpoint Server::start(const Endpoint& listen_at) {
   if (started_) throw NetError("Server::start called twice");
-  if (!opts_.injector) opts_.injector = fault::global_injector();
 
   listen_fd_ = listen_on(listen_at, opts_.backlog);
   set_nonblocking(listen_fd_.get(), true);
@@ -170,7 +170,7 @@ void Server::finalize(const ConnPtr& conn) {
 void Server::handle_readable(const ConnPtr& conn) {
   if (opts_.injector) {
     try {
-      opts_.injector->at(kReadSite);
+      opts_.injector->at(fault::kNetReadSite);
     } catch (const fault::InjectedFault&) {
       {
         std::lock_guard<std::mutex> lk(mu_);
@@ -275,7 +275,7 @@ void Server::io_loop() {
           if (opts_.injector) {
             bool faulted = false;
             try {
-              opts_.injector->at(kAcceptSite);
+              opts_.injector->at(fault::kNetAcceptSite);
             } catch (const fault::InjectedFault&) {
               faulted = true;
             }
@@ -401,7 +401,7 @@ void Server::worker_loop() {
       response.push_back('\n');
       std::lock_guard<std::mutex> wl(conn->write_mu);
       try {
-        if (opts_.injector) opts_.injector->at(kWriteSite);
+        if (opts_.injector) opts_.injector->at(fault::kNetWriteSite);
         write_all(conn->fd, response.data(), response.size());
       } catch (const fault::InjectedFault&) {
         write_failed = true;

@@ -18,15 +18,6 @@
 
 namespace dance::net {
 
-/// DANCE_FAULT sites wired into the connection layer (see fault::FaultSpec
-/// grammar — dotted site names parse fine: "net.read:error=0.1"). An
-/// injected error at accept drops the new connection; at read/write it
-/// fails the connection, dropping its queued lines — exactly the failure
-/// the retrying Client is built to absorb.
-inline constexpr const char* kAcceptSite = "net.accept";
-inline constexpr const char* kReadSite = "net.read";
-inline constexpr const char* kWriteSite = "net.write";
-
 /// Epoll + worker-pool line-protocol server (TCP or unix-domain).
 ///
 /// One IO thread owns the epoll set: it accepts connections, reads whatever
@@ -51,13 +42,13 @@ class Server {
     int workers = 4;                      ///< handler threads
     int backlog = 64;                     ///< listen(2) backlog
     std::size_t max_line_bytes = 1 << 20; ///< oversize-frame cutoff
-    /// Chaos source for the net.* sites; defaulted from
-    /// fault::global_injector() at start() when unset.
+    /// Chaos source for the fault::kNet*Site sites (null = no faults).
     std::shared_ptr<fault::FaultInjector> injector;
 
     /// DANCE_CLUSTER_WORKERS / DANCE_CLUSTER_BACKLOG /
     /// DANCE_CLUSTER_MAX_LINE override the defaults (positive integers;
-    /// garbage ignored).
+    /// garbage ignored); the injector is fault::FaultInjector::from_env(),
+    /// so DANCE_FAULT reaches every server built from env options.
     [[nodiscard]] static Options from_env();
   };
 

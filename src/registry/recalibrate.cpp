@@ -51,8 +51,8 @@ void Recalibrator::label_queued(std::deque<std::vector<float>> batch) {
   std::vector<serve::Request> requests;
   requests.reserve(batch.size());
   for (auto& enc : batch) requests.push_back(serve::Request{std::move(enc)});
-  // Ground-truth labeling. The oracle is the raw exact backend (never the
-  // resilient decorator): a degraded answer must not become a label.
+  // Ground-truth labeling: the oracle is the exact backend, so every answer
+  // is a label.
   const std::vector<serve::Response> answers = oracle_.query_batch(requests);
 
   const hwgen::HwSearchSpace& hw = registry_.hw_space();
@@ -60,7 +60,6 @@ void Recalibrator::label_queued(std::deque<std::vector<float>> batch) {
   labeled.reserve(answers.size());
   for (std::size_t i = 0; i < answers.size(); ++i) {
     const serve::Response& r = answers[i];
-    if (r.degraded) continue;
     evalnet::EvalSample s;
     s.arch_enc = requests[i].encoding;
     s.hw_labels = {hw.pe_index(r.config.pe_x), hw.pe_index(r.config.pe_y),

@@ -45,9 +45,7 @@ std::string Frontend::answer_line(const std::string& line,
     // generation by construction) and snapshot-restored entries.
     response.generation = pin->generation();
     if (shadow_ != nullptr) shadow_->observe(model, request.encoding, response);
-    if (recal_ != nullptr && !response.degraded) {
-      recal_->observe(request.encoding);
-    }
+    if (recal_ != nullptr) recal_->observe(request.encoding);
     return response;
   });
 }

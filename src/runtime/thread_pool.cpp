@@ -16,15 +16,7 @@ thread_local const ThreadPool* tl_running_in = nullptr;
 /// SerialGuard nesting depth for the current thread.
 thread_local int tl_force_serial = 0;
 
-/// Job-boundary chaos hook; null in normal operation (one relaxed-ish
-/// atomic load per parallel loop when uninstalled).
-std::atomic<JobBoundaryHook> g_job_boundary_hook{nullptr};
-
 }  // namespace
-
-void set_job_boundary_hook(JobBoundaryHook hook) {
-  g_job_boundary_hook.store(hook, std::memory_order_release);
-}
 
 ThreadPool::ThreadPool(int num_threads) {
   const int extra = std::max(0, num_threads - 1);
@@ -79,9 +71,6 @@ void ThreadPool::work_on(Job& job) {
 void ThreadPool::run(long begin, long end, long grain, RangeFn fn, void* ctx) {
   const long n = end - begin;
   if (n <= 0) return;
-  if (JobBoundaryHook hook = g_job_boundary_hook.load(std::memory_order_acquire)) {
-    hook();  // runs on the caller: may sleep or throw (fault injection)
-  }
   if (grain < 1) grain = 1;
   const long lanes = num_threads();
   long parts = std::min<long>(lanes, (n + grain - 1) / grain);

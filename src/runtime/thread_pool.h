@@ -89,18 +89,6 @@ class ThreadPool {
   std::mutex submit_mu_;  ///< serializes jobs from distinct external threads
 };
 
-/// Chaos/test hook invoked on the *submitting* thread at every pool job
-/// boundary — the top of `ThreadPool::run`, before dispatch, including
-/// ranges that end up running inline. Because it runs on the caller, the
-/// hook may sleep (latency injection) or throw (error injection) and the
-/// exception propagates to whoever issued the parallel loop, exactly like a
-/// failure inside the loop body would on a serial run. Installed by the
-/// dance::fault layer; never invoked while null.
-using JobBoundaryHook = void (*)();
-
-/// Atomically installs (or, with nullptr, removes) the job-boundary hook.
-void set_job_boundary_hook(JobBoundaryHook hook);
-
 /// Lane count the global pool is built with: `DANCE_NUM_THREADS` if set to a
 /// positive integer, else `std::thread::hardware_concurrency()` (min 1).
 /// Reads the environment on every call; the global pool samples it once.

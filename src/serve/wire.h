@@ -27,6 +27,9 @@ namespace dance::serve::wire {
 ///   {"id": 1, "latency_ms": ..., "energy_mj": ..., "area_mm2": ...,
 ///    "pe_x": 16, "pe_y": 16, "rf_size": 32, "dataflow": "RS",
 ///    "cached": false, "degraded": false}
+/// `degraded` is always `false`: no serving path answers from a fallback
+/// tier. The key stays so every existing client and recorded stream keeps
+/// parsing the same bytes; dropping it is a wire-format change.
 /// Registry-served responses append `, "generation": N` (N > 0). The field
 /// is omitted when generation is 0 so non-registry deployments keep the
 /// exact historical bytes (the cluster CI smoke diffs them).

@@ -162,26 +162,6 @@ TEST(CostTable, OptimalMatchesExhaustive) {
   EXPECT_NEAR(via_table.cost, via_direct.cost, 1e-9 * via_direct.cost);
 }
 
-TEST(CostTable, ExpectedMetricsAtOneHotEqualsMetrics) {
-  ArchSpace arch_space(cifar10_backbone());
-  hwgen::HwSearchSpace hw_space(
-      {.pe_min = 8, .pe_max = 9, .rf_min = 16, .rf_max = 16, .rf_step = 4});
-  accel::CostModel model;
-  CostTable table(arch_space, hw_space, model);
-  util::Rng rng(13);
-  const Architecture a = arch_space.random(rng);
-  std::vector<std::vector<double>> probs(
-      9, std::vector<double>(kNumCandidateOps, 0.0));
-  for (int s = 0; s < 9; ++s) {
-    probs[static_cast<std::size_t>(s)][static_cast<std::size_t>(
-        a[static_cast<std::size_t>(s)])] = 1.0;
-  }
-  const auto expected = table.expected_metrics(0, probs);
-  const auto exact = table.metrics(0, a);
-  EXPECT_NEAR(expected.latency_ms, exact.latency_ms, 1e-12);
-  EXPECT_NEAR(expected.energy_mj, exact.energy_mj, 1e-12);
-}
-
 TEST(CostTable, ZeroHeavyArchIsCheaper) {
   ArchSpace arch_space(cifar10_backbone());
   hwgen::HwSearchSpace hw_space(

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -21,6 +22,7 @@
 #include "cluster/router.h"
 #include "cluster/shard.h"
 #include "cluster/snapshot.h"
+#include "fault/fault.h"
 #include "net/client.h"
 #include "serve/backend.h"
 #include "serve/service.h"
@@ -345,6 +347,25 @@ TEST(cluster_router, UnreachableShardYieldsErrorLineNotCrash) {
       "{\"id\": 3, \"arch\": [0, 0, 0, 0, 0, 0, 0, 0, 0]}");
   EXPECT_NE(response.find("\"error\""), std::string::npos) << response;
   EXPECT_NE(response.find("\"id\": 3"), std::string::npos) << response;
+}
+
+// --- DANCE_FAULT ------------------------------------------------------------
+
+TEST(net_server, EnvFaultSpecArmsTheNetSites) {
+  // serve_cluster builds every router and shard from env options, so this
+  // is the path that carries DANCE_FAULT into a running cluster.
+  const char* saved = std::getenv("DANCE_FAULT");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  setenv("DANCE_FAULT", "net.read:error=1", 1);
+  const auto opts = cluster::ShardServer::Options::from_env();
+  if (saved != nullptr) {
+    setenv("DANCE_FAULT", saved_value.c_str(), 1);
+  } else {
+    unsetenv("DANCE_FAULT");
+  }
+  ASSERT_NE(opts.net.injector, nullptr);
+  EXPECT_TRUE(opts.net.injector->spec().active_at(fault::kNetReadSite));
+  EXPECT_FALSE(opts.net.injector->spec().active_at(fault::kNetWriteSite));
 }
 
 }  // namespace

@@ -60,33 +60,6 @@ TEST(Contracts, SupernetEncodingMatchesArchSpaceEncoding) {
   }
 }
 
-TEST(Contracts, ExpectedMetricsBoundedByExtremes) {
-  // The expected metrics under any per-slot distribution lie between the
-  // all-cheapest and all-most-expensive architectures' metrics (linearity
-  // of the relaxation per config).
-  arch::ArchSpace space(arch::cifar10_backbone());
-  hwgen::HwSearchSpace hw_space(
-      {.pe_min = 10, .pe_max = 10, .rf_min = 16, .rf_max = 16, .rf_step = 4});
-  accel::CostModel model;
-  arch::CostTable table(space, hw_space, model);
-
-  // Uniform distribution over ops in every slot.
-  std::vector<std::vector<double>> uniform(
-      9, std::vector<double>(arch::kNumCandidateOps,
-                             1.0 / arch::kNumCandidateOps));
-  const auto expected = table.expected_metrics(0, uniform);
-
-  double min_lat = 1e300;
-  double max_lat = 0.0;
-  for (const auto op : arch::kAllCandidateOps) {
-    const auto m = table.metrics(0, arch::Architecture(9, op));
-    min_lat = std::min(min_lat, m.latency_ms);
-    max_lat = std::max(max_lat, m.latency_ms);
-  }
-  EXPECT_GE(expected.latency_ms, min_lat);
-  EXPECT_LE(expected.latency_ms, max_lat);
-}
-
 TEST(Contracts, SuperNetBlockCountMustMatchBackbone) {
   // The DANCE loop feeds supernet gate encodings into an evaluator trained
   // on ArchSpace encodings; widths only line up when block counts match.

@@ -1,8 +1,7 @@
 // Property suite: the cost-table pipeline end to end. Fuzzes the claims the
 // DCTB artifact makes (src/arch/cost_artifact.h):
 //   - an MmapCostTable answers bit-identically to the in-memory CostTable
-//     it was compiled from, on randomized architectures and soft
-//     distributions;
+//     it was compiled from, on randomized architectures;
 //   - the pool-parallel table build is bit-identical to a serial build
 //     (checksum equality over the whole storage);
 //   - a random single-byte corruption anywhere in a DCTB file is rejected
@@ -89,7 +88,7 @@ TEST(costtable_property, MmapBitIdenticalToInMemoryOnRandomArchs) {
   const auto cost_fn = accel::edap_cost();
   const auto result = testing_::check<arch::Architecture>(
       "mmap vs in-memory cost table", architecture_gen(),
-      [&](const arch::Architecture& a, util::Rng& rng) -> std::string {
+      [&](const arch::Architecture& a, util::Rng&) -> std::string {
         const auto mem = e.table.evaluate_all(a);
         const auto mm = mapped.evaluate_all(a);
         if (mem.size() != mm.size()) return "evaluate_all size mismatch";
@@ -102,26 +101,6 @@ TEST(costtable_property, MmapBitIdenticalToInMemoryOnRandomArchs) {
         if (!(best_mem.config == best_mm.config) ||
             best_mem.cost != best_mm.cost) {
           return "optimal() disagrees";
-        }
-        // Random soft per-slot distribution: the expected-metrics query the
-        // differentiable search uses.
-        std::vector<std::vector<double>> probs(
-            static_cast<std::size_t>(e.arch_space.num_searchable()));
-        for (auto& slot : probs) {
-          slot.resize(arch::kNumCandidateOps);
-          double total = 0.0;
-          for (auto& p : slot) {
-            p = rng.uniform();
-            total += p;
-          }
-          for (auto& p : slot) p /= total;
-        }
-        const std::size_t ci = static_cast<std::size_t>(
-            rng.randint(0, static_cast<int>(e.hw_space.size()) - 1));
-        const auto em = e.table.expected_metrics(ci, probs);
-        const auto mmx = mapped.expected_metrics(ci, probs);
-        if (std::memcmp(&em, &mmx, sizeof(em)) != 0) {
-          return "expected_metrics not bit-identical";
         }
         return "";
       });

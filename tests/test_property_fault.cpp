@@ -1,32 +1,17 @@
-// Property-based tests for the fault-injection layer and the resilience
-// decorator. Lowercase "fault" in the suite names keeps `ctest -R fault`
-// selecting these (as "property.fault_*") alongside the unit suites.
+// Property-based tests for the fault-injection layer. Lowercase "fault" in
+// the suite name keeps `ctest -R fault` selecting it (as
+// "property.fault_properties.*") alongside the unit suites.
 //
-// The invariants:
-//   * resilience-never-lies: under any error rate, every query either
-//     returns the primary's bit-exact answer (degraded=false) or is
-//     honestly flagged degraded — and never throws while a fallback exists.
-//   * replay determinism: an injector is a pure function of (spec, seed,
-//     visit sequence).
-//   * breaker model: with an always-failing primary and an effectively
-//     infinite cooldown, the primary sees exactly `threshold` calls no
-//     matter how much traffic arrives.
+// The invariant, replay determinism: an injector is a pure function of
+// (spec, seed, visit sequence).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <limits>
-#include <memory>
-#include <span>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "fault/fault.h"
-#include "fault/faulty_backend.h"
-#include "serve/backend.h"
-#include "serve/resilient.h"
 #include "testing/property.h"
 #include "util/rng.h"
 
@@ -35,51 +20,6 @@ namespace testing_ = dance::testing;
 namespace {
 
 using namespace dance;
-using serve::Request;
-using serve::Response;
-
-/// Deterministic echo backend: latency = offset + sum(encoding).
-class EchoBackend : public serve::CostQueryBackend {
- public:
-  explicit EchoBackend(double offset = 0.0) : offset_(offset) {}
-  std::vector<Response> query_batch(
-      std::span<const Request> requests) override {
-    calls_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<Response> out;
-    out.reserve(requests.size());
-    for (const Request& r : requests) {
-      double sum = offset_;
-      for (float v : r.encoding) sum += v;
-      Response resp;
-      resp.metrics.latency_ms = sum;
-      out.push_back(resp);
-    }
-    return out;
-  }
-  const char* name() const override { return "echo"; }
-  [[nodiscard]] int calls() const {
-    return calls_.load(std::memory_order_relaxed);
-  }
-
- private:
-  double offset_;
-  std::atomic<int> calls_{0};
-};
-
-class AlwaysFailBackend : public serve::CostQueryBackend {
- public:
-  std::vector<Response> query_batch(std::span<const Request>) override {
-    calls_.fetch_add(1, std::memory_order_relaxed);
-    throw std::runtime_error("always down");
-  }
-  const char* name() const override { return "down"; }
-  [[nodiscard]] int calls() const {
-    return calls_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<int> calls_{0};
-};
 
 struct FaultScenario {
   double error_rate = 0.0;
@@ -105,53 +45,13 @@ testing_::Generator<FaultScenario> scenario_generator() {
   return gen;
 }
 
-TEST(fault_properties, ResilientResponsesAreExactOrHonestlyDegraded) {
-  const auto result = testing_::check<FaultScenario>(
-      "resilience never lies", scenario_generator(),
-      [](const FaultScenario& s, util::Rng& rng) -> std::string {
-        std::ostringstream spec;
-        spec << "backend:error=" << s.error_rate;
-        auto injector = std::make_shared<fault::FaultInjector>(
-            fault::FaultSpec::parse(spec.str()), s.seed);
-        EchoBackend primary_inner;            // truth: latency = sum
-        EchoBackend fallback(1000000.0);      // tier-2: clearly offset
-        fault::FaultyBackend faulty(primary_inner, injector);
-        serve::ResilientBackend::Options opts;
-        opts.retries = 2;
-        opts.backoff_us = 0;
-        serve::ResilientBackend resilient(faulty, &fallback, opts);
-
-        for (int q = 0; q < s.queries; ++q) {
-          std::vector<float> enc = {rng.uniform(), rng.uniform(),
-                                    rng.uniform()};
-          const Request req{enc};
-          // With a fallback tier configured, the decorator must never
-          // throw (the check harness counts exceptions as failures).
-          const auto responses = resilient.query_batch({&req, 1});
-          if (responses.size() != 1) return "response count mismatch";
-          const auto truth = primary_inner.query_batch({&req, 1});
-          const double got = responses[0].metrics.latency_ms;
-          if (responses[0].degraded) {
-            // Honest degradation: the answer is the fallback's.
-            if (got != truth[0].metrics.latency_ms + 1000000.0) {
-              return "degraded response is not the fallback's answer";
-            }
-          } else if (got != truth[0].metrics.latency_ms) {
-            return "non-degraded response diverges from the primary";
-          }
-        }
-        return "";
-      });
-  EXPECT_TRUE(result.ok) << result.report;
-}
-
 TEST(fault_properties, InjectorIsAPureFunctionOfSpecSeedAndVisits) {
   const auto result = testing_::check<FaultScenario>(
       "fault replay determinism", scenario_generator(),
       [](const FaultScenario& s, util::Rng&) -> std::string {
         std::ostringstream spec_text;
-        spec_text << "backend:error=" << s.error_rate
-                  << ";pool:error=" << s.error_rate / 2.0;
+        spec_text << fault::kNetReadSite << ":error=" << s.error_rate << ";"
+                  << fault::kNetWriteSite << ":error=" << s.error_rate / 2.0;
         const auto spec = fault::FaultSpec::parse(spec_text.str());
         fault::FaultInjector a(spec, s.seed);
         fault::FaultInjector b(spec, s.seed);
@@ -160,7 +60,7 @@ TEST(fault_properties, InjectorIsAPureFunctionOfSpecSeedAndVisits) {
         std::vector<bool> pb;
         for (int i = 0; i < visits; ++i) {
           const std::string site =
-              (i % 3 == 0) ? fault::kPoolSite : fault::kBackendSite;
+              (i % 3 == 0) ? fault::kNetWriteSite : fault::kNetReadSite;
           for (auto* pattern : {&pa, &pb}) {
             fault::FaultInjector& inj = (pattern == &pa) ? a : b;
             bool threw = false;
@@ -176,51 +76,6 @@ TEST(fault_properties, InjectorIsAPureFunctionOfSpecSeedAndVisits) {
         if (a.stats().errors != b.stats().errors) {
           return "identical seeds produced different error counts";
         }
-        return "";
-      });
-  EXPECT_TRUE(result.ok) << result.report;
-}
-
-TEST(fault_properties, BreakerAdmitsExactlyThresholdCallsWhileOpen) {
-  testing_::Generator<int> gen;
-  gen.sample = [](util::Rng& rng) { return rng.randint(1, 6); };
-  gen.shrink = [](const int& v) {
-    std::vector<int> out;
-    for (long c : testing_::shrink_toward(v, 1)) out.push_back(static_cast<int>(c));
-    return out;
-  };
-  gen.show = [](const int& v) { return "threshold=" + std::to_string(v); };
-
-  const auto result = testing_::check<int>(
-      "breaker state machine", gen,
-      [](const int& threshold, util::Rng& rng) -> std::string {
-        AlwaysFailBackend primary;
-        EchoBackend fallback;
-        serve::ResilientBackend::Options opts;
-        opts.retries = 0;
-        opts.backoff_us = 0;
-        opts.breaker_threshold = threshold;
-        opts.breaker_cooldown_us = 3600L * 1000 * 1000;  // never half-opens
-        serve::ResilientBackend resilient(primary, &fallback, opts);
-
-        const int traffic = threshold + rng.randint(1, 20);
-        const Request req{{1.0F}};
-        for (int i = 0; i < traffic; ++i) {
-          const auto responses = resilient.query_batch({&req, 1});
-          if (responses.size() != 1 || !responses[0].degraded) {
-            return "always-failing primary produced a non-degraded answer";
-          }
-        }
-        if (primary.calls() != threshold) {
-          return "primary saw " + std::to_string(primary.calls()) +
-                 " calls, expected exactly " + std::to_string(threshold);
-        }
-        const auto stats = resilient.stats();
-        if (stats.breaker_opens != 1) {
-          return "breaker opened " + std::to_string(stats.breaker_opens) +
-                 " times, expected once";
-        }
-        if (stats.breaker_closes != 0) return "breaker closed unexpectedly";
         return "";
       });
   EXPECT_TRUE(result.ok) << result.report;
