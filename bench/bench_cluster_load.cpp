@@ -17,9 +17,9 @@
 //           warmup pass every query is a cache hit; per-request cost is
 //           parse + cache probe + socket turnaround.
 //   miss    every request a fresh key — each query rides the shard's
-//           micro-batcher (DANCE_SERVE_MAX_WAIT_US deadline), so a shard is
-//           concurrency-limited and capacity scales with the shard count
-//           even when cores are scarce.
+//           micro-batcher, which lets one batch at a time into the backend,
+//           so a shard's capacity is one backend's and scales with the
+//           shard count when there are free cores.
 //
 // Writes bench/data/cluster_load.csv:
 //   workload,shards,target_qps,achieved_qps,p50_us,p99_us

@@ -186,7 +186,7 @@ HotSwapResult run_hotswap() {
   }
   registry::RegistryBackend backend;
   serve::Service::Options opts;
-  opts.batch.max_batch = 1;  // single client: inline path, clean latencies
+  opts.batch.max_batch = 1;  // single client: batches of one, clean latencies
   serve::Service service(backend, opts);
 
   HotSwapResult out;
@@ -643,7 +643,7 @@ void BM_ServiceQueryCacheHit(benchmark::State& state) {
   static serve::SurrogateBackend backend(*e.evaluator);
   static serve::Service service(backend, [] {
     serve::Service::Options o;
-    o.batch.max_batch = 1;  // inline: isolate the cache-hit path
+    o.batch.max_batch = 1;  // batches of one: isolate the cache-hit path
     return o;
   }());
   const serve::Request req{e.unique_keys[0]};

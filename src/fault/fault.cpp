@@ -54,17 +54,6 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-/// `rate [':' micros]` for the latency/hang kinds.
-void parse_timed(const std::string& value, double* rate, long* us) {
-  const std::size_t colon = value.find(':');
-  if (colon == std::string::npos) {
-    *rate = parse_rate(value);
-  } else {
-    *rate = parse_rate(value.substr(0, colon));
-    *us = parse_micros(value.substr(colon + 1));
-  }
-}
-
 }  // namespace
 
 FaultSpec FaultSpec::parse(const std::string& text) {
@@ -111,9 +100,12 @@ FaultSpec FaultSpec::parse(const std::string& text) {
       if (kind == "error") {
         s.error_rate = parse_rate(value);
       } else if (kind == "latency") {
-        parse_timed(value, &s.latency_rate, &s.latency_us);
-      } else if (kind == "hang") {
-        parse_timed(value, &s.hang_rate, &s.hang_us);
+        // rate [':' micros]
+        const std::size_t colon = value.find(':');
+        s.latency_rate = parse_rate(value.substr(0, colon));
+        if (colon != std::string::npos) {
+          s.latency_us = parse_micros(value.substr(colon + 1));
+        }
       } else {
         bad_spec("unknown fault kind", kind);
       }
@@ -137,8 +129,7 @@ FaultInjector::FaultInjector(FaultSpec spec, std::uint64_t seed)
     : spec_(std::move(spec)),
       seed_(seed),
       obs_errors_(obs::Registry::global().counter("fault.injected.errors")),
-      obs_latency_(obs::Registry::global().counter("fault.injected.latency")),
-      obs_hangs_(obs::Registry::global().counter("fault.injected.hangs")) {
+      obs_latency_(obs::Registry::global().counter("fault.injected.latency")) {
   for (const auto& [name, site_spec] : spec_.sites) {
     auto site = std::make_unique<Site>(testing::mix_seed(seed_, fnv1a(name)));
     site->spec = site_spec;
@@ -152,22 +143,17 @@ void FaultInjector::at(const std::string& site) {
   Site& s = *it->second;
 
   bool do_latency = false;
-  bool do_hang = false;
   bool do_error = false;
   long latency_us = 0;
-  long hang_us = 0;
   {
     std::lock_guard<std::mutex> lk(s.mu);
-    // Always draw all three, in a fixed order, so the stream position after
-    // a visit is independent of which kinds the spec enables.
+    // Always draw both, in a fixed order, so the stream position after a
+    // visit is independent of which kinds the spec enables.
     const double u_latency = static_cast<double>(s.rng.uniform());
-    const double u_hang = static_cast<double>(s.rng.uniform());
     const double u_error = static_cast<double>(s.rng.uniform());
     do_latency = u_latency < s.spec.latency_rate;
-    do_hang = u_hang < s.spec.hang_rate;
     do_error = u_error < s.spec.error_rate;
     latency_us = s.spec.latency_us;
-    hang_us = s.spec.hang_us;
   }
   visits_.fetch_add(1, std::memory_order_relaxed);
 
@@ -175,11 +161,6 @@ void FaultInjector::at(const std::string& site) {
     latency_.fetch_add(1, std::memory_order_relaxed);
     obs_latency_.inc();
     std::this_thread::sleep_for(std::chrono::microseconds(latency_us));
-  }
-  if (do_hang) {
-    hangs_.fetch_add(1, std::memory_order_relaxed);
-    obs_hangs_.inc();
-    std::this_thread::sleep_for(std::chrono::microseconds(hang_us));
   }
   if (do_error) {
     errors_.fetch_add(1, std::memory_order_relaxed);
@@ -200,7 +181,6 @@ FaultInjector::Stats FaultInjector::stats() const {
   out.visits = visits_.load(std::memory_order_relaxed);
   out.errors = errors_.load(std::memory_order_relaxed);
   out.latency_spikes = latency_.load(std::memory_order_relaxed);
-  out.hangs = hangs_.load(std::memory_order_relaxed);
   return out;
 }
 

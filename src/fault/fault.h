@@ -36,13 +36,10 @@ inline constexpr const char* kNetWriteSite = "net.write";
 struct SiteSpec {
   double error_rate = 0.0;    ///< P(throw InjectedFault)
   double latency_rate = 0.0;  ///< P(sleep latency_us)
-  long latency_us = 1000;     ///< latency-spike magnitude
-  double hang_rate = 0.0;     ///< P(sleep hang_us) — a "bounded hang"
-  long hang_us = 50000;       ///< hang magnitude (long enough to trip
-                              ///< deadlines, short enough to finish)
+  long latency_us = 1000;     ///< latency-spike (or hang) magnitude
 
   [[nodiscard]] bool any() const {
-    return error_rate > 0.0 || latency_rate > 0.0 || hang_rate > 0.0;
+    return error_rate > 0.0 || latency_rate > 0.0;
   }
 };
 
@@ -54,13 +51,12 @@ struct SiteSpec {
 ///   site    := 'net.accept' | 'net.read' | 'net.write'
 ///   pair    := 'error'   '=' rate
 ///            | 'latency' '=' rate [':' micros]
-///            | 'hang'    '=' rate [':' micros]
 /// Examples:
 ///   net.read:error=0.1
-///   net.read:error=0.1,latency=0.05:2000;net.write:hang=0.01:10000
+///   net.read:error=0.1,latency=0.05:2000;net.write:latency=0.01:50000
 /// Rates must parse and lie in [0, 1]; durations must be positive integers.
 /// Unlike the env knobs (fallback on garbage), a malformed chaos spec, a
-/// clause without a site and an unknown site all throw
+/// clause without a site, an unknown site and an unknown kind all throw
 /// std::invalid_argument: silently not injecting the faults an operator
 /// asked for would make a chaos run vacuously green.
 struct FaultSpec {
@@ -80,13 +76,13 @@ struct FaultSpec {
 ///
 /// Each site owns an independent util::Rng stream derived from
 /// testing::mix_seed(seed, fnv1a(site)), and every visit draws the same
-/// three uniforms (latency, hang, error — in that order) regardless of
-/// which fault kinds are configured. Two runs with the same seed, spec and
-/// per-site visit sequence therefore fault the exact same visits, even if
-/// one run's spec zeroes a rate the other sets — the replay convention the
-/// testing layer's PBT seeds established. Visits to sites the spec does not
-/// name are no-ops. Thread-safe; draws happen under a per-site mutex, the
-/// sleeps and the throw happen outside it.
+/// two uniforms (latency, then error) regardless of which fault kinds are
+/// configured. Two runs with the same seed, spec and per-site visit
+/// sequence therefore fault the exact same visits, even if one run's spec
+/// zeroes a rate the other sets — the replay convention the testing layer's
+/// PBT seeds established. Visits to sites the spec does not name are
+/// no-ops. Thread-safe; draws happen under a per-site mutex, the sleep and
+/// the throw happen outside it.
 class FaultInjector {
  public:
   FaultInjector(FaultSpec spec, std::uint64_t seed);
@@ -99,16 +95,15 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Visit `site`: possibly sleep (latency and/or hang), then possibly
-  /// throw InjectedFault. Mirrors every trigger into the process-global
-  /// obs counters fault.injected.{latency,hangs,errors}.
+  /// Visit `site`: possibly sleep `latency_us`, then possibly throw
+  /// InjectedFault. Mirrors every trigger into the process-global obs
+  /// counters fault.injected.{latency,errors}.
   void at(const std::string& site);
 
   struct Stats {
     std::uint64_t visits = 0;
     std::uint64_t errors = 0;
     std::uint64_t latency_spikes = 0;
-    std::uint64_t hangs = 0;
   };
   [[nodiscard]] Stats stats() const;
   [[nodiscard]] const FaultSpec& spec() const { return spec_; }
@@ -129,10 +124,8 @@ class FaultInjector {
   std::atomic<std::uint64_t> visits_{0};
   std::atomic<std::uint64_t> errors_{0};
   std::atomic<std::uint64_t> latency_{0};
-  std::atomic<std::uint64_t> hangs_{0};
   obs::Counter& obs_errors_;
   obs::Counter& obs_latency_;
-  obs::Counter& obs_hangs_;
 };
 
 }  // namespace dance::fault

@@ -26,8 +26,8 @@ class CostQueryBackend {
   virtual ~CostQueryBackend() = default;
 
   /// Answers `requests` in order; the result has exactly one response per
-  /// request. Must be safe to call from one thread at a time (the Service
-  /// serializes calls through the batcher).
+  /// request. Must be safe to call from one thread at a time (the Service's
+  /// batcher admits one caller at a time, whatever its max_batch).
   [[nodiscard]] virtual std::vector<Response> query_batch(
       std::span<const Request> requests) = 0;
 
@@ -70,7 +70,7 @@ class SurrogateBackend : public CostQueryBackend {
  private:
   evalnet::Evaluator& evaluator_;
   infer::Plan plan_;
-  infer::Arena arena_;  ///< reused scratch; query_batch is single-threaded
+  infer::Arena arena_;  ///< reused scratch: one query_batch at a time
   std::vector<float> metrics_;  ///< [N, 3] plan output, reused per batch
   std::vector<float> hw_;       ///< [N, hw_width] plan output, reused
 };

@@ -1,7 +1,7 @@
 #include "serve/batcher.h"
 
 #include <algorithm>
-#include <exception>
+#include <string>
 #include <utility>
 
 namespace dance::serve {
@@ -13,66 +13,97 @@ MicroBatcher::MicroBatcher(CostQueryBackend& backend, Options opts)
       obs_batches_(obs::Registry::global().counter("serve.batch.executed")),
       obs_shed_(obs::Registry::global().counter("serve.resilience.shed")),
       obs_batch_size_(obs::Registry::global().histogram(
-          "serve.batch.size", {1, 2, 4, 8, 16, 32, 64, 128, 256})) {
-  if (opts_.max_batch > 1) {
-    if (opts_.max_wait_us < 0) opts_.max_wait_us = 0;
-    worker_ = std::thread([this] { drain_loop(); });
-  }
-}
+          "serve.batch.size", {1, 2, 4, 8, 16, 32, 64, 128, 256})) {}
 
-MicroBatcher::~MicroBatcher() {
-  if (worker_.joinable()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    worker_.join();
-  }
+std::size_t MicroBatcher::batch_cap() const {
+  return static_cast<std::size_t>(std::max(1, opts_.max_batch));
 }
 
 Response MicroBatcher::query(const Request& request) {
-  if (opts_.max_batch <= 1) {
-    // Inline mode: no worker, no future — the caller runs the backend.
-    const Request* ptr = &request;
-    auto responses = backend_.query_batch({ptr, 1});
-    count_batch(1);
-    return responses.front();
+  Pending self;
+  self.request = &request;  // stays alive: this caller waits for `done`
+  std::unique_lock<std::mutex> lk(mu_);
+  if (opts_.max_pending > 0 &&
+      queue_.size() >= static_cast<std::size_t>(opts_.max_pending)) {
+    shed_.fetch_add(1, std::memory_order_relaxed);
+    obs_shed_.inc();
+    throw Overloaded("MicroBatcher: pending queue full (" +
+                     std::to_string(queue_.size()) + " waiting, max_pending=" +
+                     std::to_string(opts_.max_pending) + ")");
+  }
+  queue_.push_back(&self);
+  // While `self` is not done it is either in queue_ or in the running batch,
+  // so a caller that finds the backend idle always has something to lead.
+  while (!self.done) {
+    if (busy_) {
+      cv_.wait(lk);
+    } else {
+      lead(lk);
+    }
+  }
+  if (self.error) std::rethrow_exception(self.error);
+  return std::move(self.response);
+}
+
+void MicroBatcher::lead(std::unique_lock<std::mutex>& lk) {
+  const auto n = static_cast<std::ptrdiff_t>(
+      std::min(queue_.size(), batch_cap()));
+  const std::vector<Pending*> batch(queue_.begin(), queue_.begin() + n);
+  queue_.erase(queue_.begin(), queue_.begin() + n);
+  busy_ = true;
+  lk.unlock();
+
+  std::vector<Response> responses;
+  std::exception_ptr error;
+  try {
+    std::vector<Request> requests;
+    requests.reserve(batch.size());
+    for (const Pending* p : batch) requests.push_back(*p->request);
+    count_batch(batch.size());
+    responses = backend_.query_batch(requests);
+  } catch (...) {
+    error = std::current_exception();
   }
 
-  std::future<Response> future;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (opts_.max_pending > 0 &&
-        pending_.size() >= static_cast<std::size_t>(opts_.max_pending)) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      obs_shed_.inc();
-      throw Overloaded("MicroBatcher: pending queue full (" +
-                       std::to_string(pending_.size()) + " waiting, max_pending=" +
-                       std::to_string(opts_.max_pending) + ")");
+  lk.lock();
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (error) {
+      batch[i]->error = error;
+    } else {
+      batch[i]->response = std::move(responses[i]);
     }
-    Pending p;
-    p.request = &request;  // stays alive: the caller blocks on the future
-    p.enqueue = std::chrono::steady_clock::now();
-    future = p.promise.get_future();
-    pending_.push_back(std::move(p));
+    batch[i]->done = true;
   }
+  busy_ = false;
   cv_.notify_all();
-  return future.get();
 }
 
 std::vector<Response> MicroBatcher::query_span(
     std::span<const Request> requests) {
-  std::vector<Response> out;
-  out.reserve(requests.size());
-  const std::size_t step =
-      static_cast<std::size_t>(std::max(1, opts_.max_batch));
-  for (std::size_t i = 0; i < requests.size(); i += step) {
-    const std::size_t n = std::min(step, requests.size() - i);
-    auto chunk = backend_.query_batch(requests.subspan(i, n));
-    count_batch(n);
-    out.insert(out.end(), chunk.begin(), chunk.end());
+  {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [this] { return !busy_; });
+    busy_ = true;
   }
+  std::vector<Response> out;
+  std::exception_ptr error;
+  try {
+    out.reserve(requests.size());
+    for (std::size_t i = 0; i < requests.size(); i += batch_cap()) {
+      const std::size_t n = std::min(batch_cap(), requests.size() - i);
+      auto chunk = backend_.query_batch(requests.subspan(i, n));
+      count_batch(n);
+      out.insert(out.end(), chunk.begin(), chunk.end());
+    }
+  } catch (...) {
+    error = std::current_exception();
+  }
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    busy_ = false;
+    cv_.notify_all();
+  }
+  if (error) std::rethrow_exception(error);
   return out;
 }
 
@@ -96,57 +127,6 @@ void MicroBatcher::count_batch(std::size_t n) {
   obs_requests_.inc(sz);
   obs_batches_.inc();
   obs_batch_size_.observe(static_cast<double>(sz));
-}
-
-void MicroBatcher::drain_loop() {
-  for (;;) {
-    std::vector<Pending> batch;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [&] { return stop_ || !pending_.empty(); });
-      if (stop_ && pending_.empty()) return;
-      // A partial batch waits until the deadline of its *oldest* request —
-      // pending_ is FIFO, so that is front().enqueue, which survives partial
-      // drains (a leftover request keeps its original arrival time instead
-      // of having its wait restarted). A full batch (or shutdown) goes
-      // immediately.
-      const auto deadline =
-          pending_.front().enqueue + std::chrono::microseconds(opts_.max_wait_us);
-      cv_.wait_until(lk, deadline, [&] {
-        return stop_ ||
-               pending_.size() >= static_cast<std::size_t>(opts_.max_batch);
-      });
-      if (stop_ && pending_.empty()) return;
-      const std::size_t take = std::min<std::size_t>(
-          pending_.size(), static_cast<std::size_t>(opts_.max_batch));
-      batch.assign(std::make_move_iterator(pending_.begin()),
-                   std::make_move_iterator(pending_.begin() +
-                                           static_cast<std::ptrdiff_t>(take)));
-      pending_.erase(pending_.begin(),
-                     pending_.begin() + static_cast<std::ptrdiff_t>(take));
-    }
-    execute(std::move(batch));
-  }
-}
-
-void MicroBatcher::execute(std::vector<Pending> batch) {
-  std::vector<Request> requests;
-  requests.reserve(batch.size());
-  for (const Pending& p : batch) requests.push_back(*p.request);
-  // Count the batch before fulfilling any promise: the promise/future pair
-  // synchronizes-with the waiting caller, so a caller that has observed its
-  // own response also observes this batch in stats() despite the relaxed
-  // counter updates.
-  count_batch(batch.size());
-  try {
-    auto responses = backend_.query_batch(requests);
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      batch[i].promise.set_value(responses[i]);
-    }
-  } catch (...) {
-    const std::exception_ptr err = std::current_exception();
-    for (Pending& p : batch) p.promise.set_exception(err);
-  }
 }
 
 }  // namespace dance::serve

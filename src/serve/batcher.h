@@ -1,13 +1,12 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <future>
+#include <exception>
 #include <mutex>
+#include <span>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "obs/registry.h"
@@ -24,32 +23,29 @@ class Overloaded : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Coalesces concurrent cost queries into batched backend calls.
+/// Coalesces concurrent cost queries into batched backend calls by group
+/// commit.
 ///
-/// Blocking `query` calls park their request in a pending list and wait on a
-/// future; a dedicated drain worker forms a batch when either
-///   * `max_batch` requests are pending (count trigger), or
-///   * `max_wait_us` has elapsed since the oldest pending request arrived
-///     (deadline trigger — bounds the latency a lone request pays for the
-///     chance of being batched).
-/// The worker executes the backend call itself; the heavy math inside the
-/// backends (the evaluator's tensor ops, the LUT scans) fans out onto
-/// `runtime::global_pool()` from there, so client threads never occupy pool
-/// lanes while they sleep.
+/// A blocking `query` parks its request in a FIFO queue. A caller that finds
+/// no batch inside the backend becomes the leader: it takes up to
+/// `max_batch` of the oldest parked requests, answers them with one
+/// `query_batch` call on its own thread, and hands each parked caller its
+/// response (or the batch's exception). Requests that arrive while a batch
+/// runs form the next batch. A lone caller therefore never waits, and
+/// batches grow only as fast as callers pile up behind a busy backend.
 ///
-/// With `max_batch <= 1` no worker is spawned and `query` calls the backend
-/// inline on the caller — the safe mode for callers that are themselves
-/// pool-job bodies (see docs/serve.md on the deadlock hazard of blocking on
-/// a future from inside a pool job).
+/// At most one caller is inside the backend at a time, for every
+/// `max_batch`, so backends need not be thread-safe. The heavy math inside
+/// the backends fans out onto `runtime::global_pool()` from the leader's
+/// thread (inline when the leader is itself a pool job); see docs/serve.md
+/// for the one caller mix that can deadlock.
 class MicroBatcher {
  public:
   struct Options {
-    int max_batch = 32;        ///< count trigger; <= 1 disables batching
-    long max_wait_us = 200;    ///< deadline trigger for partial batches
+    int max_batch = 32;  ///< largest batch; <= 1 means batches of one
     /// Load-shedding cap on the pending queue: a blocking `query` arriving
     /// while `max_pending` requests already wait throws `Overloaded` instead
-    /// of enqueueing. <= 0 disables shedding. Inline mode (max_batch <= 1)
-    /// never queues, so the cap does not apply there.
+    /// of parking. <= 0 disables shedding.
     long max_pending = 4096;
   };
 
@@ -70,7 +66,6 @@ class MicroBatcher {
   };
 
   MicroBatcher(CostQueryBackend& backend, Options opts);
-  ~MicroBatcher();
 
   MicroBatcher(const MicroBatcher&) = delete;
   MicroBatcher& operator=(const MicroBatcher&) = delete;
@@ -81,10 +76,10 @@ class MicroBatcher {
   /// `max_pending`.
   [[nodiscard]] Response query(const Request& request);
 
-  /// Bulk entry point: answers all `requests` by slicing them directly into
-  /// `max_batch`-sized backend calls on the calling thread — no deadline
-  /// wait, no worker round-trip. Used by Service::query_many and the replay
-  /// bench; safe from pool-job bodies (runs inline).
+  /// Bulk entry point: waits until no batch is inside the backend, then
+  /// holds it while it answers all `requests` in `max_batch`-sized backend
+  /// calls on the calling thread. Used by Service::query_many and the
+  /// replay bench.
   [[nodiscard]] std::vector<Response> query_span(
       std::span<const Request> requests);
 
@@ -93,30 +88,32 @@ class MicroBatcher {
   [[nodiscard]] CostQueryBackend& backend() { return backend_; }
 
  private:
+  /// A parked `query`, on its caller's stack until the leader sets `done`.
   struct Pending {
     const Request* request = nullptr;
-    std::promise<Response> promise;
-    /// Arrival time; the deadline trigger fires `max_wait_us` after the
-    /// *front* entry's arrival, so a request left behind by a partial drain
-    /// keeps its original deadline instead of restarting the clock.
-    std::chrono::steady_clock::time_point enqueue{};
+    Response response;
+    std::exception_ptr error;
+    bool done = false;
   };
 
-  void drain_loop();
-  void execute(std::vector<Pending> batch);
+  /// One leader turn: answers the oldest `max_batch` parked requests.
+  /// Called and returns with `lk` held and `busy_` clear.
+  void lead(std::unique_lock<std::mutex>& lk);
 
   /// Record one executed batch of `n` requests (instance atomics + the
-  /// process-global obs instruments). Called before promises are fulfilled
-  /// so a caller that observed its response also observes the batch.
+  /// process-global obs instruments). Called before any caller is handed
+  /// its answer, so a caller that has its response also observes the batch.
   void count_batch(std::size_t n);
+
+  [[nodiscard]] std::size_t batch_cap() const;
 
   CostQueryBackend& backend_;
   Options opts_;
 
   std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<Pending> pending_;  ///< FIFO: front() is the oldest arrival
-  bool stop_ = false;
+  std::condition_variable cv_;    ///< signalled whenever `busy_` clears
+  std::vector<Pending*> queue_;   ///< FIFO: front() is the oldest arrival
+  bool busy_ = false;             ///< a caller is inside the backend
 
   // Lock-free per-instance counters; stats() assembles a Stats from these.
   std::atomic<std::uint64_t> requests_{0};
@@ -127,8 +124,6 @@ class MicroBatcher {
   obs::Counter& obs_batches_;
   obs::Counter& obs_shed_;
   obs::Histogram& obs_batch_size_;
-
-  std::thread worker_;  ///< last member: joins cleanly before state dies
 };
 
 }  // namespace dance::serve

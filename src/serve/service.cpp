@@ -21,8 +21,6 @@ Service::Options Service::Options::from_env() {
       "DANCE_SERVE_CACHE_CAP", static_cast<long>(opts.cache_capacity), 1));
   opts.batch.max_batch =
       util::env_int("DANCE_SERVE_MAX_BATCH", opts.batch.max_batch, 1);
-  opts.batch.max_wait_us =
-      util::env_long("DANCE_SERVE_MAX_WAIT_US", opts.batch.max_wait_us, 0);
   // 0 is in range: "disable load shedding".
   opts.batch.max_pending =
       util::env_long("DANCE_SERVE_MAX_PENDING", opts.batch.max_pending, 0);

@@ -33,12 +33,12 @@ struct ServiceStats {
 /// cache, and on a miss ride the micro-batcher into a batched backend
 /// call, memoizing the answer on the way out. Every query's wall latency is
 /// recorded for the p50/p95 report. Thread-safe: any number of client
-/// threads may call `query` concurrently.
+/// threads may call `query` and `query_many` concurrently; the batcher lets
+/// one of them at a time into the backend.
 ///
 /// Knobs (environment, read by Options::from_env; constructor args win):
 ///   DANCE_SERVE_CACHE_CAP   cache entries              (default 8192)
-///   DANCE_SERVE_MAX_BATCH   batch count trigger        (default 32)
-///   DANCE_SERVE_MAX_WAIT_US batch deadline trigger     (default 200)
+///   DANCE_SERVE_MAX_BATCH   largest backend batch      (default 32)
 ///   DANCE_SERVE_MAX_PENDING load-shedding queue cap    (default 4096,
 ///                           0 disables shedding)
 class Service {
@@ -48,7 +48,7 @@ class Service {
     MicroBatcher::Options batch;
 
     /// Defaults overridden by any DANCE_SERVE_* variables that parse as a
-    /// positive integer (DANCE_SERVE_MAX_WAIT_US accepts 0); garbage values
+    /// positive integer (DANCE_SERVE_MAX_PENDING accepts 0); garbage values
     /// are ignored. Reads go through util::env, so every knob is recorded in
     /// the obs registry with its effective value.
     [[nodiscard]] static Options from_env();
@@ -65,7 +65,7 @@ class Service {
   /// Bulk replay: cache-probes all requests, deduplicates the missed keys
   /// within the call (the backend sees each unique key once, even on a cold
   /// cache), then answers them in max_batch-sized backend slices on the
-  /// calling thread (no deadline waits — the batch is already here).
+  /// calling thread, holding the backend as one leader turn.
   /// Responses are in request order; repeats of a missed key after its first
   /// occurrence come back with `cached` set, like a cache hit.
   [[nodiscard]] std::vector<Response> query_many(

@@ -21,7 +21,7 @@ using namespace dance;
 TEST(fault_spec, SiteIsRequiredAndMustBeANetSite) {
   // A clause that names no site, or a site nothing visits, would inject
   // nothing and let a chaos run pass without testing anything.
-  for (const char* bad : {"error=0.25", "backend:error=0.1", "pool:hang=1",
+  for (const char* bad : {"error=0.25", "backend:error=0.1", "pool:latency=1",
                           "net.raed:error=0.1", "net.read:error=0.1;error=1"}) {
     EXPECT_THROW((void)fault::FaultSpec::parse(bad), std::invalid_argument)
         << bad;
@@ -37,26 +37,24 @@ TEST(fault_spec, SiteIsRequiredAndMustBeANetSite) {
 
 TEST(fault_spec, ParsesMultiSiteMultiKindClauses) {
   const auto spec = fault::FaultSpec::parse(
-      " net.read: error=0.1 , latency=0.5:2000 ; net.write: hang=1:500 ");
+      " net.read: error=0.1 , latency=0.5:2000 ; net.write: latency=1:500 ");
   ASSERT_EQ(spec.sites.size(), 2U);
   const auto& read = spec.sites.at(fault::kNetReadSite);
   EXPECT_DOUBLE_EQ(read.error_rate, 0.1);
   EXPECT_DOUBLE_EQ(read.latency_rate, 0.5);
   EXPECT_EQ(read.latency_us, 2000);
   const auto& write = spec.sites.at(fault::kNetWriteSite);
-  EXPECT_DOUBLE_EQ(write.hang_rate, 1.0);
-  EXPECT_EQ(write.hang_us, 500);
+  EXPECT_DOUBLE_EQ(write.latency_rate, 1.0);
+  EXPECT_EQ(write.latency_us, 500);
   EXPECT_TRUE(spec.active_at(fault::kNetWriteSite));
   EXPECT_FALSE(spec.active_at(fault::kNetAcceptSite));
 }
 
 TEST(fault_spec, TimedKindsDefaultTheirDurations) {
-  const auto spec = fault::FaultSpec::parse("net.read:latency=0.5,hang=0.25");
+  const auto spec = fault::FaultSpec::parse("net.read:latency=0.5");
   const auto& s = spec.sites.at(fault::kNetReadSite);
-  EXPECT_EQ(s.latency_us, 1000);   // documented default
-  EXPECT_EQ(s.hang_us, 50000);     // documented default
+  EXPECT_EQ(s.latency_us, 1000);  // documented default
   EXPECT_DOUBLE_EQ(s.latency_rate, 0.5);
-  EXPECT_DOUBLE_EQ(s.hang_rate, 0.25);
 }
 
 TEST(fault_spec, MalformedSpecsThrowInsteadOfDegrading) {
@@ -66,6 +64,11 @@ TEST(fault_spec, MalformedSpecsThrowInsteadOfDegrading) {
                std::invalid_argument);
   EXPECT_THROW((void)fault::FaultSpec::parse("net.read:explode=0.5"),
                std::invalid_argument);  // unknown kind
+  // No hang kind: a hang is a long latency spike, `latency=rate:micros`.
+  EXPECT_THROW((void)fault::FaultSpec::parse("net.write:hang=1:500"),
+               std::invalid_argument);
+  EXPECT_THROW((void)fault::FaultSpec::parse("net.read:latency=0.5,hang=0.25"),
+               std::invalid_argument);
   EXPECT_THROW((void)fault::FaultSpec::parse("net.read:error"),
                std::invalid_argument);  // missing '='
   EXPECT_THROW((void)fault::FaultSpec::parse("net.read:latency=0.5:-3"),

@@ -128,7 +128,7 @@ TEST(infer_plan, FreezeRequiresEvalMode) {
   EXPECT_THROW((void)infer::Plan::compile(ev), std::logic_error);
 }
 
-TEST(infer_plan, RunValidatesModeAndBatch) {
+TEST(infer_plan, RunRejectsNonPositiveBatch) {
   const auto space = small_space();
   auto ev = make_evaluator(space, 8);
   const infer::Plan plan = infer::Plan::compile(ev);
@@ -313,7 +313,7 @@ TEST(infer_backend, WireAnswersMatchAutogradOracle) {
   }
 }
 
-TEST(infer_backend, EnvKnobDrivesDefaultConstruction) {
+TEST(infer_backend, DefaultConstructionServesEveryQueryFused) {
   // There is no tier knob any more: a default-constructed backend compiles
   // the plan and every query it answers is counted as served by it.
   const auto space = small_space();

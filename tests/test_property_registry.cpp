@@ -128,7 +128,6 @@ TEST(registry_hotswap, EveryResponseBitIdenticalToItsPinnedGeneration) {
         registry::RegistryBackend backend;
         serve::Service::Options opts;
         opts.batch.max_batch = 4;  // batches CAN straddle a swap
-        opts.batch.max_wait_us = 100;
         opts.cache_capacity = 64;
         serve::Service service(backend, opts);
 

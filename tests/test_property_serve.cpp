@@ -193,10 +193,10 @@ testing_::PbtConfig concurrency_config() {
 }
 
 TEST(serve_cache_transparency, PoolHammeringMatchesDirectBackend) {
-  // Inline mode (max_batch = 1): Service::query calls the backend on the
-  // calling thread, which is the safe configuration for callers that are
-  // themselves pool-job bodies. Hammer the cache from global-pool jobs and
-  // demand every answer bit-match a direct (uncached) backend query.
+  // Callers that are all global-pool job bodies are safe at any max_batch:
+  // the leader's nested pool loops run inline. Hammer the cache from
+  // global-pool jobs, with batches of one and of up to four, and demand
+  // every answer bit-match a direct (uncached) backend query.
   auto& f = exact_fixture();
   const auto result = testing_::check<long>(
       "cache transparency under pool hammering", unique_key_gen(),
@@ -210,30 +210,34 @@ TEST(serve_cache_transparency, PoolHammeringMatchesDirectBackend) {
           reference.push_back(backend.query_batch({&keys.back(), 1})[0]);
         }
 
-        serve::Service::Options opts;
-        opts.batch.max_batch = 1;
-        opts.cache_capacity = 64;
-        serve::Service service(backend, opts);
+        for (const int max_batch : {1, 4}) {
+          serve::Service::Options opts;
+          opts.batch.max_batch = max_batch;
+          opts.cache_capacity = 64;
+          serve::Service service(backend, opts);
 
-        const long n = 4 * unique + 8;
-        std::vector<int> ok(static_cast<std::size_t>(n), 0);
-        util::parallel_for(0, n, [&](long lo, long hi) {
-          for (long i = lo; i < hi; ++i) {
-            const std::size_t k = static_cast<std::size_t>(i % unique);
-            const Response r = service.query(keys[k]);
-            ok[static_cast<std::size_t>(i)] =
-                bit_equal_response(r, reference[k]) ? 1 : 0;
-          }
-        }, /*grain=*/1);
+          const long n = 4 * unique + 8;
+          std::vector<int> ok(static_cast<std::size_t>(n), 0);
+          util::parallel_for(0, n, [&](long lo, long hi) {
+            for (long i = lo; i < hi; ++i) {
+              const std::size_t k = static_cast<std::size_t>(i % unique);
+              const Response r = service.query(keys[k]);
+              ok[static_cast<std::size_t>(i)] =
+                  bit_equal_response(r, reference[k]) ? 1 : 0;
+            }
+          }, /*grain=*/1);
 
-        for (long i = 0; i < n; ++i) {
-          if (!ok[static_cast<std::size_t>(i)]) {
-            return "query " + std::to_string(i) +
-                   " diverged from the direct backend answer";
+          for (long i = 0; i < n; ++i) {
+            if (!ok[static_cast<std::size_t>(i)]) {
+              return "max_batch " + std::to_string(max_batch) + ": query " +
+                     std::to_string(i) +
+                     " diverged from the direct backend answer";
+            }
           }
-        }
-        if (service.stats().cache.hits == 0) {
-          return "hammering produced no cache hits; the property checked nothing";
+          if (service.stats().cache.hits == 0) {
+            return "hammering produced no cache hits; the property checked "
+                   "nothing";
+          }
         }
         return "";
       },
@@ -260,7 +264,6 @@ TEST(serve_cache_transparency, ThreadedBatchedHammeringMatchesDirectBackend) {
 
         serve::Service::Options opts;
         opts.batch.max_batch = 4;
-        opts.batch.max_wait_us = 100;
         opts.cache_capacity = 64;
         serve::Service service(backend, opts);
 

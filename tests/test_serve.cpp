@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <initializer_list>
 #include <mutex>
@@ -63,7 +65,7 @@ TEST(serve_cache, PutGetRoundTripAndCounters) {
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
 }
 
-TEST(serve_cache, EvictsLeastRecentlyUsedPerShard) {
+TEST(serve_cache, EvictsLeastRecentlyUsed) {
   // Capacity 2: inserting a third key evicts the stalest.
   serve::LruCache cache(2);
   cache.put(key_of({1.0F}), response_with_latency(1.0));
@@ -140,9 +142,9 @@ class FakeBackend : public serve::CostQueryBackend {
   std::vector<std::size_t> batch_sizes_;
 };
 
-TEST(serve_batcher, InlineModeAnswersWithoutWorker) {
+TEST(serve_batcher, BatchOfOneAnswersALoneCaller) {
   FakeBackend backend;
-  serve::MicroBatcher batcher(backend, {.max_batch = 1, .max_wait_us = 0});
+  serve::MicroBatcher batcher(backend, {.max_batch = 1});
   const Response r = batcher.query(Request{{2.0F, 3.0F}});
   EXPECT_DOUBLE_EQ(r.metrics.latency_ms, 5.0);
   EXPECT_EQ(batcher.stats().batches, 1U);
@@ -151,8 +153,7 @@ TEST(serve_batcher, InlineModeAnswersWithoutWorker) {
 
 TEST(serve_batcher, CoalescesConcurrentRequests) {
   FakeBackend backend;
-  // Generous deadline: the count trigger should fire, not the clock.
-  serve::MicroBatcher batcher(backend, {.max_batch = 4, .max_wait_us = 200000});
+  serve::MicroBatcher batcher(backend, {.max_batch = 4});
   constexpr int kClients = 8;
   std::vector<Request> requests;
   requests.reserve(kClients);
@@ -179,18 +180,20 @@ TEST(serve_batcher, CoalescesConcurrentRequests) {
   EXPECT_GE(stats.batches, 2U);
 }
 
-TEST(serve_batcher, DeadlineFlushesPartialBatch) {
+TEST(serve_batcher, LoneCallerLeadsWithoutWaitingForAFullBatch) {
   FakeBackend backend;
-  // Count trigger unreachable (max_batch 64); the 1 ms deadline must flush.
-  serve::MicroBatcher batcher(backend, {.max_batch = 64, .max_wait_us = 1000});
+  // A batch of 64 never fills; the lone caller finds the backend idle and
+  // runs its own batch of one.
+  serve::MicroBatcher batcher(backend, {.max_batch = 64});
   const Response r = batcher.query(Request{{4.0F}});
   EXPECT_DOUBLE_EQ(r.metrics.latency_ms, 4.0);
   EXPECT_EQ(batcher.stats().batches, 1U);
+  EXPECT_EQ(batcher.stats().max_batch_seen, 1U);
 }
 
 TEST(serve_batcher, QuerySpanSlicesIntoMaxBatchChunks) {
   FakeBackend backend;
-  serve::MicroBatcher batcher(backend, {.max_batch = 4, .max_wait_us = 0});
+  serve::MicroBatcher batcher(backend, {.max_batch = 4});
   std::vector<Request> requests;
   for (int i = 0; i < 10; ++i) {
     requests.push_back(Request{{static_cast<float>(i)}});
@@ -207,99 +210,260 @@ TEST(serve_batcher, QuerySpanSlicesIntoMaxBatchChunks) {
   EXPECT_EQ(sizes[2], 2U);
 }
 
-/// Throwing backend: batcher must propagate the error to every waiter.
-class ThrowingBackend : public serve::CostQueryBackend {
+/// Backend whose calls block until `open()`. Records the encodings of every
+/// batch it was asked for, and answers latency = first encoding value — or
+/// throws, when built failing.
+class GatedBackend : public serve::CostQueryBackend {
  public:
-  std::vector<Response> query_batch(std::span<const Request>) override {
-    throw std::runtime_error("backend unavailable");
-  }
-  const char* name() const override { return "throwing"; }
-};
+  explicit GatedBackend(bool fail = false) : fail_(fail) {}
 
-TEST(serve_batcher, BackendExceptionReachesCaller) {
-  ThrowingBackend backend;
-  serve::MicroBatcher batcher(backend, {.max_batch = 2, .max_wait_us = 100});
-  EXPECT_THROW((void)batcher.query(Request{{1.0F}}), std::runtime_error);
-}
-
-/// Backend whose first call blocks long enough for more requests to pile up
-/// behind the drain worker; later calls answer instantly.
-class SlowFirstCallBackend : public serve::CostQueryBackend {
- public:
   std::vector<Response> query_batch(
       std::span<const Request> requests) override {
-    if (calls_.fetch_add(1) == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(300));
-    }
+    std::unique_lock<std::mutex> lk(mu_);
+    std::vector<float> batch;
+    for (const Request& r : requests) batch.push_back(r.encoding.at(0));
+    batches_.push_back(batch);
+    cv_.notify_all();
+    cv_.wait(lk, [this] { return open_; });
+    if (fail_) throw std::runtime_error("backend unavailable");
     std::vector<Response> out;
-    out.reserve(requests.size());
-    for (const Request& r : requests) {
-      double sum = 0.0;
-      for (float v : r.encoding) sum += v;
-      out.push_back(response_with_latency(sum));
-    }
+    for (float v : batch) out.push_back(response_with_latency(v));
     return out;
   }
-  const char* name() const override { return "slow-first"; }
+  const char* name() const override { return "gated"; }
+
+  /// Blocks until the first call is inside the backend.
+  void wait_entered() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [this] { return !batches_.empty(); });
+  }
+  void open() {
+    std::lock_guard<std::mutex> lk(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  std::vector<std::vector<float>> batches() {
+    std::lock_guard<std::mutex> lk(mu_);
+    return batches_;
+  }
 
  private:
-  std::atomic<int> calls_{0};
+  const bool fail_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+  std::vector<std::vector<float>> batches_;
 };
 
-TEST(serve_batcher, LeftoverAfterPartialDrainKeepsOldestDeadline) {
-  // Regression: a request left behind by a partial drain must keep its
-  // original arrival time for the deadline trigger. The old code restarted
-  // the clock at drain time, so the leftover below paid the backend's busy
-  // window ~300 ms *plus* a fresh 400 ms wait instead of 400 ms total.
-  SlowFirstCallBackend backend;
-  serve::MicroBatcher batcher(backend, {.max_batch = 2, .max_wait_us = 400000});
-  auto query_in_thread = [&batcher](float v) {
-    return std::thread([&batcher, v] { (void)batcher.query(Request{{v}}); });
+/// Lets the thread just started park in the batcher's queue before the
+/// test moves on; arrival order is what the tests below assert on.
+void let_it_park() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+}
+
+TEST(serve_batcher, BackendExceptionReachesCaller) {
+  GatedBackend backend(/*fail=*/true);
+  serve::MicroBatcher batcher(backend, {.max_batch = 4});
+  std::atomic<int> threw{0};
+  auto client = [&](float v) {
+    return std::thread([&, v] {
+      try {
+        (void)batcher.query(Request{{v}});
+      } catch (const std::runtime_error&) {
+        ++threw;
+      }
+    });
   };
-  // A+B form the first batch (count trigger) and the backend blocks ~300 ms.
-  // C, D and E pile up behind it; on wake the worker drains C+D (count
-  // trigger again) leaving E as the partial-drain leftover.
-  std::thread a = query_in_thread(1.0F);
-  std::thread b = query_in_thread(2.0F);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  std::thread c = query_in_thread(3.0F);
-  std::thread d = query_in_thread(4.0F);
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  std::atomic<long> e_latency_ms{0};
-  std::thread e([&] {
-    const auto start = std::chrono::steady_clock::now();
-    (void)batcher.query(Request{{5.0F}});
-    e_latency_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  });
-  for (std::thread* t : {&a, &b, &c, &d, &e}) t->join();
-  // E enqueued ~220 ms before the partial drain, so with its original
-  // deadline it answers ~400 ms after its own arrival; the pre-fix clock
-  // restart pushed that past ~620 ms. 550 ms splits the two with slack.
-  EXPECT_LT(e_latency_ms.load(), 550);
-  // The deadline trigger (not the count trigger) must have answered E.
-  EXPECT_GT(e_latency_ms.load(), 250);
+  // The leader's batch fails; the two callers parked behind it share the
+  // next batch, which fails too, and each of them gets the exception.
+  std::thread leader = client(1.0F);
+  backend.wait_entered();
+  std::thread b = client(2.0F);
+  let_it_park();
+  std::thread c = client(3.0F);
+  let_it_park();
+  backend.open();
+  for (std::thread* t : {&leader, &b, &c}) t->join();
+  EXPECT_EQ(threw.load(), 3);
+  EXPECT_EQ(backend.batches(),
+            (std::vector<std::vector<float>>{{1.0F}, {2.0F, 3.0F}}));
+}
+
+TEST(serve_batcher, RequestsParkedDuringABatchFormTheNextInArrivalOrder) {
+  // Group commit: whatever arrives while a batch is inside the backend
+  // forms the next batch, oldest first, max_batch at a time.
+  GatedBackend backend;
+  serve::MicroBatcher batcher(backend, {.max_batch = 2});
+  std::vector<double> answers(5, -1.0);
+  auto client = [&](int i) {
+    return std::thread([&, i] {
+      answers[static_cast<std::size_t>(i)] =
+          batcher.query(Request{{static_cast<float>(i)}}).metrics.latency_ms;
+    });
+  };
+  std::vector<std::thread> clients;
+  clients.push_back(client(0));  // A: finds the backend idle and leads
+  backend.wait_entered();
+  for (int i = 1; i < 5; ++i) {  // B, C, D, E arrive in order behind A
+    clients.push_back(client(i));
+    let_it_park();
+  }
+  backend.open();
+  for (auto& t : clients) t.join();
+
+  EXPECT_EQ(backend.batches(), (std::vector<std::vector<float>>{
+                                   {0.0F}, {1.0F, 2.0F}, {3.0F, 4.0F}}));
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_DOUBLE_EQ(answers[static_cast<std::size_t>(i)], i);
+  }
+  const auto stats = batcher.stats();
+  EXPECT_EQ(stats.batches, 3U);
+  EXPECT_EQ(stats.requests, 5U);
+  EXPECT_EQ(stats.max_batch_seen, 2U);
 }
 
 TEST(serve_batcher, ShedsWhenPendingQueueFull) {
-  FakeBackend backend;
-  std::thread client;
-  {
-    // Count trigger unreachable (needs 3) and a 10 s deadline: the parked
-    // request holds the single pending slot for the whole test.
-    serve::MicroBatcher batcher(
-        backend,
-        {.max_batch = 3, .max_wait_us = 10'000'000, .max_pending = 1});
-    client = std::thread([&batcher] { (void)batcher.query(Request{{1.0F}}); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    EXPECT_THROW((void)batcher.query(Request{{2.0F}}), serve::Overloaded);
-    EXPECT_EQ(batcher.stats().shed, 1U);
-    // Shed requests never count toward the request/batch totals.
-    EXPECT_EQ(batcher.stats().requests, 0U);
-  }  // destructor drains the parked request, releasing the client thread
-  client.join();
-  EXPECT_EQ(backend.calls_.load(), 1U);
+  GatedBackend backend;
+  serve::MicroBatcher batcher(backend, {.max_batch = 4, .max_pending = 1});
+  // The leader is held inside the backend; one parked follower fills the
+  // single pending slot.
+  std::thread leader([&] { (void)batcher.query(Request{{1.0F}}); });
+  backend.wait_entered();
+  std::thread follower([&] { (void)batcher.query(Request{{2.0F}}); });
+  let_it_park();
+  EXPECT_THROW((void)batcher.query(Request{{3.0F}}), serve::Overloaded);
+  backend.open();
+  leader.join();
+  follower.join();
+  const auto stats = batcher.stats();
+  EXPECT_EQ(stats.shed, 1U);
+  // Shed requests never count toward the request/batch totals.
+  EXPECT_EQ(stats.requests, 2U);
+}
+
+/// Counts how many callers are inside `query_batch` at once. Every call
+/// lingers, so two callers that are let in together overlap.
+class OverlapProbeBackend : public serve::CostQueryBackend {
+ public:
+  std::vector<Response> query_batch(
+      std::span<const Request> requests) override {
+    const int now = inside_.fetch_add(1) + 1;
+    int seen = max_inside_.load();
+    while (seen < now && !max_inside_.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(300));
+    std::vector<Response> out;
+    for (const Request& r : requests) {
+      out.push_back(response_with_latency(r.encoding.at(0)));
+    }
+    inside_.fetch_sub(1);
+    return out;
+  }
+  const char* name() const override { return "overlap-probe"; }
+  int max_inside() const { return max_inside_.load(); }
+
+ private:
+  std::atomic<int> inside_{0};
+  std::atomic<int> max_inside_{0};
+};
+
+TEST(serve_batcher, BulkAndSingleQueriesNeverShareTheBackend) {
+  OverlapProbeBackend backend;
+  serve::Service::Options opts;
+  opts.batch.max_batch = 4;
+  opts.cache_capacity = 1;
+  serve::Service service(backend, opts);
+  constexpr int kRounds = 30;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> clients;
+  // Every key is distinct, so every request reaches the backend.
+  for (int t = 0; t < 3; ++t) {
+    clients.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        const auto v = static_cast<float>(1000 * t + i);
+        if (service.query(Request{{v}}).metrics.latency_ms != v) ++wrong;
+      }
+    });
+  }
+  for (int t = 3; t < 5; ++t) {
+    clients.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        std::vector<Request> bulk;
+        for (int k = 0; k < 6; ++k) {
+          bulk.push_back(Request{{static_cast<float>(1000 * t + 10 * i + k)}});
+        }
+        const auto answers = service.query_many(bulk);
+        for (std::size_t k = 0; k < bulk.size(); ++k) {
+          if (answers[k].metrics.latency_ms != bulk[k].encoding[0]) ++wrong;
+        }
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(backend.max_inside(), 1);
+}
+
+/// True when both answers carry the same config and bit-identical metrics.
+bool same_bits(const Response& a, const Response& b) {
+  return a.config == b.config &&
+         std::bit_cast<std::uint64_t>(a.metrics.latency_ms) ==
+             std::bit_cast<std::uint64_t>(b.metrics.latency_ms) &&
+         std::bit_cast<std::uint64_t>(a.metrics.energy_mj) ==
+             std::bit_cast<std::uint64_t>(b.metrics.energy_mj) &&
+         std::bit_cast<std::uint64_t>(a.metrics.area_mm2) ==
+             std::bit_cast<std::uint64_t>(b.metrics.area_mm2);
+}
+
+TEST(serve_batcher, BatchOfOneSerializesSurrogateCallers) {
+  // Regression: with max_batch = 1 every caller used to run the backend on
+  // its own thread at once, and SurrogateBackend's one scratch arena does
+  // not survive two concurrent batches (wrong answers, then a crash). The
+  // one-entry cache sends nearly every query to the backend.
+  const arch::ArchSpace space(arch::cifar10_backbone());
+  const hwgen::HwSearchSpace hw_space = hwgen::HwSearchSpace::small();
+  evalnet::Evaluator::Options eval_opts;
+  eval_opts.hwgen.hidden_dim = 16;
+  eval_opts.hwgen.num_layers = 2;
+  eval_opts.cost.hidden_dim = 16;
+  eval_opts.cost.num_layers = 2;
+  constexpr std::uint64_t kSeed = 17;
+  util::Rng served_rng(kSeed);
+  evalnet::Evaluator served_eval(space.encoding_width(), hw_space, served_rng,
+                                 eval_opts);
+  serve::SurrogateBackend served(served_eval);
+  util::Rng oracle_rng(kSeed);
+  evalnet::Evaluator oracle_eval(space.encoding_width(), hw_space, oracle_rng,
+                                 eval_opts);
+  serve::SurrogateBackend oracle(oracle_eval);
+
+  constexpr int kThreads = 4;
+  constexpr int kQueries = 2000;
+  util::Rng rng(0x5e7);
+  std::vector<Request> requests;
+  std::vector<Response> expected;
+  for (int i = 0; i < kQueries; ++i) {
+    requests.push_back(Request::from_architecture(space, space.random(rng)));
+    expected.push_back(oracle.query_batch({&requests.back(), 1}).front());
+  }
+
+  serve::Service::Options opts;
+  opts.batch.max_batch = 1;
+  opts.cache_capacity = 1;
+  serve::Service service(served, opts);
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&, t] {
+      for (int i = t; i < kQueries; i += kThreads) {
+        const auto k = static_cast<std::size_t>(i);
+        if (!same_bits(service.query(requests[k]), expected[k])) ++wrong;
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(service.stats().batcher.max_batch_seen, 1U);
 }
 
 /// Small ground-truth fixture shared by the backend/service tests (same
@@ -574,11 +738,9 @@ TEST(serve_wire, StringValueSpelledLikeAKeyDoesNotShadowTheKey) {
 TEST(serve_options, FromEnvParsesAndIgnoresGarbage) {
   setenv("DANCE_SERVE_CACHE_CAP", "128", 1);
   setenv("DANCE_SERVE_MAX_BATCH", "7", 1);
-  setenv("DANCE_SERVE_MAX_WAIT_US", "0", 1);
   auto opts = serve::Service::Options::from_env();
   EXPECT_EQ(opts.cache_capacity, 128U);
   EXPECT_EQ(opts.batch.max_batch, 7);
-  EXPECT_EQ(opts.batch.max_wait_us, 0);
 
   setenv("DANCE_SERVE_CACHE_CAP", "garbage", 1);
   setenv("DANCE_SERVE_MAX_BATCH", "-4", 1);
@@ -588,7 +750,6 @@ TEST(serve_options, FromEnvParsesAndIgnoresGarbage) {
 
   unsetenv("DANCE_SERVE_CACHE_CAP");
   unsetenv("DANCE_SERVE_MAX_BATCH");
-  unsetenv("DANCE_SERVE_MAX_WAIT_US");
 }
 
 }  // namespace
