@@ -7,6 +7,9 @@
 // co-exploration needs hundreds-to-thousands, DANCE needs exactly one.
 // Here both methods run on an equal search space: our REINFORCE
 // co-exploration baseline vs. DANCE.
+//
+// Rows are printed as a table and written to bench/data/table3_comparison.csv
+// (override the directory with DANCE_BENCH_DATA_DIR).
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -17,6 +20,7 @@
 #include "search/design_points.h"
 #include "search/ea.h"
 #include "search/rl.h"
+#include "util/csv.h"
 #include "util/table.h"
 
 #include "bench_common.h"
@@ -107,22 +111,31 @@ void run_table3() {
 
   util::Table t({"Algorithm", "Method", "Acc.(%)", "EDAP", "Search(s)",
                  "#Candidates"});
-  t.add_row({"RL co-exploration (prior work)", "RL",
-             util::Table::fmt(rl.val_accuracy_pct, 1),
-             util::Table::fmt(rl.metrics.edap(), 3),
-             util::Table::fmt(rl.search_seconds, 1),
-             std::to_string(rl.trained_candidates)});
-  t.add_row({"EA co-exploration (regularized evolution)", "EA",
-             util::Table::fmt(ea.val_accuracy_pct, 1),
-             util::Table::fmt(ea.metrics.edap(), 3),
-             util::Table::fmt(ea.search_seconds, 1),
-             std::to_string(ea.trained_candidates)});
-  t.add_row({"DANCE", "gradient",
-             util::Table::fmt(dance_out.val_accuracy_pct, 1),
-             util::Table::fmt(dance_out.metrics.edap(), 3),
-             util::Table::fmt(dance_out.search_seconds, 1),
-             std::to_string(dance_out.trained_candidates)});
+  const std::string csv_path = dance::bench::data_path("table3_comparison.csv");
+  util::CsvWriter csv(csv_path, {"algorithm", "method", "acc_pct", "edap",
+                                 "search_s", "candidates"});
+  const struct {
+    const char* algorithm;
+    const char* method;
+    const search::SearchOutcome& out;
+  } rows[] = {{"RL co-exploration (prior work)", "RL", rl},
+              {"EA co-exploration (regularized evolution)", "EA", ea},
+              {"DANCE", "gradient", dance_out}};
+  for (const auto& r : rows) {
+    t.add_row({r.algorithm, r.method,
+               util::Table::fmt(r.out.val_accuracy_pct, 1),
+               util::Table::fmt(r.out.metrics.edap(), 3),
+               util::Table::fmt(r.out.search_seconds, 1),
+               std::to_string(r.out.trained_candidates)});
+    csv.add_row({r.algorithm, r.method,
+                 util::Table::fmt(r.out.val_accuracy_pct, 3),
+                 util::Table::fmt(r.out.metrics.edap(), 5),
+                 util::Table::fmt(r.out.search_seconds, 2),
+                 std::to_string(r.out.trained_candidates)});
+  }
+  csv.flush();
   std::printf("%s\n", t.to_string().c_str());
+  std::printf("data written to %s\n", csv_path.c_str());
   std::printf("paper shape: RL methods train 10^2..10^3 candidates; DANCE "
               "trains 1 and matches/beats accuracy.\n\n");
 }

@@ -4,8 +4,10 @@
 
 namespace dance::tensor::gemm {
 
-/// Blocked, cache-tiled single-precision GEMM shared by the autograd matmul
-/// forward (tensor::ops::matmul) and the frozen-inference plan executor
+/// Blocked, cache-tiled single-precision GEMM that computes every dense
+/// product: all three of tensor::ops::matmul (the forward C = A * B, and the
+/// backward dA = dC * B^T and dB = A^T * dC on a transposed copy of the
+/// other operand) and every layer of the frozen-inference plan executor
 /// (dance::infer). Keeping one kernel is what makes the fused inference path
 /// bit-identical to the autograd path by construction.
 ///
@@ -22,6 +24,10 @@ namespace dance::tensor::gemm {
 ///     row ranges on runtime::global_pool(), so results are bit-identical to
 ///     a serial run at any thread count (the pool's static-partitioning
 ///     contract, docs/runtime.md).
+///   * NaN bits are not part of the contract: NaN lands exactly where the
+///     naive loop puts one, but when both operands of an add are NaN, x86
+///     keeps the first one's sign and payload, and the vectorised inner loop
+///     may order the operands differently from a scalar loop.
 ///   * Zero-skip: a_ik == 0 rows of the inner loop are skipped only while B
 ///     is finite everywhere — 0 * NaN and 0 * inf must poison C, not vanish
 ///     (the PR 5 matmul regression). `b_finite` is the caller-supplied

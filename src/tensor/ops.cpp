@@ -45,6 +45,17 @@ void check_same_shape(const Variable& a, const Variable& b, const char* op) {
 
 bool wants(const std::shared_ptr<Node>& n) { return n && n->requires_grad; }
 
+/// [cols, rows] copy of a rank-2 tensor, for matmul's backward products.
+Tensor transposed(const Tensor& t) {
+  const std::size_t rows = t.rows();
+  const std::size_t cols = t.cols();
+  Tensor out({t.cols(), t.rows()});
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) out[c * rows + r] = t[r * cols + c];
+  }
+  return out;
+}
+
 }  // namespace
 
 Variable add(const Variable& a, const Variable& b) {
@@ -199,50 +210,24 @@ Variable matmul(const Variable& a, const Variable& b) {
   }
   return make_result(std::move(out), {a.node(), b.node()}, [n, k, m](Node& self) {
     DANCE_PROFILE_SCOPE("tensor.matmul.bwd");
+    // Both products run on the same kernel as the forward, so each element
+    // still sums its terms in ascending order, and the zero-skip stays gated
+    // on the other operand being finite everywhere.
     auto& pa = self.parents[0];
     auto& pb = self.parents[1];
-    const float* g = self.grad.data();
     if (wants(pa)) {
-      // dA = dC * B^T (rows of dA are independent -> parallel over i)
-      const float* bv = pb->value.data();
-      float* ga = pa->grad.data();
-      util::parallel_for(0, n, [&](long lo, long hi) {
-        for (long i = lo; i < hi; ++i) {
-          for (int kk = 0; kk < k; ++kk) {
-            const float* brow = bv + static_cast<std::ptrdiff_t>(kk) * m;
-            const float* grow = g + static_cast<std::ptrdiff_t>(i) * m;
-            float acc = 0.0F;
-            for (int j = 0; j < m; ++j) acc += grow[j] * brow[j];
-            ga[i * k + kk] += acc;
-          }
-        }
-      }, /*grain=*/std::max(1L, 65536L / std::max(1, k * m)));
+      // dA = dC * B^T, summed from zero and then added to A's gradient once,
+      // like a per-element dot product. Accumulating straight into a
+      // gradient that is already non-zero would round differently.
+      Tensor da({n, k});
+      gemm::gemm(self.grad.data(), transposed(pb->value).data(), da.data(), n,
+                 m, k);
+      pa->grad.add_(da);
     }
     if (wants(pb)) {
-      // dB = A^T * dC (rows of dB are independent -> parallel over kk)
-      const float* av = pa->value.data();
-      float* gb = pb->grad.data();
-      // Mirror of the forward zero-skip: dropping `a_ik * grow` for a zero
-      // activation is only sound while the upstream gradient is entirely
-      // finite — 0 * NaN must poison dB, not disappear.
-      bool g_finite = true;
-      for (std::size_t i = 0; i < self.grad.numel(); ++i) {
-        if (!std::isfinite(g[i])) {
-          g_finite = false;
-          break;
-        }
-      }
-      util::parallel_for(0, k, [&](long lo, long hi) {
-        for (long kk = lo; kk < hi; ++kk) {
-          float* gbrow = gb + static_cast<std::ptrdiff_t>(kk) * m;
-          for (int i = 0; i < n; ++i) {
-            const float a_ik = av[static_cast<std::ptrdiff_t>(i) * k + kk];
-            if (a_ik == 0.0F && g_finite) continue;
-            const float* grow = g + static_cast<std::ptrdiff_t>(i) * m;
-            for (int j = 0; j < m; ++j) gbrow[j] += a_ik * grow[j];
-          }
-        }
-      }, /*grain=*/std::max(1L, 65536L / std::max(1, n * m)));
+      // dB = A^T * dC, accumulated straight into B's gradient over ascending i.
+      gemm::gemm(transposed(pa->value).data(), self.grad.data(),
+                 pb->grad.data(), k, n, m);
     }
   });
 }

@@ -187,3 +187,42 @@ INSTANTIATE_TEST_SUITE_P(AllDataflows, LatencyMonotone,
                                            Dataflow::kRowStationary));
 
 }  // namespace
+
+namespace {
+
+using namespace dance;
+
+TEST(CostBreakdown, TotalsAgreeWithLayerCost) {
+  accel::CostModel model;
+  const accel::ConvShape s{1, 64, 64, 32, 32, 3, 3, 1, 1};
+  for (auto df : accel::kAllDataflows) {
+    const accel::AcceleratorConfig cfg{12, 20, 24, df};
+    const auto b = model.explain(cfg, s);
+    const auto lc = model.layer_cost(cfg, s);
+    EXPECT_DOUBLE_EQ(b.total_cycles(), lc.cycles);
+    EXPECT_DOUBLE_EQ(b.total_energy_pj(), lc.energy_pj);
+    // Components are non-negative and the bottleneck label is consistent.
+    EXPECT_GE(b.mac_pj, 0.0);
+    EXPECT_GE(b.static_pj, 0.0);
+    const std::string bn = b.bottleneck();
+    if (bn == "compute") {
+      EXPECT_DOUBLE_EQ(b.total_cycles(), b.compute_cycles);
+    } else if (bn == "gb") {
+      EXPECT_DOUBLE_EQ(b.total_cycles(), b.gb_cycles);
+    } else {
+      EXPECT_DOUBLE_EQ(b.total_cycles(), b.dram_cycles);
+    }
+  }
+}
+
+TEST(CostBreakdown, MacEnergyMatchesMacCount) {
+  accel::CostModel model;
+  const accel::ConvShape s{1, 16, 8, 8, 8, 3, 3, 1, 1};
+  const accel::AcceleratorConfig cfg{8, 8, 16, accel::Dataflow::kRowStationary};
+  const auto b = model.explain(cfg, s);
+  EXPECT_DOUBLE_EQ(b.mac_pj,
+                   static_cast<double>(s.macs()) * model.tech().mac_energy_pj);
+  EXPECT_DOUBLE_EQ(b.rf_accesses, 3.0 * static_cast<double>(s.macs()));
+}
+
+}  // namespace

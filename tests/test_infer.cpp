@@ -10,6 +10,8 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -20,10 +22,13 @@
 #include "evalnet/evaluator.h"
 #include "infer/plan.h"
 #include "obs/registry.h"
+#include "runtime/thread_pool.h"
 #include "serve/backend.h"
 #include "serve/service.h"
 #include "serve/wire.h"
 #include "tensor/gemm.h"
+#include "tensor/ops.h"
+#include "tensor/variable.h"
 #include "util/rng.h"
 
 namespace {
@@ -103,6 +108,136 @@ TEST(infer_gemm, ZeroTimesNonFinitePoisons) {
   EXPECT_TRUE(std::isnan(c[0]));
   EXPECT_FALSE(tensor::gemm::all_finite(b, 2));
   EXPECT_TRUE(tensor::gemm::all_finite(a, 2));
+}
+
+/// The dA and dB loops ops::matmul's backward ran before it called the
+/// shared GEMM: the bit-exact oracle for the products it computes now.
+void reference_matmul_backward(const float* av, const float* bv,
+                               const float* g, float* ga, float* gb, int n,
+                               int k, int m) {
+  for (long i = 0; i < n; ++i) {
+    for (int kk = 0; kk < k; ++kk) {
+      const float* brow = bv + static_cast<std::ptrdiff_t>(kk) * m;
+      const float* grow = g + static_cast<std::ptrdiff_t>(i) * m;
+      float acc = 0.0F;
+      for (int j = 0; j < m; ++j) acc += grow[j] * brow[j];
+      ga[i * k + kk] += acc;
+    }
+  }
+  bool g_finite = true;
+  for (std::size_t i = 0; i < static_cast<std::size_t>(n) * m; ++i) {
+    if (!std::isfinite(g[i])) {
+      g_finite = false;
+      break;
+    }
+  }
+  for (long kk = 0; kk < k; ++kk) {
+    float* gbrow = gb + static_cast<std::ptrdiff_t>(kk) * m;
+    for (int i = 0; i < n; ++i) {
+      const float a_ik = av[static_cast<std::ptrdiff_t>(i) * k + kk];
+      if (a_ik == 0.0F && g_finite) continue;
+      const float* grow = g + static_cast<std::ptrdiff_t>(i) * m;
+      for (int j = 0; j < m; ++j) gbrow[j] += a_ik * grow[j];
+    }
+  }
+}
+
+/// Normal entries with about `zero_pct` exact zeros; with `specials`, a few
+/// entries become ±0, ±inf or NaN.
+tensor::Tensor backward_operand(int rows, int cols, float zero_pct,
+                                bool specials, util::Rng& rng) {
+  constexpr std::array<float, 5> kSpecial = {
+      0.0F, -0.0F, std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity(),
+      std::numeric_limits<float>::quiet_NaN()};
+  tensor::Tensor t({rows, cols});
+  for (std::size_t i = 0; i < t.numel(); ++i) {
+    t[i] = rng.uniform() < zero_pct ? 0.0F : rng.normal();
+  }
+  if (specials) {
+    const int last = static_cast<int>(t.numel()) - 1;
+    for (int s = 0; s < 5; ++s) {
+      t[static_cast<std::size_t>(rng.randint(0, last))] =
+          kSpecial[static_cast<std::size_t>(rng.randint(0, 4))];
+    }
+  }
+  return t;
+}
+
+/// Bit-identical, except that NaN only has to land where `want` has NaN:
+/// when both operands of an add are NaN, x86 keeps the first one's bits, and
+/// the vectorised kernel orders its operands differently.
+::testing::AssertionResult same_up_to_nan_bits(const tensor::Tensor& want,
+                                                const tensor::Tensor& got) {
+  for (std::size_t i = 0; i < want.numel(); ++i) {
+    const bool same = std::isnan(want[i])
+                          ? std::isnan(got[i])
+                          : bit_equal(want.data() + i, got.data() + i, 1);
+    if (!same) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": want " << want[i] << ", got " << got[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Runs the backward closure of `c` = matmul(...) with upstream gradient
+/// `dc`, as Variable::backward does for that node.
+void run_matmul_backward(const tensor::Variable& c, tensor::Tensor dc) {
+  tensor::Node& node = *c.node();
+  node.grad = std::move(dc);
+  for (auto& p : node.parents) p->ensure_grad();
+  node.backward(node);
+}
+
+TEST(infer_gemm, MatmulBackwardMatchesReferenceLoops) {
+  struct Shape {
+    int n, k, m;
+  };
+  // Evaluator and supernet sizes, a tiny k, and degenerate shapes.
+  const std::vector<Shape> shapes = {{128, 63, 128}, {128, 48, 48},
+                                     {64, 128, 256}, {256, 3, 256},
+                                     {1, 1, 1},      {7, 1, 9}};
+  for (const bool serial : {true, false}) {
+    std::optional<runtime::SerialGuard> guard;
+    if (serial) guard.emplace();
+    util::Rng rng(0x9b4d);
+    for (const Shape& s : shapes) {
+      // Variant 0 is finite; 1-3 put specials into A, B or dC; 4 into all.
+      for (int variant = 0; variant < 5; ++variant) {
+        SCOPED_TRACE(::testing::Message()
+                     << (serial ? "serial " : "pool ") << s.n << "x" << s.k
+                     << "x" << s.m << " variant " << variant);
+        const auto in = [&](int v) { return variant == v || variant == 4; };
+        // A feeds two products, so the second one's dA lands on a gradient
+        // that is already non-zero. ~25% of A is exact zeros, as ReLU gives.
+        tensor::Variable a(backward_operand(s.n, s.k, 0.25F, in(1), rng), true);
+        std::array<tensor::Variable, 2> b;
+        std::array<tensor::Tensor, 2> dc;
+        for (int p = 0; p < 2; ++p) {
+          b[p] = tensor::Variable(
+              backward_operand(s.k, s.m, 0.0F, in(2), rng), true);
+          dc[p] = backward_operand(s.n, s.m, 0.1F, in(3), rng);
+        }
+
+        tensor::Tensor want_ga({s.n, s.k});
+        std::array<tensor::Tensor, 2> want_gb;
+        for (int p = 0; p < 2; ++p) {
+          want_gb[p] = tensor::Tensor({s.k, s.m});
+          reference_matmul_backward(a.value().data(), b[p].value().data(),
+                                    dc[p].data(), want_ga.data(),
+                                    want_gb[p].data(), s.n, s.k, s.m);
+        }
+        for (int p = 0; p < 2; ++p) {
+          run_matmul_backward(tensor::ops::matmul(a, b[p]), dc[p]);
+        }
+        EXPECT_TRUE(same_up_to_nan_bits(want_ga, a.grad()));
+        for (int p = 0; p < 2; ++p) {
+          EXPECT_TRUE(same_up_to_nan_bits(want_gb[p], b[p].grad()));
+        }
+      }
+    }
+  }
 }
 
 TEST(infer_plan, CompileExposesCheckpointGeometry) {
