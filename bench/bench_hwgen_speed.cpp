@@ -5,7 +5,8 @@
 // We time, on the same machine:
 //   - exhaustive hardware generation with direct cost-model evaluation,
 //     serial and on the runtime thread pool,
-//   - exhaustive generation through the per-layer cost LUT (serial + pool),
+//   - exhaustive generation through the per-choice cost table, a single-lane
+//     scan over the configs no lower-index config dominates,
 //   - coordinate-descent hardware generation,
 //   - hardware generation *network* inference.
 // Expected shape: the learned generator is orders of magnitude faster than
@@ -75,16 +76,6 @@ void BM_ExhaustiveViaLut(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExhaustiveViaLut)->Unit(benchmark::kMillisecond);
-
-void BM_ExhaustiveViaLutSerial(benchmark::State& state) {
-  Env& e = env();
-  const arch::Architecture a = e.arch_space.random(e.rng);
-  const runtime::SerialGuard serial;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(e.table->optimal(a, e.cost_fn));
-  }
-}
-BENCHMARK(BM_ExhaustiveViaLutSerial)->Unit(benchmark::kMillisecond);
 
 void BM_EvaluateAllConfigs(benchmark::State& state) {
   Env& e = env();

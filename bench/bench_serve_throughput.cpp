@@ -532,8 +532,8 @@ bool responses_bit_identical(const std::vector<serve::Response>& a,
 
 int main_cost_table() {
   Env& e = env();
-  // The exact arg-min walks all ~14k configs per query; a short unique-key
-  // replay is enough for stable percentiles.
+  // The exact arg-min scans the ~2.8k kept configs per query; a short
+  // unique-key replay is enough for stable percentiles.
   const int nq = std::min<int>(bench::scaled(128),
                                static_cast<int>(e.trace.size()));
   std::span<const serve::Request> reqs(e.trace.data(),

@@ -1,5 +1,5 @@
 // Offline cost-table compiler: enumerates the full (slot, op, config)
-// space through the analytical model and writes a DCTB-v1 artifact that
+// space through the analytical model and writes a DCTB-v2 artifact that
 // serve_jsonl / serve_cluster can mmap at startup (--table=PATH) instead of
 // rebuilding the table per process. See docs/cost_table.md.
 //

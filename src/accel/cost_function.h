@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cmath>
 #include <functional>
+#include <stdexcept>
 
 #include "accel/cost_model.h"
 
@@ -17,10 +19,23 @@ struct LinearCostWeights {
 };
 
 /// Scalar hardware cost function Cost_HW of Eq. 1.
+///
+/// Contract: the cost is non-decreasing in latency, energy and area — a
+/// design that is no worse on all three never costs more. Exact hardware
+/// generation (arch::CostProvider::optimal) relies on it to skip dominated
+/// configurations. EDAP, Eq. 3 with non-negative weights and
+/// search::constrained_cost_fn all meet it.
 using HwCostFn = std::function<double(const CostMetrics&)>;
 
-/// Eq. 3 linear combination.
+/// Eq. 3 linear combination. Throws std::invalid_argument on a negative or
+/// non-finite weight, which would break the HwCostFn contract.
 [[nodiscard]] inline HwCostFn linear_cost(LinearCostWeights w = {}) {
+  for (const double lambda : {w.lambda_l, w.lambda_e, w.lambda_a}) {
+    if (!std::isfinite(lambda) || lambda < 0.0) {
+      throw std::invalid_argument(
+          "linear_cost: weights must be finite and non-negative");
+    }
+  }
   return [w](const CostMetrics& m) {
     return w.lambda_l * m.latency_ms + w.lambda_e * m.energy_mj +
            w.lambda_a * m.area_mm2;

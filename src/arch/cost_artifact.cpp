@@ -9,6 +9,7 @@
 #include <cstring>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "obs/registry.h"
 #include "util/fs.h"
@@ -17,11 +18,12 @@ namespace dance::arch {
 
 namespace {
 
-// DCTB-v1: fixed 64-byte header, five flat f64 arrays, trailing FNV-1a
-// checksum over everything before it. Byte offsets (little-endian):
+// DCTB-v2: fixed 72-byte header, five flat f64 arrays in scan order, the
+// scan order itself, trailing FNV-1a checksum over everything before it.
+// Byte offsets (little-endian):
 //
 //    0  char[4]  magic "DCTB"
-//    4  u32      version (1)
+//    4  u32      version (2)
 //    8  u32      num_slots
 //   12  u32      num_ops (kNumCandidateOps)
 //   16  u64      num_configs
@@ -30,12 +32,15 @@ namespace {
 //   44  u32      arch encoding width (slot/op sanity cross-check)
 //   48  f64      clock_ghz
 //   56  u64      payload_bytes
-//   64  f64[]    fixed_cycles[C], fixed_energy[C], area[C],
+//   64  u64      num_kept (length of the scanned prefix)
+//   72  f64[]    fixed_cycles[C], fixed_energy[C], area[C],
 //                choice_cycles[S*O*C], choice_energy[S*O*C]
-// tail  u64      FNV-1a(bytes[0 .. 64+payload_bytes))
+//       u32[C]   order: config index at each position
+//       u8[]     zero padding to a multiple of 8 bytes
+// tail  u64      FNV-1a(bytes[0 .. 72+payload_bytes))
 constexpr char kMagic[4] = {'D', 'C', 'T', 'B'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 64;
+constexpr std::uint32_t kVersion = 2;
+constexpr std::size_t kHeaderBytes = 72;
 constexpr std::size_t kChecksumBytes = 8;
 
 /// Same FNV-1a as the DSNP cache snapshots (src/cluster/snapshot.cpp).
@@ -60,6 +65,15 @@ T get_at(const char* data, std::size_t off) {
   return v;
 }
 
+/// Bytes of the f64 arrays, and of the order array plus its padding.
+std::size_t array_bytes(std::size_t configs, std::size_t slots) {
+  return (3 * configs + 2 * slots * kNumCandidateOps * configs) *
+         sizeof(double);
+}
+std::size_t order_bytes(std::size_t configs) {
+  return (configs * sizeof(std::uint32_t) + 7) / 8 * 8;
+}
+
 }  // namespace
 
 ArtifactError::ArtifactError(const std::string& message, std::string path,
@@ -80,7 +94,7 @@ std::uint64_t save_cost_table(const TableCostProvider& table,
   const std::size_t configs = view.num_configs;
   const std::size_t choice_count = slots * kNumCandidateOps * configs;
   const std::size_t payload_bytes =
-      (3 * configs + 2 * choice_count) * sizeof(double);
+      array_bytes(configs, slots) + order_bytes(configs);
 
   std::string bytes(kHeaderBytes + payload_bytes + kChecksumBytes, '\0');
   std::memcpy(bytes.data(), kMagic, sizeof(kMagic));
@@ -98,6 +112,7 @@ std::uint64_t save_cost_table(const TableCostProvider& table,
       bytes, 44, static_cast<std::uint32_t>(table.arch_space().encoding_width()));
   put_at<double>(bytes, 48, view.clock_ghz);
   put_at<std::uint64_t>(bytes, 56, payload_bytes);
+  put_at<std::uint64_t>(bytes, 64, view.num_kept);
 
   char* payload = bytes.data() + kHeaderBytes;
   const auto copy_array = [&payload](const double* src, std::size_t n) {
@@ -109,6 +124,7 @@ std::uint64_t save_cost_table(const TableCostProvider& table,
   copy_array(view.area, configs);
   copy_array(view.choice_cycles, choice_count);
   copy_array(view.choice_energy, choice_count);
+  std::memcpy(payload, view.order, configs * sizeof(std::uint32_t));
 
   const std::uint64_t checksum =
       fnv1a(bytes.data(), kHeaderBytes + payload_bytes);
@@ -211,16 +227,25 @@ MmapCostTable::MmapCostTable(std::string path, const ArchSpace& arch_space)
   const auto payload_bytes = get_at<std::uint64_t>(data, 56);
   const std::size_t choice_count =
       static_cast<std::size_t>(num_slots) * kNumCandidateOps * num_configs;
-  const std::size_t expected_payload =
-      (3 * static_cast<std::size_t>(num_configs) + 2 * choice_count) *
-      sizeof(double);
-  if (payload_bytes != expected_payload) {
+  const std::size_t arrays = array_bytes(num_configs, num_slots);
+  if (payload_bytes != arrays + order_bytes(num_configs)) {
     throw fail("payload size disagrees with table dimensions", 56);
   }
   if (size != kHeaderBytes + payload_bytes + kChecksumBytes) {
     throw fail("file size disagrees with payload", kHeaderBytes + payload_bytes);
   }
+  const auto num_kept = get_at<std::uint64_t>(data, 64);
+  if (num_kept == 0 || num_kept > num_configs) {
+    throw fail("kept-prefix length out of range", 64);
+  }
+  const std::size_t order_at = kHeaderBytes + arrays;
+  for (std::size_t at = order_at + num_configs * sizeof(std::uint32_t);
+       at < kHeaderBytes + payload_bytes; ++at) {
+    if (data[at] != 0) throw fail("non-zero padding after the order", at);
+  }
 
+  // The header is 8-byte sized and the mapping page-aligned, so every f64
+  // array below is naturally aligned.
   const auto* payload =
       reinterpret_cast<const double*>(data + kHeaderBytes);
   view_.fixed_cycles = payload;
@@ -228,9 +253,34 @@ MmapCostTable::MmapCostTable(std::string path, const ArchSpace& arch_space)
   view_.area = payload + 2 * num_configs;
   view_.choice_cycles = payload + 3 * num_configs;
   view_.choice_energy = payload + 3 * num_configs + choice_count;
+  view_.order = reinterpret_cast<const std::uint32_t*>(data + order_at);
   view_.num_configs = num_configs;
+  view_.num_kept = num_kept;
   view_.slots = static_cast<int>(num_slots);
   view_.clock_ghz = clock_ghz;
+
+  // The scan order must be exactly the one CostTable derives: a
+  // permutation, each part ascending, and the kept part equal to the set
+  // re-derived from the mapped rows. optimal() relies on all three.
+  const auto entry = [order_at](std::size_t p) {
+    return order_at + p * sizeof(std::uint32_t);
+  };
+  if (const std::size_t bad = index_positions(); bad != num_configs) {
+    throw fail("scan order is not a permutation", entry(bad));
+  }
+  for (std::size_t p = 1; p < num_configs; ++p) {
+    if (p != num_kept && view_.order[p] <= view_.order[p - 1]) {
+      throw fail(p < num_kept ? "kept prefix is not ascending"
+                              : "pruned suffix is not ascending",
+                 entry(p));
+    }
+  }
+  const std::vector<std::uint8_t> pruned = pruned_configs(hw_space_);
+  for (std::size_t p = 0; p < num_configs; ++p) {
+    if ((pruned[view_.order[p]] == 0) != (p < num_kept)) {
+      throw fail("kept set disagrees with the table rows", entry(p));
+    }
+  }
   checksum_ = stored;
   obs::Registry::global().counter("costtable.loads").inc();
   obs::Registry::global().counter("costtable.mapped_bytes").inc(size);

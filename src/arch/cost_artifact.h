@@ -33,12 +33,13 @@ class ArtifactError : public std::runtime_error {
   std::uint64_t actual_ = 0;
 };
 
-/// Compiles a provider's full (slot, op, config) table into a DCTB-v1 file
-/// (see docs/cost_table.md for the byte layout): fixed 64-byte header
+/// Compiles a provider's full (slot, op, config) table into a DCTB-v2 file
+/// (see docs/cost_table.md for the byte layout): fixed 72-byte header
 /// carrying the table dimensions, the HwSearchSpace::Options needed to
-/// reconstruct H, the ArchSpace encoding width and the clock, followed by
-/// the five flat f64 arrays and a trailing FNV-1a checksum over everything
-/// before it. Written via util::atomic_write_file (tmp + rename), so a
+/// reconstruct H, the ArchSpace encoding width, the clock and the length of
+/// the kept prefix, followed by the five flat f64 arrays in scan order, the
+/// scan order itself and a trailing FNV-1a checksum over everything before
+/// it. Written via util::atomic_write_file (tmp + rename), so a
 /// crash mid-save never leaves a torn file. Returns the checksum.
 std::uint64_t save_cost_table(const TableCostProvider& table,
                               const std::string& path);
@@ -46,8 +47,9 @@ std::uint64_t save_cost_table(const TableCostProvider& table,
 /// A compiled cost table mapped read-only from disk. The file is verified
 /// checksum-first and parsed fully before the first query (DSNP
 /// discipline); any defect — truncation, bit flips anywhere, a table built
-/// for a different architecture space — throws ArtifactError from the
-/// constructor and nothing is ever served from a bad mapping. Pages are
+/// for a different architecture space, a scan order other than the one the
+/// mapped rows yield — throws ArtifactError from the constructor and
+/// nothing is ever served from a bad mapping. Pages are
 /// MAP_SHARED, so N processes mapping one artifact share one physical copy
 /// and pay zero per-process build time.
 class MmapCostTable : public TableCostProvider {

@@ -1,5 +1,10 @@
 #include "arch/cost_table.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/registry.h"
@@ -20,6 +25,9 @@ CostTable::CostTable(const ArchSpace& arch_space,
       hw_space_(hw_space),
       clock_ghz_(model.tech().clock_ghz) {
   const std::size_t num_configs = hw_space.size();
+  if (num_configs > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("CostTable: hardware space too large");
+  }
   const int slots = arch_space_.num_searchable();
   fixed_cycles_.assign(num_configs, 0.0);
   fixed_energy_.assign(num_configs, 0.0);
@@ -100,6 +108,33 @@ CostTable::CostTable(const ArchSpace& arch_space,
           }
         }
       });
+
+  // Scan order: kept configs first, then the pruned ones, each ascending.
+  // Every array is permuted in place through one row-sized scratch buffer.
+  DANCE_PROFILE_SCOPE("arch.cost_table.prune");
+  position_.resize(num_configs);
+  std::iota(position_.begin(), position_.end(), 0U);
+  const std::vector<std::uint8_t> pruned = pruned_configs(hw_space_);
+  order_.resize(num_configs);
+  std::iota(order_.begin(), order_.end(), 0U);
+  const auto kept_end = std::stable_partition(
+      order_.begin(), order_.end(),
+      [&pruned](std::uint32_t ci) { return pruned[ci] == 0; });
+  view_.num_kept = static_cast<std::size_t>(kept_end - order_.begin());
+  std::vector<double> scratch(num_configs);
+  const auto permute = [&](double* row) {
+    std::copy(row, row + num_configs, scratch.begin());
+    for (std::size_t p = 0; p < num_configs; ++p) row[p] = scratch[order_[p]];
+  };
+  permute(fixed_cycles_.data());
+  permute(fixed_energy_.data());
+  permute(area_.data());
+  for (std::size_t off = 0; off < choice_cycles_.size(); off += num_configs) {
+    permute(choice_cycles_.data() + off);
+    permute(choice_energy_.data() + off);
+  }
+  view_.order = order_.data();
+  (void)index_positions();  // order_ is a permutation by construction
 
   obs::Registry::global().counter("costtable.builds").inc();
 }

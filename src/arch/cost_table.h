@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "arch/cost_provider.h"
@@ -17,15 +18,19 @@ namespace dance::arch {
 /// tractable (DESIGN.md §7). The results are bit-identical to running the
 /// cost model directly.
 ///
+/// After the build the arrays are permuted in place into scan order (see
+/// TableCostProvider), so `optimal` scans only the configs no lower-index
+/// config dominates.
+///
 /// Queries are inherited from TableCostProvider; a CostTable saved with
 /// `save_cost_table` and reloaded as an `MmapCostTable` answers
 /// bit-identically (see src/arch/cost_artifact.h).
 class CostTable : public TableCostProvider {
  public:
   /// Builds the table by sweeping the whole (slot, op, config) space over
-  /// `runtime::global_pool()`. Holds references to `arch_space` and
-  /// `hw_space` (not `model`, which is only consulted during the build);
-  /// both must outlive the table.
+  /// `runtime::global_pool()`, then permutes it into scan order. Holds
+  /// references to `arch_space` and `hw_space` (not `model`, which is only
+  /// consulted during the build); both must outlive the table.
   CostTable(const ArchSpace& arch_space, const hwgen::HwSearchSpace& hw_space,
             const accel::CostModel& model);
 
@@ -47,11 +52,12 @@ class CostTable : public TableCostProvider {
   const ArchSpace& arch_space_;
   const hwgen::HwSearchSpace& hw_space_;
   double clock_ghz_;
-  std::vector<double> fixed_cycles_;   ///< [config]
-  std::vector<double> fixed_energy_;   ///< [config] (pJ)
-  std::vector<double> choice_cycles_;  ///< [slot][op][config]
-  std::vector<double> choice_energy_;  ///< [slot][op][config] (pJ)
-  std::vector<double> area_;           ///< [config] (mm^2)
+  std::vector<double> fixed_cycles_;   ///< [position]
+  std::vector<double> fixed_energy_;   ///< [position] (pJ)
+  std::vector<double> choice_cycles_;  ///< [slot][op][position]
+  std::vector<double> choice_energy_;  ///< [slot][op][position] (pJ)
+  std::vector<double> area_;           ///< [position] (mm^2)
+  std::vector<std::uint32_t> order_;   ///< [position] -> config index
 };
 
 /// Factory form of the CostTable constructor — the construction-side

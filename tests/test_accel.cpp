@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "accel/cost_function.h"
 #include "accel/cost_model.h"
 
@@ -138,6 +141,20 @@ TEST(CostFunction, LinearUsesPaperWeights) {
   const HwCostFn fn = linear_cost();
   const CostMetrics m{1.0, 1.0, 1.0};
   EXPECT_NEAR(fn(m), 4.1 + 4.8 + 1.0, 1e-12);
+}
+
+TEST(CostFunction, LinearRejectsNegativeOrNonFiniteWeights) {
+  // A negative weight makes the cost fall as a metric grows, which breaks
+  // the HwCostFn contract the pruned exact scan relies on.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {-1.0, -1e-300, inf, -inf, nan}) {
+    EXPECT_THROW((void)linear_cost({.lambda_l = bad}), std::invalid_argument);
+    EXPECT_THROW((void)linear_cost({.lambda_e = bad}), std::invalid_argument);
+    EXPECT_THROW((void)linear_cost({.lambda_a = bad}), std::invalid_argument);
+  }
+  const HwCostFn zeros = linear_cost({0.0, -0.0, 0.0});
+  EXPECT_EQ(zeros(CostMetrics{1.0, 2.0, 3.0}), 0.0);
 }
 
 TEST(CostFunction, EdapMatchesMetric) {

@@ -5,17 +5,25 @@
 //   - the pool-parallel table build is bit-identical to a serial build
 //     (checksum equality over the whole storage);
 //   - a random single-byte corruption anywhere in a DCTB file is rejected
-//     before anything is served from it.
+//     before anything is served from it;
+//   - the pruned scan in optimal() returns the config, metric bits and cost
+//     bits of a full first-minimum scan, for every non-decreasing cost form
+//     the repo uses plus forced ties, against two oracles that never touch
+//     the scan order: hwgen::ExhaustiveSearch over metrics summed from the
+//     cost model (small space) and a full metrics(ci) scan (full space).
 // Suite name carries the "costtable" tag so `ctest -R costtable` includes
 // this fuzz next to the example-based suites in tests/test_costtable.cpp.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,7 +33,9 @@
 #include "accel/cost_model.h"
 #include "arch/cost_artifact.h"
 #include "arch/cost_table.h"
+#include "hwgen/exhaustive.h"
 #include "runtime/thread_pool.h"
+#include "search/cost_term.h"
 #include "testing/generators.h"
 #include "testing/property.h"
 
@@ -176,6 +186,215 @@ TEST(costtable_property, SingleByteCorruptionAnywhereIsRejected) {
         }
       });
   std::remove(bad_path.c_str());
+  EXPECT_TRUE(result.ok) << result.report;
+  EXPECT_GE(result.trials_run, 100);
+}
+
+// --- the pruned scan against full-scan oracles ------------------------------
+
+enum class CostForm {
+  kEdap,
+  kLinear,
+  kLatency,
+  kConstrained,
+  kFeasible,
+  kQuantisedEdap,
+  kZero,
+  kInfinity
+};
+constexpr int kNumCostForms = 8;
+
+struct CostCase {
+  arch::Architecture a;
+  CostForm form = CostForm::kEdap;
+  accel::LinearCostWeights weights;  ///< kLinear, and a linear kConstrained
+  bool linear_base = false;          ///< kConstrained: linear, else EDAP
+  search::ConstraintSpec spec;       ///< kConstrained and kFeasible
+  double quantum = 1.0;              ///< kQuantisedEdap
+};
+
+accel::HwCostFn cost_of(const CostCase& c) {
+  switch (c.form) {
+    case CostForm::kEdap:
+      return accel::edap_cost();
+    case CostForm::kLinear:
+      return accel::linear_cost(c.weights);
+    case CostForm::kLatency:
+      return [](const accel::CostMetrics& m) { return m.latency_ms; };
+    case CostForm::kConstrained:
+      return search::constrained_cost_fn(c.linear_base
+                                             ? accel::linear_cost(c.weights)
+                                             : accel::edap_cost(),
+                                         c.spec);
+    case CostForm::kFeasible:  // 0 for every feasible config
+      return search::constrained_cost_fn(
+          [](const accel::CostMetrics&) { return 0.0; }, c.spec);
+    case CostForm::kQuantisedEdap:
+      return [q = c.quantum](const accel::CostMetrics& m) {
+        return std::floor(m.edap() / q) * q;
+      };
+    case CostForm::kZero:
+      return [](const accel::CostMetrics&) { return 0.0; };
+    case CostForm::kInfinity:
+      return [](const accel::CostMetrics&) {
+        return std::numeric_limits<double>::infinity();
+      };
+  }
+  return nullptr;
+}
+
+/// Random architecture and cost. Budgets and quanta are scaled from the
+/// metrics of a random config of `table`, so constraints bind and quantised
+/// costs tie for many configs. kFeasible's budgets are exactly one config's
+/// metrics; every feasible config ties, which is what exposes a config
+/// pruned by a higher-index dominator.
+testing_::Generator<CostCase> cost_case_gen(const arch::CostTable& table) {
+  testing_::Generator<CostCase> gen;
+  gen.sample = [&table](util::Rng& rng) {
+    CostCase c;
+    c.a = table.arch_space().random(rng);
+    c.form = static_cast<CostForm>(rng.randint(0, kNumCostForms - 1));
+    const auto weight = [&rng] {
+      return rng.randint(0, 2) == 0
+                 ? 0.0
+                 : static_cast<double>(rng.uniform(0.0F, 10.0F));
+    };
+    c.weights = {weight(), weight(), weight()};
+    c.linear_base = rng.randint(0, 1) == 1;
+    const auto probe = table.metrics(
+        static_cast<std::size_t>(rng.randint(
+            0, static_cast<int>(table.hw_space().size()) - 1)),
+        c.a);
+    switch (rng.randint(0, 2)) {
+      case 0:  // nothing is feasible, every config costs the same
+        c.spec = {.area_budget_mm2 = 1e-9, .latency_slo_ms = 1e-9};
+        break;
+      case 1:  // budgets of zero are ignored: again all configs tie
+        c.spec = {.area_budget_mm2 = 0.0, .latency_slo_ms = 0.0};
+        break;
+      default:
+        c.spec = {.area_budget_mm2 = probe.area_mm2 * rng.uniform(0.5F, 1.5F),
+                  .latency_slo_ms = probe.latency_ms * rng.uniform(0.5F, 1.5F)};
+    }
+    if (c.form == CostForm::kFeasible) {
+      c.spec = {.area_budget_mm2 = probe.area_mm2,
+                .latency_slo_ms = probe.latency_ms};
+    }
+    c.quantum = probe.edap() * rng.uniform(0.05F, 1.0F);
+    return c;
+  };
+  gen.show = [](const CostCase& c) {
+    std::ostringstream out;
+    out << "form " << static_cast<int>(c.form) << " arch";
+    for (const auto op : c.a) out << ' ' << static_cast<int>(op);
+    out << " weights " << c.weights.lambda_l << ',' << c.weights.lambda_e
+        << ',' << c.weights.lambda_a << " linear_base " << c.linear_base
+        << " budgets " << c.spec.area_budget_mm2 << ','
+        << c.spec.latency_slo_ms << " quantum " << c.quantum;
+    return out.str();
+  };
+  return gen;
+}
+
+/// Same config, metric bits and cost bits; empty when they agree.
+std::string compare(const hwgen::HwSearchResult& got,
+                    const hwgen::HwSearchResult& want) {
+  if (!(got.config == want.config)) {
+    return "config " + got.config.to_string() + " vs oracle " +
+           want.config.to_string();
+  }
+  if (std::memcmp(&got.metrics, &want.metrics, sizeof(got.metrics)) != 0) {
+    return "metric bits differ at " + want.config.to_string();
+  }
+  if (std::memcmp(&got.cost, &want.cost, sizeof(got.cost)) != 0) {
+    return "cost bits differ: " + std::to_string(got.cost) + " vs oracle " +
+           std::to_string(want.cost);
+  }
+  return "";
+}
+
+/// Metrics of `a` on every config in space order, summed straight from the
+/// cost model in the table's association: the fixed layers, then each
+/// slot's choice, each a left-to-right sum over its shapes.
+std::vector<accel::CostMetrics> model_metrics(const arch::ArchSpace& space,
+                                              const hwgen::HwSearchSpace& hw,
+                                              const accel::CostModel& model,
+                                              const arch::Architecture& a) {
+  std::vector<std::vector<accel::ConvShape>> segments{space.fixed_shapes()};
+  for (int slot = 0; slot < space.num_searchable(); ++slot) {
+    segments.push_back(
+        space.lower_choice(slot, a[static_cast<std::size_t>(slot)]));
+  }
+  std::vector<accel::CostMetrics> out;
+  for (std::size_t ci = 0; ci < hw.size(); ++ci) {
+    const accel::AcceleratorConfig config = hw.config_at(ci);
+    double cycles = 0.0;
+    double energy = 0.0;
+    for (const auto& shapes : segments) {
+      double seg_cycles = 0.0;
+      double seg_energy = 0.0;
+      for (const auto& shape : shapes) {
+        const accel::LayerCost lc = model.layer_cost(config, shape);
+        seg_cycles += lc.cycles;
+        seg_energy += lc.energy_pj;
+      }
+      cycles += seg_cycles;
+      energy += seg_energy;
+    }
+    out.push_back({.latency_ms = cycles / (model.tech().clock_ghz * 1e6),
+                   .energy_mj = energy * 1e-9,
+                   .area_mm2 = model.area_mm2(config)});
+  }
+  return out;
+}
+
+TEST(costtable_property, PrunedScanMatchesExhaustiveSearchOnSmallSpace) {
+  const arch::ArchSpace arch_space(arch::cifar10_backbone());
+  const hwgen::HwSearchSpace hw = hwgen::HwSearchSpace::small();
+  const accel::CostModel model;
+  const arch::CostTable table(arch_space, hw, model);
+  const hwgen::ExhaustiveSearch exhaustive(hw, model);
+  const auto result = testing_::check<CostCase>(
+      "pruned optimal vs ExhaustiveSearch", cost_case_gen(table),
+      [&](const CostCase& c, util::Rng&) -> std::string {
+        const accel::HwCostFn cost_fn = cost_of(c);
+        const auto all = model_metrics(arch_space, hw, model, c.a);
+        hwgen::HwSearchResult want = exhaustive.run_precomputed(all, cost_fn);
+        // When no cost is below +inf, ExhaustiveSearch names no config;
+        // CostProvider::optimal's contract then names config 0.
+        if (!(want.cost < std::numeric_limits<double>::infinity())) {
+          want = {hw.config_at(0), all[0], want.cost};
+        }
+        return compare(table.optimal(c.a, cost_fn), want);
+      });
+  EXPECT_TRUE(result.ok) << result.report;
+  EXPECT_GE(result.trials_run, 100);
+}
+
+TEST(costtable_property, PrunedScanMatchesFullScanOnFullSpace) {
+  const arch::ArchSpace arch_space(arch::cifar10_backbone());
+  const hwgen::HwSearchSpace hw;
+  const accel::CostModel model;
+  const arch::CostTable table(arch_space, hw, model);
+  ASSERT_LT(table.scan_size(), hw.size());
+  const auto result = testing_::check<CostCase>(
+      "pruned optimal vs full metrics() scan", cost_case_gen(table),
+      [&](const CostCase& c, util::Rng&) -> std::string {
+        const accel::HwCostFn cost_fn = cost_of(c);
+        const auto all = table.evaluate_all(c.a);
+        hwgen::HwSearchResult want{hw.config_at(0), table.metrics(0, c.a),
+                                   std::numeric_limits<double>::infinity()};
+        for (std::size_t ci = 0; ci < hw.size(); ++ci) {
+          const accel::CostMetrics m = table.metrics(ci, c.a);
+          if (std::memcmp(&m, &all[ci], sizeof(m)) != 0) {
+            return "evaluate_all differs from metrics() at config " +
+                   std::to_string(ci);
+          }
+          const double cost = cost_fn(m);
+          if (cost < want.cost) want = {hw.config_at(ci), m, cost};
+        }
+        return compare(table.optimal(c.a, cost_fn), want);
+      });
   EXPECT_TRUE(result.ok) << result.report;
   EXPECT_GE(result.trials_run, 100);
 }
