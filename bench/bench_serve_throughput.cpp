@@ -15,13 +15,6 @@
 // The serial and batched answers are checked bit-identical first — the
 // deterministic-inference contract that makes the comparison meaningful.
 //
-// A registry row prices zero-downtime hot swaps: the same trace replayed
-// through the registry backend (pin -> generation-scoped cache) while a
-// publisher thread publishes a new generation at the halfway mark. The row
-// reports steady-state vs swap-window QPS and p99 (the window spans the
-// publish plus the cold-namespace re-warm right after the swap) — the
-// price of a swap is a transient dip, never a dropped or errored response.
-//
 // A second section prices the surrogate's serving path: the same
 // single-query trace answered by the autograd oracle
 // (Evaluator::forward_batch) and by SurrogateBackend, which serves through
@@ -42,25 +35,21 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include "accel/cost_function.h"
 #include "arch/cost_artifact.h"
 #include "arch/cost_table.h"
 #include "bench_common.h"
 #include "evalnet/evaluator.h"
-#include "registry/registry.h"
 #include "serve/backend.h"
 #include "serve/service.h"
 #include "util/csv.h"
@@ -147,117 +136,7 @@ std::vector<float> replay_batched(double& seconds) {
   return metrics;
 }
 
-// --- registry hot swap under load -------------------------------------------
-
-struct HotSwapResult {
-  double seconds = 0.0;  ///< whole replay wall time
-  double steady_qps = 0.0;
-  double steady_p99_us = 0.0;
-  double swap_qps = 0.0;
-  double swap_p99_us = 0.0;
-  double swap_window_s = 0.0;
-  double hit_rate = 0.0;
-  std::size_t in_window = 0;
-  std::size_t errors = 0;  ///< must stay 0: swaps never drop a response
-};
-
-double p99_us(std::vector<double>& lat) {
-  if (lat.empty()) return 0.0;
-  std::sort(lat.begin(), lat.end());
-  return lat[std::min(lat.size() - 1, (lat.size() * 99) / 100)];
-}
-
-/// Replays the trace through a registry-backed service (every query pinned
-/// to the live generation) while a publisher thread hot-swaps the model at
-/// the halfway mark. The swap window runs from publish start until 50 ms
-/// after the swap lands, covering both the publish itself and the
-/// cold-namespace re-warm that follows the generation flip.
-HotSwapResult run_hotswap() {
-  Env& e = env();
-  const std::string dir =
-      "/tmp/dance_bench_registry_" + std::to_string(getpid());
-  mkdir(dir.c_str(), 0755);
-  registry::ModelRegistry::init(dir);
-  registry::ModelRegistry reg(dir, e.hw_space);
-  {
-    util::Rng rng(33);
-    evalnet::Evaluator ev(e.arch_space.encoding_width(), e.hw_space, rng);
-    (void)reg.publish("bench", ev);
-  }
-  registry::RegistryBackend backend;
-  serve::Service::Options opts;
-  opts.batch.max_batch = 1;  // single client: batches of one, clean latencies
-  serve::Service service(backend, opts);
-
-  HotSwapResult out;
-  std::atomic<std::size_t> progress{0};
-  std::atomic<double> swap_lo{-1.0};
-  std::atomic<double> swap_hi{-1.0};
-  const auto start = std::chrono::steady_clock::now();
-
-  std::thread publisher([&] {
-    while (progress.load(std::memory_order_relaxed) < e.trace.size() / 2) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    swap_lo.store(seconds_since(start));
-    util::Rng rng(34);
-    evalnet::Evaluator ev(e.arch_space.encoding_width(), e.hw_space, rng);
-    (void)reg.publish("bench", ev);
-    swap_hi.store(seconds_since(start));
-  });
-
-  std::vector<double> began(e.trace.size());
-  std::vector<double> lat(e.trace.size());
-  for (std::size_t i = 0; i < e.trace.size(); ++i) {
-    const auto q0 = std::chrono::steady_clock::now();
-    began[i] = seconds_since(start);
-    try {
-      const registry::VersionPtr pin = reg.pin("bench");
-      auto r = service.query(
-          registry::ModelRegistry::make_request(pin, e.trace[i].encoding));
-      benchmark::DoNotOptimize(r);
-    } catch (const std::exception&) {
-      ++out.errors;
-    }
-    lat[i] = 1e6 * seconds_since(q0);
-    progress.store(i + 1, std::memory_order_relaxed);
-  }
-  out.seconds = seconds_since(start);
-  publisher.join();
-  out.hit_rate = service.stats().cache.hit_rate();
-
-  const double lo = swap_lo.load();
-  const double hi = std::max(swap_hi.load(), lo) + 0.050;
-  std::vector<double> in_lat;
-  std::vector<double> steady_lat;
-  for (std::size_t i = 0; i < lat.size(); ++i) {
-    (began[i] >= lo && began[i] < hi ? in_lat : steady_lat).push_back(lat[i]);
-  }
-  out.in_window = in_lat.size();
-  out.swap_window_s = hi - lo;
-  out.swap_qps = static_cast<double>(in_lat.size()) / out.swap_window_s;
-  out.steady_qps = static_cast<double>(steady_lat.size()) /
-                   std::max(1e-9, out.seconds - out.swap_window_s);
-  out.swap_p99_us = p99_us(in_lat);
-  out.steady_p99_us = p99_us(steady_lat);
-
-  util::Table table({"phase", "requests", "QPS", "p99 us"});
-  table.add_row({"steady state", std::to_string(steady_lat.size()),
-                 util::Table::fmt(out.steady_qps, 0),
-                 util::Table::fmt(out.steady_p99_us, 1)});
-  table.add_row({"swap window", std::to_string(out.in_window),
-                 util::Table::fmt(out.swap_qps, 0),
-                 util::Table::fmt(out.swap_p99_us, 1)});
-  std::printf("%s\n", table.to_string().c_str());
-  std::printf("hot swap: live generation %llu after the flip, window %.0f ms, "
-              "dropped/errored responses: %zu %s\n\n",
-              static_cast<unsigned long long>(reg.live_generation("bench")),
-              1e3 * out.swap_window_s, out.errors,
-              out.errors == 0 ? "(zero-downtime swap)" : "(SWAP DROPPED WORK)");
-  return out;
-}
-
-int main_comparison(const HotSwapResult& hot) {
+int main_comparison() {
   Env& e = env();
   const auto n = static_cast<double>(e.trace.size());
 
@@ -316,11 +195,6 @@ int main_comparison(const HotSwapResult& hot) {
                  util::Table::fmt(n / service_s, 0),
                  util::Table::fmt(serial_s / service_s, 2),
                  util::Table::fmt(100.0 * stats.cache.hit_rate(), 1) + "%"});
-  table.add_row({"registry+hot swap", std::to_string(e.trace.size()),
-                 util::Table::fmt(hot.seconds, 3),
-                 util::Table::fmt(n / hot.seconds, 0),
-                 util::Table::fmt(serial_s / hot.seconds, 2),
-                 util::Table::fmt(100.0 * hot.hit_rate, 1) + "%"});
   std::printf("%s\n", table.to_string().c_str());
   std::fputs(service.stats_report().c_str(), stdout);
 
@@ -331,29 +205,18 @@ int main_comparison(const HotSwapResult& hot) {
 
   util::CsvWriter csv(bench::data_path("serve_throughput.csv"),
                       {"mode", "requests", "unique_keys", "seconds", "qps",
-                       "speedup_vs_serial", "cache_hit_rate",
-                       "swap_window_qps", "swap_window_p99_us",
-                       "steady_p99_us"});
+                       "speedup_vs_serial", "cache_hit_rate"});
   const std::string nreq = std::to_string(e.trace.size());
   const std::string nuniq = std::to_string(e.unique_keys.size());
   csv.add_row({"serial", nreq, nuniq, util::Table::fmt(serial_s, 4),
-               util::Table::fmt(serial_qps, 1), "1.0", "0", "0", "0", "0"});
+               util::Table::fmt(serial_qps, 1), "1.0", "0"});
   csv.add_row({"batched", nreq, nuniq, util::Table::fmt(batched_s, 4),
                util::Table::fmt(n / batched_s, 1),
-               util::Table::fmt(serial_s / batched_s, 2), "0", "0", "0",
-               "0"});
+               util::Table::fmt(serial_s / batched_s, 2), "0"});
   csv.add_row({"cached_batched", nreq, nuniq, util::Table::fmt(service_s, 4),
                util::Table::fmt(n / service_s, 1),
                util::Table::fmt(combined_speedup, 2),
-               util::Table::fmt(stats.cache.hit_rate(), 3), "0", "0", "0"});
-  csv.add_row({"registry_hotswap", nreq, nuniq,
-               util::Table::fmt(hot.seconds, 4),
-               util::Table::fmt(n / hot.seconds, 1),
-               util::Table::fmt(serial_s / hot.seconds, 2),
-               util::Table::fmt(hot.hit_rate, 3),
-               util::Table::fmt(hot.swap_qps, 1),
-               util::Table::fmt(hot.swap_p99_us, 2),
-               util::Table::fmt(hot.steady_p99_us, 2)});
+               util::Table::fmt(stats.cache.hit_rate(), 3)});
   csv.flush();
   std::printf("wrote %s\n\n", bench::data_path("serve_throughput.csv").c_str());
   return (identical && service_identical) ? 0 : 1;
@@ -679,12 +542,7 @@ int main(int argc, char** argv) {
               "chunk/max_batch %d, window 512.\n\n",
               dance::bench::scaled(10000),
               std::max(1, dance::bench::scaled(10000) / 8), kChunk);
-  std::printf("== registry hot swap under load: publish at the halfway mark "
-              "==\n");
-  std::printf("pinned single-query replay; swap window = publish + 50 ms "
-              "re-warm.\n\n");
-  const HotSwapResult hot = run_hotswap();
-  const int rc = main_comparison(hot);
+  const int rc = main_comparison();
   std::printf("== surrogate serving: autograd oracle vs fused plan ==\n");
   std::printf("single-query replay of the same trace per path; bit-identity "
               "checked over every unique key.\n\n");

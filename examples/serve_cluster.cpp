@@ -30,13 +30,6 @@
 //                        physical copy of the table across the cluster
 //                        (exact backend only)
 //   --snapshot-dir=DIR   per-shard warm-start snapshots (shard_<id>.snap)
-//   --registry=DIR       registry mode: every shard serves pinned,
-//                        generation-scoped queries out of the checkpoint
-//                        registry in DIR (docs/registry.md). SIGHUP to the
-//                        router hot-reloads every shard; --backend and
-//                        --snapshot-dir do not apply.
-//   --model=NAME         registry mode: default model        (default
-//                        "default"; requests may override per line)
 //   --shard-id=K         internal (shard role)
 //
 // DANCE_FAULT (net.accept/net.read/net.write sites) injects connection
@@ -67,9 +60,6 @@
 #include "fault/fault.h"
 #include "net/client.h"
 #include "net/socket.h"
-#include "registry/registry.h"
-#include "registry/serving.h"
-#include "registry/shadow.h"
 #include "serve/service.h"
 #include "serve/stack.h"
 #include "serve/wire.h"
@@ -87,8 +77,6 @@ struct Args {
   std::string connect;
   serve::BackendSpec backend;  ///< --backend and --table
   std::string snapshot_dir;
-  std::string registry_dir;
-  std::string model = "default";
   bool small = false;
 };
 
@@ -96,27 +84,20 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--shards=N] [--listen=EP] [--backend=exact|"
                "surrogate] [--small] [--snapshot-dir=DIR]\n"
-               "       %s [--shards=N] [--listen=EP] --registry=DIR "
-               "[--model=NAME] [--small]\n"
                "       %s --client --connect=EP\n"
                "  EP is tcp:HOST:PORT or unix:PATH\n",
-               argv0, argv0, argv0);
+               argv0, argv0);
   return 2;
 }
 
 // --- signals -> self-pipe ---------------------------------------------------
-// The handler only writes one byte; all shutdown/reload logic runs on the
-// main thread, blocked in read(2) on the pipe. SIGTERM/SIGINT write
-// kSignalStop; SIGHUP writes kSignalReload (registry hot reload — the
-// router forwards it to every shard, shards re-read the MANIFEST).
-
-constexpr char kSignalStop = 1;
-constexpr char kSignalReload = 2;
+// The handler only writes one byte; all shutdown logic runs on the main
+// thread, blocked in read(2) on the pipe until SIGTERM or SIGINT arrives.
 
 int g_signal_pipe[2] = {-1, -1};
 
-void on_signal(int sig) {
-  const char byte = sig == SIGHUP ? kSignalReload : kSignalStop;
+void on_signal(int) {
+  const char byte = 1;
   // Best effort; a full pipe already means a pending wakeup.
   (void)!write(g_signal_pipe[1], &byte, 1);
 }
@@ -132,15 +113,14 @@ void arm_signal_pipe() {
   sa.sa_flags = SA_RESTART;
   sigaction(SIGTERM, &sa, nullptr);
   sigaction(SIGINT, &sa, nullptr);
-  sigaction(SIGHUP, &sa, nullptr);
+  signal(SIGHUP, SIG_IGN);  // a hangup neither stops nor restarts a cluster
   signal(SIGPIPE, SIG_IGN);
 }
 
-char wait_for_signal() {
-  char byte = kSignalStop;
+void wait_for_signal() {
+  char byte = 0;
   while (read(g_signal_pipe[0], &byte, 1) < 0 && errno == EINTR) {
   }
-  return byte;
 }
 
 std::string shard_socket_path(const net::Endpoint& listen, int shard_id) {
@@ -154,87 +134,30 @@ std::string shard_socket_path(const net::Endpoint& listen, int shard_id) {
 // --- roles ------------------------------------------------------------------
 
 // One shard: a ShardServer over a Service on serve::make_backend (the
-// builder serve_jsonl uses, so answers match the single process). Registry
-// shards answer through registry::Frontend via handler_override; SIGHUP,
-// forwarded by the router, hot-reloads the MANIFEST while serving.
+// builder serve_jsonl uses, so answers match the single process).
 int run_shard(const Args& args) {
   arm_signal_pipe();
   const arch::ArchSpace arch_space(arch::cifar10_backbone());
   const hwgen::HwSearchSpace hw_space =
       args.small ? hwgen::HwSearchSpace::small() : hwgen::HwSearchSpace();
-  std::unique_ptr<registry::ModelRegistry> reg;
-  std::unique_ptr<serve::CostQueryBackend> backend;
-  if (args.registry_dir.empty()) {
-    backend = serve::make_backend(args.backend, arch_space, hw_space);
-  } else {
-    reg = std::make_unique<registry::ModelRegistry>(args.registry_dir,
-                                                    hw_space);
-    backend = std::make_unique<registry::RegistryBackend>();
-  }
+  const std::unique_ptr<serve::CostQueryBackend> backend =
+      serve::make_backend(args.backend, arch_space, hw_space);
   serve::Service service(*backend);
 
   cluster::ShardServer::Options opts = cluster::ShardServer::Options::from_env();
-  std::unique_ptr<registry::ShadowMirror> shadow;
-  std::unique_ptr<registry::Frontend> frontend;
-  if (reg) {
-    const auto shadow_opts = registry::ShadowMirror::Options::from_env();
-    if (shadow_opts.pct > 0.0) {
-      shadow = std::make_unique<registry::ShadowMirror>(*reg, shadow_opts);
-    }
-    frontend = std::make_unique<registry::Frontend>(*reg, service, args.model,
-                                                    shadow.get());
-    opts.handler_override = [&frontend, &arch_space](const std::string& line) {
-      return frontend->answer_line(line, arch_space);
-    };
-    // Generation-scoped cache keys don't fit the snapshot format's
-    // width-derived layout; registry shards always start cold.
-    opts.snapshot_path.clear();
-  } else if (!args.snapshot_dir.empty()) {
+  if (!args.snapshot_dir.empty()) {
     opts.snapshot_path =
         args.snapshot_dir + "/shard_" + std::to_string(args.shard_id) + ".snap";
   }
 
   cluster::ShardServer shard(service, arch_space, opts);
   const net::Endpoint bound = shard.start(net::Endpoint::parse(args.listen));
-  if (reg) {
-    std::fprintf(stderr,
-                 "[shard %d] serving on %s (registry=%s, model=%s, live gen "
-                 "%llu)\n",
-                 args.shard_id, bound.to_string().c_str(),
-                 args.registry_dir.c_str(), args.model.c_str(),
-                 static_cast<unsigned long long>(
-                     reg->live_generation(args.model)));
-  } else {
-    std::fprintf(stderr, "[shard %d] serving on %s (backend=%s, warm=%zu)\n",
-                 args.shard_id, bound.to_string().c_str(),
-                 args.backend.kind.c_str(), shard.warm_entries());
-  }
+  std::fprintf(stderr, "[shard %d] serving on %s (backend=%s, warm=%zu)\n",
+               args.shard_id, bound.to_string().c_str(),
+               args.backend.kind.c_str(), shard.warm_entries());
 
-  while (wait_for_signal() == kSignalReload) {
-    if (!reg) continue;  // plain shards have nothing to reload
-    try {
-      const std::size_t swaps = reg->reload();
-      std::fprintf(stderr, "[shard %d] SIGHUP reload: %zu swaps\n",
-                   args.shard_id, swaps);
-    } catch (const std::exception& e) {
-      // A half-published MANIFEST must not take the shard down; keep
-      // serving the pinned generations and retry on the next HUP.
-      std::fprintf(stderr, "[shard %d] reload failed: %s\n", args.shard_id,
-                   e.what());
-    }
-  }
+  wait_for_signal();
   shard.drain_and_stop();
-  if (shadow != nullptr) {
-    shadow->drain();
-    const auto s = shadow->stats();
-    std::fprintf(stderr,
-                 "[shard %d] shadow: sampled=%llu mirrored=%llu "
-                 "disagreements=%llu agreement_rate=%.3f\n",
-                 args.shard_id, static_cast<unsigned long long>(s.sampled),
-                 static_cast<unsigned long long>(s.mirrored),
-                 static_cast<unsigned long long>(s.disagreements),
-                 s.agreement_rate());
-  }
   const auto stats = shard.net_stats();
   std::fprintf(stderr,
                "[shard %d] drained: requests=%llu accepted=%llu "
@@ -270,10 +193,6 @@ int run_router(const Args& args, const char* argv0) {
     }
     if (!args.snapshot_dir.empty()) {
       child_args.push_back("--snapshot-dir=" + args.snapshot_dir);
-    }
-    if (!args.registry_dir.empty()) {
-      child_args.push_back("--registry=" + args.registry_dir);
-      child_args.push_back("--model=" + args.model);
     }
     const pid_t pid = fork();
     if (pid < 0) {
@@ -314,15 +233,7 @@ int run_router(const Args& args, const char* argv0) {
   std::fprintf(stderr, "[serve_cluster] router on %s, %d shards ready\n",
                bound.to_string().c_str(), args.shards);
 
-  for (;;) {
-    const char byte = wait_for_signal();
-    if (byte != kSignalReload) break;
-    // Registry hot reload: fan the HUP out to every shard; each re-reads
-    // the shared MANIFEST. The router itself holds no model state.
-    std::fprintf(stderr, "[serve_cluster] SIGHUP -> %zu shards\n",
-                 children.size());
-    for (pid_t pid : children) kill(pid, SIGHUP);
-  }
+  wait_for_signal();
   std::fprintf(stderr, "[serve_cluster] draining...\n");
   router.drain_and_stop();
   for (pid_t pid : children) kill(pid, SIGTERM);
@@ -378,10 +289,6 @@ int main(int argc, char** argv) {
       args.backend.kind = v;
     } else if (const char* v = util::flag_value(argv[i], "--snapshot-dir=")) {
       args.snapshot_dir = v;
-    } else if (const char* v = util::flag_value(argv[i], "--registry=")) {
-      args.registry_dir = v;
-    } else if (const char* v = util::flag_value(argv[i], "--model=")) {
-      args.model = v;
     } else if (const char* v = util::flag_value(argv[i], "--table=")) {
       args.backend.table_path = v;
     } else if (std::strcmp(argv[i], "--small") == 0) {
@@ -395,12 +302,6 @@ int main(int argc, char** argv) {
   }
   if (args.backend.kind != "exact" && args.backend.kind != "surrogate") {
     std::fprintf(stderr, "--backend must be exact or surrogate\n");
-    return 2;
-  }
-  if (!args.registry_dir.empty() && !args.snapshot_dir.empty()) {
-    std::fprintf(stderr,
-                 "--registry and --snapshot-dir are mutually exclusive "
-                 "(registry cache keys are generation-scoped)\n");
     return 2;
   }
   // Every server reads DANCE_FAULT; reject a bad spec before forking shards.

@@ -21,12 +21,11 @@ ShardServer::ShardServer(serve::Service& service, const arch::ArchSpace& space,
     : service_(service),
       space_(space),
       opts_(std::move(opts)),
-      server_(opts_.handler_override
-                  ? opts_.handler_override
-                  : net::Server::Handler([this](const std::string& line) {
-                      return serve::wire::answer_line(line, space_, service_);
-                    }),
-              opts_.net) {}
+      server_(
+          [this](const std::string& line) {
+            return serve::wire::answer_line(line, space_, service_);
+          },
+          opts_.net) {}
 
 net::Endpoint ShardServer::start(const net::Endpoint& listen_at) {
   warm_entries_ = 0;

@@ -26,14 +26,6 @@ class ShardServer {
     net::Server::Options net;
     std::string snapshot_path;  ///< empty = snapshots disabled
 
-    /// When set, replaces the default per-line pipeline
-    /// (serve::wire::answer_line over the shard's Service) — the hook the
-    /// registry layer uses to serve pinned, model-routed requests through
-    /// a shard without dance_cluster depending on dance_registry. The
-    /// override runs on the server's worker pool under the same
-    /// per-connection ordering guarantees as the default handler.
-    net::Server::Handler handler_override;
-
     [[nodiscard]] static Options from_env();
   };
 

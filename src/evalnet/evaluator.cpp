@@ -11,7 +11,7 @@ Evaluator::Evaluator(int arch_encoding_width, const hwgen::HwSearchSpace& space,
 
 Evaluator::Evaluator(int arch_encoding_width, const hwgen::HwSearchSpace& space,
                      util::Rng& rng, const Options& opts)
-    : opts_(opts), arch_width_(arch_encoding_width) {
+    : opts_(opts) {
   hwgen_ = std::make_unique<HwGenNet>(arch_encoding_width, space, rng, opts.hwgen);
   cost_ = std::make_unique<CostNet>(arch_encoding_width, space.encoding_width(),
                                     rng, opts.cost);

@@ -82,10 +82,6 @@ class Evaluator {
   [[nodiscard]] HwGenNet& hwgen_net() { return *hwgen_; }
   [[nodiscard]] CostNet& cost_net() { return *cost_; }
   [[nodiscard]] const Options& options() const { return opts_; }
-  /// Width of the architecture encoding this evaluator was built for (the
-  /// registry records it in the MANIFEST so a generation can be
-  /// reconstructed without the original arch space at hand).
-  [[nodiscard]] int arch_encoding_width() const { return arch_width_; }
 
   /// Freeze/unfreeze all parameters (the evaluator is frozen during search).
   /// Both setters are idempotent — calling them with the state the evaluator
@@ -102,7 +98,6 @@ class Evaluator {
 
  private:
   Options opts_;
-  int arch_width_ = 0;
   std::unique_ptr<HwGenNet> hwgen_;
   std::unique_ptr<CostNet> cost_;
   bool training_ = true;

@@ -19,8 +19,8 @@ void save_tensors(const std::string& path,
 /// model must be constructed with the same configuration). Throws
 /// std::runtime_error naming the file, the expected-vs-actual byte counts,
 /// and — when `names` is non-empty (parallel to `tensors`) — the tensor at
-/// which parsing failed, so a bad checkpoint in a multi-model registry
-/// directory is identifiable from the message alone.
+/// which parsing failed, so a bad checkpoint in a directory of checkpoints
+/// is identifiable from the message alone.
 void load_tensors(const std::string& path,
                   const std::vector<tensor::Tensor*>& tensors,
                   const std::vector<std::string>& names = {});

@@ -1,7 +1,6 @@
 #include "serve/batcher.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 namespace dance::serve {
@@ -11,7 +10,6 @@ MicroBatcher::MicroBatcher(CostQueryBackend& backend, Options opts)
       opts_(opts),
       obs_requests_(obs::Registry::global().counter("serve.batch.requests")),
       obs_batches_(obs::Registry::global().counter("serve.batch.executed")),
-      obs_shed_(obs::Registry::global().counter("serve.resilience.shed")),
       obs_batch_size_(obs::Registry::global().histogram(
           "serve.batch.size", {1, 2, 4, 8, 16, 32, 64, 128, 256})) {}
 
@@ -23,14 +21,6 @@ Response MicroBatcher::query(const Request& request) {
   Pending self;
   self.request = &request;  // stays alive: this caller waits for `done`
   std::unique_lock<std::mutex> lk(mu_);
-  if (opts_.max_pending > 0 &&
-      queue_.size() >= static_cast<std::size_t>(opts_.max_pending)) {
-    shed_.fetch_add(1, std::memory_order_relaxed);
-    obs_shed_.inc();
-    throw Overloaded("MicroBatcher: pending queue full (" +
-                     std::to_string(queue_.size()) + " waiting, max_pending=" +
-                     std::to_string(opts_.max_pending) + ")");
-  }
   queue_.push_back(&self);
   // While `self` is not done it is either in queue_ or in the running batch,
   // so a caller that finds the backend idle always has something to lead.
@@ -112,7 +102,6 @@ MicroBatcher::Stats MicroBatcher::stats() const {
   out.requests = requests_.load(std::memory_order_relaxed);
   out.batches = batches_.load(std::memory_order_relaxed);
   out.max_batch_seen = max_batch_seen_.load(std::memory_order_relaxed);
-  out.shed = shed_.load(std::memory_order_relaxed);
   return out;
 }
 

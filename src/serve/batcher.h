@@ -6,22 +6,12 @@
 #include <exception>
 #include <mutex>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "obs/registry.h"
 #include "serve/backend.h"
 
 namespace dance::serve {
-
-/// Thrown by `MicroBatcher::query` when the pending queue is at
-/// `max_pending`: the service is overloaded and sheds the request instead of
-/// letting the queue (and every caller's latency) grow without bound.
-/// Callers should treat it as back-pressure — retry later or route elsewhere.
-class Overloaded : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
 
 /// Coalesces concurrent cost queries into batched backend calls by group
 /// commit.
@@ -43,10 +33,6 @@ class MicroBatcher {
  public:
   struct Options {
     int max_batch = 32;  ///< largest batch; <= 1 means batches of one
-    /// Load-shedding cap on the pending queue: a blocking `query` arriving
-    /// while `max_pending` requests already wait throws `Overloaded` instead
-    /// of parking. <= 0 disables shedding.
-    long max_pending = 4096;
   };
 
   /// Per-instance counters for the stats report. The same events also feed
@@ -56,7 +42,6 @@ class MicroBatcher {
     std::uint64_t requests = 0;
     std::uint64_t batches = 0;
     std::uint64_t max_batch_seen = 0;
-    std::uint64_t shed = 0;  ///< queries rejected by the max_pending cap
 
     [[nodiscard]] double mean_batch() const {
       return batches == 0 ? 0.0
@@ -71,9 +56,7 @@ class MicroBatcher {
   MicroBatcher& operator=(const MicroBatcher&) = delete;
 
   /// Blocking single query; coalesced with concurrent callers. Backend
-  /// exceptions propagate to every caller in the failed batch. Throws
-  /// `Overloaded` (without blocking) when the pending queue is at
-  /// `max_pending`.
+  /// exceptions propagate to every caller in the failed batch.
   [[nodiscard]] Response query(const Request& request);
 
   /// Bulk entry point: waits until no batch is inside the backend, then
@@ -119,10 +102,8 @@ class MicroBatcher {
   std::atomic<std::uint64_t> requests_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> max_batch_seen_{0};
-  std::atomic<std::uint64_t> shed_{0};
   obs::Counter& obs_requests_;
   obs::Counter& obs_batches_;
-  obs::Counter& obs_shed_;
   obs::Histogram& obs_batch_size_;
 };
 

@@ -21,9 +21,6 @@ Service::Options Service::Options::from_env() {
       "DANCE_SERVE_CACHE_CAP", static_cast<long>(opts.cache_capacity), 1));
   opts.batch.max_batch =
       util::env_int("DANCE_SERVE_MAX_BATCH", opts.batch.max_batch, 1);
-  // 0 is in range: "disable load shedding".
-  opts.batch.max_pending =
-      util::env_long("DANCE_SERVE_MAX_PENDING", opts.batch.max_pending, 0);
   return opts;
 }
 
@@ -40,7 +37,7 @@ Service::Service(CostQueryBackend& backend, Options opts)
 
 Response Service::query(const Request& request) {
   const auto start = std::chrono::steady_clock::now();
-  const std::vector<float> key = canonical_key(request);
+  const std::vector<float> key = canonical_key(request.encoding);
 
   Response response;
   if (auto hit = cache_.get(key)) {
@@ -69,7 +66,7 @@ std::vector<Response> Service::query_many(std::span<const Request> requests) {
   std::vector<std::pair<std::size_t, std::size_t>> miss_fill;
   std::unordered_map<std::vector<float>, std::size_t, KeyHash, KeyEq> pending;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    std::vector<float> key = canonical_key(requests[i]);
+    std::vector<float> key = canonical_key(requests[i].encoding);
     if (auto hit = cache_.get(key)) {
       out[i] = *hit;
       out[i].cached = true;
@@ -92,7 +89,7 @@ std::vector<Response> Service::query_many(std::span<const Request> requests) {
     }
     for (std::size_t m = 0; m < misses.size(); ++m) {
       answered[m].cached = false;
-      cache_.put(canonical_key(misses[m]), answered[m]);
+      cache_.put(canonical_key(misses[m].encoding), answered[m]);
     }
   }
 
@@ -159,7 +156,6 @@ std::string Service::stats_report() const {
   table.add_row({"batches", std::to_string(s.batcher.batches)});
   table.add_row({"mean batch", util::Table::fmt(s.batcher.mean_batch(), 1)});
   table.add_row({"max batch", std::to_string(s.batcher.max_batch_seen)});
-  table.add_row({"shed", std::to_string(s.batcher.shed)});
   table.add_row({"latency p50 us", util::Table::fmt(s.p50_us, 1)});
   table.add_row({"latency p95 us", util::Table::fmt(s.p95_us, 1)});
   return table.to_string(util::Table::Style::plain());

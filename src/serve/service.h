@@ -39,8 +39,6 @@ struct ServiceStats {
 /// Knobs (environment, read by Options::from_env; constructor args win):
 ///   DANCE_SERVE_CACHE_CAP   cache entries              (default 8192)
 ///   DANCE_SERVE_MAX_BATCH   largest backend batch      (default 32)
-///   DANCE_SERVE_MAX_PENDING load-shedding queue cap    (default 4096,
-///                           0 disables shedding)
 class Service {
  public:
   struct Options {
@@ -48,8 +46,7 @@ class Service {
     MicroBatcher::Options batch;
 
     /// Defaults overridden by any DANCE_SERVE_* variables that parse as a
-    /// positive integer (DANCE_SERVE_MAX_PENDING accepts 0); garbage values
-    /// are ignored. Reads go through util::env, so every knob is recorded in
+    /// positive integer; garbage values are ignored. Reads go through util::env, so every knob is recorded in
     /// the obs registry with its effective value.
     [[nodiscard]] static Options from_env();
   };

@@ -22,22 +22,11 @@ struct Request {
 
   std::vector<float> encoding;
 
-  /// Cache-namespace scope. Both zero (the default) means the legacy
-  /// unscoped namespace — the canonical key is exactly the encoding bytes,
-  /// so pre-registry snapshots and single-model deployments are unchanged.
-  /// The registry layer sets (model-name hash, generation) before querying,
-  /// which folds into the canonical key and makes a stale cross-generation
-  /// cache hit impossible by construction: keys from different generations
-  /// differ in their scope bytes. Old-namespace entries age out of the LRU
-  /// lazily.
-  std::uint64_t scope_model = 0;
-  std::uint64_t scope_generation = 0;
-
-  /// Opaque lifetime pin. The registry stores the pinned
-  /// `shared_ptr<const ModelVersion>` here so the generation (evaluator +
-  /// compiled plan) stays alive for this request's whole lifetime, across
-  /// the batcher and into `query_batch`, even if `publish()` swaps the live
-  /// pointer mid-flight. Unused (null) outside registry serving.
+  /// Opaque caller context. The request carries it unread through the
+  /// cache and the batcher into `CostQueryBackend::query_batch`, so a
+  /// decorating backend can find per-request state there (a timing wrapper
+  /// keeps its span ids in it). It is no part of the cache key. Null unless
+  /// the caller sets it.
   std::shared_ptr<const void> pin;
 
   /// Canonical encoding of a concrete architecture.
@@ -54,10 +43,6 @@ struct Response {
   accel::CostMetrics metrics;
   accel::AcceleratorConfig config;
   bool cached = false;
-  /// Registry generation that answered (0 = non-registry serving). Stamped
-  /// by the registry serving layer from the request's pinned version, so it
-  /// is authoritative even for cache hits and snapshot-restored entries.
-  std::uint64_t generation = 0;
 };
 
 /// Cache-key canonicalization: the memoization cache keys on the *bytes* of
@@ -71,30 +56,6 @@ inline std::vector<float> canonical_key(const std::vector<float>& encoding) {
   std::vector<float> key = encoding;
   for (float& v : key) {
     if (v == 0.0F) v = 0.0F;  // -0.0f -> +0.0f; +0.0f unchanged
-  }
-  return key;
-}
-
-/// Scoped canonicalization. An unscoped request ({0, 0}) produces exactly
-/// the legacy key — bit-compatible with existing snapshots and the cluster
-/// wire path. A scoped request prepends 4 floats carrying the raw bytes of
-/// (scope_model, scope_generation). The scope floats are memcpy'd, NOT run
-/// through the -0.0 flush: a scope half whose bit pattern happens to be
-/// 0x80000000 must stay distinct from 0x00000000, and NaN-patterned scope
-/// bytes still compare byte-wise equal under KeyEq (unlike encoding NaNs,
-/// which is exactly what a namespace tag needs).
-inline std::vector<float> canonical_key(const Request& request) {
-  if (request.scope_model == 0 && request.scope_generation == 0) {
-    return canonical_key(request.encoding);
-  }
-  std::vector<float> key(4 + request.encoding.size());
-  static_assert(sizeof(std::uint64_t) == 2 * sizeof(float));
-  std::memcpy(key.data(), &request.scope_model, sizeof(std::uint64_t));
-  std::memcpy(key.data() + 2, &request.scope_generation,
-              sizeof(std::uint64_t));
-  for (std::size_t i = 0; i < request.encoding.size(); ++i) {
-    const float v = request.encoding[i];
-    key[4 + i] = (v == 0.0F) ? 0.0F : v;
   }
   return key;
 }

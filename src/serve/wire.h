@@ -1,12 +1,9 @@
 #pragma once
 
-#include <exception>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "arch/space.h"
-#include "obs/span.h"
 #include "serve/service.h"
 #include "serve/types.h"
 
@@ -18,11 +15,20 @@ namespace dance::serve::wire {
 /// answered over any transport produces byte-identical lines (the cluster
 /// CI smoke literally `diff`s them).
 ///
-/// Request (one object per line, whitespace-insensitive, keys any order):
+/// Request: exactly one JSON object per line. Whitespace around it is
+/// ignored; anything else before or after it makes the line malformed.
+/// Keys come in any order:
 ///   {"id": 1, "arch": [0, 3, 6, 0, 1, 2, 4, 5, 0]}   per-slot op indices
 ///   {"id": 2, "encoding": [1.0, 0.0, ...]}           raw evaluator encoding
 /// "id" is optional; when present it must be an integer that fits a long.
-/// Arrays take exactly one ',' between numbers.
+/// Arrays take exactly one ',' between numbers. Every id and array value
+/// must be spelled as a JSON number,
+///   -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+/// so the other spellings strtof/strtol accept (0x1, +1, 1., .5, 01, inf,
+/// nan) are errors. Not checked yet: duplicate keys (the first one wins),
+/// trailing commas between members, and malformed values under keys this
+/// parser does not read. Those need one tokenizer pass over the whole line
+/// rather than a per-field patch each (ROADMAP item 3).
 /// Response:
 ///   {"id": 1, "latency_ms": ..., "energy_mj": ..., "area_mm2": ...,
 ///    "pe_x": 16, "pe_y": 16, "rf_size": 32, "dataflow": "RS",
@@ -30,16 +36,8 @@ namespace dance::serve::wire {
 /// `degraded` is always `false`: no serving path answers from a fallback
 /// tier. The key stays so every existing client and recorded stream keeps
 /// parsing the same bytes; dropping it is a wire-format change.
-/// Registry-served responses append `, "generation": N` (N > 0). The field
-/// is omitted when generation is 0 so non-registry deployments keep the
-/// exact historical bytes (the cluster CI smoke diffs them).
 /// Errors:
 ///   {"id": 1, "error": "..."}   (id -1 when the request carried no valid id)
-
-/// Reads the double-quoted string value of `key` (no escape handling —
-/// values are identifiers like model names, not free text).
-[[nodiscard]] std::optional<std::string> parse_string_field(
-    const std::string& line, const char* key);
 
 /// True for lines with nothing but whitespace — skipped, never answered.
 [[nodiscard]] bool is_blank(const std::string& line);
@@ -70,26 +68,9 @@ struct ParseOutcome {
 [[nodiscard]] std::string error_line(long id, const std::string& message);
 
 /// The per-line pipeline behind every front-end: "" for blank lines (no
-/// response owed), the error line for malformed ones, otherwise
-/// `query(ParsedRequest&) -> Response` (which may consume the encoding)
-/// inside the `serve.wire.request` span, serialized. Exceptions become
-/// error lines; this function does not throw.
-template <class Query>
-[[nodiscard]] std::string answer_with(const std::string& line,
-                                      const arch::ArchSpace& space,
-                                      Query&& query) {
-  if (is_blank(line)) return "";
-  ParseOutcome parsed = parse_request(line, space);
-  if (!parsed.ok) return error_line(parsed.request.id, parsed.error);
-  try {
-    obs::ScopedSpan request_span("serve.wire.request");
-    return response_line(parsed.request.id, query(parsed.request));
-  } catch (const std::exception& e) {
-    return error_line(parsed.request.id, e.what());
-  }
-}
-
-/// answer_with over `service`: the plain single-backend pipeline.
+/// response owed), the error line for malformed ones, otherwise the
+/// `service` answer inside the `serve.wire.request` span, serialized.
+/// Exceptions become error lines; this function does not throw.
 [[nodiscard]] std::string answer_line(const std::string& line,
                                       const arch::ArchSpace& space,
                                       Service& service);

@@ -9,8 +9,8 @@ namespace dance::util {
 /// sibling temp file (`<path>.tmp`) and renamed over the target, so a crash
 /// mid-write leaves either the old file or the new one — never a torn
 /// prefix. This is the single save idiom shared by the cluster cache
-/// snapshots, nn checkpoint saves and the registry MANIFEST; every writer
-/// that stages its bytes in memory goes through here.
+/// snapshots and nn checkpoint saves; every writer that stages its bytes in
+/// memory goes through here.
 ///
 /// Throws std::runtime_error (with the failing path and strerror text) on
 /// open/short-write/rename failure; the temp file is removed on the error

@@ -19,14 +19,9 @@
 #include <utility>
 #include <vector>
 
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include "accel/cost_function.h"
 #include "arch/backbone.h"
 #include "arch/cost_table.h"
-#include "registry/registry.h"
-#include "registry/serving.h"
 #include "serve/backend.h"
 #include "serve/batcher.h"
 #include "serve/cache.h"
@@ -320,25 +315,6 @@ TEST(serve_batcher, RequestsParkedDuringABatchFormTheNextInArrivalOrder) {
   EXPECT_EQ(stats.batches, 3U);
   EXPECT_EQ(stats.requests, 5U);
   EXPECT_EQ(stats.max_batch_seen, 2U);
-}
-
-TEST(serve_batcher, ShedsWhenPendingQueueFull) {
-  GatedBackend backend;
-  serve::MicroBatcher batcher(backend, {.max_batch = 4, .max_pending = 1});
-  // The leader is held inside the backend; one parked follower fills the
-  // single pending slot.
-  std::thread leader([&] { (void)batcher.query(Request{{1.0F}}); });
-  backend.wait_entered();
-  std::thread follower([&] { (void)batcher.query(Request{{2.0F}}); });
-  let_it_park();
-  EXPECT_THROW((void)batcher.query(Request{{3.0F}}), serve::Overloaded);
-  backend.open();
-  leader.join();
-  follower.join();
-  const auto stats = batcher.stats();
-  EXPECT_EQ(stats.shed, 1U);
-  // Shed requests never count toward the request/batch totals.
-  EXPECT_EQ(stats.requests, 2U);
 }
 
 /// Counts how many callers are inside `query_batch` at once. Every call
@@ -702,37 +678,114 @@ TEST(serve_wire, StringValueSpelledLikeAKeyDoesNotShadowTheKey) {
   EXPECT_EQ(parsed.request.id, 2);
   EXPECT_EQ(parsed.request.encoding,
             serve::wire::parse_request(reordered, space).request.encoding);
-  EXPECT_EQ(serve::wire::parse_string_field(shadowed, "model"), "encoding");
   EXPECT_EQ(serve::wire::parse_request(
                 R"({"k": "id", "id" : 7, "arch": [0,1,2,3,4,5,6,0,1]})", space)
                 .request.id,
             7);
+}
 
-  // The registry front-end answers it on the model named "encoding" — the
-  // only one published; the front-end's default model does not exist.
-  const std::string dir = "/tmp/dance_serve_wire_test_" +
-                          std::to_string(getpid());
-  mkdir(dir.c_str(), 0755);
-  registry::ModelRegistry::init(dir);
-  const hwgen::HwSearchSpace hw_space = hwgen::HwSearchSpace::small();
-  {
-    evalnet::Evaluator::Options opts;
-    opts.hwgen.hidden_dim = 16;
-    opts.hwgen.num_layers = 2;
-    opts.cost.hidden_dim = 16;
-    opts.cost.num_layers = 2;
-    util::Rng rng(21);
-    evalnet::Evaluator e(space.encoding_width(), hw_space, rng, opts);
-    registry::ModelRegistry writer(dir, hw_space);
-    ASSERT_EQ(writer.publish("encoding", e), 1U);
+// --- wire envelope: one JSON object per line --------------------------------
+
+constexpr const char* kNotOneObject =
+    R"({"id": -1, "error": "request must be one JSON object"})";
+
+/// The error line `line` is answered with, or "" when it parses.
+std::string error_for(const std::string& line) {
+  const arch::ArchSpace space(arch::cifar10_backbone());
+  const auto parsed = serve::wire::parse_request(line, space);
+  return parsed.ok ? "" : serve::wire::error_line(parsed.request.id,
+                                                  parsed.error);
+}
+
+TEST(serve_wire, TrailingTextAfterTheObjectIsAnError) {
+  EXPECT_EQ(error_for(R"({"id":2,"arch":[0,1,2,3,4,5,6,0,1]} garbage)"),
+            kNotOneObject);
+  EXPECT_EQ(error_for(R"({"id":2,"arch":[0,1,2,3,4,5,6,0,1]}})"),
+            kNotOneObject);
+  EXPECT_EQ(error_for(R"({"id":2,"arch":[0,1,2,3,4,5,6,0,1]} {"id":3})"),
+            kNotOneObject);
+  // Whitespace around the object is not trailing text.
+  EXPECT_EQ(error_for(" \t{\"id\":2,\"arch\":[0,1,2,3,4,5,6,0,1]} \r"), "");
+}
+
+TEST(serve_wire, ObjectWithoutItsClosingBraceIsAnError) {
+  EXPECT_EQ(error_for(R"({"id":4,"arch":[0,1,2,3,4,5,6,0,1])"),
+            kNotOneObject);
+  // A brace inside a string literal does not close the object.
+  EXPECT_EQ(error_for(R"({"id":4,"arch":[0,1,2,3,4,5,6,0,1],"note":"}")"),
+            kNotOneObject);
+  EXPECT_EQ(error_for(R"({"id":4,"arch":[0,1,2,3,4,5,6,0,1],"note":"}"})"), "");
+}
+
+TEST(serve_wire, ObjectWrappedInAnArrayIsAnError) {
+  EXPECT_EQ(error_for(R"([{"id":5,"arch":[0,1,2,3,4,5,6,0,1]}])"),
+            kNotOneObject);
+  EXPECT_EQ(error_for(R"(x{"id":5,"arch":[0,1,2,3,4,5,6,0,1]})"),
+            kNotOneObject);
+}
+
+// --- wire numbers: the JSON number grammar, not strtof's --------------------
+
+TEST(serve_wire, ArchValuesMustBeSpelledAsJsonNumbers) {
+  for (const char* bad : {"0x1", "+1", "1.", "01", ".5", "1e", "1.e2", "-",
+                          "inf", "nan", "infinity", "1f"}) {
+    const std::string line =
+        std::string(R"({"id": 9, "arch": [0, 1, 2, 3, )") + bad +
+        ", 5, 6, 0, 1]}";
+    EXPECT_EQ(error_for(line),
+              R"({"id": 9, "error": "arch entries must be integer op )"
+              R"(indices in [0, 6]"})")
+        << bad;
   }
-  registry::ModelRegistry reg(dir, hw_space);
-  registry::RegistryBackend backend;
-  serve::Service service(backend);
-  registry::Frontend frontend(reg, service, "default");
-  const std::string answer = frontend.answer_line(shadowed, space);
-  EXPECT_EQ(answer.find("error"), std::string::npos) << answer;
-  EXPECT_NE(answer.find("\"generation\": 1}"), std::string::npos) << answer;
+  // Every spelling of op 1 the grammar allows still is op 1.
+  const arch::ArchSpace space(arch::cifar10_backbone());
+  const std::vector<float> op1 =
+      serve::wire::parse_request(R"({"arch": [0,1,2,3,4,5,6,0,1]})", space)
+          .request.encoding;
+  for (const char* good : {"1", "1.0", "1e0", "1E+0", "10e-1", "0.1e1"}) {
+    const auto parsed = serve::wire::parse_request(
+        std::string(R"({"arch": [0, )") + good + ", 2, 3, 4, 5, 6, 0, 1]}",
+        space);
+    EXPECT_TRUE(parsed.ok) << good << ": " << parsed.error;
+    EXPECT_EQ(parsed.request.encoding, op1) << good;
+  }
+}
+
+TEST(serve_wire, EncodingValuesMustBeSpelledAsJsonNumbers) {
+  const int width =
+      arch::ArchSpace(arch::cifar10_backbone()).encoding_width();
+  for (const char* bad : {"0x0", "+0", "0.", "00", ".0", "-.5", "0e", "Inf"}) {
+    EXPECT_EQ(error_for(encoding_line(3, width, bad)),
+              R"({"id": 3, "error": "encoding values must be finite"})")
+        << bad;
+  }
+  // Accepted values read as strtof reads them, bit for bit, including
+  // subnormals and the largest finite float.
+  const arch::ArchSpace space(arch::cifar10_backbone());
+  for (const char* good : {"0", "-0", "0.25", "2.5e-1", "-1E2", "0.1",
+                           "1e-40", "3.4028235e38", "1.17549435e-38",
+                           "123456789"}) {
+    const auto parsed =
+        serve::wire::parse_request(encoding_line(3, width, good), space);
+    ASSERT_TRUE(parsed.ok) << good << ": " << parsed.error;
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(parsed.request.encoding[5]),
+              std::bit_cast<std::uint32_t>(std::strtof(good, nullptr)))
+        << good;
+  }
+}
+
+TEST(serve_wire, IdMustBeSpelledAsAJsonInteger) {
+  for (const char* bad : {"+1", "01", "0x1", "-", "- 1"}) {
+    const std::string line =
+        std::string(R"({"id": )") + bad + R"(, "arch": [0,1,2,3,4,5,6,0,1]})";
+    EXPECT_EQ(error_for(line), R"({"id": -1, "error": "id must be an integer"})")
+        << bad;
+  }
+  const arch::ArchSpace space(arch::cifar10_backbone());
+  EXPECT_EQ(serve::wire::parse_request(
+                R"({"id": -0, "arch": [0,1,2,3,4,5,6,0,1]})", space)
+                .request.id,
+            0);
 }
 
 TEST(serve_options, FromEnvParsesAndIgnoresGarbage) {
