@@ -16,10 +16,10 @@
 //   cached  P unique keys replayed (the NAS search-loop regime) — after a
 //           warmup pass every query is a cache hit; per-request cost is
 //           parse + cache probe + socket turnaround.
-//   miss    every request a fresh key — each query rides the shard's
-//           micro-batcher, which lets one batch at a time into the backend,
-//           so a shard's capacity is one backend's and scales with the
-//           shard count when there are free cores.
+//   miss    every request a fresh key — each query goes through the
+//           shard Service's backend mutex, which lets one call at a time
+//           into the backend, so a shard's capacity is one backend's and
+//           scales with the shard count when there are free cores.
 //
 // Writes bench/data/cluster_load.csv:
 //   workload,shards,target_qps,achieved_qps,p50_us,p99_us

@@ -6,10 +6,10 @@
 // NAS search loop produces when candidate architectures recur across
 // iterations. Three ways to answer the same trace:
 //   serial          one Evaluator::forward_deterministic per request
-//   batched         Evaluator::forward_batch in max_batch-sized chunks
+//   batched         Evaluator::forward_batch in 64-row chunks
 //   cached+batched  Service::query_many in 512-request arrival windows
-//                   (LRU across windows + within-call dedup +
-//                   batched backend)
+//                   (LRU across windows + within-call dedup + one
+//                   batched backend call per window)
 // Expected shape: batching amortizes per-call overhead for a low-single-digit
 // multiple; the cache turns the ~75% repeats into lookups for >=5x combined.
 // The serial and batched answers are checked bit-identical first — the
@@ -97,7 +97,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-constexpr int kChunk = 64;  ///< batched-mode slice, also the service max_batch
+constexpr int kChunk = 64;  ///< batched-mode slice
 
 /// Serial replay: the naive client, one single-row forward per request.
 /// Returns the flat [N, 3] metrics for the bit-identity check.
@@ -153,9 +153,7 @@ int main_comparison() {
               identical ? "OK (bitwise equal)" : "FAILED — outputs diverge");
 
   serve::SurrogateBackend backend(*e.evaluator);
-  serve::Service::Options opts;
-  opts.batch.max_batch = kChunk;
-  serve::Service service(backend, opts);
+  serve::Service service(backend, serve::Service::Options{});
   // Requests arrive in windows (as a search loop would deliver them); the
   // cache carries answers across windows, dedup collapses repeats within one.
   constexpr std::size_t kWindow = 512;
@@ -504,11 +502,7 @@ BENCHMARK(BM_ForwardBatch64)->Unit(benchmark::kMicrosecond);
 void BM_ServiceQueryCacheHit(benchmark::State& state) {
   Env& e = env();
   static serve::SurrogateBackend backend(*e.evaluator);
-  static serve::Service service(backend, [] {
-    serve::Service::Options o;
-    o.batch.max_batch = 1;  // batches of one: isolate the cache-hit path
-    return o;
-  }());
+  static serve::Service service(backend, serve::Service::Options{});
   const serve::Request req{e.unique_keys[0]};
   (void)service.query(req);  // warm the entry
   for (auto _ : state) {
@@ -539,7 +533,7 @@ int main(int argc, char** argv) {
   std::printf("== dance::serve throughput: serial vs batched vs cached+batched "
               "==\n");
   std::printf("trace: %d requests over %d unique keys (~87%% repeats), "
-              "chunk/max_batch %d, window 512.\n\n",
+              "chunk %d, window 512.\n\n",
               dance::bench::scaled(10000),
               std::max(1, dance::bench::scaled(10000) / 8), kChunk);
   const int rc = main_comparison();

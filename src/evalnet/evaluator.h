@@ -55,11 +55,10 @@ class Evaluator {
 
   /// Batched deterministic inference: stacks `rows` (each one arch-encoding
   /// row of equal width) into a single [N, W] forward via stack_rows(). This
-  /// is the micro-batching entry point the serve layer amortizes queries
-  /// through. A single-row batch is legal and bit-identical to
-  /// forward_deterministic on that row wrapped as a [1, W] tensor — the
-  /// degenerate case a drained micro-batcher regularly produces (property
-  /// tested in tests/test_infer.cpp).
+  /// is the batched entry point the serve layer amortizes queries through.
+  /// A single-row batch is legal and bit-identical to forward_deterministic
+  /// on that row wrapped as a [1, W] tensor — the case every single
+  /// Service::query miss produces (property tested in tests/test_infer.cpp).
   [[nodiscard]] Output forward_batch(
       const std::vector<std::vector<float>>& rows);
 

@@ -12,22 +12,24 @@
 namespace dance::serve {
 
 /// A cost-query answering backend. `query_batch` answers N requests in one
-/// call — the batch is the unit the micro-batcher amortizes, so backends
-/// should answer a batch cheaper than N single queries where they can
-/// (the surrogate stacks all rows into one network forward; the exact
-/// backend walks the LUT per request).
+/// call — `Service::query_many` hands it all of its unique misses at once,
+/// so backends should answer a batch cheaper than N single queries where
+/// they can (the surrogate stacks all rows into one network forward; the
+/// exact backend walks the LUT per request).
 ///
 /// Determinism contract: both shipped backends are pure functions of the
 /// request — answering the same encoding twice, in any order, at any batch
-/// position, yields bit-identical responses. The memoization cache and the
-/// batcher both rely on this.
+/// position, yields bit-identical responses. The memoization cache and
+/// `query_many`'s within-call dedup both rely on this.
 class CostQueryBackend {
  public:
   virtual ~CostQueryBackend() = default;
 
   /// Answers `requests` in order; the result has exactly one response per
-  /// request. Must be safe to call from one thread at a time (the Service's
-  /// batcher admits one caller at a time, whatever its max_batch).
+  /// request. Need only be safe to call from one thread at a time: the
+  /// Service holds one mutex around every call. SurrogateBackend's shared
+  /// arena depends on that, as does any decorator with unsynchronized
+  /// per-call state.
   [[nodiscard]] virtual std::vector<Response> query_batch(
       std::span<const Request> requests) = 0;
 

@@ -19,18 +19,20 @@ Service::Options Service::Options::from_env() {
   Options opts;
   opts.cache_capacity = static_cast<std::size_t>(util::env_long(
       "DANCE_SERVE_CACHE_CAP", static_cast<long>(opts.cache_capacity), 1));
-  opts.batch.max_batch =
-      util::env_int("DANCE_SERVE_MAX_BATCH", opts.batch.max_batch, 1);
   return opts;
 }
 
 Service::Service(CostQueryBackend& backend, Options opts)
     : opts_(opts),
       cache_(opts.cache_capacity),
-      batcher_(backend, opts.batch),
+      backend_(backend),
       obs_queries_(obs::Registry::global().counter("serve.queries")),
       obs_latency_us_(obs::Registry::global().histogram(
-          "serve.latency_us", obs::default_latency_bounds_us())) {
+          "serve.latency_us", obs::default_latency_bounds_us())),
+      obs_backend_calls_(
+          obs::Registry::global().counter("serve.batch.executed")),
+      obs_backend_rows_(
+          obs::Registry::global().counter("serve.batch.requests")) {
   latency_ring_.reserve(kLatencySampleCap);
   window_start_ = std::chrono::steady_clock::now();
 }
@@ -44,7 +46,7 @@ Response Service::query(const Request& request) {
     response = *hit;
     response.cached = true;
   } else {
-    response = batcher_.query(request);
+    response = std::move(call_backend({&request, 1}).front());
     response.cached = false;
     cache_.put(key, response);
   }
@@ -78,7 +80,7 @@ std::vector<Response> Service::query_many(std::span<const Request> requests) {
   }
 
   if (!misses.empty()) {
-    auto answered = batcher_.query_span(misses);
+    auto answered = call_backend(misses);
     std::vector<bool> first_fill(misses.size(), true);
     for (const auto& [position, m] : miss_fill) {
       out[position] = answered[m];
@@ -105,6 +107,14 @@ std::vector<Response> Service::query_many(std::span<const Request> requests) {
     record_latency_us(per_request_us);
   }
   return out;
+}
+
+std::vector<Response> Service::call_backend(
+    std::span<const Request> requests) {
+  std::lock_guard<std::mutex> lk(backend_mu_);
+  obs_backend_calls_.inc();
+  obs_backend_rows_.inc(requests.size());
+  return backend_.query_batch(requests);
 }
 
 void Service::record_latency_us(double us) {
@@ -135,7 +145,6 @@ ServiceStats Service::stats() const {
               ? static_cast<double>(s.queries) / s.window_seconds
               : 0.0;
   s.cache = cache_.stats();
-  s.batcher = batcher_.stats();
   return s;
 }
 
@@ -153,9 +162,6 @@ std::string Service::stats_report() const {
   table.add_row({"cache entries", std::to_string(s.cache.entries) + "/" +
                                       std::to_string(s.cache.capacity)});
   table.add_row({"evictions", std::to_string(s.cache.evictions)});
-  table.add_row({"batches", std::to_string(s.batcher.batches)});
-  table.add_row({"mean batch", util::Table::fmt(s.batcher.mean_batch(), 1)});
-  table.add_row({"max batch", std::to_string(s.batcher.max_batch_seen)});
   table.add_row({"latency p50 us", util::Table::fmt(s.p50_us, 1)});
   table.add_row({"latency p95 us", util::Table::fmt(s.p95_us, 1)});
   return table.to_string(util::Table::Style::plain());

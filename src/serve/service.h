@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "obs/registry.h"
-#include "serve/batcher.h"
+#include "serve/backend.h"
 #include "serve/cache.h"
 
 namespace dance::serve {
@@ -20,30 +20,30 @@ struct ServiceStats {
   double window_seconds = 0.0;
   double qps = 0.0;
   LruCache::Stats cache;
-  MicroBatcher::Stats batcher;
   /// Client-observed per-query latency percentiles (microseconds), over the
   /// most recent samples (bounded ring, like the runtime profiler).
   double p50_us = 0.0;
   double p95_us = 0.0;
 };
 
-/// The embeddable cost-query service: cache -> micro-batcher -> backend.
+/// The embeddable cost-query service: cache -> backend.
 ///
 /// `query` is the hot path: canonicalize the encoding, probe the LRU
-/// cache, and on a miss ride the micro-batcher into a batched backend
-/// call, memoizing the answer on the way out. Every query's wall latency is
-/// recorded for the p50/p95 report. Thread-safe: any number of client
-/// threads may call `query` and `query_many` concurrently; the batcher lets
-/// one of them at a time into the backend.
+/// cache, and on a miss call the backend with that one request, memoizing
+/// the answer on the way out. Every query's wall latency is recorded for
+/// the p50/p95 report. Thread-safe: any number of client threads may call
+/// `query` and `query_many` concurrently; one mutex lets one of them at a
+/// time into the backend.
+///
+/// Every backend call adds 1 to the process-global obs counter
+/// serve.batch.executed and its row count to serve.batch.requests.
 ///
 /// Knobs (environment, read by Options::from_env; constructor args win):
 ///   DANCE_SERVE_CACHE_CAP   cache entries              (default 8192)
-///   DANCE_SERVE_MAX_BATCH   largest backend batch      (default 32)
 class Service {
  public:
   struct Options {
     std::size_t cache_capacity = 8192;
-    MicroBatcher::Options batch;
 
     /// Defaults overridden by any DANCE_SERVE_* variables that parse as a
     /// positive integer; garbage values are ignored. Reads go through util::env, so every knob is recorded in
@@ -61,34 +61,38 @@ class Service {
 
   /// Bulk replay: cache-probes all requests, deduplicates the missed keys
   /// within the call (the backend sees each unique key once, even on a cold
-  /// cache), then answers them in max_batch-sized backend slices on the
-  /// calling thread, holding the backend as one leader turn.
+  /// cache), then answers them all in one backend call on the calling
+  /// thread.
   /// Responses are in request order; repeats of a missed key after its first
   /// occurrence come back with `cached` set, like a cache hit.
   [[nodiscard]] std::vector<Response> query_many(
       std::span<const Request> requests);
 
   [[nodiscard]] ServiceStats stats() const;
-  /// Fixed-width text block (QPS, hit rate, batch shape, p50/p95), ready to
+  /// Fixed-width text block (QPS, hit rate, p50/p95), ready to
   /// print; rendered through the same util::Table formatter as
   /// runtime::profiler_report.
   [[nodiscard]] std::string stats_report() const;
   /// Restarts the stats window and latency samples (cache contents and
-  /// cache/batcher lifetime counters are preserved).
+  /// cache lifetime counters are preserved).
   void reset_stats();
 
   [[nodiscard]] const Options& options() const { return opts_; }
-  [[nodiscard]] CostQueryBackend& backend() { return batcher_.backend(); }
+  [[nodiscard]] CostQueryBackend& backend() { return backend_; }
   /// The memoization cache; never null. Exposed so the cluster snapshot
   /// layer can export/restore entries for warm starts.
   [[nodiscard]] LruCache* cache() { return &cache_; }
 
  private:
+  /// Answers `requests` with one backend call under `backend_mu_`.
+  [[nodiscard]] std::vector<Response> call_backend(
+      std::span<const Request> requests);
   void record_latency_us(double us);
 
   Options opts_;
   LruCache cache_;
-  MicroBatcher batcher_;
+  CostQueryBackend& backend_;
+  std::mutex backend_mu_;  ///< held around every backend_.query_batch call
 
   mutable std::mutex stats_mu_;
   std::uint64_t queries_ = 0;
@@ -96,10 +100,12 @@ class Service {
   std::size_t latency_next_ = 0;
   std::chrono::steady_clock::time_point window_start_;
 
-  // Process-global mirrors of the per-instance counters above, for the
-  // JSON/Prometheus exporters.
+  // Process-global instruments for the JSON/Prometheus exporters; the first
+  // two mirror the per-instance counters above.
   obs::Counter& obs_queries_;
   obs::Histogram& obs_latency_us_;
+  obs::Counter& obs_backend_calls_;  ///< serve.batch.executed
+  obs::Counter& obs_backend_rows_;   ///< serve.batch.requests
 };
 
 }  // namespace dance::serve

@@ -22,11 +22,10 @@ struct Request {
 
   std::vector<float> encoding;
 
-  /// Opaque caller context. The request carries it unread through the
-  /// cache and the batcher into `CostQueryBackend::query_batch`, so a
-  /// decorating backend can find per-request state there (a timing wrapper
-  /// keeps its span ids in it). It is no part of the cache key. Null unless
-  /// the caller sets it.
+  /// Opaque caller context. The Service passes it unread, past the cache,
+  /// into `CostQueryBackend::query_batch`, so a decorating backend can find
+  /// per-request state there (a timing wrapper keeps its span ids in it).
+  /// It is no part of the cache key. Null unless the caller sets it.
   std::shared_ptr<const void> pin;
 
   /// Canonical encoding of a concrete architecture.

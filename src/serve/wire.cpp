@@ -18,8 +18,11 @@ namespace dance::serve::wire {
 
 namespace {
 
-/// The C locale's isspace set, without the locale lookup.
-bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+/// JSON whitespace (RFC 8259): space, tab, line feed and carriage return.
+/// Vertical tab and form feed are not among them.
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
 
 bool is_digit(char c) { return c >= '0' && c <= '9'; }
 

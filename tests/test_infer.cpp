@@ -322,8 +322,8 @@ TEST(infer_plan, ArenaGrowsMonotonicallyAndIsReused) {
 }
 
 TEST(infer_stack_rows, SingleRowBatchBitIdenticalToForwardDeterministic) {
-  // The documented degenerate case: a drained micro-batcher regularly
-  // produces one-row batches; they must answer exactly like a single query.
+  // The documented degenerate case: every single Service::query miss is a
+  // one-row batch; it must answer exactly like a single query.
   const auto space = small_space();
   arch::ArchSpace arch_space{arch::cifar10_backbone()};
   const int width = arch_space.encoding_width();
@@ -424,9 +424,7 @@ TEST(infer_backend, WireAnswersMatchAutogradOracle) {
   auto ev_oracle = make_evaluator(space, width);
   auto ev_served = make_evaluator(space, width);
   serve::SurrogateBackend backend(ev_served);
-  serve::Service::Options opts;
-  opts.batch.max_batch = 4;
-  serve::Service service(backend, opts);
+  serve::Service service(backend, serve::Service::Options{});
 
   std::set<std::vector<float>> seen;
   for (int i = 0; i < 40; ++i) {

@@ -3,13 +3,13 @@
 //  * serve_batch — Evaluator::forward_batch is bit-identical to row-by-row
 //    Evaluator::forward_deterministic for randomized batches of arch
 //    encodings (evaluator.h's deterministic inference contract). This is
-//    the property that makes micro-batching legal: a query's answer must
-//    not depend on which batch it rode in on.
+//    the property that makes batched backend calls legal: a query's answer
+//    must not depend on which batch it rode in on.
 //  * serve_cache_transparency — a Service answer is bit-identical to a
 //    direct backend answer no matter how many threads hammer the cache
-//    concurrently, both from runtime::global_pool() jobs (inline
-//    max_batch=1 mode — the pool-reentrancy-safe configuration, see
-//    docs/serve.md) and from plain std::threads riding the batched path.
+//    concurrently, both from runtime::global_pool() jobs (the
+//    pool-reentrancy-safe caller mix, see docs/serve.md) and from plain
+//    std::threads.
 //
 // Suite names carry a lowercase "serve" so `ctest -R serve` selects these
 // alongside the unit suites; CI runs them under TSan.
@@ -193,10 +193,10 @@ testing_::PbtConfig concurrency_config() {
 }
 
 TEST(serve_cache_transparency, PoolHammeringMatchesDirectBackend) {
-  // Callers that are all global-pool job bodies are safe at any max_batch:
-  // the leader's nested pool loops run inline. Hammer the cache from
-  // global-pool jobs, with batches of one and of up to four, and demand
-  // every answer bit-match a direct (uncached) backend query.
+  // Callers that are all global-pool job bodies are safe: the backend's
+  // nested pool loops run inline on the caller. Hammer the cache from
+  // global-pool jobs and demand every answer bit-match a direct (uncached)
+  // backend query.
   auto& f = exact_fixture();
   const auto result = testing_::check<long>(
       "cache transparency under pool hammering", unique_key_gen(),
@@ -210,34 +210,30 @@ TEST(serve_cache_transparency, PoolHammeringMatchesDirectBackend) {
           reference.push_back(backend.query_batch({&keys.back(), 1})[0]);
         }
 
-        for (const int max_batch : {1, 4}) {
-          serve::Service::Options opts;
-          opts.batch.max_batch = max_batch;
-          opts.cache_capacity = 64;
-          serve::Service service(backend, opts);
+        serve::Service::Options opts;
+        opts.cache_capacity = 64;
+        serve::Service service(backend, opts);
 
-          const long n = 4 * unique + 8;
-          std::vector<int> ok(static_cast<std::size_t>(n), 0);
-          util::parallel_for(0, n, [&](long lo, long hi) {
-            for (long i = lo; i < hi; ++i) {
-              const std::size_t k = static_cast<std::size_t>(i % unique);
-              const Response r = service.query(keys[k]);
-              ok[static_cast<std::size_t>(i)] =
-                  bit_equal_response(r, reference[k]) ? 1 : 0;
-            }
-          }, /*grain=*/1);
+        const long n = 4 * unique + 8;
+        std::vector<int> ok(static_cast<std::size_t>(n), 0);
+        util::parallel_for(0, n, [&](long lo, long hi) {
+          for (long i = lo; i < hi; ++i) {
+            const std::size_t k = static_cast<std::size_t>(i % unique);
+            const Response r = service.query(keys[k]);
+            ok[static_cast<std::size_t>(i)] =
+                bit_equal_response(r, reference[k]) ? 1 : 0;
+          }
+        }, /*grain=*/1);
 
-          for (long i = 0; i < n; ++i) {
-            if (!ok[static_cast<std::size_t>(i)]) {
-              return "max_batch " + std::to_string(max_batch) + ": query " +
-                     std::to_string(i) +
-                     " diverged from the direct backend answer";
-            }
+        for (long i = 0; i < n; ++i) {
+          if (!ok[static_cast<std::size_t>(i)]) {
+            return "query " + std::to_string(i) +
+                   " diverged from the direct backend answer";
           }
-          if (service.stats().cache.hits == 0) {
-            return "hammering produced no cache hits; the property checked "
-                   "nothing";
-          }
+        }
+        if (service.stats().cache.hits == 0) {
+          return "hammering produced no cache hits; the property checked "
+                 "nothing";
         }
         return "";
       },
@@ -246,9 +242,9 @@ TEST(serve_cache_transparency, PoolHammeringMatchesDirectBackend) {
 }
 
 TEST(serve_cache_transparency, ThreadedBatchedHammeringMatchesDirectBackend) {
-  // The batched path (max_batch > 1) from plain std::threads: concurrent
-  // queries coalesce into shared backend batches, race into the cache, and
-  // must still each come back bit-identical to a direct query.
+  // Plain std::threads: concurrent queries take turns in the backend, race
+  // into the cache, and must still each come back bit-identical to a direct
+  // query.
   auto& f = exact_fixture();
   const auto result = testing_::check<long>(
       "cache transparency under batched hammering", unique_key_gen(),
@@ -263,7 +259,6 @@ TEST(serve_cache_transparency, ThreadedBatchedHammeringMatchesDirectBackend) {
         }
 
         serve::Service::Options opts;
-        opts.batch.max_batch = 4;
         opts.cache_capacity = 64;
         serve::Service service(backend, opts);
 
@@ -298,9 +293,9 @@ TEST(serve_cache_transparency, ThreadedBatchedHammeringMatchesDirectBackend) {
 }
 
 TEST(serve_cache_transparency, QueryManyMatchesSingleQueries) {
-  // Bulk replay equals one-at-a-time: query_many (cache probe + span
-  // slicing) must agree bitwise with a fresh service answering the same
-  // requests singly.
+  // Bulk replay equals one-at-a-time: query_many (cache probe, dedup, one
+  // backend call) must agree bitwise with a fresh service answering the
+  // same requests singly.
   auto& f = exact_fixture();
   const auto result = testing_::check<long>(
       "query_many vs single-query bit-identity", unique_key_gen(),
@@ -316,14 +311,10 @@ TEST(serve_cache_transparency, QueryManyMatchesSingleQueries) {
           }
         }
 
-        serve::Service::Options opts;
-        opts.batch.max_batch = 4;
-        serve::Service bulk_service(backend, opts);
+        serve::Service bulk_service(backend, serve::Service::Options{});
         const auto bulk = bulk_service.query_many(requests);
 
-        serve::Service::Options single_opts;
-        single_opts.batch.max_batch = 1;
-        serve::Service single_service(backend, single_opts);
+        serve::Service single_service(backend, serve::Service::Options{});
         for (std::size_t i = 0; i < requests.size(); ++i) {
           const Response r = single_service.query(requests[i]);
           if (!bit_equal_response(bulk[i], r)) {

@@ -1,18 +1,16 @@
 // Unit tests for the dance::serve cost-query service layer: LRU cache
-// semantics, micro-batcher coalescing, backend correctness against the
-// ground-truth toolchain and the Service facade wiring. Suite names carry a
-// lowercase "serve_" prefix on purpose: `ctest -R serve` selects exactly the
-// serve suites (including the concurrent property suites, which CI runs
-// under TSan).
+// semantics, one caller at a time in the backend, backend correctness
+// against the ground-truth toolchain and the Service facade wiring. Suite
+// names carry a lowercase "serve_" prefix on purpose: `ctest -R serve`
+// selects exactly the serve suites (including the concurrent property
+// suites, which CI runs under TSan).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <initializer_list>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -22,8 +20,8 @@
 #include "accel/cost_function.h"
 #include "arch/backbone.h"
 #include "arch/cost_table.h"
+#include "obs/registry.h"
 #include "serve/backend.h"
-#include "serve/batcher.h"
 #include "serve/cache.h"
 #include "serve/service.h"
 #include "serve/wire.h"
@@ -105,16 +103,14 @@ TEST(serve_cache, NegativeZeroCanonicalizesToPositiveZero) {
 }
 
 /// Deterministic fake backend: answers latency = sum of the encoding, and
-/// records every batch size it was asked for.
+/// records every batch size it was asked for. While `fail` is set it records
+/// the call and then throws.
 class FakeBackend : public serve::CostQueryBackend {
  public:
   std::vector<Response> query_batch(
       std::span<const Request> requests) override {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      batch_sizes_.push_back(requests.size());
-    }
-    calls_ += requests.size();
+    batch_sizes_.push_back(requests.size());
+    if (fail) throw std::runtime_error("backend unavailable");
     std::vector<Response> out;
     out.reserve(requests.size());
     for (const Request& r : requests) {
@@ -126,196 +122,30 @@ class FakeBackend : public serve::CostQueryBackend {
   }
   const char* name() const override { return "fake"; }
 
-  std::vector<std::size_t> batch_sizes() {
-    std::lock_guard<std::mutex> lk(mu_);
-    return batch_sizes_;
-  }
-  std::atomic<std::uint64_t> calls_{0};
+  const std::vector<std::size_t>& batch_sizes() const { return batch_sizes_; }
+  bool fail = false;
 
  private:
-  std::mutex mu_;
   std::vector<std::size_t> batch_sizes_;
 };
 
-TEST(serve_batcher, BatchOfOneAnswersALoneCaller) {
-  FakeBackend backend;
-  serve::MicroBatcher batcher(backend, {.max_batch = 1});
-  const Response r = batcher.query(Request{{2.0F, 3.0F}});
-  EXPECT_DOUBLE_EQ(r.metrics.latency_ms, 5.0);
-  EXPECT_EQ(batcher.stats().batches, 1U);
-  EXPECT_EQ(batcher.stats().max_batch_seen, 1U);
-}
-
-TEST(serve_batcher, CoalescesConcurrentRequests) {
-  FakeBackend backend;
-  serve::MicroBatcher batcher(backend, {.max_batch = 4});
-  constexpr int kClients = 8;
-  std::vector<Request> requests;
-  requests.reserve(kClients);
-  for (int i = 0; i < kClients; ++i) {
-    requests.push_back(Request{{static_cast<float>(i), 1.0F}});
-  }
-  std::vector<Response> responses(kClients);
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (int i = 0; i < kClients; ++i) {
-    clients.emplace_back([&, i] { responses[static_cast<std::size_t>(i)] =
-                                      batcher.query(requests[static_cast<std::size_t>(i)]); });
-  }
-  for (auto& t : clients) t.join();
-
-  for (int i = 0; i < kClients; ++i) {
-    EXPECT_DOUBLE_EQ(responses[static_cast<std::size_t>(i)].metrics.latency_ms,
-                     static_cast<double>(i) + 1.0);
-  }
-  const auto stats = batcher.stats();
-  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kClients));
-  EXPECT_LE(stats.max_batch_seen, 4U);
-  // 8 requests with batches capped at 4 means at least two backend calls.
-  EXPECT_GE(stats.batches, 2U);
-}
-
-TEST(serve_batcher, LoneCallerLeadsWithoutWaitingForAFullBatch) {
-  FakeBackend backend;
-  // A batch of 64 never fills; the lone caller finds the backend idle and
-  // runs its own batch of one.
-  serve::MicroBatcher batcher(backend, {.max_batch = 64});
-  const Response r = batcher.query(Request{{4.0F}});
-  EXPECT_DOUBLE_EQ(r.metrics.latency_ms, 4.0);
-  EXPECT_EQ(batcher.stats().batches, 1U);
-  EXPECT_EQ(batcher.stats().max_batch_seen, 1U);
-}
-
-TEST(serve_batcher, QuerySpanSlicesIntoMaxBatchChunks) {
-  FakeBackend backend;
-  serve::MicroBatcher batcher(backend, {.max_batch = 4});
-  std::vector<Request> requests;
-  for (int i = 0; i < 10; ++i) {
-    requests.push_back(Request{{static_cast<float>(i)}});
-  }
-  const auto responses = batcher.query_span(requests);
-  ASSERT_EQ(responses.size(), 10U);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(responses[static_cast<std::size_t>(i)].metrics.latency_ms,
-                     static_cast<double>(i));
-  }
-  const auto sizes = backend.batch_sizes();
-  ASSERT_EQ(sizes.size(), 3U);  // 4 + 4 + 2
-  EXPECT_EQ(sizes[0], 4U);
-  EXPECT_EQ(sizes[2], 2U);
-}
-
-/// Backend whose calls block until `open()`. Records the encodings of every
-/// batch it was asked for, and answers latency = first encoding value — or
-/// throws, when built failing.
-class GatedBackend : public serve::CostQueryBackend {
+/// Forwards to `inner` and counts the rows it was asked for.
+class CountingBackend : public serve::CostQueryBackend {
  public:
-  explicit GatedBackend(bool fail = false) : fail_(fail) {}
+  explicit CountingBackend(serve::CostQueryBackend& inner) : inner_(inner) {}
 
   std::vector<Response> query_batch(
       std::span<const Request> requests) override {
-    std::unique_lock<std::mutex> lk(mu_);
-    std::vector<float> batch;
-    for (const Request& r : requests) batch.push_back(r.encoding.at(0));
-    batches_.push_back(batch);
-    cv_.notify_all();
-    cv_.wait(lk, [this] { return open_; });
-    if (fail_) throw std::runtime_error("backend unavailable");
-    std::vector<Response> out;
-    for (float v : batch) out.push_back(response_with_latency(v));
-    return out;
+    rows += requests.size();
+    return inner_.query_batch(requests);
   }
-  const char* name() const override { return "gated"; }
+  const char* name() const override { return inner_.name(); }
 
-  /// Blocks until the first call is inside the backend.
-  void wait_entered() {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [this] { return !batches_.empty(); });
-  }
-  void open() {
-    std::lock_guard<std::mutex> lk(mu_);
-    open_ = true;
-    cv_.notify_all();
-  }
-  std::vector<std::vector<float>> batches() {
-    std::lock_guard<std::mutex> lk(mu_);
-    return batches_;
-  }
+  std::uint64_t rows = 0;
 
  private:
-  const bool fail_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool open_ = false;
-  std::vector<std::vector<float>> batches_;
+  serve::CostQueryBackend& inner_;
 };
-
-/// Lets the thread just started park in the batcher's queue before the
-/// test moves on; arrival order is what the tests below assert on.
-void let_it_park() {
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-}
-
-TEST(serve_batcher, BackendExceptionReachesCaller) {
-  GatedBackend backend(/*fail=*/true);
-  serve::MicroBatcher batcher(backend, {.max_batch = 4});
-  std::atomic<int> threw{0};
-  auto client = [&](float v) {
-    return std::thread([&, v] {
-      try {
-        (void)batcher.query(Request{{v}});
-      } catch (const std::runtime_error&) {
-        ++threw;
-      }
-    });
-  };
-  // The leader's batch fails; the two callers parked behind it share the
-  // next batch, which fails too, and each of them gets the exception.
-  std::thread leader = client(1.0F);
-  backend.wait_entered();
-  std::thread b = client(2.0F);
-  let_it_park();
-  std::thread c = client(3.0F);
-  let_it_park();
-  backend.open();
-  for (std::thread* t : {&leader, &b, &c}) t->join();
-  EXPECT_EQ(threw.load(), 3);
-  EXPECT_EQ(backend.batches(),
-            (std::vector<std::vector<float>>{{1.0F}, {2.0F, 3.0F}}));
-}
-
-TEST(serve_batcher, RequestsParkedDuringABatchFormTheNextInArrivalOrder) {
-  // Group commit: whatever arrives while a batch is inside the backend
-  // forms the next batch, oldest first, max_batch at a time.
-  GatedBackend backend;
-  serve::MicroBatcher batcher(backend, {.max_batch = 2});
-  std::vector<double> answers(5, -1.0);
-  auto client = [&](int i) {
-    return std::thread([&, i] {
-      answers[static_cast<std::size_t>(i)] =
-          batcher.query(Request{{static_cast<float>(i)}}).metrics.latency_ms;
-    });
-  };
-  std::vector<std::thread> clients;
-  clients.push_back(client(0));  // A: finds the backend idle and leads
-  backend.wait_entered();
-  for (int i = 1; i < 5; ++i) {  // B, C, D, E arrive in order behind A
-    clients.push_back(client(i));
-    let_it_park();
-  }
-  backend.open();
-  for (auto& t : clients) t.join();
-
-  EXPECT_EQ(backend.batches(), (std::vector<std::vector<float>>{
-                                   {0.0F}, {1.0F, 2.0F}, {3.0F, 4.0F}}));
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_DOUBLE_EQ(answers[static_cast<std::size_t>(i)], i);
-  }
-  const auto stats = batcher.stats();
-  EXPECT_EQ(stats.batches, 3U);
-  EXPECT_EQ(stats.requests, 5U);
-  EXPECT_EQ(stats.max_batch_seen, 2U);
-}
 
 /// Counts how many callers are inside `query_batch` at once. Every call
 /// lingers, so two callers that are let in together overlap.
@@ -343,16 +173,50 @@ class OverlapProbeBackend : public serve::CostQueryBackend {
   std::atomic<int> max_inside_{0};
 };
 
-TEST(serve_batcher, BulkAndSingleQueriesNeverShareTheBackend) {
+/// True when both answers carry the same config and bit-identical metrics.
+bool same_bits(const Response& a, const Response& b) {
+  return a.config == b.config &&
+         std::bit_cast<std::uint64_t>(a.metrics.latency_ms) ==
+             std::bit_cast<std::uint64_t>(b.metrics.latency_ms) &&
+         std::bit_cast<std::uint64_t>(a.metrics.energy_mj) ==
+             std::bit_cast<std::uint64_t>(b.metrics.energy_mj) &&
+         std::bit_cast<std::uint64_t>(a.metrics.area_mm2) ==
+             std::bit_cast<std::uint64_t>(b.metrics.area_mm2);
+}
+
+/// Small ground-truth fixture shared by the backend/service tests (same
+/// shape as the EvalNetTest fixture: tiny HW space keeps the LUT build
+/// fast).
+class serve_service : public ::testing::Test {
+ protected:
+  serve_service()
+      : arch_space_(arch::cifar10_backbone()),
+        hw_space_({.pe_min = 8, .pe_max = 10, .rf_min = 8, .rf_max = 16,
+                   .rf_step = 8}),
+        table_(arch_space_, hw_space_, model_) {}
+
+  Request request_for_seed(int seed) const {
+    util::Rng rng(static_cast<std::uint64_t>(seed));
+    return Request::from_architecture(arch_space_, arch_space_.random(rng));
+  }
+
+  arch::ArchSpace arch_space_;
+  hwgen::HwSearchSpace hw_space_;
+  accel::CostModel model_;
+  arch::CostTable table_;
+};
+
+TEST_F(serve_service, BackendSeesOneCallerAtATime) {
+  // Single and bulk queries from five threads all miss (every key is
+  // distinct, the cache holds one entry); the Service mutex must still let
+  // only one of them into the backend at a time.
   OverlapProbeBackend backend;
   serve::Service::Options opts;
-  opts.batch.max_batch = 4;
   opts.cache_capacity = 1;
   serve::Service service(backend, opts);
   constexpr int kRounds = 30;
   std::atomic<int> wrong{0};
   std::vector<std::thread> clients;
-  // Every key is distinct, so every request reaches the backend.
   for (int t = 0; t < 3; ++t) {
     clients.emplace_back([&, t] {
       for (int i = 0; i < kRounds; ++i) {
@@ -380,23 +244,11 @@ TEST(serve_batcher, BulkAndSingleQueriesNeverShareTheBackend) {
   EXPECT_EQ(backend.max_inside(), 1);
 }
 
-/// True when both answers carry the same config and bit-identical metrics.
-bool same_bits(const Response& a, const Response& b) {
-  return a.config == b.config &&
-         std::bit_cast<std::uint64_t>(a.metrics.latency_ms) ==
-             std::bit_cast<std::uint64_t>(b.metrics.latency_ms) &&
-         std::bit_cast<std::uint64_t>(a.metrics.energy_mj) ==
-             std::bit_cast<std::uint64_t>(b.metrics.energy_mj) &&
-         std::bit_cast<std::uint64_t>(a.metrics.area_mm2) ==
-             std::bit_cast<std::uint64_t>(b.metrics.area_mm2);
-}
-
-TEST(serve_batcher, BatchOfOneSerializesSurrogateCallers) {
-  // Regression: with max_batch = 1 every caller used to run the backend on
-  // its own thread at once, and SurrogateBackend's one scratch arena does
-  // not survive two concurrent batches (wrong answers, then a crash). The
-  // one-entry cache sends nearly every query to the backend.
-  const arch::ArchSpace space(arch::cifar10_backbone());
+TEST_F(serve_service, ConcurrentSurrogateCallersMatchTheOracle) {
+  // SurrogateBackend's one scratch arena does not survive two concurrent
+  // batches (wrong answers, then a crash), so four threads querying one
+  // Service must each get the oracle's bits. The one-entry cache sends
+  // nearly every query to the backend.
   const hwgen::HwSearchSpace hw_space = hwgen::HwSearchSpace::small();
   evalnet::Evaluator::Options eval_opts;
   eval_opts.hwgen.hidden_dim = 16;
@@ -405,12 +257,12 @@ TEST(serve_batcher, BatchOfOneSerializesSurrogateCallers) {
   eval_opts.cost.num_layers = 2;
   constexpr std::uint64_t kSeed = 17;
   util::Rng served_rng(kSeed);
-  evalnet::Evaluator served_eval(space.encoding_width(), hw_space, served_rng,
-                                 eval_opts);
+  evalnet::Evaluator served_eval(arch_space_.encoding_width(), hw_space,
+                                 served_rng, eval_opts);
   serve::SurrogateBackend served(served_eval);
   util::Rng oracle_rng(kSeed);
-  evalnet::Evaluator oracle_eval(space.encoding_width(), hw_space, oracle_rng,
-                                 eval_opts);
+  evalnet::Evaluator oracle_eval(arch_space_.encoding_width(), hw_space,
+                                 oracle_rng, eval_opts);
   serve::SurrogateBackend oracle(oracle_eval);
 
   constexpr int kThreads = 4;
@@ -419,12 +271,12 @@ TEST(serve_batcher, BatchOfOneSerializesSurrogateCallers) {
   std::vector<Request> requests;
   std::vector<Response> expected;
   for (int i = 0; i < kQueries; ++i) {
-    requests.push_back(Request::from_architecture(space, space.random(rng)));
+    requests.push_back(
+        Request::from_architecture(arch_space_, arch_space_.random(rng)));
     expected.push_back(oracle.query_batch({&requests.back(), 1}).front());
   }
 
   serve::Service::Options opts;
-  opts.batch.max_batch = 1;
   opts.cache_capacity = 1;
   serve::Service service(served, opts);
   std::atomic<int> wrong{0};
@@ -439,30 +291,56 @@ TEST(serve_batcher, BatchOfOneSerializesSurrogateCallers) {
   }
   for (auto& t : clients) t.join();
   EXPECT_EQ(wrong.load(), 0);
-  EXPECT_EQ(service.stats().batcher.max_batch_seen, 1U);
 }
 
-/// Small ground-truth fixture shared by the backend/service tests (same
-/// shape as the EvalNetTest fixture: tiny HW space keeps the LUT build
-/// fast).
-class serve_service : public ::testing::Test {
- protected:
-  serve_service()
-      : arch_space_(arch::cifar10_backbone()),
-        hw_space_({.pe_min = 8, .pe_max = 10, .rf_min = 8, .rf_max = 16,
-                   .rf_step = 8}),
-        table_(arch_space_, hw_space_, model_) {}
+TEST_F(serve_service, BackendExceptionReachesCaller) {
+  // The exception reaches the caller and nothing is cached; the next query
+  // of the same key reaches the backend again, so the failed call released
+  // the backend mutex.
+  FakeBackend backend;
+  serve::Service service(backend, serve::Service::Options{});
+  const Request req{{2.0F, 3.0F}};
+  backend.fail = true;
+  EXPECT_THROW((void)service.query(req), std::runtime_error);
+  EXPECT_THROW((void)service.query_many({&req, 1}), std::runtime_error);
+  EXPECT_EQ(service.stats().cache.entries, 0U);
 
-  Request request_for_seed(int seed) const {
-    util::Rng rng(static_cast<std::uint64_t>(seed));
-    return Request::from_architecture(arch_space_, arch_space_.random(rng));
+  backend.fail = false;
+  const Response r = service.query(req);
+  EXPECT_FALSE(r.cached);
+  EXPECT_DOUBLE_EQ(r.metrics.latency_ms, 5.0);
+  EXPECT_EQ(backend.batch_sizes(), (std::vector<std::size_t>{1, 1, 1}));
+}
+
+TEST_F(serve_service, QueryManyAnswersItsMissesInOneBackendCall) {
+  // perfbench reads serve.batch.{executed,requests} into its mean batch:
+  // +1 and +rows per backend call, and nothing for a cache hit.
+  FakeBackend backend;
+  serve::Service service(backend, serve::Service::Options{});
+  auto& executed = obs::Registry::global().counter("serve.batch.executed");
+  auto& rows = obs::Registry::global().counter("serve.batch.requests");
+  const std::uint64_t executed_before = executed.value();
+  const std::uint64_t rows_before = rows.value();
+
+  std::vector<Request> requests;
+  for (int i = 0; i < 8; ++i) {
+    requests.push_back(Request{{static_cast<float>(i % 4)}});
   }
+  const auto responses = service.query_many(requests);
+  ASSERT_EQ(responses.size(), 8U);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_DOUBLE_EQ(responses[static_cast<std::size_t>(i)].metrics.latency_ms,
+                     i % 4);
+  }
+  EXPECT_EQ(backend.batch_sizes(), (std::vector<std::size_t>{4}));
+  EXPECT_EQ(executed.value() - executed_before, 1U);
+  EXPECT_EQ(rows.value() - rows_before, 4U);
 
-  arch::ArchSpace arch_space_;
-  hwgen::HwSearchSpace hw_space_;
-  accel::CostModel model_;
-  arch::CostTable table_;
-};
+  EXPECT_TRUE(service.query(requests[0]).cached);
+  EXPECT_EQ(backend.batch_sizes().size(), 1U);
+  EXPECT_EQ(executed.value() - executed_before, 1U);
+  EXPECT_EQ(rows.value() - rows_before, 4U);
+}
 
 TEST_F(serve_service, ExactBackendMatchesDirectLutQuery) {
   serve::ExactBackend backend(table_, accel::edap_cost());
@@ -485,10 +363,9 @@ TEST_F(serve_service, ExactBackendRejectsWrongWidth) {
 }
 
 TEST_F(serve_service, SecondIdenticalQueryIsACacheHit) {
-  serve::ExactBackend backend(table_, accel::edap_cost());
-  serve::Service::Options opts;
-  opts.batch.max_batch = 1;  // inline; this test is about the cache
-  serve::Service service(backend, opts);
+  serve::ExactBackend exact(table_, accel::edap_cost());
+  CountingBackend backend(exact);
+  serve::Service service(backend, serve::Service::Options{});
 
   const Request req = request_for_seed(2);
   const Response first = service.query(req);
@@ -502,14 +379,13 @@ TEST_F(serve_service, SecondIdenticalQueryIsACacheHit) {
   EXPECT_EQ(stats.queries, 2U);
   EXPECT_EQ(stats.cache.hits, 1U);
   EXPECT_EQ(stats.cache.misses, 1U);
-  EXPECT_EQ(stats.batcher.requests, 1U);  // only the miss reached the backend
+  EXPECT_EQ(backend.rows, 1U);  // only the miss reached the backend
 }
 
 TEST_F(serve_service, QueryManyPreservesOrderAndMemoizes) {
-  serve::ExactBackend backend(table_, accel::edap_cost());
-  serve::Service::Options opts;
-  opts.batch.max_batch = 4;
-  serve::Service service(backend, opts);
+  serve::ExactBackend exact(table_, accel::edap_cost());
+  CountingBackend backend(exact);
+  serve::Service service(backend, serve::Service::Options{});
 
   // 8 requests over 4 unique keys: within-call dedup answers the second
   // half by memoization even on a cold cache.
@@ -531,20 +407,18 @@ TEST_F(serve_service, QueryManyPreservesOrderAndMemoizes) {
     EXPECT_EQ(fresh.config, direct.config);
   }
   // Only the 4 unique keys reached the backend.
-  EXPECT_EQ(service.stats().batcher.requests, 4U);
+  EXPECT_EQ(backend.rows, 4U);
 
   // A second replay is answered entirely from the memoization cache.
   const auto replayed = service.query_many(requests);
   for (const auto& r : replayed) EXPECT_TRUE(r.cached);
   EXPECT_EQ(service.stats().cache.hits, 8U);
-  EXPECT_EQ(service.stats().batcher.requests, 4U);
+  EXPECT_EQ(backend.rows, 4U);
 }
 
 TEST_F(serve_service, StatsReportMentionsEveryBlock) {
   serve::ExactBackend backend(table_, accel::edap_cost());
-  serve::Service::Options opts;
-  opts.batch.max_batch = 1;
-  serve::Service service(backend, opts);
+  serve::Service service(backend, serve::Service::Options{});
   (void)service.query(request_for_seed(4));
   const std::string report = service.stats_report();
   EXPECT_NE(report.find("QPS"), std::string::npos);
@@ -570,9 +444,7 @@ std::string encoding_line(long id, int width, const char* bad) {
 
 TEST_F(serve_service, WireRejectsNonFiniteEncodingWithoutCaching) {
   serve::ExactBackend backend(table_, accel::edap_cost());
-  serve::Service::Options opts;
-  opts.batch.max_batch = 1;
-  serve::Service service(backend, opts);
+  serve::Service service(backend, serve::Service::Options{});
   const int width = arch_space_.encoding_width();
 
   for (const char* bad : {"nan", "NaN", "inf", "-inf", "1e39"}) {
@@ -591,9 +463,7 @@ TEST_F(serve_service, WireRejectsNonFiniteEncodingWithoutCaching) {
 
 TEST_F(serve_service, WireRangeChecksArchBeforeCasting) {
   serve::ExactBackend backend(table_, accel::edap_cost());
-  serve::Service::Options opts;
-  opts.batch.max_batch = 1;
-  serve::Service service(backend, opts);
+  serve::Service service(backend, serve::Service::Options{});
 
   for (const char* bad : {"nan", "inf", "-inf", "1e10", "-1e10", "7", "-1",
                           "2.5", "-0.5"}) {
@@ -788,21 +658,33 @@ TEST(serve_wire, IdMustBeSpelledAsAJsonInteger) {
             0);
 }
 
+// --- wire whitespace: JSON's four characters only ---------------------------
+
+TEST(serve_wire, OnlyJsonWhitespaceSeparatesTokens) {
+  // Vertical tab and form feed are C isspace but not JSON whitespace: each
+  // line below is one error, wherever the stray character sits.
+  EXPECT_EQ(error_for("\v{\"id\":1,\"arch\":[0,1,2,3,4,5,6,0,1]}\f"),
+            kNotOneObject);
+  EXPECT_EQ(error_for("{\"id\":2,\"arch\":[0,\f1,2,3,4,5,6,0,1]}"),
+            R"({"id": 2, "error": "arch entries must be integer op )"
+            R"(indices in [0, 6]"})");
+  EXPECT_EQ(error_for("{\"id\":\v3,\"arch\":[0,1,2,3,4,5,6,0,1]}"),
+            R"({"id": -1, "error": "id must be an integer"})");
+  // Space, tab, line feed and carriage return still separate tokens.
+  EXPECT_EQ(
+      error_for("\r{\"id\": \t3,\n\"arch\":[0,\r1,2,3,4,5,6,0,1]}\n"), "");
+}
+
 TEST(serve_options, FromEnvParsesAndIgnoresGarbage) {
   setenv("DANCE_SERVE_CACHE_CAP", "128", 1);
-  setenv("DANCE_SERVE_MAX_BATCH", "7", 1);
   auto opts = serve::Service::Options::from_env();
   EXPECT_EQ(opts.cache_capacity, 128U);
-  EXPECT_EQ(opts.batch.max_batch, 7);
 
   setenv("DANCE_SERVE_CACHE_CAP", "garbage", 1);
-  setenv("DANCE_SERVE_MAX_BATCH", "-4", 1);
   opts = serve::Service::Options::from_env();
   EXPECT_EQ(opts.cache_capacity, serve::Service::Options{}.cache_capacity);
-  EXPECT_EQ(opts.batch.max_batch, serve::Service::Options{}.batch.max_batch);
 
   unsetenv("DANCE_SERVE_CACHE_CAP");
-  unsetenv("DANCE_SERVE_MAX_BATCH");
 }
 
 }  // namespace
