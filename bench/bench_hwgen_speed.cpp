@@ -8,7 +8,8 @@
 //   - exhaustive generation through the per-choice cost table, a single-lane
 //     scan over the configs no lower-index config dominates,
 //   - coordinate-descent hardware generation,
-//   - hardware generation *network* inference.
+//   - hardware generation *network* inference, alone and as part of the
+//     full evaluator's single-row forward_batch.
 // Expected shape: the learned generator is orders of magnitude faster than
 // the exact search, which is the paper's argument for making it a network;
 // the pool-parallel exact search beats the serial one by ~#lanes on
@@ -24,7 +25,6 @@
 #include "evalnet/hwgen_net.h"
 #include "hwgen/coordinate_descent.h"
 #include "hwgen/exhaustive.h"
-#include "infer/plan.h"
 #include "runtime/thread_pool.h"
 
 namespace {
@@ -154,44 +154,22 @@ void BM_HwGenNetInference(benchmark::State& state) {
 }
 BENCHMARK(BM_HwGenNetInference)->Unit(benchmark::kMillisecond);
 
-/// The frozen-inference plan (dance::infer) answering the same single-row
-/// query the autograd paths above answer: full evaluator forward (hwgen
-/// trunk + argmax decode + cost trunk) without building a graph.
-struct PlanEnv {
-  std::unique_ptr<evalnet::Evaluator> evaluator;
-  infer::Plan plan;
-  infer::Arena arena;
-  std::vector<float> row;
-  std::vector<float> metrics;
-  std::vector<float> hw;
-
-  PlanEnv() {
-    Env& e = env();
-    util::Rng rng(9);
-    evaluator = std::make_unique<evalnet::Evaluator>(
-        e.arch_space.encoding_width(), e.hw_space, rng);
-    evaluator->set_frozen(true);
-    evaluator->set_training(false);
-    plan = infer::Plan::compile(*evaluator);
-    row = e.arch_space.encode(e.arch_space.random(rng));
-    metrics.resize(3);
-    hw.resize(static_cast<std::size_t>(plan.hw_width()));
-  }
-};
-
-PlanEnv& plan_env() {
-  static PlanEnv e;
-  return e;
-}
-
-void BM_PlanFusedInference(benchmark::State& state) {
-  PlanEnv& p = plan_env();
+/// The full evaluator answering the same single-row query through
+/// Evaluator::forward_batch, as the surrogate serving backend does: hwgen
+/// trunk, hard argmax heads and cost trunk in one deterministic forward.
+void BM_EvaluatorForwardBatchRow(benchmark::State& state) {
+  Env& e = env();
+  util::Rng rng(9);
+  evalnet::Evaluator evaluator(e.arch_space.encoding_width(), e.hw_space, rng);
+  evaluator.set_frozen(true);
+  evaluator.set_training(false);
+  const std::vector<std::vector<float>> rows = {
+      e.arch_space.encode(e.arch_space.random(rng))};
   for (auto _ : state) {
-    p.plan.run(p.row.data(), 1, p.metrics.data(), p.hw.data(), p.arena);
-    benchmark::DoNotOptimize(p.metrics.data());
+    benchmark::DoNotOptimize(evaluator.forward_batch(rows));
   }
 }
-BENCHMARK(BM_PlanFusedInference)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EvaluatorForwardBatchRow)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -14,14 +14,11 @@
 // multiple; the cache turns the ~75% repeats into lookups for >=5x combined.
 // The serial and batched answers are checked bit-identical first — the
 // deterministic-inference contract that makes the comparison meaningful.
+// Each mode is replayed kRuns times (the cached mode on a fresh, cold
+// Service each time) and the median, min and max wall times are recorded:
+// the cached row is short enough that one run mostly measures host load.
 //
-// A second section prices the surrogate's serving path: the same
-// single-query trace answered by the autograd oracle
-// (Evaluator::forward_batch) and by SurrogateBackend, which serves through
-// the fused frozen plan — QPS, p50/p95 latency, and a bit-identity check of
-// the two over every unique key.
-//
-// A third section prices the exact ground-truth path's startup and serving
+// A second section prices the exact ground-truth path's startup and serving
 // under the CostProvider API: an in-memory CostTable build vs mmap-loading a
 // compiled DCTB artifact — build/load wall time,
 // RSS delta, file size, and ExactBackend QPS/p50/p99 through each provider,
@@ -29,8 +26,8 @@
 // to bench/data/cost_table.csv. Set DANCE_BENCH_ONLY=costtable to run just
 // this section (the CI release smoke does).
 //
-// Prints ASCII tables, writes bench/data/serve_throughput.csv,
-// bench/data/infer_tiers.csv and bench/data/cost_table.csv, and runs
+// Prints ASCII tables, writes bench/data/serve_throughput.csv and
+// bench/data/cost_table.csv, and runs
 // google-benchmark micros for the per-query primitives.
 #include <benchmark/benchmark.h>
 
@@ -136,26 +133,15 @@ std::vector<float> replay_batched(double& seconds) {
   return metrics;
 }
 
-int main_comparison() {
+/// Cached+batched replay: a fresh Service (cold cache) over `backend`,
+/// answering the trace in 512-request arrival windows, as a search loop
+/// would deliver them. The cache carries answers across windows, dedup
+/// collapses repeats within one.
+std::vector<serve::Response> replay_cached(serve::CostQueryBackend& backend,
+                                           double& seconds,
+                                           double& hit_rate) {
   Env& e = env();
-  const auto n = static_cast<double>(e.trace.size());
-
-  double serial_s = 0.0;
-  const auto serial_metrics = replay_serial(serial_s);
-  double batched_s = 0.0;
-  const auto batched_metrics = replay_batched(batched_s);
-
-  const bool identical =
-      serial_metrics.size() == batched_metrics.size() &&
-      std::memcmp(serial_metrics.data(), batched_metrics.data(),
-                  serial_metrics.size() * sizeof(float)) == 0;
-  std::printf("batched vs serial bit-identity: %s\n",
-              identical ? "OK (bitwise equal)" : "FAILED — outputs diverge");
-
-  serve::SurrogateBackend backend(*e.evaluator);
   serve::Service service(backend, serve::Service::Options{});
-  // Requests arrive in windows (as a search loop would deliver them); the
-  // cache carries answers across windows, dedup collapses repeats within one.
   constexpr std::size_t kWindow = 512;
   std::vector<serve::Response> served;
   served.reserve(e.trace.size());
@@ -166,8 +152,49 @@ int main_comparison() {
         std::span<const serve::Request>(e.trace.data() + at, hi - at));
     served.insert(served.end(), window.begin(), window.end());
   }
-  const double service_s = seconds_since(start);
-  const auto stats = service.stats();
+  seconds = seconds_since(start);
+  hit_rate = service.stats().cache.hit_rate();
+  return served;
+}
+
+constexpr int kRuns = 5;  ///< replays per mode; odd, so the median is a run
+
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread spread(std::vector<double> seconds) {
+  std::sort(seconds.begin(), seconds.end());
+  return {seconds[seconds.size() / 2], seconds.front(), seconds.back()};
+}
+
+int main_comparison() {
+  Env& e = env();
+  const auto n = static_cast<double>(e.trace.size());
+  serve::SurrogateBackend backend(*e.evaluator);
+
+  std::vector<double> serial_runs, batched_runs, cached_runs;
+  std::vector<float> serial_metrics, batched_metrics;
+  std::vector<serve::Response> served;
+  double hit_rate = 0.0;
+  for (int run = 0; run < kRuns; ++run) {
+    double s = 0.0;
+    serial_metrics = replay_serial(s);
+    serial_runs.push_back(s);
+    batched_metrics = replay_batched(s);
+    batched_runs.push_back(s);
+    served = replay_cached(backend, s, hit_rate);
+    cached_runs.push_back(s);
+  }
+
+  const bool identical =
+      serial_metrics.size() == batched_metrics.size() &&
+      std::memcmp(serial_metrics.data(), batched_metrics.data(),
+                  serial_metrics.size() * sizeof(float)) == 0;
+  std::printf("batched vs serial bit-identity: %s\n",
+              identical ? "OK (bitwise equal)" : "FAILED — outputs diverge");
 
   // Served answers must also match the serial ground truth bitwise.
   bool service_identical = served.size() * 3 == serial_metrics.size();
@@ -179,142 +206,46 @@ int main_comparison() {
   std::printf("cached+batched vs serial agreement: %s\n\n",
               service_identical ? "OK" : "FAILED — served answers diverge");
 
-  util::Table table({"mode", "requests", "seconds", "QPS", "speedup", "hit rate"});
-  const double serial_qps = n / serial_s;
-  table.add_row({"serial forward", std::to_string(e.trace.size()),
-                 util::Table::fmt(serial_s, 3), util::Table::fmt(serial_qps, 0),
-                 "1.00", "-"});
-  table.add_row({"batched forward", std::to_string(e.trace.size()),
-                 util::Table::fmt(batched_s, 3),
-                 util::Table::fmt(n / batched_s, 0),
-                 util::Table::fmt(serial_s / batched_s, 2), "-"});
-  table.add_row({"cached+batched", std::to_string(e.trace.size()),
-                 util::Table::fmt(service_s, 3),
-                 util::Table::fmt(n / service_s, 0),
-                 util::Table::fmt(serial_s / service_s, 2),
-                 util::Table::fmt(100.0 * stats.cache.hit_rate(), 1) + "%"});
-  std::printf("%s\n", table.to_string().c_str());
-  std::fputs(service.stats_report().c_str(), stdout);
-
-  const double combined_speedup = serial_s / service_s;
-  std::printf("\ncached+batched speedup over naive serial: %.1fx %s\n",
-              combined_speedup, combined_speedup >= 5.0 ? "(>= 5x target met)"
-                                                        : "(below 5x target)");
-
-  util::CsvWriter csv(bench::data_path("serve_throughput.csv"),
-                      {"mode", "requests", "unique_keys", "seconds", "qps",
-                       "speedup_vs_serial", "cache_hit_rate"});
+  const Spread serial = spread(serial_runs);
+  const Spread batched = spread(batched_runs);
+  const Spread cached = spread(cached_runs);
   const std::string nreq = std::to_string(e.trace.size());
   const std::string nuniq = std::to_string(e.unique_keys.size());
-  csv.add_row({"serial", nreq, nuniq, util::Table::fmt(serial_s, 4),
-               util::Table::fmt(serial_qps, 1), "1.0", "0"});
-  csv.add_row({"batched", nreq, nuniq, util::Table::fmt(batched_s, 4),
-               util::Table::fmt(n / batched_s, 1),
-               util::Table::fmt(serial_s / batched_s, 2), "0"});
-  csv.add_row({"cached_batched", nreq, nuniq, util::Table::fmt(service_s, 4),
-               util::Table::fmt(n / service_s, 1),
-               util::Table::fmt(combined_speedup, 2),
-               util::Table::fmt(stats.cache.hit_rate(), 3)});
+  const std::string runs = std::to_string(kRuns);
+  util::Table table({"mode", "requests", "median s", "min s", "max s",
+                     "QPS", "speedup", "hit rate"});
+  util::CsvWriter csv(bench::data_path("serve_throughput.csv"),
+                      {"mode", "requests", "unique_keys", "runs",
+                       "seconds_median", "seconds_min", "seconds_max", "qps",
+                       "speedup_vs_serial", "cache_hit_rate"});
+  // QPS and speedup are taken at the medians.
+  const auto add = [&](const char* label, const char* mode, const Spread& t,
+                       const std::string& hits, const std::string& hits_csv) {
+    table.add_row({label, nreq, util::Table::fmt(t.median, 4),
+                   util::Table::fmt(t.min, 4), util::Table::fmt(t.max, 4),
+                   util::Table::fmt(n / t.median, 0),
+                   util::Table::fmt(serial.median / t.median, 2), hits});
+    csv.add_row({mode, nreq, nuniq, runs, util::Table::fmt(t.median, 4),
+                 util::Table::fmt(t.min, 4), util::Table::fmt(t.max, 4),
+                 util::Table::fmt(n / t.median, 1),
+                 util::Table::fmt(serial.median / t.median, 2), hits_csv});
+  };
+  add("serial forward", "serial", serial, "-", "0");
+  add("batched forward", "batched", batched, "-", "0");
+  add("cached+batched", "cached_batched", cached,
+      util::Table::fmt(100.0 * hit_rate, 1) + "%",
+      util::Table::fmt(hit_rate, 3));
+  std::printf("%s\n", table.to_string().c_str());
+
+  const double combined_speedup = serial.median / cached.median;
+  std::printf("\ncached+batched speedup over naive serial (medians of %d "
+              "runs): %.1fx %s\n",
+              kRuns, combined_speedup,
+              combined_speedup >= 5.0 ? "(>= 5x target met)"
+                                      : "(below 5x target)");
   csv.flush();
   std::printf("wrote %s\n\n", bench::data_path("serve_throughput.csv").c_str());
   return (identical && service_identical) ? 0 : 1;
-}
-
-// --- surrogate serving: autograd oracle vs the fused plan -------------------
-
-struct TierRow {
-  double seconds = 0.0;
-  double p50_us = 0.0;
-  double p95_us = 0.0;
-  std::vector<float> unique_metrics;  ///< [unique, 3], for the bit check
-};
-
-/// Replays the trace one request at a time through `answer` (single-query
-/// latency is where the paths differ most — batching already amortizes the
-/// autograd graph walk), then answers every unique key once, batched, into
-/// `unique_metrics`. `answer(reqs, out)` appends [reqs.size(), 3] metrics.
-template <typename Answer>
-TierRow replay_tier(Answer&& answer) {
-  Env& e = env();
-  TierRow row;
-  std::vector<float> sink;
-  std::vector<double> lat;
-  lat.reserve(e.trace.size());
-  const auto start = std::chrono::steady_clock::now();
-  for (const auto& req : e.trace) {
-    const auto t0 = std::chrono::steady_clock::now();
-    sink.clear();
-    answer(std::span<const serve::Request>(&req, 1), sink);
-    benchmark::DoNotOptimize(sink.data());
-    lat.push_back(1e6 * seconds_since(t0));
-  }
-  row.seconds = seconds_since(start);
-  std::sort(lat.begin(), lat.end());
-  row.p50_us = lat[lat.size() / 2];
-  row.p95_us = lat[std::min(lat.size() - 1, (lat.size() * 95) / 100)];
-
-  std::vector<serve::Request> reqs;
-  for (std::size_t at = 0; at < e.unique_keys.size(); at += kChunk) {
-    const std::size_t hi = std::min(at + kChunk, e.unique_keys.size());
-    reqs.clear();
-    for (std::size_t i = at; i < hi; ++i) {
-      reqs.push_back(serve::Request{e.unique_keys[i]});
-    }
-    answer(std::span<const serve::Request>(reqs), row.unique_metrics);
-  }
-  return row;
-}
-
-int main_tiers() {
-  Env& e = env();
-  const auto n = static_cast<double>(e.trace.size());
-
-  const TierRow autograd = replay_tier(
-      [&](std::span<const serve::Request> reqs, std::vector<float>& out) {
-        std::vector<std::vector<float>> rows;
-        rows.reserve(reqs.size());
-        for (const auto& r : reqs) rows.push_back(r.encoding);
-        const auto fwd = e.evaluator->forward_batch(rows);
-        const float* m = fwd.metrics.value().data();
-        out.insert(out.end(), m, m + 3 * reqs.size());
-      });
-  serve::SurrogateBackend backend(*e.evaluator);
-  const TierRow fused = replay_tier(
-      [&](std::span<const serve::Request> reqs, std::vector<float>& out) {
-        for (const auto& r : backend.query_batch(reqs)) {
-          out.push_back(static_cast<float>(r.metrics.latency_ms));
-          out.push_back(static_cast<float>(r.metrics.energy_mj));
-          out.push_back(static_cast<float>(r.metrics.area_mm2));
-        }
-      });
-  const bool identical =
-      autograd.unique_metrics.size() == fused.unique_metrics.size() &&
-      std::memcmp(autograd.unique_metrics.data(), fused.unique_metrics.data(),
-                  fused.unique_metrics.size() * sizeof(float)) == 0;
-
-  util::Table table({"path", "seconds", "QPS", "p50 us", "p95 us",
-                     "speedup", "bit-identical"});
-  util::CsvWriter csv(bench::data_path("infer_tiers.csv"),
-                      {"tier", "requests", "seconds", "qps", "p50_us",
-                       "p95_us", "speedup_vs_autograd", "bit_identical"});
-  const std::string nreq = std::to_string(e.trace.size());
-  const auto add = [&](const char* name, const TierRow& r) {
-    const std::string speedup = util::Table::fmt(autograd.seconds / r.seconds, 2);
-    table.add_row({name, util::Table::fmt(r.seconds, 3),
-                   util::Table::fmt(n / r.seconds, 0),
-                   util::Table::fmt(r.p50_us, 1), util::Table::fmt(r.p95_us, 1),
-                   speedup, identical ? "yes" : "NO"});
-    csv.add_row({name, nreq, util::Table::fmt(r.seconds, 4),
-                 util::Table::fmt(n / r.seconds, 1),
-                 util::Table::fmt(r.p50_us, 2), util::Table::fmt(r.p95_us, 2),
-                 speedup, identical ? "1" : "0"});
-  };
-  add("autograd", autograd);
-  add("fused", fused);
-  std::printf("%s\n", table.to_string().c_str());
-  csv.flush();
-  std::printf("wrote %s\n\n", bench::data_path("infer_tiers.csv").c_str());
-  return identical ? 0 : 1;
 }
 
 // --- google-benchmark micros for the per-query primitives -------------------
@@ -537,14 +468,10 @@ int main(int argc, char** argv) {
               dance::bench::scaled(10000),
               std::max(1, dance::bench::scaled(10000) / 8), kChunk);
   const int rc = main_comparison();
-  std::printf("== surrogate serving: autograd oracle vs fused plan ==\n");
-  std::printf("single-query replay of the same trace per path; bit-identity "
-              "checked over every unique key.\n\n");
-  const int tier_rc = main_tiers();
   std::printf("== exact ground truth: in-memory CostTable vs mmap DCTB "
               "artifact ==\n\n");
   const int ct_rc = main_cost_table();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return rc != 0 ? rc : (tier_rc != 0 ? tier_rc : ct_rc);
+  return rc != 0 ? rc : ct_rc;
 }

@@ -4,8 +4,8 @@
 // is closed-form, the other walks tiles and pays pipeline fill/drain), but
 // the orderings that drive co-exploration agree.
 //
-// A closing section times the *surrogate* cost backend (the evaluator served
-// through its compiled infer::Plan).
+// A closing section times the *surrogate* cost backend (the evaluator's
+// deterministic forward_batch, decoded per row).
 //
 // Run: ./build/examples/backend_comparison
 #include <chrono>

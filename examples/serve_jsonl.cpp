@@ -11,7 +11,7 @@
 //
 // Flags:
 //   --backend=exact|surrogate  ground-truth LUT (default) or the evaluator
-//                              (served through its compiled infer::Plan)
+//                              (one Evaluator::forward_batch per batch)
 //   --small                    tiny hardware space (fast startup; CI smoke)
 //   --table=PATH               mmap a compiled DCTB cost table (see
 //                              costtable_compile) instead of rebuilding the

@@ -39,11 +39,6 @@ class CostNet {
   void set_training(bool training);
   [[nodiscard]] bool training() const { return trunk_->training(); }
 
-  /// Frozen snapshot of the trunk (nn/freeze.h) for the inference compiler.
-  /// Note the output scale is NOT part of the trunk; export it separately
-  /// via output_scale().
-  [[nodiscard]] nn::FrozenMlp freeze_trunk() const { return trunk_->freeze(); }
-
   /// Per-metric output scales (typically the training-set means). The trunk
   /// regresses metrics in units of these scales and the forward pass
   /// multiplies them back, so all three MSRE columns are equally

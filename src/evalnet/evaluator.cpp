@@ -60,9 +60,7 @@ tensor::Tensor Evaluator::stack_rows(
           "Evaluator::stack_rows: rows have unequal widths");
     }
   }
-  // One [N, W] allocation sized up front; rows land via memcpy. Both the
-  // batched autograd path and the fused plan path stack through here, so
-  // batch layout (and its validation) has exactly one implementation.
+  // One [N, W] allocation sized up front; rows land via memcpy.
   tensor::Tensor stacked(
       {static_cast<int>(rows.size()), static_cast<int>(width)});
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -75,26 +73,6 @@ tensor::Tensor Evaluator::stack_rows(
 Evaluator::Output Evaluator::forward_batch(
     const std::vector<std::vector<float>>& rows) {
   return forward_deterministic(tensor::Variable(stack_rows(rows)));
-}
-
-FrozenEvaluator Evaluator::freeze() {
-  if (training_) {
-    throw std::logic_error(
-        "Evaluator::freeze: requires eval mode (set_training(false)); a "
-        "frozen plan must reproduce the eval-mode batch-norm path");
-  }
-  FrozenEvaluator f;
-  f.hwgen_trunk = hwgen_->freeze_trunk();
-  f.cost_trunk = cost_->freeze_trunk();
-  f.head_ranges = hwgen_->head_ranges();
-  const auto& scale = cost_->output_scale();
-  for (std::size_t i = 0; i < 3; ++i) {
-    f.output_scale[i] = static_cast<float>(scale[i]);
-  }
-  f.feature_forwarding = cost_->feature_forwarding();
-  f.arch_width = f.hwgen_trunk.in_dim;
-  f.hw_width = f.hwgen_trunk.out_dim;
-  return f;
 }
 
 void Evaluator::set_frozen(bool frozen) {

@@ -3,7 +3,6 @@
 #include <memory>
 
 #include "evalnet/cost_net.h"
-#include "evalnet/frozen.h"
 #include "evalnet/hwgen_net.h"
 
 namespace dance::evalnet {
@@ -54,29 +53,19 @@ class Evaluator {
   [[nodiscard]] Output forward_deterministic(const tensor::Variable& arch_enc);
 
   /// Batched deterministic inference: stacks `rows` (each one arch-encoding
-  /// row of equal width) into a single [N, W] forward via stack_rows(). This
-  /// is the batched entry point the serve layer amortizes queries through.
-  /// A single-row batch is legal and bit-identical to forward_deterministic
+  /// row of equal width) into a single [N, W] forward via stack_rows().
+  /// serve::SurrogateBackend answers each batch with this same forward on
+  /// its stacked requests, so its answers are these bits. A single-row batch is legal and bit-identical to forward_deterministic
   /// on that row wrapped as a [1, W] tensor — the case every single
   /// Service::query miss produces (property tested in tests/test_infer.cpp).
   [[nodiscard]] Output forward_batch(
       const std::vector<std::vector<float>>& rows);
 
   /// Stacks equal-width rows into one [N, W] tensor with a single allocation
-  /// sized up front (no per-row growth). Shared by forward_batch and the
-  /// dance::infer fused path so both validate and lay out batches
-  /// identically. Throws std::invalid_argument on an empty batch or unequal
-  /// row widths.
+  /// sized up front (no per-row growth). Throws std::invalid_argument on an
+  /// empty batch or unequal row widths.
   [[nodiscard]] static tensor::Tensor stack_rows(
       const std::vector<std::vector<float>>& rows);
-
-  /// Inference-form snapshot of the full checkpoint (evalnet/frozen.h): the
-  /// entry point of the dance::infer compile path —
-  /// `infer::Plan::compile(evaluator.freeze())`. Requires eval mode, same as
-  /// forward_deterministic (throws std::logic_error in training mode): a
-  /// frozen snapshot of training-mode batch norm would bake in statistics
-  /// the autograd path would not reproduce.
-  [[nodiscard]] FrozenEvaluator freeze();
 
   [[nodiscard]] HwGenNet& hwgen_net() { return *hwgen_; }
   [[nodiscard]] CostNet& cost_net() { return *cost_; }

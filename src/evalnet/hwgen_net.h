@@ -60,9 +60,6 @@ class HwGenNet {
   [[nodiscard]] bool training() const { return trunk_->training(); }
   [[nodiscard]] const hwgen::HwSearchSpace& space() const { return space_; }
 
-  /// Frozen snapshot of the trunk (nn/freeze.h) for the inference compiler.
-  [[nodiscard]] nn::FrozenMlp freeze_trunk() const { return trunk_->freeze(); }
-
   /// Full-state checkpointing (parameters; the trunk carries no batch norm).
   void save(const std::string& path);
   void load(const std::string& path);

@@ -1,7 +1,5 @@
 #include "nn/batchnorm.h"
 
-#include <cmath>
-
 namespace dance::nn {
 
 BatchNorm1d::BatchNorm1d(int features, float momentum, float eps)
@@ -15,20 +13,6 @@ BatchNorm1d::BatchNorm1d(int features, float momentum, float eps)
 Variable BatchNorm1d::forward(const Variable& x) {
   return tensor::ops::batchnorm(x, gamma_, beta_, running_mean_, running_var_,
                                 momentum_, eps_, training_);
-}
-
-FrozenBatchNorm BatchNorm1d::freeze() const {
-  FrozenBatchNorm f;
-  f.gamma = gamma_.value();
-  f.beta = beta_.value();
-  f.mean = running_mean_;
-  f.inv_std = Tensor(running_var_.shape());
-  for (std::size_t c = 0; c < running_var_.numel(); ++c) {
-    // Must match the eval branch of tensor::ops::batchnorm bit for bit.
-    f.inv_std[c] = 1.0F / std::sqrt(running_var_[c] + eps_);
-  }
-  f.eps = eps_;
-  return f;
 }
 
 std::vector<Variable> BatchNorm1d::parameters() { return {gamma_, beta_}; }

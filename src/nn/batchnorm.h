@@ -1,6 +1,5 @@
 #pragma once
 
-#include "nn/freeze.h"
 #include "nn/module.h"
 
 namespace dance::nn {
@@ -21,11 +20,6 @@ class BatchNorm1d : public Module {
   [[nodiscard]] std::vector<Tensor*> buffers() override {
     return {&running_mean_, &running_var_};
   }
-
-  /// Eval-mode snapshot (nn/freeze.h): gamma/beta/mean copies plus inv_std
-  /// precomputed with the exact expression the batchnorm op uses, so a
-  /// consumer of the snapshot reproduces eval-mode forward bit for bit.
-  [[nodiscard]] FrozenBatchNorm freeze() const;
 
  private:
   float momentum_;

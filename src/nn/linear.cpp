@@ -21,15 +21,6 @@ Variable Linear::forward(const Variable& x) {
   return y;
 }
 
-FrozenLinear Linear::freeze() const {
-  FrozenLinear f;
-  f.weight = weight_.value();
-  if (bias_.defined()) f.bias = bias_.value();
-  f.in = in_;
-  f.out = out_;
-  return f;
-}
-
 std::vector<Variable> Linear::parameters() {
   std::vector<Variable> ps{weight_};
   if (bias_.defined()) ps.push_back(bias_);

@@ -1,6 +1,5 @@
 #pragma once
 
-#include "nn/freeze.h"
 #include "nn/module.h"
 #include "util/rng.h"
 
@@ -17,11 +16,6 @@ class Linear : public Module {
 
   [[nodiscard]] int in_features() const { return in_; }
   [[nodiscard]] int out_features() const { return out_; }
-
-  /// Value snapshot of the layer's inference state (nn/freeze.h). The
-  /// returned struct owns copies of the tensors; later updates to the live
-  /// parameters do not affect it.
-  [[nodiscard]] FrozenLinear freeze() const;
 
   Variable& weight() { return weight_; }
   Variable& bias() { return bias_; }

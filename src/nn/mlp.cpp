@@ -38,40 +38,6 @@ Variable ResidualMlp::forward(const Variable& x) {
   return output_->forward(h);
 }
 
-FrozenMlp ResidualMlp::freeze() const {
-  FrozenMlp f;
-  f.in_dim = config_.in_dim;
-  f.hidden_dim = config_.hidden_dim;
-  f.out_dim = config_.out_dim;
-  f.layers.reserve(hidden_.size() + 2);
-
-  FrozenMlpLayer input;
-  input.linear = input_->freeze();
-  if (config_.batch_norm) {
-    input.norm = norms_[0]->freeze();
-    input.has_norm = true;
-  }
-  input.relu = true;
-  f.layers.push_back(std::move(input));
-
-  for (std::size_t i = 0; i < hidden_.size(); ++i) {
-    FrozenMlpLayer blk;
-    blk.linear = hidden_[i]->freeze();
-    if (config_.batch_norm) {
-      blk.norm = norms_[i + 1]->freeze();
-      blk.has_norm = true;
-    }
-    blk.relu = true;
-    blk.residual = true;
-    f.layers.push_back(std::move(blk));
-  }
-
-  FrozenMlpLayer head;
-  head.linear = output_->freeze();
-  f.layers.push_back(std::move(head));
-  return f;
-}
-
 std::vector<Variable> ResidualMlp::parameters() {
   std::vector<Variable> ps = input_->parameters();
   for (auto& l : hidden_) {

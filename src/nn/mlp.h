@@ -41,12 +41,6 @@ class ResidualMlp : public Module {
   /// Non-trainable state (batch-norm running statistics) for checkpointing.
   [[nodiscard]] std::vector<Tensor*> buffers() override;
 
-  /// Flattens the trunk into a linear FrozenMlpLayer schedule (nn/freeze.h):
-  /// the same op sequence `forward` executes, as data instead of control
-  /// flow. This is the export surface the dance::infer compiler consumes —
-  /// it never touches the module's private layers directly.
-  [[nodiscard]] FrozenMlp freeze() const;
-
   [[nodiscard]] const ResidualMlpConfig& config() const { return config_; }
 
  private:

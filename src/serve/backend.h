@@ -6,7 +6,6 @@
 #include "accel/cost_function.h"
 #include "arch/cost_provider.h"
 #include "evalnet/evaluator.h"
-#include "infer/plan.h"
 #include "serve/types.h"
 
 namespace dance::serve {
@@ -26,10 +25,10 @@ class CostQueryBackend {
   virtual ~CostQueryBackend() = default;
 
   /// Answers `requests` in order; the result has exactly one response per
-  /// request. Need only be safe to call from one thread at a time: the
-  /// Service holds one mutex around every call. SurrogateBackend's shared
-  /// arena depends on that, as does any decorator with unsynchronized
-  /// per-call state.
+  /// request. The Service holds one mutex around every call, so only
+  /// backends with unsynchronized per-call state still rely on it (a timing
+  /// decorator that shares a span buffer across calls is one). Both shipped
+  /// backends keep no state between calls and may be called concurrently.
   [[nodiscard]] virtual std::vector<Response> query_batch(
       std::span<const Request> requests) = 0;
 
@@ -52,13 +51,13 @@ class ExactBackend : public CostQueryBackend {
   accel::HwCostFn cost_fn_;
 };
 
-/// Trained-surrogate backend: one deterministic [N, W] forward per batch.
-/// Construction puts the evaluator into frozen eval mode — the
-/// deterministic-inference prerequisite — and compiles it into an
-/// infer::Plan, which answers every batch. The plan is bit-identical to
-/// Evaluator::forward_batch (property-tested; docs/inference.md), which
-/// stays as the test oracle. The hardware configuration is decoded from the
-/// tau-frozen one-hot heads.
+/// Trained-surrogate backend: one Evaluator::forward_deterministic over the
+/// stacked [N, W] batch per call, so every answer is bit-identical to
+/// Evaluator::forward_batch on the same rows. Construction puts the
+/// evaluator into frozen eval mode, the deterministic-inference
+/// prerequisite; a frozen, eval-mode evaluator only reads its parameters,
+/// so concurrent query_batch calls are safe. The hardware configuration is
+/// decoded from the tau-frozen one-hot heads.
 class SurrogateBackend : public CostQueryBackend {
  public:
   explicit SurrogateBackend(evalnet::Evaluator& evaluator);
@@ -67,14 +66,8 @@ class SurrogateBackend : public CostQueryBackend {
       std::span<const Request> requests) override;
   [[nodiscard]] const char* name() const override { return "surrogate"; }
 
-  [[nodiscard]] const infer::Plan& plan() const { return plan_; }
-
  private:
   evalnet::Evaluator& evaluator_;
-  infer::Plan plan_;
-  infer::Arena arena_;  ///< reused scratch: one query_batch at a time
-  std::vector<float> metrics_;  ///< [N, 3] plan output, reused per batch
-  std::vector<float> hw_;       ///< [N, hw_width] plan output, reused
 };
 
 }  // namespace dance::serve

@@ -1,7 +1,8 @@
 #include "tensor/gemm.h"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
+#include <cstdint>
 
 #include "util/parallel.h"
 
@@ -20,15 +21,7 @@ constexpr int kKBlock = 32;
 /// chunk so narrow products don't over-schedule.
 long gemm_grain(int k, int m) { return std::max(1L, 65536L / std::max(1, k * m)); }
 
-}  // namespace
-
-bool all_finite(const float* p, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    if (!std::isfinite(p[i])) return false;
-  }
-  return true;
-}
-
+/// Computes rows [row_lo, row_hi) of C on the calling thread.
 void gemm_rows(const float* a, const float* b, float* c, long row_lo,
                long row_hi, int k, int m, bool b_finite) {
   for (long i0 = row_lo; i0 < row_hi; i0 += kRowBlock) {
@@ -49,16 +42,27 @@ void gemm_rows(const float* a, const float* b, float* c, long row_lo,
   }
 }
 
-void gemm(const float* a, const float* b, float* c, int n, int k, int m,
-          bool b_finite) {
-  util::parallel_for(0, n, [&](long lo, long hi) {
-    gemm_rows(a, b, c, lo, hi, k, m, b_finite);
-  }, gemm_grain(k, m));
+}  // namespace
+
+bool all_finite(const float* p, std::size_t count) {
+  // A float is NaN or ±inf exactly when its exponent bits are all ones.
+  // Testing the bits with no early exit lets the loop vectorise; for a
+  // single-row product this scan is as long as the product itself.
+  constexpr std::uint32_t kExponent = 0x7f800000U;
+  std::uint32_t non_finite = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    non_finite |= static_cast<std::uint32_t>(
+        (std::bit_cast<std::uint32_t>(p[i]) & kExponent) == kExponent);
+  }
+  return non_finite == 0;
 }
 
 void gemm(const float* a, const float* b, float* c, int n, int k, int m) {
-  gemm(a, b, c, n, k, m,
-       all_finite(b, static_cast<std::size_t>(k) * static_cast<std::size_t>(m)));
+  const bool b_finite =
+      all_finite(b, static_cast<std::size_t>(k) * static_cast<std::size_t>(m));
+  util::parallel_for(0, n, [&](long lo, long hi) {
+    gemm_rows(a, b, c, lo, hi, k, m, b_finite);
+  }, gemm_grain(k, m));
 }
 
 }  // namespace dance::tensor::gemm

@@ -204,8 +204,7 @@ Variable matmul(const Variable& a, const Variable& b) {
     // bit-identical to the historical naive loop — including the zero-skip
     // that is only sound while B is finite everywhere (0 * NaN and 0 * inf
     // must produce NaN, not silently vanish; poisoned activations have to
-    // keep propagating). The dance::infer plan executor runs the same
-    // kernel, which is what makes fused inference bit-identical to this op.
+    // keep propagating).
     gemm::gemm(a.value().data(), b.value().data(), out.data(), n, k, m);
   }
   return make_result(std::move(out), {a.node(), b.node()}, [n, k, m](Node& self) {

@@ -1,13 +1,14 @@
-// Unit tests for the dance::infer frozen-inference compiler: the
-// freeze/compile surface, the fused plan's bit-identity to the autograd path
-// on a fixed checkpoint, the shared blocked GEMM and the SurrogateBackend
-// serving through the plan.
+// Unit tests for the inference arithmetic: the shared blocked GEMM and its
+// finiteness scan, batch stacking for Evaluator::forward_batch, and the
+// SurrogateBackend, whose answers must be bit-identical to forward_batch,
+// including under concurrent direct callers.
 // Suite names carry a lowercase "infer" prefix on purpose: `ctest -R infer`
-// selects exactly these suites (plus the randomized property suites in
+// selects exactly these suites (plus the randomized GEMM property suite in
 // test_property_infer.cpp).
 #include <gtest/gtest.h>
 
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -15,13 +16,12 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "arch/backbone.h"
 #include "arch/ops.h"
 #include "evalnet/evaluator.h"
-#include "infer/plan.h"
-#include "obs/registry.h"
 #include "runtime/thread_pool.h"
 #include "serve/backend.h"
 #include "serve/service.h"
@@ -108,6 +108,39 @@ TEST(infer_gemm, ZeroTimesNonFinitePoisons) {
   EXPECT_TRUE(std::isnan(c[0]));
   EXPECT_FALSE(tensor::gemm::all_finite(b, 2));
   EXPECT_TRUE(tensor::gemm::all_finite(a, 2));
+}
+
+TEST(infer_gemm, AllFiniteFlagsNonFiniteAtEveryOffset) {
+  // The scan has no early exit and may be vectorised, so a non-finite value
+  // must be caught at every offset of a buffer longer than one vector plus a
+  // tail, and the extreme finite values must not be mistaken for it.
+  constexpr std::size_t kLen = 18;
+  std::array<float, kLen> finite{};
+  for (std::size_t i = 0; i < kLen; ++i) {
+    finite[i] = static_cast<float>(i) - 7.5F;
+  }
+  finite[1] = std::numeric_limits<float>::max();
+  finite[4] = -std::numeric_limits<float>::max();
+  finite[9] = std::numeric_limits<float>::denorm_min();
+  finite[13] = -0.0F;
+  ASSERT_TRUE(tensor::gemm::all_finite(finite.data(), kLen));
+  EXPECT_TRUE(tensor::gemm::all_finite(finite.data(), 0));
+
+  const std::array<float, 3> specials = {
+      std::numeric_limits<float>::quiet_NaN(),
+      std::numeric_limits<float>::infinity(),
+      -std::numeric_limits<float>::infinity()};
+  for (const float special : specials) {
+    for (std::size_t at = 0; at < kLen; ++at) {
+      SCOPED_TRACE(::testing::Message() << special << " at " << at);
+      std::array<float, kLen> buf = finite;
+      buf[at] = special;
+      EXPECT_FALSE(tensor::gemm::all_finite(buf.data(), kLen));
+      // A count that stops just before the special ignores it.
+      EXPECT_TRUE(tensor::gemm::all_finite(buf.data(), at));
+      EXPECT_FALSE(tensor::gemm::all_finite(buf.data(), at + 1));
+    }
+  }
 }
 
 /// The dA and dB loops ops::matmul's backward ran before it called the
@@ -240,87 +273,6 @@ TEST(infer_gemm, MatmulBackwardMatchesReferenceLoops) {
   }
 }
 
-TEST(infer_plan, CompileExposesCheckpointGeometry) {
-  const auto space = small_space();
-  arch::ArchSpace arch_space{arch::cifar10_backbone()};
-  const int width = arch_space.encoding_width();
-  auto ev = make_evaluator(space, width);
-  const infer::Plan plan = infer::Plan::compile(ev);
-
-  EXPECT_EQ(plan.arch_width(), width);
-  EXPECT_EQ(plan.hw_width(), space.encoding_width());
-  // 3-layer trunks: input + one hidden block + head, twice.
-  EXPECT_EQ(plan.num_steps(), 6U);
-  EXPECT_GT(plan.floats_per_row(), 0U);
-  EXPECT_EQ(plan.head_ranges(), ev.hwgen_net().head_ranges());
-}
-
-TEST(infer_plan, FreezeRequiresEvalMode) {
-  const auto space = small_space();
-  auto ev = make_evaluator(space, 8);
-  ev.set_training(true);
-  EXPECT_THROW((void)ev.freeze(), std::logic_error);
-  EXPECT_THROW((void)infer::Plan::compile(ev), std::logic_error);
-}
-
-TEST(infer_plan, RunRejectsNonPositiveBatch) {
-  const auto space = small_space();
-  auto ev = make_evaluator(space, 8);
-  const infer::Plan plan = infer::Plan::compile(ev);
-  infer::Arena arena;
-  std::vector<float> in(8, 0.5F);
-  std::vector<float> metrics(3);
-  std::vector<float> hw(static_cast<std::size_t>(plan.hw_width()));
-
-  EXPECT_THROW(
-      plan.run(in.data(), 0, metrics.data(), hw.data(), arena),
-      std::invalid_argument);
-  EXPECT_THROW(
-      plan.run(in.data(), -1, metrics.data(), hw.data(), arena),
-      std::invalid_argument);
-}
-
-TEST(infer_plan, FusedBitIdenticalToAutogradOnFixture) {
-  const auto space = small_space();
-  arch::ArchSpace arch_space{arch::cifar10_backbone()};
-  const int width = arch_space.encoding_width();
-  auto ev = make_evaluator(space, width);
-  const infer::Plan plan = infer::Plan::compile(ev);
-
-  const auto rows = random_rows(5, width, 0xfeed);
-  const auto autograd = ev.forward_batch(rows);
-
-  const tensor::Tensor stacked = evalnet::Evaluator::stack_rows(rows);
-  infer::Arena arena;
-  std::vector<float> metrics(5 * 3);
-  std::vector<float> hw(5 * static_cast<std::size_t>(plan.hw_width()));
-  plan.run(stacked.data(), 5, metrics.data(), hw.data(), arena);
-
-  EXPECT_TRUE(bit_equal(autograd.metrics.value().data(), metrics.data(),
-                        metrics.size()));
-  EXPECT_TRUE(
-      bit_equal(autograd.hw_encoding.value().data(), hw.data(), hw.size()));
-}
-
-TEST(infer_plan, ArenaGrowsMonotonicallyAndIsReused) {
-  const auto space = small_space();
-  auto ev = make_evaluator(space, 8);
-  const infer::Plan plan = infer::Plan::compile(ev);
-  infer::Arena arena;
-  std::vector<float> in(8 * 16, 0.25F);
-  std::vector<float> metrics(3 * 16);
-  std::vector<float> hw(static_cast<std::size_t>(plan.hw_width()) * 16);
-
-  plan.run(in.data(), 4, metrics.data(), hw.data(), arena);
-  const std::size_t after_four = arena.bytes();
-  plan.run(in.data(), 16, metrics.data(), hw.data(), arena);
-  const std::size_t after_sixteen = arena.bytes();
-  EXPECT_GE(after_sixteen, after_four);
-  // Steady state: a smaller batch must not reallocate.
-  plan.run(in.data(), 2, metrics.data(), hw.data(), arena);
-  EXPECT_EQ(arena.bytes(), after_sixteen);
-}
-
 TEST(infer_stack_rows, SingleRowBatchBitIdenticalToForwardDeterministic) {
   // The documented degenerate case: every single Service::query miss is a
   // one-row batch; it must answer exactly like a single query.
@@ -389,8 +341,9 @@ std::vector<serve::Response> autograd_oracle(
 }
 
 TEST(infer_backend, FusedTierBitIdenticalToAutogradTier) {
-  // The backend answers from the compiled plan; the oracle runs autograd on
-  // a second evaluator of the same checkpoint.
+  // The backend decodes its own stacked forward; the oracle runs
+  // forward_batch on a second evaluator of the same checkpoint and decodes
+  // independently.
   const auto space = small_space();
   arch::ArchSpace arch_space{arch::cifar10_backbone()};
   const int width = arch_space.encoding_width();
@@ -446,22 +399,61 @@ TEST(infer_backend, WireAnswersMatchAutogradOracle) {
   }
 }
 
-TEST(infer_backend, DefaultConstructionServesEveryQueryFused) {
-  // There is no tier knob any more: a default-constructed backend compiles
-  // the plan and every query it answers is counted as served by it.
+TEST(infer_backend, ConcurrentDirectCallersMatchForwardBatch) {
+  // No Service and no mutex: four threads call one backend directly with
+  // batches of 1 to 8 rows. A frozen, eval-mode evaluator only reads its
+  // parameters, so every answer must carry the bits a single-threaded
+  // forward_batch gives on a second evaluator of the same seed.
   const auto space = small_space();
-  auto ev = make_evaluator(space, 8);
-  serve::SurrogateBackend backend(ev);
-  EXPECT_EQ(backend.plan().arch_width(), 8);
-  EXPECT_EQ(backend.plan().num_steps(), 6U);
+  arch::ArchSpace arch_space{arch::cifar10_backbone()};
+  const int width = arch_space.encoding_width();
+  auto ev_oracle = make_evaluator(space, width);
+  auto ev_served = make_evaluator(space, width);
+  serve::SurrogateBackend backend(ev_served);
 
-  auto& fused = obs::Registry::global().counter("infer.queries.fused");
-  const auto before = fused.value();
-  const auto rows = random_rows(3, 8, 0x3a);
-  std::vector<serve::Request> requests;
-  for (const auto& r : rows) requests.push_back(serve::Request{r});
-  EXPECT_EQ(backend.query_batch(requests).size(), 3U);
-  EXPECT_EQ(fused.value(), before + 3);
+  constexpr int kRows = 40;
+  const auto rows = random_rows(kRows, width, 0xc0c0);
+  const auto expected = autograd_oracle(ev_oracle, rows);
+  const auto same_bits = [](const serve::Response& a,
+                            const serve::Response& b) {
+    const auto same = [](double x, double y) {
+      return std::memcmp(&x, &y, sizeof x) == 0;
+    };
+    return same(a.metrics.latency_ms, b.metrics.latency_ms) &&
+           same(a.metrics.energy_mj, b.metrics.energy_mj) &&
+           same(a.metrics.area_mm2, b.metrics.area_mm2) &&
+           a.config == b.config;
+  };
+
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 24;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&, t] {
+      for (int call = 0; call < kCalls; ++call) {
+        const int batch = 1 + (t + call) % 8;
+        const int first = (7 * t + 5 * call) % (kRows - batch + 1);
+        std::vector<serve::Request> requests;
+        for (int r = first; r < first + batch; ++r) {
+          requests.push_back(serve::Request{rows[static_cast<std::size_t>(r)]});
+        }
+        const auto answers = backend.query_batch(requests);
+        if (answers.size() != requests.size()) {
+          ++wrong;
+          continue;
+        }
+        for (int i = 0; i < batch; ++i) {
+          if (!same_bits(answers[static_cast<std::size_t>(i)],
+                         expected[static_cast<std::size_t>(first + i)])) {
+            ++wrong;
+          }
+        }
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 }  // namespace

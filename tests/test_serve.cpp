@@ -245,10 +245,9 @@ TEST_F(serve_service, BackendSeesOneCallerAtATime) {
 }
 
 TEST_F(serve_service, ConcurrentSurrogateCallersMatchTheOracle) {
-  // SurrogateBackend's one scratch arena does not survive two concurrent
-  // batches (wrong answers, then a crash), so four threads querying one
-  // Service must each get the oracle's bits. The one-entry cache sends
-  // nearly every query to the backend.
+  // Four threads querying one Service on a SurrogateBackend must each get
+  // the oracle's bits. The one-entry cache sends nearly every query to the
+  // backend.
   const hwgen::HwSearchSpace hw_space = hwgen::HwSearchSpace::small();
   evalnet::Evaluator::Options eval_opts;
   eval_opts.hwgen.hidden_dim = 16;
