@@ -126,7 +126,7 @@ void BM_CostTableBuild(benchmark::State& state) {
   Env& e = env();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        arch::build_cost_table(e.arch_space, e.hw_space, e.model));
+        arch::CostTable(e.arch_space, e.hw_space, e.model));
   }
 }
 BENCHMARK(BM_CostTableBuild)->Unit(benchmark::kMillisecond);

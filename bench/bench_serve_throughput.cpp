@@ -18,16 +18,7 @@
 // Service each time) and the median, min and max wall times are recorded:
 // the cached row is short enough that one run mostly measures host load.
 //
-// A second section prices the exact ground-truth path's startup and serving
-// under the CostProvider API: an in-memory CostTable build vs mmap-loading a
-// compiled DCTB artifact — build/load wall time,
-// RSS delta, file size, and ExactBackend QPS/p50/p99 through each provider,
-// with a bit-identity check between the mmap and in-memory answers. Rows go
-// to bench/data/cost_table.csv. Set DANCE_BENCH_ONLY=costtable to run just
-// this section (the CI release smoke does).
-//
-// Prints ASCII tables, writes bench/data/serve_throughput.csv and
-// bench/data/cost_table.csv, and runs
+// Prints an ASCII table, writes bench/data/serve_throughput.csv, and runs
 // google-benchmark micros for the per-query primitives.
 #include <benchmark/benchmark.h>
 
@@ -40,11 +31,6 @@
 #include <string>
 #include <vector>
 
-#include <sys/stat.h>
-
-#include "accel/cost_function.h"
-#include "arch/cost_artifact.h"
-#include "arch/cost_table.h"
 #include "bench_common.h"
 #include "evalnet/evaluator.h"
 #include "serve/backend.h"
@@ -250,162 +236,6 @@ int main_comparison() {
 
 // --- google-benchmark micros for the per-query primitives -------------------
 
-// --- compiled cost-table artifacts: in-memory build vs mmap -----------------
-
-long rss_kb() {
-  FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return -1;
-  char line[256];
-  long kb = -1;
-  while (std::fgets(line, sizeof line, f) != nullptr) {
-    if (std::strncmp(line, "VmRSS:", 6) == 0) {
-      std::sscanf(line + 6, "%ld", &kb);
-      break;
-    }
-  }
-  std::fclose(f);
-  return kb;
-}
-
-struct ExactServeStats {
-  double qps = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  std::vector<serve::Response> responses;
-};
-
-/// Single-query replay through an ExactBackend over `provider`; per-query
-/// latency percentiles, and the responses for the bit-identity check.
-ExactServeStats replay_exact(const arch::CostProvider& provider,
-                             std::span<const serve::Request> reqs) {
-  serve::ExactBackend backend(provider, accel::edap_cost());
-  ExactServeStats st;
-  st.responses.reserve(reqs.size());
-  std::vector<double> lat_us;
-  lat_us.reserve(reqs.size());
-  const auto start = std::chrono::steady_clock::now();
-  for (const auto& req : reqs) {
-    const auto t0 = std::chrono::steady_clock::now();
-    auto out = backend.query_batch({&req, 1});
-    lat_us.push_back(
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    st.responses.push_back(out[0]);
-  }
-  const double total_s = seconds_since(start);
-  st.qps = static_cast<double>(reqs.size()) / total_s;
-  std::sort(lat_us.begin(), lat_us.end());
-  const auto pct = [&](double q) {
-    return lat_us[std::min(lat_us.size() - 1,
-                           static_cast<std::size_t>(q * lat_us.size()))];
-  };
-  st.p50_us = pct(0.50);
-  st.p99_us = pct(0.99);
-  return st;
-}
-
-bool responses_bit_identical(const std::vector<serve::Response>& a,
-                             const std::vector<serve::Response>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::memcmp(&a[i].metrics.latency_ms, &b[i].metrics.latency_ms,
-                    sizeof(double)) != 0 ||
-        std::memcmp(&a[i].metrics.energy_mj, &b[i].metrics.energy_mj,
-                    sizeof(double)) != 0 ||
-        std::memcmp(&a[i].metrics.area_mm2, &b[i].metrics.area_mm2,
-                    sizeof(double)) != 0 ||
-        !(a[i].config == b[i].config)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-int main_cost_table() {
-  Env& e = env();
-  // The exact arg-min scans the ~2.8k kept configs per query; a short
-  // unique-key replay is enough for stable percentiles.
-  const int nq = std::min<int>(bench::scaled(128),
-                               static_cast<int>(e.trace.size()));
-  std::span<const serve::Request> reqs(e.trace.data(),
-                                       static_cast<std::size_t>(nq));
-
-  const auto timed_ms = [](auto&& fn) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-
-  // Row 1: in-memory build (the analytical path every shard used to pay at
-  // startup).
-  const accel::CostModel model;
-  long rss0 = rss_kb();
-  std::unique_ptr<arch::CostTable> mem_table;
-  const double build_ms = timed_ms([&] {
-    mem_table =
-        std::make_unique<arch::CostTable>(e.arch_space, e.hw_space, model);
-  });
-  const long mem_rss_kb = rss_kb() - rss0;
-  const ExactServeStats mem_stats = replay_exact(*mem_table, reqs);
-
-  // Row 2: compile once to a DCTB artifact, then mmap it — the per-shard
-  // startup cost drops to a load + checksum pass over shared pages.
-  const std::string artifact = bench::data_path("cost_table.dctb");
-  arch::save_cost_table(*mem_table, artifact);
-  struct stat stbuf {};
-  const long file_bytes = ::stat(artifact.c_str(), &stbuf) == 0
-                              ? static_cast<long>(stbuf.st_size)
-                              : -1;
-  rss0 = rss_kb();
-  std::unique_ptr<arch::MmapCostTable> mapped;
-  const double load_ms =
-      timed_ms([&] { mapped = arch::load_cost_table(artifact, e.arch_space); });
-  const long map_rss_kb = rss_kb() - rss0;
-  const ExactServeStats map_stats = replay_exact(*mapped, reqs);
-  const bool identical =
-      responses_bit_identical(mem_stats.responses, map_stats.responses);
-
-  util::Table table({"source", "startup ms", "RSS delta KB", "file bytes",
-                     "QPS", "p50 us", "p99 us"});
-  table.add_row({"build", util::Table::fmt(build_ms, 1),
-                 std::to_string(mem_rss_kb), "-",
-                 util::Table::fmt(mem_stats.qps, 0),
-                 util::Table::fmt(mem_stats.p50_us, 1),
-                 util::Table::fmt(mem_stats.p99_us, 1)});
-  table.add_row({"mmap (DCTB)", util::Table::fmt(load_ms, 1),
-                 std::to_string(map_rss_kb), std::to_string(file_bytes),
-                 util::Table::fmt(map_stats.qps, 0),
-                 util::Table::fmt(map_stats.p50_us, 1),
-                 util::Table::fmt(map_stats.p99_us, 1)});
-  std::printf("%s\n", table.to_string().c_str());
-  std::printf("mmap answers bit-identical to in-memory build: %s "
-              "(checksum %016llx)\n",
-              identical ? "yes" : "NO",
-              static_cast<unsigned long long>(mapped->checksum()));
-
-  util::CsvWriter csv(bench::data_path("cost_table.csv"),
-                      {"source", "startup_ms", "rss_delta_kb",
-                       "file_bytes", "queries", "qps", "p50_us", "p99_us",
-                       "bit_identical"});
-  const std::string nqs = std::to_string(nq);
-  csv.add_row({"build", util::Table::fmt(build_ms, 2),
-               std::to_string(mem_rss_kb), "0", nqs,
-               util::Table::fmt(mem_stats.qps, 1),
-               util::Table::fmt(mem_stats.p50_us, 2),
-               util::Table::fmt(mem_stats.p99_us, 2), "1"});
-  csv.add_row({"mmap", util::Table::fmt(load_ms, 2),
-               std::to_string(map_rss_kb), std::to_string(file_bytes), nqs,
-               util::Table::fmt(map_stats.qps, 1),
-               util::Table::fmt(map_stats.p50_us, 2),
-               util::Table::fmt(map_stats.p99_us, 2), identical ? "1" : "0"});
-  csv.flush();
-  std::printf("wrote %s\n\n", bench::data_path("cost_table.csv").c_str());
-  return identical ? 0 : 1;
-}
-
 void BM_SerialForwardDeterministic(benchmark::State& state) {
   Env& e = env();
   tensor::Variable row(tensor::Tensor::from(
@@ -456,11 +286,6 @@ BENCHMARK(BM_CacheGetHit)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (dance::util::env_string("DANCE_BENCH_ONLY", "") == "costtable") {
-    std::printf("== exact ground truth: in-memory CostTable vs mmap DCTB "
-                "artifact ==\n\n");
-    return main_cost_table();
-  }
   std::printf("== dance::serve throughput: serial vs batched vs cached+batched "
               "==\n");
   std::printf("trace: %d requests over %d unique keys (~87%% repeats), "
@@ -468,10 +293,7 @@ int main(int argc, char** argv) {
               dance::bench::scaled(10000),
               std::max(1, dance::bench::scaled(10000) / 8), kChunk);
   const int rc = main_comparison();
-  std::printf("== exact ground truth: in-memory CostTable vs mmap DCTB "
-              "artifact ==\n\n");
-  const int ct_rc = main_cost_table();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return rc != 0 ? rc : ct_rc;
+  return rc;
 }

@@ -3,7 +3,7 @@
 // One invocation sweeps a lambda2 ladder across the pool, applies optional
 // hard constraints (die-area budget, latency SLO), prints the non-dominated
 // (error, latency, energy, area) front, verifies every front point against
-// the exact cost provider, and writes the front CSV. With --restarts N it
+// the exact cost table, and writes the front CSV. With --restarts N it
 // additionally compares history-penalty restarts against plain multi-seed
 // restarts (the VLSIGR-style negotiated-congestion exploration).
 //
@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
   std::printf("front size: %zu of %zu swept points\n", result.front.size(),
               result.points.size());
 
-  // --- Verification against the exact provider. ---
+  // --- Verification against the exact cost table. ---
   const std::string err =
       search::verify_front(result, table, opts.base.constraints);
   if (!err.empty()) {

@@ -24,11 +24,6 @@
 //   --connect=EP         client mode: where the router listens
 //   --backend=exact|surrogate   per-shard backend          (default exact)
 //   --small              tiny hardware space (fast startup; CI smoke)
-//   --table=PATH         every shard mmaps the compiled DCTB cost table at
-//                        PATH (costtable_compile) instead of building its
-//                        own copy: zero per-shard build time and one shared
-//                        physical copy of the table across the cluster
-//                        (exact backend only)
 //   --snapshot-dir=DIR   per-shard warm-start snapshots (shard_<id>.snap)
 //   --shard-id=K         internal (shard role)
 //
@@ -75,7 +70,7 @@ struct Args {
   int shard_id = -1;
   std::string listen;
   std::string connect;
-  serve::BackendSpec backend;  ///< --backend and --table
+  serve::BackendSpec backend;  ///< --backend
   std::string snapshot_dir;
   bool small = false;
 };
@@ -188,9 +183,6 @@ int run_router(const Args& args, const char* argv0) {
         "--backend=" + args.backend.kind,
     };
     if (args.small) child_args.push_back("--small");
-    if (!args.backend.table_path.empty()) {
-      child_args.push_back("--table=" + args.backend.table_path);
-    }
     if (!args.snapshot_dir.empty()) {
       child_args.push_back("--snapshot-dir=" + args.snapshot_dir);
     }
@@ -289,8 +281,6 @@ int main(int argc, char** argv) {
       args.backend.kind = v;
     } else if (const char* v = util::flag_value(argv[i], "--snapshot-dir=")) {
       args.snapshot_dir = v;
-    } else if (const char* v = util::flag_value(argv[i], "--table=")) {
-      args.backend.table_path = v;
     } else if (std::strcmp(argv[i], "--small") == 0) {
       args.small = true;
     } else if (std::strcmp(argv[i], "--client") == 0) {

@@ -13,11 +13,6 @@
 //   --backend=exact|surrogate  ground-truth LUT (default) or the evaluator
 //                              (one Evaluator::forward_batch per batch)
 //   --small                    tiny hardware space (fast startup; CI smoke)
-//   --table=PATH               mmap a compiled DCTB cost table (see
-//                              costtable_compile) instead of rebuilding the
-//                              exact table at startup; the artifact defines
-//                              the hardware space. Answers are byte-identical
-//                              to the in-memory build (exact only).
 //   --hwgen-ckpt=PATH          load HwGenNet weights  (surrogate only)
 //   --cost-ckpt=PATH           load CostNet weights   (surrogate only)
 //
@@ -32,7 +27,6 @@
 #include <memory>
 #include <string>
 
-#include "arch/cost_artifact.h"
 #include "obs/span.h"
 #include "serve/service.h"
 #include "serve/stack.h"
@@ -51,19 +45,8 @@ struct Args {
 
 int run(const Args& args, const arch::ArchSpace& arch_space,
         const hwgen::HwSearchSpace& hw_space) {
-  std::unique_ptr<serve::CostQueryBackend> backend;
-  try {
-    backend = serve::make_backend(args.backend, arch_space, hw_space);
-  } catch (const arch::ArtifactError& e) {
-    std::fprintf(stderr,
-                 "[serve_jsonl] cost-table load failed: %s (path=%s "
-                 "offset=%zu expected=%016llx actual=%016llx)\n",
-                 e.what(), e.path().c_str(), e.offset(),
-                 static_cast<unsigned long long>(e.expected_checksum()),
-                 static_cast<unsigned long long>(e.actual_checksum()));
-    return 1;
-  }
-
+  const std::unique_ptr<serve::CostQueryBackend> backend =
+      serve::make_backend(args.backend, arch_space, hw_space);
   serve::Service service(*backend);  // options from DANCE_SERVE_* env
   std::fprintf(stderr,
                "[serve_jsonl] backend=%s, reading JSON lines from stdin\n",
@@ -101,8 +84,6 @@ int main(int argc, char** argv) {
       args.backend.hwgen_ckpt = v;
     } else if (const char* v = util::flag_value(argv[i], "--cost-ckpt=")) {
       args.backend.cost_ckpt = v;
-    } else if (const char* v = util::flag_value(argv[i], "--table=")) {
-      args.backend.table_path = v;
     } else if (std::strcmp(argv[i], "--small") == 0) {
       args.small = true;
     } else {

@@ -1,11 +1,11 @@
 #include "arch/cost_table.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <utility>
 
 #include "obs/registry.h"
 #include "runtime/profiler.h"
@@ -16,6 +16,19 @@ namespace dance::arch {
 namespace {
 /// Cost-model evaluation per config is expensive; small chunks balance well.
 constexpr long kModelGrain = 8;
+/// Table lookups are cheap; batch plenty of configs per chunk.
+constexpr long kTableGrain = 256;
+
+/// The one place table sums become metrics, so `metrics` and the fused scan
+/// in `optimal` produce the same bits.
+accel::CostMetrics to_metrics(double cycles, double energy_pj, double area,
+                              double clock_ghz) {
+  accel::CostMetrics m;
+  m.latency_ms = cycles / (clock_ghz * 1e6);
+  m.energy_mj = energy_pj * 1e-9;
+  m.area_mm2 = area;
+  return m;
+}
 }  // namespace
 
 CostTable::CostTable(const ArchSpace& arch_space,
@@ -23,17 +36,17 @@ CostTable::CostTable(const ArchSpace& arch_space,
                      const accel::CostModel& model)
     : arch_space_(arch_space),
       hw_space_(hw_space),
-      clock_ghz_(model.tech().clock_ghz) {
+      clock_ghz_(model.tech().clock_ghz),
+      slots_(arch_space.num_searchable()) {
   const std::size_t num_configs = hw_space.size();
   if (num_configs > std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument("CostTable: hardware space too large");
   }
-  const int slots = arch_space_.num_searchable();
   fixed_cycles_.assign(num_configs, 0.0);
   fixed_energy_.assign(num_configs, 0.0);
   area_.assign(num_configs, 0.0);
   choice_cycles_.assign(
-      static_cast<std::size_t>(slots) * kNumCandidateOps * num_configs, 0.0);
+      static_cast<std::size_t>(slots_) * kNumCandidateOps * num_configs, 0.0);
   choice_energy_.assign(choice_cycles_.size(), 0.0);
 
   // Pre-lower every choice once and flatten all shapes — fixed layers first,
@@ -48,9 +61,9 @@ CostTable::CostTable(const ArchSpace& arch_space,
   std::vector<accel::ConvShape> all_shapes(arch_space_.fixed_shapes().begin(),
                                            arch_space_.fixed_shapes().end());
   const std::size_t fixed_count = all_shapes.size();
-  std::vector<Segment> segments(static_cast<std::size_t>(slots) *
+  std::vector<Segment> segments(static_cast<std::size_t>(slots_) *
                                 kNumCandidateOps);
-  for (int slot = 0; slot < slots; ++slot) {
+  for (int slot = 0; slot < slots_; ++slot) {
     for (int op = 0; op < kNumCandidateOps; ++op) {
       const auto shapes = arch_space_.lower_choice(
           slot, kAllCandidateOps[static_cast<std::size_t>(op)]);
@@ -62,18 +75,6 @@ CostTable::CostTable(const ArchSpace& arch_space,
       seg.end = all_shapes.size();
     }
   }
-
-  // Wire the base-class view before the sweep: slot_offset() needs
-  // num_configs, and the storage pointers are stable from here on (the
-  // vectors never reallocate after assign()).
-  view_.fixed_cycles = fixed_cycles_.data();
-  view_.fixed_energy = fixed_energy_.data();
-  view_.choice_cycles = choice_cycles_.data();
-  view_.choice_energy = choice_energy_.data();
-  view_.area = area_.data();
-  view_.num_configs = num_configs;
-  view_.slots = slots;
-  view_.clock_ghz = clock_ghz_;
 
   // Every configuration fills its own column of the tables (disjoint writes)
   // and all per-config sums accumulate inside a single lane, so the table is
@@ -91,7 +92,7 @@ CostTable::CostTable(const ArchSpace& arch_space,
             fixed_cycles_[ci] += costs[f].cycles;
             fixed_energy_[ci] += costs[f].energy_pj;
           }
-          for (int slot = 0; slot < slots; ++slot) {
+          for (int slot = 0; slot < slots_; ++slot) {
             for (int op = 0; op < kNumCandidateOps; ++op) {
               const Segment& seg =
                   segments[static_cast<std::size_t>(slot) * kNumCandidateOps +
@@ -112,15 +113,13 @@ CostTable::CostTable(const ArchSpace& arch_space,
   // Scan order: kept configs first, then the pruned ones, each ascending.
   // Every array is permuted in place through one row-sized scratch buffer.
   DANCE_PROFILE_SCOPE("arch.cost_table.prune");
-  position_.resize(num_configs);
-  std::iota(position_.begin(), position_.end(), 0U);
-  const std::vector<std::uint8_t> pruned = pruned_configs(hw_space_);
+  const std::vector<std::uint8_t> pruned = pruned_configs();
   order_.resize(num_configs);
   std::iota(order_.begin(), order_.end(), 0U);
   const auto kept_end = std::stable_partition(
       order_.begin(), order_.end(),
       [&pruned](std::uint32_t ci) { return pruned[ci] == 0; });
-  view_.num_kept = static_cast<std::size_t>(kept_end - order_.begin());
+  num_kept_ = static_cast<std::size_t>(kept_end - order_.begin());
   std::vector<double> scratch(num_configs);
   const auto permute = [&](double* row) {
     std::copy(row, row + num_configs, scratch.begin());
@@ -133,16 +132,127 @@ CostTable::CostTable(const ArchSpace& arch_space,
     permute(choice_cycles_.data() + off);
     permute(choice_energy_.data() + off);
   }
-  view_.order = order_.data();
-  (void)index_positions();  // order_ is a permutation by construction
+  position_.resize(num_configs);
+  for (std::size_t p = 0; p < num_configs; ++p) {
+    position_[order_[p]] = static_cast<std::uint32_t>(p);
+  }
 
   obs::Registry::global().counter("costtable.builds").inc();
 }
 
-CostTable build_cost_table(const ArchSpace& arch_space,
-                           const hwgen::HwSearchSpace& hw_space,
-                           const accel::CostModel& model) {
-  return CostTable(arch_space, hw_space, model);
+accel::CostMetrics CostTable::metrics(std::size_t config_index,
+                                      const Architecture& a) const {
+  arch_space_.validate(a);
+  if (config_index >= num_configs()) {
+    throw std::out_of_range("CostTable::metrics: bad config index");
+  }
+  return metrics_at(position_[config_index], a);
+}
+
+accel::CostMetrics CostTable::metrics_at(std::size_t position,
+                                         const Architecture& a) const {
+  double cycles = fixed_cycles_[position];
+  double energy = fixed_energy_[position];
+  for (int slot = 0; slot < slots_; ++slot) {
+    const int op = static_cast<int>(a[static_cast<std::size_t>(slot)]);
+    cycles += choice_cycles_[slot_offset(slot, op) + position];
+    energy += choice_energy_[slot_offset(slot, op) + position];
+  }
+  return to_metrics(cycles, energy, area_[position], clock_ghz_);
+}
+
+std::vector<accel::CostMetrics> CostTable::evaluate_all(
+    const Architecture& a) const {
+  arch_space_.validate(a);
+  std::vector<accel::CostMetrics> out(num_configs());
+  runtime::global_pool().parallel_for(
+      0, static_cast<long>(num_configs()), kTableGrain, [&](long lo, long hi) {
+        for (long i = lo; i < hi; ++i) {
+          const auto ci = static_cast<std::size_t>(i);
+          out[ci] = metrics_at(position_[ci], a);
+        }
+      });
+  return out;
+}
+
+hwgen::HwSearchResult CostTable::optimal(
+    const Architecture& a, const accel::HwCostFn& cost_fn) const {
+  DANCE_PROFILE_SCOPE("arch.cost_table.optimal");
+  arch_space_.validate(a);
+  // One pass over the kept prefix, which holds the first minimum of any
+  // non-decreasing cost (docs/cost_table.md, "Scan order"). Per position
+  // the sums run in the same order as metrics(), so the bits match.
+  const std::size_t n = num_kept_;
+  std::vector<double> cycles(fixed_cycles_.data(), fixed_cycles_.data() + n);
+  std::vector<double> energy(fixed_energy_.data(), fixed_energy_.data() + n);
+  for (int slot = 0; slot < slots_; ++slot) {
+    const std::size_t off =
+        slot_offset(slot, static_cast<int>(a[static_cast<std::size_t>(slot)]));
+    const double* slot_cycles = choice_cycles_.data() + off;
+    const double* slot_energy = choice_energy_.data() + off;
+    for (std::size_t p = 0; p < n; ++p) {
+      cycles[p] += slot_cycles[p];
+      energy[p] += slot_energy[p];
+    }
+  }
+  std::size_t best = 0;
+  double best_cost = std::numeric_limits<double>::infinity();
+  for (std::size_t p = 0; p < n; ++p) {
+    const double cost =
+        cost_fn(to_metrics(cycles[p], energy[p], area_[p], clock_ghz_));
+    if (cost < best_cost) {
+      best_cost = cost;
+      best = p;
+    }
+  }
+  return hwgen::HwSearchResult{
+      hw_space_.config_at(order_[best]),
+      to_metrics(cycles[best], energy[best], area_[best], clock_ghz_),
+      best_cost};
+}
+
+std::vector<std::uint8_t> CostTable::pruned_configs() const {
+  const std::size_t n = num_configs();
+  std::vector<const double*> rows{fixed_cycles_.data(), fixed_energy_.data(),
+                                  area_.data()};
+  const std::size_t choice_rows =
+      static_cast<std::size_t>(slots_) * kNumCandidateOps;
+  for (std::size_t r = 0; r < choice_rows; ++r) {
+    rows.push_back(choice_cycles_.data() + r * n);
+    rows.push_back(choice_energy_.data() + r * n);
+  }
+  // {stride, count} of each axis of HwSearchSpace's flat index:
+  // ((pe_x * P + pe_y) * R + rf) * D + dataflow.
+  const auto rf = static_cast<std::size_t>(hw_space_.num_rf_choices());
+  const auto pe = static_cast<std::size_t>(hw_space_.num_pe_choices());
+  const auto df = static_cast<std::size_t>(hw_space_.num_dataflow_choices());
+  const std::array<std::array<std::size_t, 2>, 4> axes{
+      {{1, df}, {df, rf}, {df * rf, pe}, {df * rf * pe, pe}}};
+
+  std::vector<std::uint8_t> pruned(n, 0);
+  runtime::global_pool().parallel_for(
+      0, static_cast<long>(n), kTableGrain, [&](long lo, long hi) {
+        for (long i = lo; i < hi; ++i) {
+          const auto ci = static_cast<std::size_t>(i);
+          bool dominated = false;
+          for (const auto& [stride, count] : axes) {
+            const std::size_t steps = (ci / stride) % count;
+            for (std::size_t d = 1; d <= steps && !dominated; ++d) {
+              const std::size_t cj = ci - d * stride;
+              dominated = true;
+              for (const double* row : rows) {
+                if (!(row[cj] <= row[ci])) {
+                  dominated = false;
+                  break;
+                }
+              }
+            }
+            if (dominated) break;
+          }
+          pruned[ci] = dominated ? 1 : 0;
+        }
+      });
+  return pruned;
 }
 
 }  // namespace dance::arch

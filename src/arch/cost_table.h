@@ -1,9 +1,14 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "arch/cost_provider.h"
+#include "accel/cost_function.h"
+#include "accel/cost_model.h"
+#include "arch/space.h"
+#include "hwgen/exhaustive.h"
+#include "hwgen/search_space.h"
 
 namespace dance::arch {
 
@@ -18,14 +23,16 @@ namespace dance::arch {
 /// tractable (DESIGN.md §7). The results are bit-identical to running the
 /// cost model directly.
 ///
-/// After the build the arrays are permuted in place into scan order (see
-/// TableCostProvider), so `optimal` scans only the configs no lower-index
-/// config dominates.
+/// Everything downstream of exhaustive ground truth — `serve::ExactBackend`,
+/// the evaluator-dataset generator, the searches — takes a
+/// `const CostTable&`.
 ///
-/// Queries are inherited from TableCostProvider; a CostTable saved with
-/// `save_cost_table` and reloaded as an `MmapCostTable` answers
-/// bit-identically (see src/arch/cost_artifact.h).
-class CostTable : public TableCostProvider {
+/// After the build the arrays are permuted in place into *scan order*
+/// (docs/cost_table.md): the configs no lower-index config on one of their
+/// four hardware axes dominates come first, ascending, and the rest follow,
+/// ascending. `optimal` scans only that prefix; `metrics` and `evaluate_all`
+/// map through the order and cover the whole space.
+class CostTable {
  public:
   /// Builds the table by sweeping the whole (slot, op, config) space over
   /// `runtime::global_pool()`, then permutes it into scan order. Holds
@@ -34,38 +41,65 @@ class CostTable : public TableCostProvider {
   CostTable(const ArchSpace& arch_space, const hwgen::HwSearchSpace& hw_space,
             const accel::CostModel& model);
 
-  // Moving is safe (the vectors keep their heap buffers, so the inherited
-  // view_ pointers stay valid); copying would alias the source's storage.
-  CostTable(CostTable&&) = default;
-  CostTable(const CostTable&) = delete;
-  CostTable& operator=(const CostTable&) = delete;
-  CostTable& operator=(CostTable&&) = delete;
+  /// Network metrics of `a` on configuration `config_index`.
+  [[nodiscard]] accel::CostMetrics metrics(std::size_t config_index,
+                                           const Architecture& a) const;
 
-  [[nodiscard]] const hwgen::HwSearchSpace& hw_space() const override {
+  /// Metrics of `a` on every configuration, in space order.
+  [[nodiscard]] std::vector<accel::CostMetrics> evaluate_all(
+      const Architecture& a) const;
+
+  /// Exact hardware generation (arg-min over the whole space, Eq. 4): the
+  /// first configuration in space order at the minimum cost (strict `<`),
+  /// or configuration 0 with cost +inf when no cost is below +inf.
+  ///
+  /// Contract: `cost_fn` must be non-decreasing in latency, energy and
+  /// area (see accel::HwCostFn). Configurations that a lower-index
+  /// configuration dominates can then never be the first minimum, so the
+  /// scan skips them.
+  [[nodiscard]] hwgen::HwSearchResult optimal(
+      const Architecture& a, const accel::HwCostFn& cost_fn) const;
+
+  /// Number of configurations `optimal` scans (the kept prefix).
+  [[nodiscard]] std::size_t scan_size() const { return num_kept_; }
+
+  [[nodiscard]] const hwgen::HwSearchSpace& hw_space() const {
     return hw_space_;
   }
-  [[nodiscard]] const ArchSpace& arch_space() const override {
-    return arch_space_;
-  }
+  [[nodiscard]] const ArchSpace& arch_space() const { return arch_space_; }
 
  private:
+  [[nodiscard]] std::size_t num_configs() const { return area_.size(); }
+
+  [[nodiscard]] std::size_t slot_offset(int slot, int op) const {
+    return (static_cast<std::size_t>(slot) * kNumCandidateOps +
+            static_cast<std::size_t>(op)) *
+           num_configs();
+  }
+
+  /// metrics() of the config stored at `position`, without validating `a`.
+  [[nodiscard]] accel::CostMetrics metrics_at(std::size_t position,
+                                              const Architecture& a) const;
+
+  /// `pruned[i]` is 1 when some lower-index config on one of config i's
+  /// four hardware axes is `<=` config i on every table coordinate (fixed
+  /// cycles, fixed energy, area and every per-(slot, op) cycles and
+  /// energy). Reads the rows in space order, so it runs before the
+  /// permutation.
+  [[nodiscard]] std::vector<std::uint8_t> pruned_configs() const;
+
   const ArchSpace& arch_space_;
   const hwgen::HwSearchSpace& hw_space_;
   double clock_ghz_;
+  int slots_;
+  std::size_t num_kept_ = 0;           ///< length of the scanned prefix
   std::vector<double> fixed_cycles_;   ///< [position]
   std::vector<double> fixed_energy_;   ///< [position] (pJ)
   std::vector<double> choice_cycles_;  ///< [slot][op][position]
   std::vector<double> choice_energy_;  ///< [slot][op][position] (pJ)
   std::vector<double> area_;           ///< [position] (mm^2)
-  std::vector<std::uint32_t> order_;   ///< [position] -> config index
+  std::vector<std::uint32_t> order_;     ///< [position] -> config index
+  std::vector<std::uint32_t> position_;  ///< [config index] -> position
 };
-
-/// Factory form of the CostTable constructor — the construction-side
-/// counterpart of `arch::load_cost_table` (cost_artifact.h), so call sites
-/// read symmetrically whether a table is built from the model or loaded
-/// from a compiled artifact.
-[[nodiscard]] CostTable build_cost_table(const ArchSpace& arch_space,
-                                         const hwgen::HwSearchSpace& hw_space,
-                                         const accel::CostModel& model);
 
 }  // namespace dance::arch

@@ -3,7 +3,7 @@
 #include <array>
 #include <vector>
 
-#include "arch/cost_provider.h"
+#include "arch/cost_table.h"
 #include "util/rng.h"
 
 namespace dance::evalnet {
@@ -28,7 +28,7 @@ struct EvaluatorDataset {
 /// the exact exhaustive hardware generation tool on each. This is the C++
 /// counterpart of the paper's Timeloop+Accelergy ground-truth corpus.
 [[nodiscard]] EvaluatorDataset generate_evaluator_dataset(
-    const arch::CostProvider& table, const accel::HwCostFn& cost_fn, int count,
+    const arch::CostTable& table, const accel::HwCostFn& cost_fn, int count,
     util::Rng& rng);
 
 /// Split a dataset into train/validation parts (no shuffling; samples are

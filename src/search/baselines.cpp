@@ -11,7 +11,7 @@ using tensor::Tensor;
 using tensor::Variable;
 
 SearchOutcome run_baseline(const data::SyntheticTask& task,
-                           const arch::CostProvider& cost_table,
+                           const arch::CostTable& cost_table,
                            const nas::SuperNetConfig& net_config,
                            const BaselineOptions& opts) {
   const auto t_start = std::chrono::steady_clock::now();

@@ -1,6 +1,6 @@
 #pragma once
 
-#include "arch/cost_provider.h"
+#include "arch/cost_table.h"
 #include "data/synthetic.h"
 #include "nas/supernet.h"
 #include "nas/trainer.h"
@@ -36,7 +36,7 @@ struct BaselineOptions {
 /// Run the baseline search ("Baseline (No penalty) + HW" /
 /// "Baseline (Flops penalty) + HW" rows).
 [[nodiscard]] SearchOutcome run_baseline(const data::SyntheticTask& task,
-                                         const arch::CostProvider& cost_table,
+                                         const arch::CostTable& cost_table,
                                          const nas::SuperNetConfig& net_config,
                                          const BaselineOptions& opts);
 

@@ -14,7 +14,7 @@ namespace ops = tensor::ops;
 using tensor::Variable;
 
 DanceSearch::DanceSearch(const data::SyntheticTask& task,
-                         const arch::CostProvider& cost_table,
+                         const arch::CostTable& cost_table,
                          evalnet::Evaluator& evaluator,
                          const nas::SuperNetConfig& net_config,
                          const DanceOptions& opts)

@@ -1,6 +1,6 @@
 #pragma once
 
-#include "arch/cost_provider.h"
+#include "arch/cost_table.h"
 #include "data/synthetic.h"
 #include "evalnet/evaluator.h"
 #include "nas/supernet.h"
@@ -64,7 +64,7 @@ struct DanceOptions {
 /// scratch, exactly as in §4.3.
 class DanceSearch {
  public:
-  DanceSearch(const data::SyntheticTask& task, const arch::CostProvider& cost_table,
+  DanceSearch(const data::SyntheticTask& task, const arch::CostTable& cost_table,
               evalnet::Evaluator& evaluator, const nas::SuperNetConfig& net_config,
               const DanceOptions& opts);
 
@@ -77,7 +77,7 @@ class DanceSearch {
 
  private:
   const data::SyntheticTask& task_;
-  const arch::CostProvider& cost_table_;
+  const arch::CostTable& cost_table_;
   evalnet::Evaluator& evaluator_;
   nas::SuperNetConfig net_config_;
   DanceOptions opts_;

@@ -21,7 +21,7 @@ struct Genome {
 }  // namespace
 
 SearchOutcome run_ea_coexploration(const data::SyntheticTask& task,
-                                   const arch::CostProvider& cost_table,
+                                   const arch::CostTable& cost_table,
                                    const nas::SuperNetConfig& net_config,
                                    const EaOptions& opts) {
   if (opts.population < 2 || opts.generations < 1 || opts.tournament < 1) {

@@ -1,6 +1,6 @@
 #pragma once
 
-#include "arch/cost_provider.h"
+#include "arch/cost_table.h"
 #include "data/synthetic.h"
 #include "nas/supernet.h"
 #include "nas/trainer.h"
@@ -32,7 +32,7 @@ struct EaOptions {
 /// Run the evolutionary co-exploration; `trained_candidates` equals the
 /// number of proxy-trained genomes (population + children).
 [[nodiscard]] SearchOutcome run_ea_coexploration(
-    const data::SyntheticTask& task, const arch::CostProvider& cost_table,
+    const data::SyntheticTask& task, const arch::CostTable& cost_table,
     const nas::SuperNetConfig& net_config, const EaOptions& opts);
 
 }  // namespace dance::search

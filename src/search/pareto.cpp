@@ -100,12 +100,12 @@ std::vector<std::size_t> pareto_front_indices(
 }
 
 ParetoCoSearch::ParetoCoSearch(const data::SyntheticTask& task,
-                               const arch::CostProvider& cost_provider,
+                               const arch::CostTable& cost_table,
                                evalnet::Evaluator& evaluator,
                                const nas::SuperNetConfig& net_config,
                                ParetoOptions opts)
     : task_(task),
-      cost_provider_(cost_provider),
+      cost_table_(cost_table),
       evaluator_(evaluator),
       net_config_(net_config),
       opts_(std::move(opts)) {}
@@ -142,7 +142,7 @@ ParetoResult ParetoCoSearch::run() {
     for (long i = lo; i < hi; ++i) {
       const auto idx = static_cast<std::size_t>(i);
       try {
-        DanceSearch search(task_, cost_provider_, evaluator_, net_config_,
+        DanceSearch search(task_, cost_table_, evaluator_, net_config_,
                            entry_opts[idx]);
         outcomes[idx] = search.run();
       } catch (...) {
@@ -209,11 +209,11 @@ void write_front_csv(const std::string& path, const ParetoResult& result) {
   csv.flush();
 }
 
-hwgen::HwSearchResult constrained_optimal(const arch::CostProvider& provider,
+hwgen::HwSearchResult constrained_optimal(const arch::CostTable& table,
                                           const arch::Architecture& a,
                                           const accel::HwCostFn& base_cost,
                                           const ConstraintSpec& spec) {
-  const std::vector<accel::CostMetrics> all = provider.evaluate_all(a);
+  const std::vector<accel::CostMetrics> all = table.evaluate_all(a);
   if (all.empty()) {
     throw std::logic_error("constrained_optimal: empty hardware space");
   }
@@ -239,14 +239,14 @@ hwgen::HwSearchResult constrained_optimal(const arch::CostProvider& provider,
   const std::size_t pick = static_cast<std::size_t>(
       best_feasible >= 0 ? best_feasible : least_violating);
   hwgen::HwSearchResult r;
-  r.config = provider.hw_space().config_at(pick);
+  r.config = table.hw_space().config_at(pick);
   r.metrics = all[pick];
   r.cost = constrained_cost_fn(base_cost, spec)(all[pick]);
   return r;
 }
 
 std::string verify_front(const ParetoResult& result,
-                         const arch::CostProvider& provider,
+                         const arch::CostTable& table,
                          const ConstraintSpec& spec) {
   for (std::size_t fi = 0; fi < result.front.size(); ++fi) {
     const FrontPoint& p = result.points[result.front[fi]];
@@ -262,7 +262,7 @@ std::string verify_front(const ParetoResult& result,
     }
     // Hardware-level: no feasible configuration of the same architecture may
     // strictly dominate the point's (latency, energy, area).
-    const auto all = provider.evaluate_all(p.outcome.architecture);
+    const auto all = table.evaluate_all(p.outcome.architecture);
     for (std::size_t c = 0; c < all.size(); ++c) {
       if (!spec.feasible(all[c])) continue;
       if (hwgen::dominates(all[c], p.outcome.metrics)) {
@@ -350,7 +350,7 @@ RestartOptions::RestartOptions()
           util::env_double("DANCE_SEARCH_HISTORY_EXPONENT", 1.6, 0.1, 8.0)) {}
 
 RestartResult run_restarts(const data::SyntheticTask& task,
-                           const arch::CostProvider& provider,
+                           const arch::CostTable& table,
                            evalnet::Evaluator& evaluator,
                            const nas::SuperNetConfig& net_config,
                            const RestartOptions& opts) {
@@ -363,8 +363,8 @@ RestartResult run_restarts(const data::SyntheticTask& task,
                             : "search.restarts.multiseed")
       .inc();
 
-  ArchHistory arch_history(provider.arch_space());
-  HwHistory hw_history(provider.hw_space());
+  ArchHistory arch_history(table.arch_space());
+  HwHistory hw_history(table.hw_space());
   const accel::HwCostFn scalar_cost = constrained_cost_fn(
       make_cost_fn(opts.base.cost_kind, opts.base.linear_weights),
       opts.base.constraints);
@@ -380,7 +380,7 @@ RestartResult run_restarts(const data::SyntheticTask& task,
       dopts.arch_history_penalty = &penalty_row;
       dopts.history_scale = static_cast<float>(opts.history_scale);
     }
-    DanceSearch search(task, provider, evaluator, net_config, dopts);
+    DanceSearch search(task, table, evaluator, net_config, dopts);
     SearchOutcome out = search.run();
 
     if (opts.history && opts.penalize_hardware && r > 0) {
@@ -388,7 +388,7 @@ RestartResult run_restarts(const data::SyntheticTask& task,
       // hardware half of the negotiated-congestion loop. Feasibility still
       // wins: the penalty factor (>= 1, bounded) cannot promote an
       // infeasible configuration past a feasible one.
-      const auto all = provider.evaluate_all(out.architecture);
+      const auto all = table.evaluate_all(out.architecture);
       std::size_t best = 0;
       double best_cost = 0.0;
       bool first = true;
@@ -403,7 +403,7 @@ RestartResult run_restarts(const data::SyntheticTask& task,
           first = false;
         }
       }
-      out.hardware = provider.hw_space().config_at(best);
+      out.hardware = table.hw_space().config_at(best);
       out.metrics = all[best];
     }
 
@@ -419,7 +419,7 @@ RestartResult run_restarts(const data::SyntheticTask& task,
   std::set<std::size_t> hw_configs;
   for (const auto& o : result.outcomes) {
     archs.insert(o.architecture);
-    hw_configs.insert(provider.hw_space().index_of(o.hardware));
+    hw_configs.insert(table.hw_space().index_of(o.hardware));
   }
   result.distinct_architectures = static_cast<int>(archs.size());
   result.distinct_hardware = static_cast<int>(hw_configs.size());

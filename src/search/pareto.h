@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "arch/cost_provider.h"
+#include "arch/cost_table.h"
 #include "search/dance.h"
 
 namespace dance::search {
@@ -92,7 +92,7 @@ struct ParetoOptions {
 class ParetoCoSearch {
  public:
   ParetoCoSearch(const data::SyntheticTask& task,
-                 const arch::CostProvider& cost_provider,
+                 const arch::CostTable& cost_table,
                  evalnet::Evaluator& evaluator,
                  const nas::SuperNetConfig& net_config, ParetoOptions opts);
 
@@ -101,7 +101,7 @@ class ParetoCoSearch {
 
  private:
   const data::SyntheticTask& task_;
-  const arch::CostProvider& cost_provider_;
+  const arch::CostTable& cost_table_;
   evalnet::Evaluator& evaluator_;
   nas::SuperNetConfig net_config_;
   ParetoOptions opts_;
@@ -120,16 +120,16 @@ void write_front_csv(const std::string& path, const ParetoResult& result);
 /// index on ties). When nothing is feasible, returns the least-violating
 /// configuration (ties again to the earliest index).
 [[nodiscard]] hwgen::HwSearchResult constrained_optimal(
-    const arch::CostProvider& provider, const arch::Architecture& a,
+    const arch::CostTable& table, const arch::Architecture& a,
     const accel::HwCostFn& base_cost, const ConstraintSpec& spec);
 
-/// Verifies a ParetoResult against the exact cost provider: every front
+/// Verifies a ParetoResult against the exact cost table: every front
 /// point's hardware must be non-dominated in (latency, energy, area) among
 /// the feasible configurations of its own architecture, and the front
 /// itself must be mutually non-dominating. Returns an empty string on
 /// success, else a description of the first violation.
 [[nodiscard]] std::string verify_front(const ParetoResult& result,
-                                       const arch::CostProvider& provider,
+                                       const arch::CostTable& table,
                                        const ConstraintSpec& spec);
 
 // ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ struct RestartResult {
 /// outcomes are bit-reproducible run to run (property-tested under
 /// DANCE_PBT_SEED).
 [[nodiscard]] RestartResult run_restarts(const data::SyntheticTask& task,
-                                         const arch::CostProvider& provider,
+                                         const arch::CostTable& table,
                                          evalnet::Evaluator& evaluator,
                                          const nas::SuperNetConfig& net_config,
                                          const RestartOptions& opts);

@@ -35,7 +35,7 @@ void reinforce_update(std::vector<float>& logits, int action, float advantage,
 }  // namespace
 
 SearchOutcome run_rl_coexploration(const data::SyntheticTask& task,
-                                   const arch::CostProvider& cost_table,
+                                   const arch::CostTable& cost_table,
                                    const nas::SuperNetConfig& net_config,
                                    const RlOptions& opts) {
   const auto t_start = std::chrono::steady_clock::now();

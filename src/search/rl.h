@@ -1,6 +1,6 @@
 #pragma once
 
-#include "arch/cost_provider.h"
+#include "arch/cost_table.h"
 #include "data/synthetic.h"
 #include "nas/supernet.h"
 #include "nas/trainer.h"
@@ -33,7 +33,7 @@ struct RlOptions {
 /// retrained. `trained_candidates` in the outcome equals
 /// `opts.num_candidates` — the Table 3 comparison point.
 [[nodiscard]] SearchOutcome run_rl_coexploration(
-    const data::SyntheticTask& task, const arch::CostProvider& cost_table,
+    const data::SyntheticTask& task, const arch::CostTable& cost_table,
     const nas::SuperNetConfig& net_config, const RlOptions& opts);
 
 }  // namespace dance::search

@@ -9,7 +9,7 @@
 
 namespace dance::serve {
 
-ExactBackend::ExactBackend(const arch::CostProvider& table,
+ExactBackend::ExactBackend(const arch::CostTable& table,
                            accel::HwCostFn cost_fn)
     : table_(table), cost_fn_(std::move(cost_fn)) {
   if (!cost_fn_) {

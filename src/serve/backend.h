@@ -4,7 +4,7 @@
 #include <vector>
 
 #include "accel/cost_function.h"
-#include "arch/cost_provider.h"
+#include "arch/cost_table.h"
 #include "evalnet/evaluator.h"
 #include "serve/types.h"
 
@@ -40,14 +40,14 @@ class CostQueryBackend {
 /// cost LUT (bit-identical to direct cost-model evaluation).
 class ExactBackend : public CostQueryBackend {
  public:
-  ExactBackend(const arch::CostProvider& table, accel::HwCostFn cost_fn);
+  ExactBackend(const arch::CostTable& table, accel::HwCostFn cost_fn);
 
   [[nodiscard]] std::vector<Response> query_batch(
       std::span<const Request> requests) override;
   [[nodiscard]] const char* name() const override { return "exact"; }
 
  private:
-  const arch::CostProvider& table_;
+  const arch::CostTable& table_;
   accel::HwCostFn cost_fn_;
 };
 

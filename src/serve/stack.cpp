@@ -2,10 +2,8 @@
 
 #include <cstdio>
 #include <stdexcept>
-#include <utility>
 
 #include "accel/cost_function.h"
-#include "arch/cost_artifact.h"
 #include "arch/cost_table.h"
 #include "util/rng.h"
 
@@ -22,7 +20,7 @@ struct OwningBackend final : CostQueryBackend {
   }
   const char* name() const override { return backend->name(); }
 
-  std::unique_ptr<arch::CostProvider> table;
+  std::unique_ptr<arch::CostTable> table;
   std::unique_ptr<evalnet::Evaluator> evaluator;
   std::unique_ptr<CostQueryBackend> backend;
 };
@@ -34,18 +32,8 @@ std::unique_ptr<CostQueryBackend> make_backend(
     const hwgen::HwSearchSpace& hw_space) {
   auto out = std::make_unique<OwningBackend>();
   if (spec.kind == "exact") {
-    if (spec.table_path.empty()) {
-      out->table = std::make_unique<arch::CostTable>(arch_space, hw_space,
-                                                     accel::CostModel{});
-    } else {
-      auto mapped = arch::load_cost_table(spec.table_path, arch_space);
-      std::fprintf(stderr,
-                   "[serve] mapped cost table %s (%zu bytes, checksum "
-                   "%016llx)\n",
-                   mapped->path().c_str(), mapped->mapped_bytes(),
-                   static_cast<unsigned long long>(mapped->checksum()));
-      out->table = std::move(mapped);
-    }
+    out->table = std::make_unique<arch::CostTable>(arch_space, hw_space,
+                                                   accel::CostModel{});
     out->backend =
         std::make_unique<ExactBackend>(*out->table, accel::edap_cost());
   } else if (spec.kind == "surrogate") {

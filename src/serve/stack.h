@@ -9,25 +9,23 @@
 
 namespace dance::serve {
 
-/// What `make_backend` builds: the serving front-ends' --backend, --table
-/// and checkpoint flags.
+/// What `make_backend` builds: the serving front-ends' --backend and
+/// checkpoint flags.
 struct BackendSpec {
   std::string kind = "exact";  ///< "exact" or "surrogate"
-  std::string table_path;      ///< exact: mmap this DCTB instead of building
   std::string hwgen_ckpt;      ///< surrogate: optional HwGenNet weights
   std::string cost_ckpt;       ///< surrogate: optional CostNet weights
 };
 
 /// The one place a serving backend is built, so every process answers a
 /// query with the same bytes. The result owns what it answers from:
-///   * exact: ExactBackend (EDAP) over the mmap'd `table_path` artifact, or
-///     over a CostTable built in memory (bit-identical answers);
+///   * exact: ExactBackend (EDAP) over a CostTable built in memory;
 ///   * surrogate: SurrogateBackend over an Evaluator initialised from
 ///     util::Rng(17), with the optional checkpoints loaded.
 /// `arch_space` and `hw_space` must outlive it. Throws
-/// std::invalid_argument for an unknown kind, arch::ArtifactError for a bad
-/// table, and the checkpoint loader's errors. Notes which table was mapped,
-/// or that the surrogate runs untrained, go to stderr under "[serve]".
+/// std::invalid_argument for an unknown kind, and the checkpoint loader's
+/// errors. A note that the surrogate runs untrained goes to stderr under
+/// "[serve]".
 [[nodiscard]] std::unique_ptr<CostQueryBackend> make_backend(
     const BackendSpec& spec, const arch::ArchSpace& arch_space,
     const hwgen::HwSearchSpace& hw_space);

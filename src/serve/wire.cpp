@@ -229,6 +229,12 @@ ParseOutcome parse_request(const std::string& line,
 }
 
 std::string response_line(long id, const Response& r) {
+  // "%.6g" would print nan or inf, which no JSON reader accepts.
+  if (!std::isfinite(r.metrics.latency_ms) ||
+      !std::isfinite(r.metrics.energy_mj) ||
+      !std::isfinite(r.metrics.area_mm2)) {
+    return error_line(id, "answer is not finite");
+  }
   char buf[512];
   std::snprintf(
       buf, sizeof(buf),

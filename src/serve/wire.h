@@ -61,7 +61,9 @@ struct ParseOutcome {
                                          const arch::ArchSpace& space);
 
 /// Serializers. Exact output bytes are part of the protocol contract:
-/// floats go through "%.6g", booleans are literal true/false. error_line
+/// floats go through "%.6g", booleans are literal true/false. A response
+/// with a NaN or infinite metric has no JSON spelling, so response_line
+/// returns `error_line(id, "answer is not finite")` for it. error_line
 /// JSON-escapes its message ('"' and '\\' backslash-escaped, other control
 /// characters as \u00XX), so any message yields one valid line.
 [[nodiscard]] std::string response_line(long id, const Response& response);

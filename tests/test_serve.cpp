@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <initializer_list>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -482,6 +483,25 @@ TEST(serve_wire, ErrorLineEscapesItsMessage) {
             R"({"id": -1, "error": "unknown cmd: a\\"})");
   EXPECT_EQ(serve::wire::error_line(2, "say \"hi\"\n\tnow"),
             R"({"id": 2, "error": "say \"hi\"\u000a\u0009now"})");
+}
+
+TEST(serve_wire, NonFiniteAnswerIsAnErrorLine) {
+  // "%.6g" spells NaN and infinity as nan and inf, which no JSON reader
+  // accepts. A surrogate answer to a finite but huge encoding can be NaN.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    for (int field = 0; field < 3; ++field) {
+      serve::Response r;
+      r.metrics = {.latency_ms = 1.0, .energy_mj = 2.0, .area_mm2 = 3.0};
+      double* metric[] = {&r.metrics.latency_ms, &r.metrics.energy_mj,
+                          &r.metrics.area_mm2};
+      *metric[field] = bad;
+      EXPECT_EQ(serve::wire::response_line(4, r),
+                R"({"id": 4, "error": "answer is not finite"})")
+          << "metric " << field << " = " << bad;
+    }
+  }
 }
 
 TEST(serve_wire, NonIntegerOrOutOfRangeIdIsRejected) {
