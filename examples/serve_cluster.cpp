@@ -31,10 +31,10 @@
 // faults into the router and every shard; the retrying net::Clients absorb
 // them. Each shard reports its count as `faults=` on its `drained:` line.
 //
-// Example:
-//   ./build/examples/serve_cluster --shards=2 --small \
+// Example (one shell command per line):
+//   ./build/examples/serve_cluster --shards=2 --small
 //       --listen=unix:/tmp/dance.sock &
-//   ./build/examples/serve_cluster --client --connect=unix:/tmp/dance.sock \
+//   ./build/examples/serve_cluster --client --connect=unix:/tmp/dance.sock
 //       < queries.jsonl
 //   kill -TERM %1
 #include <cerrno>
@@ -44,6 +44,7 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -135,8 +136,14 @@ int run_shard(const Args& args) {
   const arch::ArchSpace arch_space(arch::cifar10_backbone());
   const hwgen::HwSearchSpace hw_space =
       args.small ? hwgen::HwSearchSpace::small() : hwgen::HwSearchSpace();
-  const std::unique_ptr<serve::CostQueryBackend> backend =
-      serve::make_backend(args.backend, arch_space, hw_space);
+  std::unique_ptr<serve::CostQueryBackend> backend;
+  try {
+    backend = serve::make_backend(args.backend, arch_space, hw_space);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "[shard %d] cannot build backend: %s\n",
+                 args.shard_id, e.what());
+    return 1;
+  }
   serve::Service service(*backend);
 
   cluster::ShardServer::Options opts = cluster::ShardServer::Options::from_env();

@@ -25,6 +25,7 @@
 #include <cstring>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "obs/span.h"
@@ -45,8 +46,13 @@ struct Args {
 
 int run(const Args& args, const arch::ArchSpace& arch_space,
         const hwgen::HwSearchSpace& hw_space) {
-  const std::unique_ptr<serve::CostQueryBackend> backend =
-      serve::make_backend(args.backend, arch_space, hw_space);
+  std::unique_ptr<serve::CostQueryBackend> backend;
+  try {
+    backend = serve::make_backend(args.backend, arch_space, hw_space);
+  } catch (const std::runtime_error& e) {  // a missing or bad checkpoint
+    std::fprintf(stderr, "[serve_jsonl] cannot build backend: %s\n", e.what());
+    return 1;
+  }
   serve::Service service(*backend);  // options from DANCE_SERVE_* env
   std::fprintf(stderr,
                "[serve_jsonl] backend=%s, reading JSON lines from stdin\n",

@@ -49,17 +49,25 @@ SuperNet::SuperNet(const SuperNetConfig& config, util::Rng& rng)
   }
 }
 
+Variable SuperNet::apply(nn::Linear& layer, const Variable& x) const {
+  if (weights_frozen_) {
+    layer.weight().node()->ensure_grad();
+    if (layer.bias().defined()) layer.bias().node()->ensure_grad();
+  }
+  return layer.forward(x);
+}
+
 Variable SuperNet::op_forward(int block, int op, const Variable& h) {
   auto& blk = blocks_[static_cast<std::size_t>(block)];
-  const Variable z = ops::relu(blk.fc1[static_cast<std::size_t>(op)]->forward(h));
-  return blk.fc2[static_cast<std::size_t>(op)]->forward(z);
+  const Variable z = ops::relu(apply(*blk.fc1[static_cast<std::size_t>(op)], h));
+  return apply(*blk.fc2[static_cast<std::size_t>(op)], z);
 }
 
 Variable SuperNet::forward(const Variable& x, const Gates& gates) {
   if (static_cast<int>(gates.size()) != config_.num_blocks) {
     throw std::invalid_argument("SuperNet::forward: gate count mismatch");
   }
-  Variable h = ops::relu(stem_->forward(x));
+  Variable h = ops::relu(apply(*stem_, x));
   for (int b = 0; b < config_.num_blocks; ++b) {
     const Variable& gate = gates[static_cast<std::size_t>(b)];
     Variable acc = h;  // skip connection
@@ -74,20 +82,20 @@ Variable SuperNet::forward(const Variable& x, const Gates& gates) {
     }
     h = acc;
   }
-  return classifier_->forward(h);
+  return apply(*classifier_, h);
 }
 
 Variable SuperNet::forward_fixed(const Variable& x, const arch::Architecture& a) {
   if (static_cast<int>(a.size()) != config_.num_blocks) {
     throw std::invalid_argument("SuperNet::forward_fixed: arch length mismatch");
   }
-  Variable h = ops::relu(stem_->forward(x));
+  Variable h = ops::relu(apply(*stem_, x));
   for (int b = 0; b < config_.num_blocks; ++b) {
     const CandidateOp cop = a[static_cast<std::size_t>(b)];
     if (arch::is_zero(cop)) continue;
     h = ops::add(h, op_forward(b, static_cast<int>(cop), h));
   }
-  return classifier_->forward(h);
+  return apply(*classifier_, h);
 }
 
 Gates SuperNet::sample_gates(float tau, bool hard, util::Rng& rng) {
@@ -125,7 +133,7 @@ Variable SuperNet::forward_two_path(const Variable& x,
   if (samples.size() != alphas_.size()) {
     throw std::invalid_argument("forward_two_path: sample count mismatch");
   }
-  Variable h = ops::relu(stem_->forward(x));
+  Variable h = ops::relu(apply(*stem_, x));
   for (std::size_t b = 0; b < samples.size(); ++b) {
     const auto& s = samples[b];
     Variable acc = h;
@@ -137,7 +145,7 @@ Variable SuperNet::forward_two_path(const Variable& x,
     }
     h = acc;
   }
-  return classifier_->forward(h);
+  return apply(*classifier_, h);
 }
 
 Variable SuperNet::encode_two_path(const std::vector<TwoPathSample>& samples) {
@@ -234,5 +242,11 @@ std::vector<Variable> SuperNet::weight_parameters() {
 }
 
 std::vector<Variable> SuperNet::arch_parameters() { return alphas_; }
+
+void SuperNet::set_weights_frozen(bool frozen) {
+  if (weights_frozen_ == frozen) return;
+  weights_frozen_ = frozen;
+  for (auto& p : weight_parameters()) p.node()->requires_grad = !frozen;
+}
 
 }  // namespace dance::nas

@@ -90,6 +90,17 @@ class SuperNet {
   [[nodiscard]] std::vector<tensor::Variable> weight_parameters();
   [[nodiscard]] std::vector<tensor::Variable> arch_parameters();
 
+  /// Freeze/unfreeze every weight parameter; the alphas keep their
+  /// gradients. An architecture step brackets its forward and backward with
+  /// set_weights_frozen(true)/(false): its loss and alpha gradients are bit
+  /// for bit the unfrozen ones, but backward skips each layer's dB = A^T * dC
+  /// (plus its transposed copy), which the next weight step would zero
+  /// unread. A frozen forward still gives each layer it runs a zeroed grad
+  /// buffer if it has none, as an unfrozen backward would: nn::Sgd skips a
+  /// parameter without a buffer, so the buffer's existence is optimizer
+  /// state. Idempotent, like evalnet::Evaluator::set_frozen.
+  void set_weights_frozen(bool frozen);
+
   [[nodiscard]] const SuperNetConfig& config() const { return config_; }
 
   /// Hidden width of candidate op blocks (exposed for FixedNet parity).
@@ -105,12 +116,16 @@ class SuperNet {
 
   [[nodiscard]] tensor::Variable op_forward(int block, int op,
                                             const tensor::Variable& h);
+  /// layer.forward(x), first allocating its grad buffers while frozen.
+  [[nodiscard]] tensor::Variable apply(nn::Linear& layer,
+                                       const tensor::Variable& x) const;
 
   SuperNetConfig config_;
   std::unique_ptr<nn::Linear> stem_;
   std::vector<CandidateBlock> blocks_;
   std::unique_ptr<nn::Linear> classifier_;
   std::vector<tensor::Variable> alphas_;  ///< per block [1, 7]
+  bool weights_frozen_ = false;
 };
 
 }  // namespace dance::nas

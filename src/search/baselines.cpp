@@ -81,6 +81,7 @@ SearchOutcome run_baseline(const data::SyntheticTask& task,
 
       // Architecture step: CE (+ optional expected-FLOPs penalty).
       if (batch_index % period == 0) {
+        supernet.set_weights_frozen(true);  // only the alphas learn here
         nas::Gates gates = supernet.sample_gates(opts.gumbel_tau, true, rng);
         Variable loss = ops::cross_entropy(supernet.forward(x, gates), by);
         if (opts.flops_weight > 0.0F) {
@@ -93,8 +94,8 @@ SearchOutcome run_baseline(const data::SyntheticTask& task,
               loss, ops::sum_all(ops::scale(penalty, opts.flops_weight)));
         }
         arch_opt.zero_grad();
-        for (auto& w : supernet.weight_parameters()) w.zero_grad();
         loss.backward();
+        supernet.set_weights_frozen(false);
         arch_opt.step();
       }
     }

@@ -111,6 +111,9 @@ SearchOutcome DanceSearch::run() {
       // --- Architecture step: Eq. 1 through the evaluator. ---
       if (batch_index % period == 0) {
         DANCE_PROFILE_SCOPE("dance.arch_step");
+        // Only the alphas learn here: frozen weights skip every dB product,
+        // and the next weight step zeroes their gradients anyway.
+        supernet.set_weights_frozen(true);
         Variable logits;
         Variable enc;
         if (opts_.arch_update == ArchUpdate::kBinarizedTwoPath) {
@@ -148,8 +151,8 @@ SearchOutcome DanceSearch::run() {
         arch_loss_sum += loss.value()[0];
         ++arch_steps;
         arch_opt.zero_grad();
-        for (auto& w : supernet.weight_parameters()) w.zero_grad();
         loss.backward();
+        supernet.set_weights_frozen(false);
         arch_opt.step();
       }
     }

@@ -152,7 +152,7 @@ Generator<tensor::Tensor> tensor_gen(int max_rows, int max_cols, float stddev) {
     const int r = t.rows();
     const int c = t.cols();
     // Keep the top-left block at half the rows / half the cols.
-    for (const auto [nr, nc] : {std::pair{(r + 1) / 2, c}, {r, (c + 1) / 2}}) {
+    for (const auto& [nr, nc] : {std::pair{(r + 1) / 2, c}, {r, (c + 1) / 2}}) {
       if (nr == r && nc == c) continue;
       tensor::Tensor s({nr, nc});
       for (int i = 0; i < nr; ++i) {

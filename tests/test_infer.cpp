@@ -17,6 +17,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "arch/backbone.h"
@@ -110,6 +111,105 @@ TEST(infer_gemm, ZeroTimesNonFinitePoisons) {
   EXPECT_TRUE(tensor::gemm::all_finite(a, 2));
 }
 
+/// The textbook i/kk/j loop with the kernel's zero-skip (only while B is
+/// finite), accumulating into `c`.
+void naive_gemm(const std::vector<float>& a, const std::vector<float>& b,
+                std::vector<float>& c, int n, int k, int m) {
+  const bool b_finite = tensor::gemm::all_finite(b.data(), b.size());
+  for (int i = 0; i < n; ++i) {
+    for (int kk = 0; kk < k; ++kk) {
+      const float av = a[static_cast<std::size_t>(i) * k + kk];
+      if (av == 0.0F && b_finite) continue;
+      for (int j = 0; j < m; ++j) {
+        c[static_cast<std::size_t>(i) * m + j] +=
+            av * b[static_cast<std::size_t>(kk) * m + j];
+      }
+    }
+  }
+}
+
+/// Bit-identical, except that NaN only has to land where `want` has NaN:
+/// when both operands of an add are NaN, x86 keeps the first one's bits, and
+/// the vectorised kernel orders its operands differently.
+::testing::AssertionResult same_up_to_nan_bits(const float* want,
+                                                const float* got,
+                                                std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool same = std::isnan(want[i]) ? std::isnan(got[i])
+                                          : bit_equal(want + i, got + i, 1);
+    if (!same) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": want " << want[i] << ", got " << got[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(infer_gemm, PortableAndAvx2BodiesMatchNaiveTripleLoop) {
+  using Body = void (*)(const float*, const float*, float*, int, int, int);
+  std::vector<std::pair<const char*, Body>> bodies = {
+      {"portable", tensor::gemm::detail::gemm_portable},
+      {"dispatched", tensor::gemm::gemm}};
+  // The AVX2 body can only run where the CPU has AVX2.
+  if (tensor::gemm::detail::cpu_has_avx2()) {
+    bodies.emplace_back("avx2", tensor::gemm::detail::gemm_avx2);
+  }
+  RecordProperty("bodies", static_cast<int>(bodies.size()));
+  struct Shape {
+    int n, k, m;
+  };
+  std::vector<Shape> shapes;
+  // Every width 1..17 (each m % 8 and m % 4, narrower than one vector too),
+  // the supernet's hidden widths and trunk, two widths past one 64-float
+  // chunk, and the evaluator's 256.
+  for (int m = 1; m <= 17; ++m) shapes.push_back({5, 13, m});
+  for (const int m : {30, 38, 46, 48, 56, 64, 65, 71, 100, 256}) {
+    shapes.push_back({9, 48, m});
+  }
+  // k beyond one 256-kk compaction pass.
+  shapes.push_back({3, 300, 30});
+  shapes.push_back({2, 600, 46});
+  util::Rng rng(0x51a7);
+  for (const Shape& s : shapes) {
+    // Variant 0: finite. 1: one non-finite entry in B, so the zero-skip is
+    // off. Rows 0 and 2 of A are all-zero (row 0 as -0.0), and a quarter of
+    // the other entries are ±0.
+    for (int variant = 0; variant < 2; ++variant) {
+      SCOPED_TRACE(::testing::Message() << s.n << "x" << s.k << "x" << s.m
+                                        << " variant " << variant);
+      std::vector<float> a(static_cast<std::size_t>(s.n) * s.k);
+      std::vector<float> b(static_cast<std::size_t>(s.k) * s.m);
+      std::vector<float> c0(static_cast<std::size_t>(s.n) * s.m);
+      for (int i = 0; i < s.n; ++i) {
+        for (int kk = 0; kk < s.k; ++kk) {
+          const float u = rng.uniform();
+          float v = u < 0.125F ? 0.0F : u < 0.25F ? -0.0F : rng.normal();
+          if (i == 0) v = -0.0F;
+          if (i == 2) v = 0.0F;
+          a[static_cast<std::size_t>(i) * s.k + kk] = v;
+        }
+      }
+      for (auto& v : b) v = rng.normal();
+      if (variant == 1) {
+        b[static_cast<std::size_t>(rng.randint(0, static_cast<int>(b.size()) - 1))] =
+            rng.randint(0, 1) == 0 ? std::numeric_limits<float>::infinity()
+                                   : std::numeric_limits<float>::quiet_NaN();
+      }
+      // C starts as a partial sum, with -0.0 in it: an all-zero row must
+      // leave it untouched.
+      for (auto& v : c0) v = rng.uniform() < 0.2F ? -0.0F : rng.normal();
+      std::vector<float> want = c0;
+      naive_gemm(a, b, want, s.n, s.k, s.m);
+      for (const auto& [name, body] : bodies) {
+        SCOPED_TRACE(name);
+        std::vector<float> got = c0;
+        body(a.data(), b.data(), got.data(), s.n, s.k, s.m);
+        EXPECT_TRUE(same_up_to_nan_bits(want.data(), got.data(), want.size()));
+      }
+    }
+  }
+}
+
 TEST(infer_gemm, AllFiniteFlagsNonFiniteAtEveryOffset) {
   // The scan has no early exit and may be vectorised, so a non-finite value
   // must be caught at every offset of a buffer longer than one vector plus a
@@ -197,23 +297,6 @@ tensor::Tensor backward_operand(int rows, int cols, float zero_pct,
   return t;
 }
 
-/// Bit-identical, except that NaN only has to land where `want` has NaN:
-/// when both operands of an add are NaN, x86 keeps the first one's bits, and
-/// the vectorised kernel orders its operands differently.
-::testing::AssertionResult same_up_to_nan_bits(const tensor::Tensor& want,
-                                                const tensor::Tensor& got) {
-  for (std::size_t i = 0; i < want.numel(); ++i) {
-    const bool same = std::isnan(want[i])
-                          ? std::isnan(got[i])
-                          : bit_equal(want.data() + i, got.data() + i, 1);
-    if (!same) {
-      return ::testing::AssertionFailure()
-             << "element " << i << ": want " << want[i] << ", got " << got[i];
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
-
 /// Runs the backward closure of `c` = matmul(...) with upstream gradient
 /// `dc`, as Variable::backward does for that node.
 void run_matmul_backward(const tensor::Variable& c, tensor::Tensor dc) {
@@ -264,9 +347,11 @@ TEST(infer_gemm, MatmulBackwardMatchesReferenceLoops) {
         for (int p = 0; p < 2; ++p) {
           run_matmul_backward(tensor::ops::matmul(a, b[p]), dc[p]);
         }
-        EXPECT_TRUE(same_up_to_nan_bits(want_ga, a.grad()));
+        EXPECT_TRUE(same_up_to_nan_bits(want_ga.data(), a.grad().data(),
+                                        want_ga.numel()));
         for (int p = 0; p < 2; ++p) {
-          EXPECT_TRUE(same_up_to_nan_bits(want_gb[p], b[p].grad()));
+          EXPECT_TRUE(same_up_to_nan_bits(want_gb[p].data(), b[p].grad().data(),
+                                          want_gb[p].numel()));
         }
       }
     }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
 #include "nas/fixed_net.h"
 #include "nas/supernet.h"
 #include "nas/trainer.h"
@@ -148,6 +152,88 @@ TEST(SuperNet, TwoPathForwardAndEncodingGradients) {
     }
   }
   EXPECT_TRUE(any);
+}
+
+/// One architecture step's loss on a fresh Gumbel or two-path sample drawn
+/// from `seed`.
+Variable arch_step_loss(nas::SuperNet& net, bool two_path, std::uint64_t seed,
+                        const Variable& x, const std::vector<int>& labels) {
+  util::Rng rng(seed);
+  const Variable logits =
+      two_path ? net.forward_two_path(x, net.sample_two_paths(rng))
+               : net.forward(x, net.sample_gates(1.0F, /*hard=*/true, rng));
+  return tensor::ops::cross_entropy(logits, labels);
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         (a.numel() == 0 ||
+          std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0);
+}
+
+TEST(SuperNet, FrozenWeightsArchStepMatchesUnfrozen) {
+  // The default supernet, so the step runs the real layer widths.
+  const nas::SuperNetConfig cfg;
+  for (const bool two_path : {false, true}) {
+    SCOPED_TRACE(two_path ? "two-path" : "gumbel");
+    util::Rng init_a(21);
+    util::Rng init_b(21);
+    nas::SuperNet unfrozen(cfg, init_a);
+    nas::SuperNet frozen(cfg, init_b);
+    util::Rng data_rng(22);
+    const Variable x(Tensor::randn({8, cfg.input_dim}, data_rng));
+    const std::vector<int> labels = {0, 1, 2, 3, 4, 5, 6, 7};
+
+    // Every other weight starts with a sentinel gradient, the rest with none.
+    constexpr float kSentinel = 0.5F;
+    auto wu = unfrozen.weight_parameters();
+    auto wf = frozen.weight_parameters();
+    ASSERT_EQ(wu.size(), wf.size());
+    for (std::size_t i = 0; i < wf.size(); i += 2) {
+      for (auto* w : {&wu[i], &wf[i]}) {
+        w->node()->ensure_grad();
+        w->node()->grad.fill(kSentinel);
+      }
+    }
+
+    // The step as it was: weight gradients zeroed and computed.
+    for (auto& w : wu) w.zero_grad();
+    const Variable loss_u = arch_step_loss(unfrozen, two_path, 23, x, labels);
+    loss_u.backward();
+
+    frozen.set_weights_frozen(true);
+    const Variable loss_f = arch_step_loss(frozen, two_path, 23, x, labels);
+    loss_f.backward();
+    frozen.set_weights_frozen(false);
+
+    EXPECT_TRUE(same_bits(loss_u.value(), loss_f.value()));
+    const auto au = unfrozen.arch_parameters();
+    const auto af = frozen.arch_parameters();
+    for (std::size_t b = 0; b < au.size(); ++b) {
+      EXPECT_TRUE(same_bits(au[b].grad(), af[b].grad())) << "alpha " << b;
+    }
+    int without_buffer = 0;
+    for (std::size_t i = 0; i < wf.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "weight " << i);
+      EXPECT_TRUE(wf[i].requires_grad());
+      const Tensor& g = wf[i].grad();
+      if (i % 2 == 0) {
+        // Untouched.
+        EXPECT_TRUE(same_bits(g, Tensor::full(wf[i].value().shape(), kSentinel)));
+        continue;
+      }
+      // A zeroed buffer exactly where the unfrozen backward made one: the
+      // optimizer skips a weight without a buffer.
+      EXPECT_EQ(g.numel(), wu[i].grad().numel());
+      EXPECT_TRUE(same_bits(g, Tensor::zeros(wf[i].value().shape())) ||
+                  g.numel() == 0);
+      without_buffer += g.numel() == 0 ? 1 : 0;
+    }
+    // Two paths per block leave the other ops' weights without a buffer.
+    if (two_path) {
+      EXPECT_GT(without_buffer, 0);
+    }
+  }
 }
 
 TEST(SuperNet, RejectsWrongGateCount) {

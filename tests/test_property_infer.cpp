@@ -1,8 +1,8 @@
 // Property suite for the shared blocked GEMM (tensor/gemm.h):
 //
-//  * infer_gemm — the blocked, cache-tiled GEMM is bit-identical to the
-//    naive triple loop over randomized shapes and values, including the
-//    zero-skip/non-finite-B poisoning corner.
+//  * infer_gemm — the GEMM, and each of its portable and AVX2 bodies, is
+//    bit-identical to the naive triple loop over randomized shapes and
+//    values, including the zero-skip/non-finite-B poisoning corner.
 //
 // The suite name carries a lowercase "infer" so `ctest -R infer` selects it
 // alongside the unit suites; CI runs them under TSan as well.
@@ -13,6 +13,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tensor/gemm.h"
@@ -103,10 +104,21 @@ TEST(infer_gemm, BlockedBitIdenticalToNaive) {
           }
         }
 
-        std::vector<float> out(static_cast<std::size_t>(c.n) * c.m, 0.0F);
-        tensor::gemm::gemm(a.data(), b.data(), out.data(), c.n, c.k, c.m);
-        if (!bit_equal(ref.data(), out.data(), ref.size())) {
-          return "blocked result differs from naive bits";
+        // The dispatched kernel and both bodies it chooses between (the
+        // AVX2 one only where the CPU has AVX2).
+        using Body = void (*)(const float*, const float*, float*, int, int, int);
+        std::vector<std::pair<std::string, Body>> bodies = {
+            {"dispatched", tensor::gemm::gemm},
+            {"portable", tensor::gemm::detail::gemm_portable}};
+        if (tensor::gemm::detail::cpu_has_avx2()) {
+          bodies.emplace_back("avx2", tensor::gemm::detail::gemm_avx2);
+        }
+        for (const auto& [name, body] : bodies) {
+          std::vector<float> out(static_cast<std::size_t>(c.n) * c.m, 0.0F);
+          body(a.data(), b.data(), out.data(), c.n, c.k, c.m);
+          if (!bit_equal(ref.data(), out.data(), ref.size())) {
+            return name + " result differs from naive bits";
+          }
         }
         return "";
       });
