@@ -76,7 +76,7 @@ struct Shard {
 
   explicit Shard(int id)
       : service(*backend),
-        server(service, arch_space, cluster::ShardServer::Options{}) {
+        server(service, arch_space, net::Server::Options{}) {
     const std::string path = "/tmp/dance_bench_" + std::to_string(getpid()) +
                              "_shard" + std::to_string(id) + ".sock";
     endpoint = server.start(net::Endpoint::unix_path(path));

@@ -5,9 +5,9 @@
 // Default role spawns the whole cluster: fork+exec N shard processes
 // (--role=shard, one unix socket each), wait for them to come up, then run
 // the router on --listen. SIGTERM/SIGINT triggers the graceful path: the
-// router drains in-flight forwards, each shard drains its queue (saving its
-// cache snapshot when --snapshot-dir is set), and the parent reaps the
-// children — no request received before the signal is dropped.
+// router drains in-flight forwards, each shard drains its queue, and the
+// parent reaps the children — no request received before the signal is
+// dropped. Shards start with an empty cache every time.
 //
 // Roles:
 //   (default)            router + N forked shards
@@ -24,7 +24,6 @@
 //   --connect=EP         client mode: where the router listens
 //   --backend=exact|surrogate   per-shard backend          (default exact)
 //   --small              tiny hardware space (fast startup; CI smoke)
-//   --snapshot-dir=DIR   per-shard warm-start snapshots (shard_<id>.snap)
 //   --shard-id=K         internal (shard role)
 //
 // DANCE_FAULT (net.accept/net.read/net.write sites) injects connection
@@ -38,6 +37,7 @@
 //       < queries.jsonl
 //   kill -TERM %1
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -72,18 +72,25 @@ struct Args {
   std::string listen;
   std::string connect;
   serve::BackendSpec backend;  ///< --backend
-  std::string snapshot_dir;
   bool small = false;
 };
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--shards=N] [--listen=EP] [--backend=exact|"
-               "surrogate] [--small] [--snapshot-dir=DIR]\n"
+               "surrogate] [--small]\n"
                "       %s --client --connect=EP\n"
                "  EP is tcp:HOST:PORT or unix:PATH\n",
                argv0, argv0);
   return 2;
+}
+
+/// Parses all of `v` as a base-10 int into `out`; false on junk, an empty
+/// value, trailing characters or overflow.
+bool parse_int(const char* v, int& out) {
+  const char* end = v + std::strlen(v);
+  const auto [ptr, ec] = std::from_chars(v, end, out);
+  return ec == std::errc() && ptr == end && ptr != v;
 }
 
 // --- signals -> self-pipe ---------------------------------------------------
@@ -146,17 +153,11 @@ int run_shard(const Args& args) {
   }
   serve::Service service(*backend);
 
-  cluster::ShardServer::Options opts = cluster::ShardServer::Options::from_env();
-  if (!args.snapshot_dir.empty()) {
-    opts.snapshot_path =
-        args.snapshot_dir + "/shard_" + std::to_string(args.shard_id) + ".snap";
-  }
-
-  cluster::ShardServer shard(service, arch_space, opts);
+  cluster::ShardServer shard(service, arch_space);
   const net::Endpoint bound = shard.start(net::Endpoint::parse(args.listen));
-  std::fprintf(stderr, "[shard %d] serving on %s (backend=%s, warm=%zu)\n",
+  std::fprintf(stderr, "[shard %d] serving on %s (backend=%s)\n",
                args.shard_id, bound.to_string().c_str(),
-               args.backend.kind.c_str(), shard.warm_entries());
+               args.backend.kind.c_str());
 
   wait_for_signal();
   shard.drain_and_stop();
@@ -190,9 +191,6 @@ int run_router(const Args& args, const char* argv0) {
         "--backend=" + args.backend.kind,
     };
     if (args.small) child_args.push_back("--small");
-    if (!args.snapshot_dir.empty()) {
-      child_args.push_back("--snapshot-dir=" + args.snapshot_dir);
-    }
     const pid_t pid = fork();
     if (pid < 0) {
       std::perror("fork");
@@ -277,17 +275,21 @@ int main(int argc, char** argv) {
     if (const char* v = util::flag_value(argv[i], "--role=")) {
       args.role = v;
     } else if (const char* v = util::flag_value(argv[i], "--shards=")) {
-      args.shards = std::atoi(v);
+      if (!parse_int(v, args.shards)) {
+        std::fprintf(stderr, "--shards needs an integer, got: %s\n", v);
+        return usage(argv[0]);
+      }
     } else if (const char* v = util::flag_value(argv[i], "--shard-id=")) {
-      args.shard_id = std::atoi(v);
+      if (!parse_int(v, args.shard_id)) {
+        std::fprintf(stderr, "--shard-id needs an integer, got: %s\n", v);
+        return usage(argv[0]);
+      }
     } else if (const char* v = util::flag_value(argv[i], "--listen=")) {
       args.listen = v;
     } else if (const char* v = util::flag_value(argv[i], "--connect=")) {
       args.connect = v;
     } else if (const char* v = util::flag_value(argv[i], "--backend=")) {
       args.backend.kind = v;
-    } else if (const char* v = util::flag_value(argv[i], "--snapshot-dir=")) {
-      args.snapshot_dir = v;
     } else if (std::strcmp(argv[i], "--small") == 0) {
       args.small = true;
     } else if (std::strcmp(argv[i], "--client") == 0) {

@@ -41,7 +41,7 @@ class HashRing {
 
   /// Convenience: hash a canonical key (serve::canonical_key output) and
   /// look it up. Non-canonical keys route consistently too, but only the
-  /// canonical form matches the cache/snapshot key space.
+  /// canonical form matches the cache's key space.
   [[nodiscard]] int lookup_key(const std::vector<float>& canonical_key) const;
 
   [[nodiscard]] std::size_t size() const { return points_.size(); }

@@ -48,13 +48,6 @@ LruCache::Stats LruCache::stats() const {
   return {hits_, misses_, evictions_, map_.size(), capacity_};
 }
 
-std::vector<std::pair<LruCache::Key, Response>> LruCache::entries() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  // lru_ front is most recent; emit back-to-front so a replay of put()
-  // calls ends with the most recent entry freshest.
-  return {lru_.rbegin(), lru_.rend()};
-}
-
 void LruCache::clear() {
   std::lock_guard<std::mutex> lk(mu_);
   map_.clear();

@@ -60,11 +60,6 @@ class LruCache {
   [[nodiscard]] Stats stats() const;
   void clear();
 
-  /// Every entry, least-recently-used first, so replaying `put` in the
-  /// returned order into a cache of the same capacity reproduces contents
-  /// and recency exactly. This is the cluster snapshot export path.
-  [[nodiscard]] std::vector<std::pair<Key, Response>> entries() const;
-
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
 
  private:

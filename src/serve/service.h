@@ -79,8 +79,8 @@ class Service {
 
   [[nodiscard]] const Options& options() const { return opts_; }
   [[nodiscard]] CostQueryBackend& backend() { return backend_; }
-  /// The memoization cache; never null. Exposed so the cluster snapshot
-  /// layer can export/restore entries for warm starts.
+  /// The memoization cache; never null. Exposed for the benchmark program
+  /// (perfbench/), which primes it and reads its hit rate.
   [[nodiscard]] LruCache* cache() { return &cache_; }
 
  private:

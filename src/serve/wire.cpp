@@ -138,14 +138,14 @@ float to_float(const std::string& line, std::size_t at, std::size_t end) {
 
 bool ends_element(char c) { return c == ',' || c == ']' || is_space(c); }
 
-/// The array value '[' [element (',' element)*] ']' of `key`: exactly one
-/// ',' between elements, none before the first or after the last. An
-/// element is the run of characters up to the next ',', ']' or whitespace.
-/// One that is not a JSON number reads as NaN, which both callers reject
-/// element by element (not finite; not an op index).
+/// The array value '[' [element (',' element)*] ']' starting at `at` (a
+/// value_offset; npos when the key is absent): exactly one ',' between
+/// elements, none before the first or after the last. An element is the
+/// run of characters up to the next ',', ']' or whitespace. One that is
+/// not a JSON number reads as NaN, which both callers reject element by
+/// element (not finite; not an op index).
 std::optional<std::vector<float>> parse_array_field(const std::string& line,
-                                                    const char* key) {
-  std::size_t at = value_offset(line, key);  // npos fails the size check
+                                                    std::size_t at) {
   if (at >= line.size() || line[at] != '[') return std::nullopt;
   at = skip_space(line, at + 1);
   std::vector<float> values;
@@ -187,7 +187,14 @@ ParseOutcome parse_request(const std::string& line,
     return out;
   }
 
-  if (auto enc = parse_array_field(line, "encoding")) {
+  // A line naming both keys is ambiguous: neither one silently wins.
+  const std::size_t encoding_at = value_offset(line, "encoding");
+  const std::size_t arch_at = value_offset(line, "arch");
+  if (encoding_at != std::string::npos && arch_at != std::string::npos) {
+    out.error = "request must have an 'encoding' or an 'arch', not both";
+    return out;
+  }
+  if (auto enc = parse_array_field(line, encoding_at)) {
     // Finiteness only: soft (non-one-hot) encodings are valid surrogate
     // input, but a NaN/inf would answer arbitrarily and poison the cache.
     for (const float v : *enc) {
@@ -197,7 +204,7 @@ ParseOutcome parse_request(const std::string& line,
       }
     }
     out.request.encoding = std::move(*enc);
-  } else if (auto ops = parse_array_field(line, "arch")) {
+  } else if (auto ops = parse_array_field(line, arch_at)) {
     if (static_cast<int>(ops->size()) != space.num_searchable()) {
       out.error = "arch must list one op index per searchable slot";
       return out;

@@ -20,7 +20,7 @@ namespace dance::serve::wire {
 /// Keys come in any order:
 ///   {"id": 1, "arch": [0, 3, 6, 0, 1, 2, 4, 5, 0]}   per-slot op indices
 ///   {"id": 2, "encoding": [1.0, 0.0, ...]}           raw evaluator encoding
-/// "id" is optional; when present it must be an integer that fits a long.
+/// A line with both "arch" and "encoding" is an error. "id" is optional; when present it must be an integer that fits a long.
 /// Arrays take exactly one ',' between numbers. Every id and array value
 /// must be spelled as a JSON number,
 ///   -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?

@@ -1,12 +1,10 @@
 // Unit tests for the dance::cluster layer: consistent-hash ring shape,
-// router shard selection and local error answering, cache snapshot
-// round-trips (including corruption rejection), and the ShardServer
-// lifecycle — end-to-end over a unix socket, warm start from a snapshot,
-// and graceful drain. Suite names carry a lowercase "cluster_" prefix so
-// `ctest -R cluster` selects the whole stack.
+// router shard selection and local error answering, and the ShardServer
+// lifecycle — end-to-end over a unix socket and graceful drain. Suite names
+// carry a lowercase "cluster_" prefix so `ctest -R cluster` selects the
+// whole stack.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -21,9 +19,9 @@
 #include "cluster/ring.h"
 #include "cluster/router.h"
 #include "cluster/shard.h"
-#include "cluster/snapshot.h"
 #include "fault/fault.h"
 #include "net/client.h"
+#include "net/server.h"
 #include "serve/backend.h"
 #include "serve/service.h"
 #include "serve/wire.h"
@@ -79,121 +77,6 @@ TEST(cluster_ring, VnodeCountAndIdsShapeTheRing) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(dedup.lookup(rng()), 3);
 }
 
-// --- snapshot ---------------------------------------------------------------
-
-serve::Response snapshot_response(float seed) {
-  serve::Response r;
-  r.metrics.latency_ms = 1.5 * seed;
-  r.metrics.energy_mj = 2.5 * seed;
-  r.metrics.area_mm2 = 3.5 * seed;
-  r.config.pe_x = 8 + static_cast<int>(seed);
-  r.config.pe_y = 12;
-  r.config.rf_size = 16;
-  r.config.dataflow = accel::Dataflow::kOutputStationary;
-  return r;
-}
-
-TEST(cluster_snapshot, RoundTripsEntriesAndRecency) {
-  // A full cache whose oldest key (0) was touched, so key 1 is now the
-  // least recently used.
-  constexpr int kCapacity = 10;
-  serve::LruCache cache(kCapacity);
-  for (int k = 0; k < kCapacity; ++k) {
-    cache.put({static_cast<float>(k), 2.0F},
-              snapshot_response(static_cast<float>(k)));
-  }
-  ASSERT_TRUE(cache.get({0.0F, 2.0F}).has_value());
-  const std::string path = test_path("snap");
-  EXPECT_EQ(cluster::save_snapshot(cache, 2, path), 10U);
-
-  serve::LruCache restored(kCapacity);
-  EXPECT_EQ(cluster::load_snapshot(path, 2, restored), 10U);
-  const auto want_order = cache.entries();
-  const auto got_order = restored.entries();
-  ASSERT_EQ(got_order.size(), want_order.size());
-  for (std::size_t i = 0; i < want_order.size(); ++i) {
-    EXPECT_EQ(got_order[i].first, want_order[i].first) << "position " << i;
-  }
-
-  // One new key evicts exactly the original's LRU key; the touched one stays.
-  restored.put({99.0F, 2.0F}, snapshot_response(99.0F));
-  EXPECT_EQ(restored.stats().evictions, 1U);
-  EXPECT_FALSE(restored.get({1.0F, 2.0F}).has_value());
-  for (int k = 0; k < kCapacity; ++k) {
-    if (k == 1) continue;
-    const auto got = restored.get({static_cast<float>(k), 2.0F});
-    ASSERT_TRUE(got.has_value()) << "key " << k;
-    const auto want = snapshot_response(static_cast<float>(k));
-    EXPECT_DOUBLE_EQ(got->metrics.latency_ms, want.metrics.latency_ms);
-    EXPECT_DOUBLE_EQ(got->metrics.energy_mj, want.metrics.energy_mj);
-    EXPECT_DOUBLE_EQ(got->metrics.area_mm2, want.metrics.area_mm2);
-    EXPECT_EQ(got->config, want.config);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(cluster_snapshot, RejectsWrongWidthAndMissingFile) {
-  serve::LruCache cache(8);
-  cache.put({1.0F, 2.0F}, snapshot_response(1.0F));
-  const std::string path = test_path("snapw");
-  (void)cluster::save_snapshot(cache, 2, path);
-
-  serve::LruCache target(8);
-  EXPECT_THROW((void)cluster::load_snapshot(path, 3, target),
-               cluster::SnapshotError);
-  EXPECT_THROW((void)cluster::load_snapshot(test_path("absent"), 2, target),
-               cluster::SnapshotError);
-  EXPECT_EQ(target.stats().entries, 0U);  // failed loads leave it untouched
-  std::remove(path.c_str());
-}
-
-TEST(cluster_snapshot, RejectsCorruptionEverywhere) {
-  serve::LruCache cache(16);
-  for (int k = 0; k < 5; ++k) {
-    cache.put({static_cast<float>(k)}, snapshot_response(2.0F));
-  }
-  const std::string path = test_path("snapc");
-  (void)cluster::save_snapshot(cache, 1, path);
-
-  // Read the good image once.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string image;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) image.append(buf, n);
-  std::fclose(f);
-
-  // Flipping any single byte must be rejected (checksum), as must
-  // truncation at any boundary. A handful of positions keeps this fast.
-  for (std::size_t at : {std::size_t{0}, image.size() / 3, image.size() / 2,
-                         image.size() - 1}) {
-    std::string bad = image;
-    bad[at] = static_cast<char>(bad[at] ^ 0x5A);
-    std::FILE* w = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(w, nullptr);
-    std::fwrite(bad.data(), 1, bad.size(), w);
-    std::fclose(w);
-    serve::LruCache target(16);
-    EXPECT_THROW((void)cluster::load_snapshot(path, 1, target),
-                 cluster::SnapshotError)
-        << "flip at " << at;
-    EXPECT_EQ(target.stats().entries, 0U);
-  }
-  for (std::size_t keep : {std::size_t{3}, image.size() / 2, image.size() - 2}) {
-    std::FILE* w = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(w, nullptr);
-    std::fwrite(image.data(), 1, keep, w);
-    std::fclose(w);
-    serve::LruCache target(16);
-    EXPECT_THROW((void)cluster::load_snapshot(path, 1, target),
-                 cluster::SnapshotError)
-        << "truncated to " << keep;
-    EXPECT_EQ(target.stats().entries, 0U);
-  }
-  std::remove(path.c_str());
-}
-
 // --- shard server + router over sockets -------------------------------------
 
 /// Tiny exact-backend fixture shared by the socket tests (the LUT is
@@ -227,7 +110,7 @@ TEST(cluster_shard, AnswersMatchTheWirePipelineExactly) {
   serve::Service local_service(backend);
 
   cluster::ShardServer shard(socket_service, f.arch_space,
-                             cluster::ShardServer::Options{});
+                             net::Server::Options{});
   const auto ep =
       shard.start(net::Endpoint::unix_path(test_path("shard") + ".sock"));
 
@@ -244,58 +127,14 @@ TEST(cluster_shard, AnswersMatchTheWirePipelineExactly) {
   EXPECT_TRUE(shard.drain_and_stop(10000));
 }
 
-TEST(cluster_shard, WarmStartRestoresCacheFromSnapshot) {
-  ExactFixture& f = fixture();
-  const std::string snap = test_path("warm") + ".snap";
-  util::Rng rng(29);
-  std::vector<std::string> lines;
-  for (int i = 0; i < 8; ++i) {
-    lines.push_back(arch_line(i, f.arch_space.random(rng)));
-  }
-
-  // First life: serve some queries, drain (which saves the snapshot).
-  {
-    serve::ExactBackend backend(f.table, accel::edap_cost());
-    serve::Service service(backend);
-    cluster::ShardServer::Options opts;
-    opts.snapshot_path = snap;
-    cluster::ShardServer shard(service, f.arch_space, opts);
-    const auto ep =
-        shard.start(net::Endpoint::unix_path(test_path("w1") + ".sock"));
-    EXPECT_EQ(shard.warm_entries(), 0U);  // no snapshot yet: cold
-    net::Client client(ep);
-    for (const auto& line : lines) (void)client.roundtrip(line);
-    EXPECT_TRUE(shard.drain_and_stop(10000));
-  }
-
-  // Second life: the snapshot pre-populates the cache, so the very first
-  // query of a previously-seen key reports "cached": true.
-  {
-    serve::ExactBackend backend(f.table, accel::edap_cost());
-    serve::Service service(backend);
-    cluster::ShardServer::Options opts;
-    opts.snapshot_path = snap;
-    cluster::ShardServer shard(service, f.arch_space, opts);
-    const auto ep =
-        shard.start(net::Endpoint::unix_path(test_path("w2") + ".sock"));
-    EXPECT_GT(shard.warm_entries(), 0U);
-    net::Client client(ep);
-    const std::string response = client.roundtrip(lines[0]);
-    EXPECT_NE(response.find("\"cached\": true"), std::string::npos)
-        << response;
-    EXPECT_TRUE(shard.drain_and_stop(10000));
-  }
-  std::remove(snap.c_str());
-}
-
 TEST(cluster_router, RoutesByRingAndAnswersParseErrorsLocally) {
   ExactFixture& f = fixture();
   // Two live shards behind the router.
   serve::ExactBackend backend(f.table, accel::edap_cost());
   serve::Service s0(backend);
   serve::Service s1(backend);
-  cluster::ShardServer shard0(s0, f.arch_space, cluster::ShardServer::Options{});
-  cluster::ShardServer shard1(s1, f.arch_space, cluster::ShardServer::Options{});
+  cluster::ShardServer shard0(s0, f.arch_space, net::Server::Options{});
+  cluster::ShardServer shard1(s1, f.arch_space, net::Server::Options{});
   const auto ep0 =
       shard0.start(net::Endpoint::unix_path(test_path("r0") + ".sock"));
   const auto ep1 =
@@ -352,20 +191,21 @@ TEST(cluster_router, UnreachableShardYieldsErrorLineNotCrash) {
 // --- DANCE_FAULT ------------------------------------------------------------
 
 TEST(net_server, EnvFaultSpecArmsTheNetSites) {
-  // serve_cluster builds every router and shard from env options, so this
-  // is the path that carries DANCE_FAULT into a running cluster.
+  // serve_cluster builds every router and shard from net::Server's env
+  // options, so this is the path that carries DANCE_FAULT into a running
+  // cluster.
   const char* saved = std::getenv("DANCE_FAULT");
   const std::string saved_value = saved != nullptr ? saved : "";
   setenv("DANCE_FAULT", "net.read:error=1", 1);
-  const auto opts = cluster::ShardServer::Options::from_env();
+  const auto opts = net::Server::Options::from_env();
   if (saved != nullptr) {
     setenv("DANCE_FAULT", saved_value.c_str(), 1);
   } else {
     unsetenv("DANCE_FAULT");
   }
-  ASSERT_NE(opts.net.injector, nullptr);
-  EXPECT_TRUE(opts.net.injector->spec().active_at(fault::kNetReadSite));
-  EXPECT_FALSE(opts.net.injector->spec().active_at(fault::kNetWriteSite));
+  ASSERT_NE(opts.injector, nullptr);
+  EXPECT_TRUE(opts.injector->spec().active_at(fault::kNetReadSite));
+  EXPECT_FALSE(opts.injector->spec().active_at(fault::kNetWriteSite));
 }
 
 }  // namespace

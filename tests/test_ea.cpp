@@ -37,7 +37,7 @@ TEST(EaCoExploration, RunsAndCountsCandidates) {
   // population + generations * population proxy trainings
   EXPECT_EQ(out.trained_candidates, 4 + 2 * 4);
   EXPECT_EQ(out.architecture.size(), 9U);
-  EXPECT_NO_THROW(hw_space.index_of(out.hardware));
+  EXPECT_NO_THROW((void)hw_space.index_of(out.hardware));
   EXPECT_GT(out.metrics.latency_ms, 0.0);
   // Reported metrics must match the cost table for the reported design.
   const auto check =

@@ -3,7 +3,7 @@
 // epoll/worker-pool Server over both transports, per-connection response
 // ordering, graceful drain, and the retrying Client. Suite names carry a
 // lowercase "cluster_" prefix on purpose: `ctest -R cluster` selects the
-// whole cluster stack (net + routing + snapshot suites), which CI runs
+// whole cluster stack (net + routing + property suites), which CI runs
 // under all three sanitizers.
 #include <gtest/gtest.h>
 

@@ -336,9 +336,9 @@ TEST(cluster_identity, TwoShardClusterMatchesSingleProcessByteForByte) {
   static serve::Service s1(backend);
   static serve::Service single(backend);  // the single-process oracle
   static cluster::ShardServer shard0(s0, f.arch_space,
-                                     cluster::ShardServer::Options{});
+                                     net::Server::Options{});
   static cluster::ShardServer shard1(s1, f.arch_space,
-                                     cluster::ShardServer::Options{});
+                                     net::Server::Options{});
   static const net::Endpoint ep0 =
       shard0.start(net::Endpoint::unix_path(pbt_socket_path("id0")));
   static const net::Endpoint ep1 =
@@ -467,9 +467,7 @@ TEST(cluster_chaos, RetryingClientAbsorbsTenPercentNetFaults) {
         fault::FaultSpec::parse(
             "net.accept:error=0.1;net.read:error=0.1;net.write:error=0.1"),
         c.fault_seed);
-    cluster::ShardServer::Options shopts;
-    shopts.net = sopts;
-    cluster::ShardServer shard(service, fx.arch_space, shopts);
+    cluster::ShardServer shard(service, fx.arch_space, sopts);
     const auto ep =
         shard.start(net::Endpoint::unix_path(pbt_socket_path("chaos")));
 

@@ -159,7 +159,7 @@ TEST_F(SearchIntegration, RlCountsTrainedCandidates) {
   EXPECT_EQ(out.trained_candidates, 6);
   EXPECT_EQ(out.architecture.size(), 9U);
   // The RL candidate's hardware is part of the sampled joint design.
-  EXPECT_NO_THROW(hw_space_.index_of(out.hardware));
+  EXPECT_NO_THROW((void)hw_space_.index_of(out.hardware));
 }
 
 }  // namespace

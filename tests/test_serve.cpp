@@ -613,6 +613,23 @@ TEST(serve_wire, ObjectWrappedInAnArrayIsAnError) {
             kNotOneObject);
 }
 
+TEST(serve_wire, RequestWithBothArchAndEncodingIsAnError) {
+  // Neither key may silently win: the line is ambiguous, in either order.
+  const int width =
+      arch::ArchSpace(arch::cifar10_backbone()).encoding_width();
+  const std::string enc = encoding_line(6, width, "0");
+  const std::string arch = R"("arch": [0,1,2,3,4,5,6,0,1])";
+  const std::string want =
+      R"({"id": 6, "error": "request must have an 'encoding' or an 'arch', )"
+      R"(not both"})";
+  EXPECT_EQ(error_for(enc.substr(0, enc.size() - 1) + ", " + arch + "}"),
+            want);
+  EXPECT_EQ(error_for("{" + arch + ", " + enc.substr(1)), want);
+  // A string value spelled like the other key is not a second key.
+  EXPECT_EQ(error_for(enc.substr(0, enc.size() - 1) + R"(, "model": "arch"})"),
+            "");
+}
+
 // --- wire numbers: the JSON number grammar, not strtof's --------------------
 
 TEST(serve_wire, ArchValuesMustBeSpelledAsJsonNumbers) {
