@@ -1,7 +1,9 @@
 #include "tensor/ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "runtime/profiler.h"
@@ -43,7 +45,16 @@ void check_same_shape(const Variable& a, const Variable& b, const char* op) {
   }
 }
 
-bool wants(const std::shared_ptr<Node>& n) { return n && n->requires_grad; }
+/// Open parent `p` for a backward's contribution. False if `p` takes no
+/// gradient; otherwise allocates its buffer (at +0) and marks it live, so
+/// Variable::backward runs `p`'s own backward after this one. A backward
+/// calls it only for the parents it then writes into.
+bool into(const std::shared_ptr<Node>& p) {
+  if (!p || !p->requires_grad) return false;
+  p->ensure_grad();
+  p->grad_live = true;
+  return true;
+}
 
 /// [cols, rows] copy of a rank-2 tensor, for matmul's backward products.
 Tensor transposed(const Tensor& t) {
@@ -65,7 +76,7 @@ Variable add(const Variable& a, const Variable& b) {
   return make_result(std::move(out), {a.node(), b.node()}, [](Node& self) {
     for (int k = 0; k < 2; ++k) {
       auto& p = self.parents[static_cast<std::size_t>(k)];
-      if (!wants(p)) continue;
+      if (!into(p)) continue;
       for (std::size_t i = 0; i < self.grad.numel(); ++i) p->grad[i] += self.grad[i];
     }
   });
@@ -85,8 +96,8 @@ Variable add_rowvec(const Variable& a, const Variable& bias) {
   return make_result(std::move(out), {a.node(), bias.node()}, [n, d](Node& self) {
     auto& pa = self.parents[0];
     auto& pb = self.parents[1];
-    if (wants(pa)) pa->grad.add_(self.grad);
-    if (wants(pb)) {
+    if (into(pa)) pa->grad.add_(self.grad);
+    if (into(pb)) {
       for (int r = 0; r < n; ++r) {
         for (int c = 0; c < d; ++c) {
           pb->grad[static_cast<std::size_t>(c)] += self.grad.at(r, c);
@@ -103,8 +114,8 @@ Variable sub(const Variable& a, const Variable& b) {
   return make_result(std::move(out), {a.node(), b.node()}, [](Node& self) {
     auto& pa = self.parents[0];
     auto& pb = self.parents[1];
-    if (wants(pa)) pa->grad.add_(self.grad);
-    if (wants(pb)) {
+    if (into(pa)) pa->grad.add_(self.grad);
+    if (into(pb)) {
       for (std::size_t i = 0; i < self.grad.numel(); ++i) pb->grad[i] -= self.grad[i];
     }
   });
@@ -117,9 +128,11 @@ Variable mul(const Variable& a, const Variable& b) {
   return make_result(std::move(out), {a.node(), b.node()}, [](Node& self) {
     auto& pa = self.parents[0];
     auto& pb = self.parents[1];
+    const bool to_a = into(pa);
+    const bool to_b = into(pb);
     for (std::size_t i = 0; i < self.grad.numel(); ++i) {
-      if (wants(pa)) pa->grad[i] += self.grad[i] * pb->value[i];
-      if (wants(pb)) pb->grad[i] += self.grad[i] * pa->value[i];
+      if (to_a) pa->grad[i] += self.grad[i] * pb->value[i];
+      if (to_b) pb->grad[i] += self.grad[i] * pa->value[i];
     }
   });
 }
@@ -129,7 +142,7 @@ Variable scale(const Variable& a, float s) {
   out.scale_(s);
   return make_result(std::move(out), {a.node()}, [s](Node& self) {
     auto& pa = self.parents[0];
-    if (!wants(pa)) return;
+    if (!into(pa)) return;
     for (std::size_t i = 0; i < self.grad.numel(); ++i) pa->grad[i] += s * self.grad[i];
   });
 }
@@ -145,12 +158,21 @@ Variable scale_by(const Variable& a, const Variable& s) {
     auto& pa = self.parents[0];
     auto& ps = self.parents[1];
     const float sval = ps->value[0];
+    const std::size_t n = self.grad.numel();
+    // The scale's gradient <dL/dy, a> is always taken: a zero gate still
+    // learns from its op's output.
     float acc = 0.0F;
-    for (std::size_t i = 0; i < self.grad.numel(); ++i) {
-      if (wants(pa)) pa->grad[i] += self.grad[i] * sval;
-      acc += self.grad[i] * pa->value[i];
+    for (std::size_t i = 0; i < n; ++i) acc += self.grad[i] * pa->value[i];
+    // An exactly-zero scale sends `a` only dL/dy * 0, which is +-0 wherever
+    // dL/dy is finite, and adding +-0 to a gradient buffer changes no bit
+    // (docs/runtime.md, "Autograd tape"). So it sends nothing, and `a`'s
+    // whole subgraph skips its backward. `acc` is finite only if every
+    // element of dL/dy and of `a` is, so a NaN or inf on either side still
+    // takes the full path and poisons what it poisoned before.
+    if (!(sval == 0.0F && std::isfinite(acc)) && into(pa)) {
+      for (std::size_t i = 0; i < n; ++i) pa->grad[i] += self.grad[i] * sval;
     }
-    if (wants(ps)) ps->grad[0] += acc;
+    if (into(ps)) ps->grad[0] += acc;
   });
 }
 
@@ -160,7 +182,7 @@ Variable add_const(const Variable& a, const Tensor& c) {
   out.add_(c);
   return make_result(std::move(out), {a.node()}, [](Node& self) {
     auto& pa = self.parents[0];
-    if (wants(pa)) pa->grad.add_(self.grad);
+    if (into(pa)) pa->grad.add_(self.grad);
   });
 }
 
@@ -177,7 +199,7 @@ Variable mul_rowvec(const Variable& a, const Tensor& row) {
   auto scale_row = std::make_shared<Tensor>(row);
   return make_result(std::move(out), {a.node()}, [scale_row, n, d](Node& self) {
     auto& pa = self.parents[0];
-    if (!wants(pa)) return;
+    if (!into(pa)) return;
     for (int r = 0; r < n; ++r) {
       for (int c = 0; c < d; ++c) {
         pa->grad.at(r, c) +=
@@ -214,7 +236,7 @@ Variable matmul(const Variable& a, const Variable& b) {
     // on the other operand being finite everywhere.
     auto& pa = self.parents[0];
     auto& pb = self.parents[1];
-    if (wants(pa)) {
+    if (into(pa)) {
       // dA = dC * B^T, summed from zero and then added to A's gradient once,
       // like a per-element dot product. Accumulating straight into a
       // gradient that is already non-zero would round differently.
@@ -223,7 +245,7 @@ Variable matmul(const Variable& a, const Variable& b) {
                  m, k);
       pa->grad.add_(da);
     }
-    if (wants(pb)) {
+    if (into(pb)) {
       // dB = A^T * dC, accumulated straight into B's gradient over ascending i.
       gemm::gemm(transposed(pa->value).data(), self.grad.data(),
                  pb->grad.data(), k, n, m);
@@ -236,9 +258,19 @@ Variable relu(const Variable& a) {
   for (std::size_t i = 0; i < out.numel(); ++i) out[i] = std::max(0.0F, out[i]);
   return make_result(std::move(out), {a.node()}, [](Node& self) {
     auto& pa = self.parents[0];
-    if (!wants(pa)) return;
+    if (!into(pa)) return;
+    // Adds dL/dy masked by the bits of (y > 0): where the mask is clear
+    // this adds +0, which leaves every gradient buffer's bits as they were
+    // (a buffer never holds -0), so the sum equals the branchy
+    // `if (y > 0) dx += dy` loop bit for bit. Unlike that loop, GCC
+    // vectorises this one (compare, and, add), and it has no branch for the
+    // sign pattern of y to mispredict.
+    const float* y = self.value.data();
+    const float* dy = self.grad.data();
+    float* dx = pa->grad.data();
     for (std::size_t i = 0; i < self.grad.numel(); ++i) {
-      if (self.value[i] > 0.0F) pa->grad[i] += self.grad[i];
+      const std::uint32_t keep = 0U - static_cast<std::uint32_t>(y[i] > 0.0F);
+      dx[i] += std::bit_cast<float>(std::bit_cast<std::uint32_t>(dy[i]) & keep);
     }
   });
 }
@@ -250,7 +282,7 @@ Variable sigmoid(const Variable& a) {
   }
   return make_result(std::move(out), {a.node()}, [](Node& self) {
     auto& pa = self.parents[0];
-    if (!wants(pa)) return;
+    if (!into(pa)) return;
     for (std::size_t i = 0; i < self.grad.numel(); ++i) {
       const float y = self.value[i];
       pa->grad[i] += self.grad[i] * y * (1.0F - y);
@@ -290,7 +322,7 @@ Variable softmax_rows(const Variable& a) {
   return make_result(std::move(out), {a.node()}, [n, d](Node& self) {
     DANCE_PROFILE_SCOPE("tensor.softmax_rows.bwd");
     auto& pa = self.parents[0];
-    if (!wants(pa)) return;
+    if (!into(pa)) return;
     util::parallel_for(0, n, [&](long lo, long hi) {
       for (long r = lo; r < hi; ++r) {
         const int ri = static_cast<int>(r);
@@ -324,7 +356,7 @@ Variable log_softmax_rows(const Variable& a) {
   return make_result(std::move(out), {a.node()}, [n, d](Node& self) {
     DANCE_PROFILE_SCOPE("tensor.log_softmax_rows.bwd");
     auto& pa = self.parents[0];
-    if (!wants(pa)) return;
+    if (!into(pa)) return;
     util::parallel_for(0, n, [&](long lo, long hi) {
       for (long r = lo; r < hi; ++r) {
         const int ri = static_cast<int>(r);
@@ -369,7 +401,7 @@ Variable concat_cols(const std::vector<Variable>& parts) {
     for (std::size_t k = 0; k < widths.size(); ++k) {
       auto& p = self.parents[k];
       const int w = widths[k];
-      if (wants(p)) {
+      if (into(p)) {
         for (int r = 0; r < n; ++r) {
           for (int c = 0; c < w; ++c) p->grad.at(r, c) += self.grad.at(r, off2 + c);
         }
@@ -391,7 +423,7 @@ Variable slice_cols(const Variable& a, int from, int to) {
   }
   return make_result(std::move(out), {a.node()}, [n, w, from](Node& self) {
     auto& pa = self.parents[0];
-    if (!wants(pa)) return;
+    if (!into(pa)) return;
     for (int r = 0; r < n; ++r) {
       for (int c = 0; c < w; ++c) pa->grad.at(r, from + c) += self.grad.at(r, c);
     }
@@ -406,7 +438,7 @@ Variable mean_all(const Variable& a) {
   out[0] = acc / static_cast<float>(n);
   return make_result(std::move(out), {a.node()}, [n](Node& self) {
     auto& pa = self.parents[0];
-    if (!wants(pa)) return;
+    if (!into(pa)) return;
     const float g = self.grad[0] / static_cast<float>(n);
     for (std::size_t i = 0; i < n; ++i) pa->grad[i] += g;
   });
@@ -420,7 +452,7 @@ Variable sum_all(const Variable& a) {
   out[0] = acc;
   return make_result(std::move(out), {a.node()}, [n](Node& self) {
     auto& pa = self.parents[0];
-    if (!wants(pa)) return;
+    if (!into(pa)) return;
     const float g = self.grad[0];
     for (std::size_t i = 0; i < n; ++i) pa->grad[i] += g;
   });
@@ -447,7 +479,7 @@ Variable cross_entropy(const Variable& logits, const std::vector<int>& labels) {
   return make_result(std::move(out), {logits.node()},
                      [probs, labels, n, d](Node& self) {
     auto& pa = self.parents[0];
-    if (!wants(pa)) return;
+    if (!into(pa)) return;
     const float g = self.grad[0] / static_cast<float>(n);
     for (int r = 0; r < n; ++r) {
       for (int c = 0; c < d; ++c) {
@@ -473,7 +505,7 @@ Variable mse(const Variable& pred, const Tensor& target) {
   auto tgt = std::make_shared<Tensor>(target);
   return make_result(std::move(out), {pred.node()}, [tgt, n](Node& self) {
     auto& pa = self.parents[0];
-    if (!wants(pa)) return;
+    if (!into(pa)) return;
     const float g = 2.0F * self.grad[0] / static_cast<float>(n);
     for (std::size_t i = 0; i < n; ++i) {
       pa->grad[i] += g * (pa->value[i] - (*tgt)[i]);
@@ -499,7 +531,7 @@ Variable msre(const Variable& pred, const Tensor& target, float eps) {
   auto tgt = std::make_shared<Tensor>(target);
   return make_result(std::move(out), {pred.node()}, [tgt, n, valid, eps](Node& self) {
     auto& pa = self.parents[0];
-    if (!wants(pa) || valid == 0) return;
+    if (!into(pa) || valid == 0) return;
     const float g = 2.0F * self.grad[0] / static_cast<float>(valid);
     for (std::size_t i = 0; i < n; ++i) {
       const float t = (*tgt)[i];
@@ -576,6 +608,10 @@ Variable batchnorm(const Variable& x, const Variable& gamma, const Variable& bet
         auto& px = self.parents[0];
         auto& pg = self.parents[1];
         auto& pb = self.parents[2];
+        // Opened once, before the lanes start: into() allocates.
+        const bool to_x = into(px);
+        const bool to_g = into(pg);
+        const bool to_b = into(pb);
         util::parallel_for(0, d, [&](long lo, long hi) {
           for (long cc = lo; cc < hi; ++cc) {
             const int c = static_cast<int>(cc);
@@ -585,9 +621,9 @@ Variable batchnorm(const Variable& x, const Variable& gamma, const Variable& bet
               sum_dy += self.grad.at(r, c);
               sum_dy_xhat += self.grad.at(r, c) * x_hat->at(r, c);
             }
-            if (wants(pg)) pg->grad[static_cast<std::size_t>(c)] += sum_dy_xhat;
-            if (wants(pb)) pb->grad[static_cast<std::size_t>(c)] += sum_dy;
-            if (wants(px)) {
+            if (to_g) pg->grad[static_cast<std::size_t>(c)] += sum_dy_xhat;
+            if (to_b) pb->grad[static_cast<std::size_t>(c)] += sum_dy;
+            if (to_x) {
               const float gamma_c = pg->value[static_cast<std::size_t>(c)];
               const float istd = (*inv_std)[static_cast<std::size_t>(c)];
               if (training) {
@@ -638,7 +674,7 @@ Variable gumbel_softmax(const Variable& logits, float tau, bool hard,
   return make_result(std::move(out), {logits.node()},
                      [y_soft, tau, n, d](Node& self) {
     auto& pa = self.parents[0];
-    if (!wants(pa)) return;
+    if (!into(pa)) return;
     // Straight-through: gradient of the soft sample regardless of `hard`.
     for (int r = 0; r < n; ++r) {
       float dot = 0.0F;
@@ -665,7 +701,7 @@ Variable hard_max_st(const Variable& a) {
   }
   return make_result(std::move(out), {a.node()}, [](Node& self) {
     auto& pa = self.parents[0];
-    if (wants(pa)) pa->grad.add_(self.grad);
+    if (into(pa)) pa->grad.add_(self.grad);
   });
 }
 

@@ -3,9 +3,23 @@
 #include <numeric>
 #include <stdexcept>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace dance::tensor {
 
 namespace {
+
+#if defined(__GLIBC__)
+// Keep freed heap instead of returning it to the kernel (docs/runtime.md,
+// "Autograd tape"). An architecture step frees about 9 MB of 24-32 KB
+// tensors; with glibc's default 128 KiB trim threshold that memory goes
+// back to the kernel at the end of each step, and the next step faults it
+// in again, page by page. Set once, when this library's statics initialise.
+[[maybe_unused]] const int kKeepHeap = mallopt(M_TRIM_THRESHOLD, 64 << 20);
+#endif
+
 std::size_t shape_numel(const std::vector<int>& shape) {
   std::size_t n = 1;
   for (int d : shape) {
@@ -42,25 +56,7 @@ Tensor Tensor::from(std::vector<int> shape, std::vector<float> values) {
   return t;
 }
 
-int Tensor::rows() const {
-  if (rank() != 2) throw std::logic_error("Tensor::rows: rank != 2");
-  return shape_[0];
-}
-
-int Tensor::cols() const {
-  if (rank() != 2) throw std::logic_error("Tensor::cols: rank != 2");
-  return shape_[1];
-}
-
-float& Tensor::at(int r, int c) {
-  return data_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols()) +
-               static_cast<std::size_t>(c)];
-}
-
-float Tensor::at(int r, int c) const {
-  return data_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols()) +
-               static_cast<std::size_t>(c)];
-}
+void Tensor::rank_error(const char* what) { throw std::logic_error(what); }
 
 void Tensor::fill(float value) {
   std::fill(data_.begin(), data_.end(), value);

@@ -31,8 +31,16 @@ class Tensor {
   [[nodiscard]] int dim(int i) const { return shape_[static_cast<std::size_t>(i)]; }
   [[nodiscard]] int rank() const { return static_cast<int>(shape_.size()); }
 
-  [[nodiscard]] int rows() const;  ///< rank-2 only
-  [[nodiscard]] int cols() const;  ///< rank-2 only
+  // rows(), cols() and at() are rank-2 only. They are defined here so that
+  // the per-element loops in ops.cpp inline them.
+  [[nodiscard]] int rows() const {
+    if (rank() != 2) rank_error("Tensor::rows: rank != 2");
+    return shape_[0];
+  }
+  [[nodiscard]] int cols() const {
+    if (rank() != 2) rank_error("Tensor::cols: rank != 2");
+    return shape_[1];
+  }
 
   float* data() { return data_.data(); }
   [[nodiscard]] const float* data() const { return data_.data(); }
@@ -40,9 +48,8 @@ class Tensor {
   float& operator[](std::size_t i) { return data_[i]; }
   float operator[](std::size_t i) const { return data_[i]; }
 
-  /// rank-2 element access.
-  float& at(int r, int c);
-  [[nodiscard]] float at(int r, int c) const;
+  float& at(int r, int c) { return data_[offset(r, c)]; }
+  [[nodiscard]] float at(int r, int c) const { return data_[offset(r, c)]; }
 
   void fill(float value);
   /// this += other (same shape).
@@ -57,6 +64,15 @@ class Tensor {
   [[nodiscard]] std::string shape_str() const;
 
  private:
+  /// Throws std::logic_error(what); out of line so the inline accessors
+  /// carry only a compare and a cold call.
+  [[noreturn]] static void rank_error(const char* what);
+
+  [[nodiscard]] std::size_t offset(int r, int c) const {
+    return static_cast<std::size_t>(r) * static_cast<std::size_t>(cols()) +
+           static_cast<std::size_t>(c);
+  }
+
   std::vector<int> shape_;
   std::vector<float> data_;
 };

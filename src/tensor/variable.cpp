@@ -56,19 +56,17 @@ void Variable::backward() const {
   }
   std::vector<std::shared_ptr<Node>> order;
   topo_sort(node_, order);
+  for (const auto& n : order) n->grad_live = false;
   node_->ensure_grad();
   node_->grad[0] = 1.0F;
+  node_->grad_live = true;
   // order is post-order (parents before children); traverse in reverse so the
   // output's gradient is fully accumulated before it is pushed to parents.
+  // A node runs only if a child propagated into it (Node::grad_live); each
+  // backward allocates and marks the parents it writes into.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     Node& n = **it;
-    if (n.backward && n.requires_grad) {
-      n.ensure_grad();
-      for (auto& p : n.parents) {
-        if (p && p->requires_grad) p->ensure_grad();
-      }
-      n.backward(n);
-    }
+    if (n.grad_live && n.backward) n.backward(n);
   }
 }
 

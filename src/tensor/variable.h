@@ -13,11 +13,16 @@ namespace dance::tensor {
 /// `backward` consumes this node's accumulated `grad` and adds the
 /// appropriate contributions into each parent's `grad`. Gradients are only
 /// materialized for nodes with `requires_grad` set (the flag propagates
-/// through ops).
+/// through ops), and only once some child propagates into the node: the
+/// child's `backward` allocates the parent's buffer and sets its `grad_live`.
+/// `Variable::backward` skips a node that no child made live, so a subgraph
+/// whose only consumer sends it nothing (a zero-gated op, see
+/// `ops::scale_by`) costs no backward work and no gradient buffers.
 struct Node {
   Tensor value;
   Tensor grad;
   bool requires_grad = false;
+  bool grad_live = false;  ///< some child propagated into `grad` this pass
   std::vector<std::shared_ptr<Node>> parents;
   std::function<void(Node&)> backward;
 

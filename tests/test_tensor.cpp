@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -48,6 +51,15 @@ TEST(Tensor, AddInPlaceShapeMismatchThrows) {
   Tensor a = Tensor::zeros({3});
   Tensor b = Tensor::zeros({4});
   EXPECT_THROW(a.add_(b), std::invalid_argument);
+}
+
+TEST(Tensor, RankTwoAccessorsThrowOnRankOne) {
+  Tensor t = Tensor::zeros({3});
+  const Tensor& ct = t;
+  EXPECT_THROW((void)t.rows(), std::logic_error);
+  EXPECT_THROW((void)t.cols(), std::logic_error);
+  EXPECT_THROW((void)t.at(0, 0), std::logic_error);
+  EXPECT_THROW((void)ct.at(0, 0), std::logic_error);
 }
 
 TEST(Autograd, AddBackward) {
@@ -117,6 +129,54 @@ TEST(Autograd, ReluMasksNegative) {
   EXPECT_FLOAT_EQ(a.grad()[0], 0.0F);
   EXPECT_FLOAT_EQ(a.grad()[1], 1.0F);
   EXPECT_FLOAT_EQ(a.grad()[2], 1.0F);
+}
+
+TEST(Autograd, ReluBackwardMatchesBranchyLoopBits) {
+  // relu's backward adds dy masked by the bits of (y > 0). It must equal the
+  // branchy `if (y > 0) dx += dy` loop bit for bit, for every stored output
+  // y (-0.0 and negatives too, which the forward never stores), every
+  // incoming dy (NaN and inf too) and a gradient buffer that already holds
+  // values. 144 elements run both the vector body and its tail.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> ys = {-0.0F, 0.0F, -1.5F, 2.0F, 1e-40F, nan, inf, -inf};
+  const std::vector<float> dys = {1.25F, -3.0F, nan, inf, -inf, -0.0F};
+  const std::vector<float> priors = {0.0F, 0.75F, -2.5F};
+  std::vector<float> y;
+  std::vector<float> dy;
+  std::vector<float> prior;
+  for (const float yv : ys) {
+    for (const float dv : dys) {
+      for (const float pv : priors) {
+        y.push_back(yv);
+        dy.push_back(dv);
+        prior.push_back(pv);
+      }
+    }
+  }
+  const int n = static_cast<int>(y.size());
+  Variable a(Tensor::zeros({1, n}), true);
+  Variable r = ops::relu(a);
+  r.value() = Tensor::from({1, n}, y);
+  a.node()->ensure_grad();
+  a.node()->grad = Tensor::from({1, n}, prior);
+  ops::sum_all(ops::mul(r, Variable(Tensor::from({1, n}, dy)))).backward();
+
+  const Tensor& incoming = r.grad();
+  for (int i = 0; i < n; ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    float expect = prior[u];
+    if (y[u] > 0.0F) expect += incoming[u];
+    const float got = a.grad()[u];
+    SCOPED_TRACE(::testing::Message() << "y=" << y[u] << " dy=" << incoming[u]
+                                      << " prior=" << prior[u]);
+    if (std::isnan(expect)) {
+      EXPECT_TRUE(std::isnan(got));
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got),
+                std::bit_cast<std::uint32_t>(expect));
+    }
+  }
 }
 
 TEST(Autograd, SoftmaxRowsSumToOne) {
