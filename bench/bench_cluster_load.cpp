@@ -43,11 +43,12 @@
 #include <unistd.h>
 
 #include "bench_common.h"
+#include "accel/cost_function.h"
+#include "arch/cost_table.h"
 #include "cluster/ring.h"
 #include "cluster/shard.h"
 #include "net/client.h"
 #include "serve/service.h"
-#include "serve/stack.h"
 #include "util/csv.h"
 #include "util/table.h"
 
@@ -68,14 +69,14 @@ double us_since(Clock::time_point from, Clock::time_point to) {
 struct Shard {
   arch::ArchSpace arch_space{arch::cifar10_backbone()};
   hwgen::HwSearchSpace hw_space = hwgen::HwSearchSpace::small();
-  std::unique_ptr<serve::CostQueryBackend> backend =
-      serve::make_backend({}, arch_space, hw_space);
+  arch::CostTable table{arch_space, hw_space, accel::CostModel{}};
+  serve::ExactBackend backend{table, accel::edap_cost()};
   serve::Service service;
   cluster::ShardServer server;
   net::Endpoint endpoint;
 
   explicit Shard(int id)
-      : service(*backend),
+      : service(backend),
         server(service, arch_space, net::Server::Options{}) {
     const std::string path = "/tmp/dance_bench_" + std::to_string(getpid()) +
                              "_shard" + std::to_string(id) + ".sock";

@@ -155,8 +155,9 @@ void BM_HwGenNetInference(benchmark::State& state) {
 BENCHMARK(BM_HwGenNetInference)->Unit(benchmark::kMillisecond);
 
 /// The full evaluator answering the same single-row query through
-/// Evaluator::forward_batch, as the surrogate serving backend does: hwgen
-/// trunk, hard argmax heads and cost trunk in one deterministic forward.
+/// Evaluator::forward_batch, as serve::SurrogateBackend does in process:
+/// hwgen trunk, hard argmax heads and cost trunk in one deterministic
+/// forward.
 void BM_EvaluatorForwardBatchRow(benchmark::State& state) {
   Env& e = env();
   util::Rng rng(9);

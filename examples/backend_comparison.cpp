@@ -4,21 +4,12 @@
 // is closed-form, the other walks tiles and pays pipeline fill/drain), but
 // the orderings that drive co-exploration agree.
 //
-// A closing section times the *surrogate* cost backend (the evaluator's
-// deterministic forward_batch, decoded per row).
-//
 // Run: ./build/examples/backend_comparison
-#include <chrono>
-#include <cstdint>
 #include <cstdio>
-#include <span>
-#include <vector>
 
 #include "accel/cost_model.h"
 #include "accel/systolic_sim.h"
 #include "arch/space.h"
-#include "serve/stack.h"
-#include "util/rng.h"
 #include "util/table.h"
 
 int main() {
@@ -64,35 +55,5 @@ int main() {
                util::Table::fmt(bd.dram_cycles, 0)});
   }
   std::printf("%s\n", b.to_string().c_str());
-
-  // Surrogate backend: time single-query
-  // answers (untrained weights — the numbers are meaningless, the cost of
-  // producing them is the point).
-  {
-    const hwgen::HwSearchSpace hw_space;
-    serve::BackendSpec surrogate;
-    surrogate.kind = "surrogate";
-    const auto backend = serve::make_backend(surrogate, space, hw_space);
-    // The timed requests come from their own generator; make_backend seeds
-    // the evaluator's weights separately.
-    constexpr std::uint64_t kRequestSeed = 17;
-    util::Rng rng(kRequestSeed);
-    std::vector<serve::Request> reqs;
-    for (int i = 0; i < 256; ++i) {
-      reqs.push_back(serve::Request{space.encode(space.random(rng))});
-    }
-    const auto start = std::chrono::steady_clock::now();
-    std::size_t answered = 0;
-    for (const auto& req : reqs) {
-      answered +=
-          backend->query_batch(std::span<const serve::Request>(&req, 1)).size();
-    }
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    std::printf("Surrogate single-query cost: %zu queries in %.3f ms "
-                "(%.0f QPS)\n",
-                answered, 1e3 * secs, static_cast<double>(answered) / secs);
-  }
   return 0;
 }

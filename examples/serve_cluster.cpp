@@ -1,6 +1,7 @@
 // Sharded serve cluster: a router process consistent-hashing cost queries
-// across N shard processes, each running its own serve::Service behind a
-// socket server speaking the serve_jsonl line protocol.
+// across N shard processes, each running its own serve::Service over an
+// exact backend behind a socket server speaking the serve_jsonl line
+// protocol.
 //
 // Default role spawns the whole cluster: fork+exec N shard processes
 // (--role=shard, one unix socket each), wait for them to come up, then run
@@ -22,7 +23,6 @@
 //   --listen=EP          router endpoint: tcp:HOST:PORT or unix:PATH
 //                        (default unix:/tmp/dance_cluster_<pid>.sock)
 //   --connect=EP         client mode: where the router listens
-//   --backend=exact|surrogate   per-shard backend          (default exact)
 //   --small              tiny hardware space (fast startup; CI smoke)
 //   --shard-id=K         internal (shard role)
 //
@@ -43,7 +43,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -51,13 +51,14 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "accel/cost_function.h"
+#include "arch/cost_table.h"
 #include "cluster/router.h"
 #include "cluster/shard.h"
 #include "fault/fault.h"
 #include "net/client.h"
 #include "net/socket.h"
 #include "serve/service.h"
-#include "serve/stack.h"
 #include "serve/wire.h"
 #include "util/cli.h"
 
@@ -69,16 +70,14 @@ struct Args {
   std::string role = "router";
   int shards = 2;
   int shard_id = -1;
-  std::string listen;
-  std::string connect;
-  serve::BackendSpec backend;  ///< --backend
+  std::optional<net::Endpoint> listen;   ///< --listen
+  std::optional<net::Endpoint> connect;  ///< --connect
   bool small = false;
 };
 
 int usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--shards=N] [--listen=EP] [--backend=exact|"
-               "surrogate] [--small]\n"
+               "usage: %s [--shards=N] [--listen=EP] [--small]\n"
                "       %s --client --connect=EP\n"
                "  EP is tcp:HOST:PORT or unix:PATH\n",
                argv0, argv0);
@@ -91,6 +90,18 @@ bool parse_int(const char* v, int& out) {
   const char* end = v + std::strlen(v);
   const auto [ptr, ec] = std::from_chars(v, end, out);
   return ec == std::errc() && ptr == end && ptr != v;
+}
+
+/// Parses `v` as an endpoint into `out`; false, with the reason on stderr,
+/// when it is neither tcp:HOST:PORT nor unix:PATH.
+bool parse_endpoint(const char* v, std::optional<net::Endpoint>& out) {
+  try {
+    out = net::Endpoint::parse(v);
+    return true;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return false;
+  }
 }
 
 // --- signals -> self-pipe ---------------------------------------------------
@@ -134,30 +145,40 @@ std::string shard_socket_path(const net::Endpoint& listen, int shard_id) {
   return base + ".shard" + std::to_string(shard_id);
 }
 
+/// SIGTERMs every shard and reaps it; each drains and unlinks its socket.
+void stop_shards(const std::vector<pid_t>& children) {
+  for (pid_t pid : children) kill(pid, SIGTERM);
+  for (pid_t pid : children) {
+    int status = 0;
+    while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+    }
+  }
+}
+
 // --- roles ------------------------------------------------------------------
 
-// One shard: a ShardServer over a Service on serve::make_backend (the
-// builder serve_jsonl uses, so answers match the single process).
+// One shard: a ShardServer over a Service on the same exact backend
+// serve_jsonl builds, so answers match the single process.
 int run_shard(const Args& args) {
   arm_signal_pipe();
   const arch::ArchSpace arch_space(arch::cifar10_backbone());
   const hwgen::HwSearchSpace hw_space =
       args.small ? hwgen::HwSearchSpace::small() : hwgen::HwSearchSpace();
-  std::unique_ptr<serve::CostQueryBackend> backend;
-  try {
-    backend = serve::make_backend(args.backend, arch_space, hw_space);
-  } catch (const std::runtime_error& e) {
-    std::fprintf(stderr, "[shard %d] cannot build backend: %s\n",
-                 args.shard_id, e.what());
-    return 1;
-  }
-  serve::Service service(*backend);
+  const arch::CostTable table(arch_space, hw_space, accel::CostModel{});
+  serve::ExactBackend backend(table, accel::edap_cost());
+  serve::Service service(backend);
 
   cluster::ShardServer shard(service, arch_space);
-  const net::Endpoint bound = shard.start(net::Endpoint::parse(args.listen));
-  std::fprintf(stderr, "[shard %d] serving on %s (backend=%s)\n",
-               args.shard_id, bound.to_string().c_str(),
-               args.backend.kind.c_str());
+  net::Endpoint bound;
+  try {
+    bound = shard.start(*args.listen);
+  } catch (const net::NetError& e) {
+    std::fprintf(stderr, "[shard %d] cannot listen on %s: %s\n",
+                 args.shard_id, args.listen->to_string().c_str(), e.what());
+    return 1;
+  }
+  std::fprintf(stderr, "[shard %d] serving on %s\n", args.shard_id,
+               bound.to_string().c_str());
 
   wait_for_signal();
   shard.drain_and_stop();
@@ -175,7 +196,7 @@ int run_shard(const Args& args) {
 
 int run_router(const Args& args, const char* argv0) {
   arm_signal_pipe();
-  const net::Endpoint listen = net::Endpoint::parse(args.listen);
+  const net::Endpoint& listen = *args.listen;
 
   // Spawn the shards: fork+exec ourselves with --role=shard. Each shard gets
   // its own unix socket derived from the router's endpoint.
@@ -188,7 +209,6 @@ int run_router(const Args& args, const char* argv0) {
         "--role=shard",
         "--shard-id=" + std::to_string(id),
         "--listen=unix:" + sock,
-        "--backend=" + args.backend.kind,
     };
     if (args.small) child_args.push_back("--small");
     const pid_t pid = fork();
@@ -226,19 +246,22 @@ int run_router(const Args& args, const char* argv0) {
   // parsing/validation. Every process uses the same fixed backbone.
   arch::ArchSpace space(arch::cifar10_backbone());
   cluster::Router router(space, std::move(addresses));
-  const net::Endpoint bound = router.start(listen);
+  net::Endpoint bound;
+  try {
+    bound = router.start(listen);
+  } catch (const net::NetError& e) {
+    std::fprintf(stderr, "[serve_cluster] cannot listen on %s: %s\n",
+                 listen.to_string().c_str(), e.what());
+    stop_shards(children);
+    return 1;
+  }
   std::fprintf(stderr, "[serve_cluster] router on %s, %d shards ready\n",
                bound.to_string().c_str(), args.shards);
 
   wait_for_signal();
   std::fprintf(stderr, "[serve_cluster] draining...\n");
   router.drain_and_stop();
-  for (pid_t pid : children) kill(pid, SIGTERM);
-  for (pid_t pid : children) {
-    int status = 0;
-    while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-    }
-  }
+  stop_shards(children);
   const auto stats = router.net_stats();
   std::fprintf(stderr,
                "[serve_cluster] drained: requests=%llu accepted=%llu\n",
@@ -249,11 +272,18 @@ int run_router(const Args& args, const char* argv0) {
 
 int run_client(const Args& args) {
   signal(SIGPIPE, SIG_IGN);
-  net::Client client(net::Endpoint::parse(args.connect));
+  net::Client client(*args.connect);
   std::string line;
   while (std::getline(std::cin, line)) {
     if (serve::wire::is_blank(line)) continue;  // serve_jsonl skips these too
-    const std::string response = client.roundtrip(line);
+    std::string response;
+    try {
+      response = client.roundtrip(line);
+    } catch (const net::NetError& e) {  // every retry failed
+      std::fprintf(stderr, "[client] no answer from %s: %s\n",
+                   args.connect->to_string().c_str(), e.what());
+      return 1;
+    }
     std::fwrite(response.data(), 1, response.size(), stdout);
     std::fputc('\n', stdout);
     std::fflush(stdout);
@@ -285,11 +315,9 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (const char* v = util::flag_value(argv[i], "--listen=")) {
-      args.listen = v;
+      if (!parse_endpoint(v, args.listen)) return usage(argv[0]);
     } else if (const char* v = util::flag_value(argv[i], "--connect=")) {
-      args.connect = v;
-    } else if (const char* v = util::flag_value(argv[i], "--backend=")) {
-      args.backend.kind = v;
+      if (!parse_endpoint(v, args.connect)) return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--small") == 0) {
       args.small = true;
     } else if (std::strcmp(argv[i], "--client") == 0) {
@@ -299,10 +327,6 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (args.backend.kind != "exact" && args.backend.kind != "surrogate") {
-    std::fprintf(stderr, "--backend must be exact or surrogate\n");
-    return 2;
-  }
   // Every server reads DANCE_FAULT; reject a bad spec before forking shards.
   try {
     (void)fault::FaultSpec::from_env();
@@ -311,15 +335,15 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (client_mode) {
-    if (args.connect.empty()) {
+    if (!args.connect) {
       std::fprintf(stderr, "--client needs --connect=EP\n");
       return 2;
     }
     return run_client(args);
   }
-  if (args.listen.empty()) {
-    args.listen = "unix:/tmp/dance_cluster_" + std::to_string(getpid()) +
-                  ".sock";
+  if (!args.listen) {
+    args.listen = net::Endpoint::unix_path("/tmp/dance_cluster_" +
+                                           std::to_string(getpid()) + ".sock");
   }
   if (args.role == "shard") {
     if (args.shard_id < 0) {

@@ -195,8 +195,9 @@ ParseOutcome parse_request(const std::string& line,
     return out;
   }
   if (auto enc = parse_array_field(line, encoding_at)) {
-    // Finiteness only: soft (non-one-hot) encodings are valid surrogate
-    // input, but a NaN/inf would answer arbitrarily and poison the cache.
+    // Finiteness only: soft (non-one-hot) encodings are valid input (the
+    // backend argmax-decodes them), but a NaN/inf would answer arbitrarily
+    // and poison the cache.
     for (const float v : *enc) {
       if (!std::isfinite(v)) {
         out.error = "encoding values must be finite";

@@ -255,7 +255,12 @@ Variable matmul(const Variable& a, const Variable& b) {
 
 Variable relu(const Variable& a) {
   Tensor out = a.value();
-  for (std::size_t i = 0; i < out.numel(); ++i) out[i] = std::max(0.0F, out[i]);
+  // NaN compares false, so it passes through: a poisoned pre-activation
+  // stays poisoned, as the GEMM's zero-skip rule requires (tensor/gemm.h).
+  // -0 becomes +0, and every other input keeps its bits.
+  for (std::size_t i = 0; i < out.numel(); ++i) {
+    out[i] = out[i] <= 0.0F ? 0.0F : out[i];
+  }
   return make_result(std::move(out), {a.node()}, [](Node& self) {
     auto& pa = self.parents[0];
     if (!into(pa)) return;

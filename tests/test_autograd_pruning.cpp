@@ -108,12 +108,15 @@ Variable block_forward(const Block& b, const Variable& h, const Variable& gate,
 
 /// One forward and backward. `incoming` set: the loss is sum(y2 * incoming),
 /// so dL/dy2 is exactly `incoming`; otherwise a cross-entropy head.
-/// `poison_w2` puts a NaN into W2 of block 2's path 1, which its gate zeroes.
-Step run(Feed feed, const Tensor* incoming = nullptr, bool poison_w2 = false) {
+/// `poison` names a weight (W1 or W2) of block 2's path 1, which its gate
+/// zeroes, to put a NaN into.
+Step run(Feed feed, const Tensor* incoming = nullptr,
+         Variable Path::*poison = nullptr) {
   Step s;
   s.blocks = {make_block(101, 2), make_block(202, kGates - 1)};
-  if (poison_w2) {
-    s.blocks[1].paths[1].w2.value().at(3, 4) = std::numeric_limits<float>::quiet_NaN();
+  if (poison != nullptr) {
+    (s.blocks[1].paths[1].*poison).value().at(3, 4) =
+        std::numeric_limits<float>::quiet_NaN();
   }
   dance::util::Rng data(303);
   s.h = Variable(Tensor::randn({kRows, kWidth}, data), true);
@@ -205,26 +208,29 @@ TEST(AutogradPruning, NonFiniteValuesPoisonAsWithoutPruning) {
   // Each case puts one non-finite value where only the full backward of a
   // gate-0 path spreads it: an incoming gradient of NaN or inf at one
   // element (0 * NaN and 0 * inf are NaN, and W2's product smears them over
-  // the row), and a NaN weight in a gate-0 path's output layer. Block 2 keeps
-  // only the zero op, so its skip connection alone would carry just the one
-  // element; the pruned tape must still poison what the full tape poisons.
+  // the row), and a NaN weight in a gate-0 path's hidden or output layer
+  // (relu passes the hidden layer's NaN on). Block 2 keeps only the zero op,
+  // so its skip connection alone would carry just the one element; the
+  // pruned tape must still poison what the full tape poisons.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
   dance::util::Rng rng(505);
   const Tensor finite = Tensor::randn({kRows, kWidth}, rng);
   struct Case {
     const char* name;
-    float value;  // placed into the incoming gradient at (1, 3), unless NaN W2
-    bool poison_w2;
+    float value;  // placed into the incoming gradient at (1, 3), unless poison
+    Variable Path::*poison;
   };
-  for (const Case& c : {Case{"NaN gradient", nan, false}, Case{"inf gradient", inf, false},
-                        Case{"-inf gradient", -inf, false},
-                        Case{"NaN W2", 0.0F, true}}) {
+  for (const Case& c : {Case{"NaN gradient", nan, nullptr},
+                        Case{"inf gradient", inf, nullptr},
+                        Case{"-inf gradient", -inf, nullptr},
+                        Case{"NaN W1", 0.0F, &Path::w1},
+                        Case{"NaN W2", 0.0F, &Path::w2}}) {
     SCOPED_TRACE(c.name);
     Tensor incoming = finite;
-    if (!c.poison_w2) incoming.at(1, 3) = c.value;
-    const Step pruned = run(Feed::kPruned, &incoming, c.poison_w2);
-    const Step unpruned = run(Feed::kUnpruned, &incoming, c.poison_w2);
+    if (c.poison == nullptr) incoming.at(1, 3) = c.value;
+    const Step pruned = run(Feed::kPruned, &incoming, c.poison);
+    const Step unpruned = run(Feed::kUnpruned, &incoming, c.poison);
     expect_same_gradients(pruned, unpruned);
     // More poisoned than the skip connection's one element.
     EXPECT_GT(non_finite(unpruned.y1.grad()), 1);

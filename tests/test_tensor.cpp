@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -129,6 +130,47 @@ TEST(Autograd, ReluMasksNegative) {
   EXPECT_FLOAT_EQ(a.grad()[0], 0.0F);
   EXPECT_FLOAT_EQ(a.grad()[1], 1.0F);
   EXPECT_FLOAT_EQ(a.grad()[2], 1.0F);
+}
+
+TEST(Autograd, ReluKeepsNaNAndMapsEveryOtherInputLikeMax) {
+  // Regression: relu computed max(0, x), which maps NaN to 0 and so erased
+  // the poison a NaN weight spreads through matmul (tensor/gemm.h,
+  // "Zero-skip"). Row 0 meets the NaN through a live term (1.5 * NaN), row
+  // 1 through a zero activation (0 * NaN), which the zero-skip must keep.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const Variable h(Tensor::from({2, 2}, {0.0F, 1.5F, -2.0F, 0.0F}), false);
+  Tensor w1 = Tensor::from({2, 3}, {1.0F, -1.0F, 0.5F, 2.0F, 0.25F, -3.0F});
+  w1.at(1, 1) = nan;
+  const Variable z = ops::matmul(h, Variable(w1, false));
+  const Variable r = ops::relu(z);
+  for (int i = 0; i < 2; ++i) {
+    SCOPED_TRACE(::testing::Message() << "row " << i);
+    EXPECT_TRUE(std::isnan(z.value().at(i, 1)));
+    EXPECT_TRUE(std::isnan(r.value().at(i, 1)));
+    for (const int j : {0, 2}) {
+      const float x = z.value().at(i, j);
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(r.value().at(i, j)),
+                std::bit_cast<std::uint32_t>(x > 0.0F ? x : 0.0F));
+    }
+  }
+
+  // Every non-NaN input keeps the bits max(0, x) gave it; -0 becomes +0.
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> xs = {-0.0F, 0.0F, -1.5F, 2.0F, 1e-40F, -1e-40F,
+                                 inf, -inf, nan};
+  const Tensor out =
+      ops::relu(Variable(Tensor::from({1, static_cast<int>(xs.size())}, xs),
+                         false))
+          .value();
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "x=" << xs[i]);
+    if (std::isnan(xs[i])) {
+      EXPECT_TRUE(std::isnan(out[i]));
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(out[i]),
+                std::bit_cast<std::uint32_t>(std::max(0.0F, xs[i])));
+    }
+  }
 }
 
 TEST(Autograd, ReluBackwardMatchesBranchyLoopBits) {
