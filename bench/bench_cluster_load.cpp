@@ -43,7 +43,6 @@
 #include <unistd.h>
 
 #include "bench_common.h"
-#include "accel/cost_function.h"
 #include "arch/cost_table.h"
 #include "cluster/ring.h"
 #include "cluster/shard.h"
@@ -70,7 +69,7 @@ struct Shard {
   arch::ArchSpace arch_space{arch::cifar10_backbone()};
   hwgen::HwSearchSpace hw_space = hwgen::HwSearchSpace::small();
   arch::CostTable table{arch_space, hw_space, accel::CostModel{}};
-  serve::ExactBackend backend{table, accel::edap_cost()};
+  serve::ExactBackend backend{table};
   serve::Service service;
   cluster::ShardServer server;
   net::Endpoint endpoint;

@@ -6,7 +6,8 @@
 //   - exhaustive hardware generation with direct cost-model evaluation,
 //     serial and on the runtime thread pool,
 //   - exhaustive generation through the per-choice cost table, a single-lane
-//     scan over the configs no lower-index config dominates,
+//     scan over the configs no lower-index config dominates, with the cost
+//     as an HwCostFn and with EDAP inlined,
 //   - coordinate-descent hardware generation,
 //   - hardware generation *network* inference, alone and as part of the
 //     full evaluator's single-row forward_batch.
@@ -68,14 +69,20 @@ void BM_ExhaustiveDirectSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_ExhaustiveDirectSerial)->Unit(benchmark::kMillisecond);
 
-void BM_ExhaustiveViaLut(benchmark::State& state) {
+/// Both instantiations of the table scan: the HwCostFn one every search
+/// passes, and the inlined EDAP one that serve::ExactBackend answers with.
+template <typename Cost>
+void BM_ExhaustiveViaLut(benchmark::State& state, Cost cost) {
   Env& e = env();
   const arch::Architecture a = e.arch_space.random(e.rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(e.table->optimal(a, e.cost_fn));
+    benchmark::DoNotOptimize(e.table->optimal(a, cost));
   }
 }
-BENCHMARK(BM_ExhaustiveViaLut)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ExhaustiveViaLut, HwCostFn, accel::edap_cost())
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ExhaustiveViaLut, Edap, accel::Edap{})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_EvaluateAllConfigs(benchmark::State& state) {
   Env& e = env();

@@ -38,6 +38,7 @@
 //   kill -TERM %1
 #include <cerrno>
 #include <charconv>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -46,12 +47,12 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "accel/cost_function.h"
 #include "arch/cost_table.h"
 #include "cluster/router.h"
 #include "cluster/shard.h"
@@ -145,14 +146,34 @@ std::string shard_socket_path(const net::Endpoint& listen, int shard_id) {
   return base + ".shard" + std::to_string(shard_id);
 }
 
-/// SIGTERMs every shard and reaps it; each drains and unlinks its socket.
-void stop_shards(const std::vector<pid_t>& children) {
-  for (pid_t pid : children) kill(pid, SIGTERM);
+/// Sends `sig` to every shard not yet reaped (pid 0) and reaps it. On
+/// SIGTERM each drains and unlinks its socket.
+void stop_shards(const std::vector<pid_t>& children, int sig = SIGTERM) {
+  for (pid_t pid : children) {
+    if (pid > 0) kill(pid, sig);
+  }
   for (pid_t pid : children) {
     int status = 0;
-    while (waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+    while (pid > 0 && waitpid(pid, &status, 0) < 0 && errno == EINTR) {
     }
   }
+}
+
+/// Reaps the first shard that has exited, if any: removes its pid from
+/// `children` and returns its shard id (its index) and shell-style status
+/// (the exit code, or 128 + the signal).
+std::optional<std::pair<int, int>> reap_exited(std::vector<pid_t>& children) {
+  for (std::size_t id = 0; id < children.size(); ++id) {
+    int status = 0;
+    if (children[id] <= 0 || waitpid(children[id], &status, WNOHANG) <= 0) {
+      continue;
+    }
+    children[id] = 0;  // reaped: stop_shards must not signal a reused pid
+    return std::pair{static_cast<int>(id),
+                     WIFEXITED(status) ? WEXITSTATUS(status)
+                                       : 128 + WTERMSIG(status)};
+  }
+  return std::nullopt;
 }
 
 // --- roles ------------------------------------------------------------------
@@ -165,7 +186,7 @@ int run_shard(const Args& args) {
   const hwgen::HwSearchSpace hw_space =
       args.small ? hwgen::HwSearchSpace::small() : hwgen::HwSearchSpace();
   const arch::CostTable table(arch_space, hw_space, accel::CostModel{});
-  serve::ExactBackend backend(table, accel::edap_cost());
+  serve::ExactBackend backend(table);
   serve::Service service(backend);
 
   cluster::ShardServer shard(service, arch_space);
@@ -229,16 +250,31 @@ int run_router(const Args& args, const char* argv0) {
     addresses.push_back({id, net::Endpoint::parse("unix:" + sock)});
   }
 
-  // Readiness: a successful dial to every shard (dial_retry spins while the
-  // child is still building its cost table).
+  // Readiness: a successful dial to every shard. Each shard is dialed in
+  // short attempts while it builds its cost table; between attempts the
+  // router reaps children, so a shard that exits before it is ready fails
+  // the cluster at once instead of after the whole timeout.
+  const auto ready_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
   for (const auto& a : addresses) {
-    try {
-      net::Fd probe = net::dial_retry(a.endpoint, /*timeout_ms=*/60000);
-    } catch (const net::NetError& e) {
-      std::fprintf(stderr, "[serve_cluster] shard %d never came up: %s\n",
-                   a.id, e.what());
-      for (pid_t pid : children) kill(pid, SIGKILL);
-      return 1;
+    while (true) {
+      try {
+        net::Fd probe = net::dial_retry(a.endpoint, /*timeout_ms=*/200);
+        break;
+      } catch (const net::NetError& e) {
+        if (const auto exited = reap_exited(children)) {
+          std::fprintf(stderr, "[serve_cluster] shard %d exited (status %d)\n",
+                       exited->first, exited->second);
+          stop_shards(children);
+          return 1;
+        }
+        if (std::chrono::steady_clock::now() >= ready_deadline) {
+          std::fprintf(stderr, "[serve_cluster] shard %d never came up: %s\n",
+                       a.id, e.what());
+          stop_shards(children, SIGKILL);
+          return 1;
+        }
+      }
     }
   }
 

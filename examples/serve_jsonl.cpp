@@ -21,7 +21,6 @@
 #include <iostream>
 #include <string>
 
-#include "accel/cost_function.h"
 #include "arch/cost_table.h"
 #include "obs/span.h"
 #include "serve/service.h"
@@ -35,7 +34,7 @@ using namespace dance;
 int run(const arch::ArchSpace& arch_space,
         const hwgen::HwSearchSpace& hw_space) {
   const arch::CostTable table(arch_space, hw_space, accel::CostModel{});
-  serve::ExactBackend backend(table, accel::edap_cost());
+  serve::ExactBackend backend(table);
   serve::Service service(backend);  // options from DANCE_SERVE_* env
   std::fprintf(stderr,
                "[serve_jsonl] backend=%s, reading JSON lines from stdin\n",

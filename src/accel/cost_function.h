@@ -42,9 +42,22 @@ using HwCostFn = std::function<double(const CostMetrics&)>;
   };
 }
 
-/// Eq. 4 energy-delay-area product (hyper-parameter free, unitless).
-[[nodiscard]] inline HwCostFn edap_cost() {
-  return [](const CostMetrics& m) { return m.edap(); };
-}
+/// Eq. 4 energy-delay-area product (hyper-parameter free, unitless) as a
+/// concrete functor. Besides CostMetrics it takes the three metrics as any
+/// arithmetic type, so arch::CostTable::optimal can evaluate it on GCC
+/// vector lanes; both forms multiply in CostMetrics::edap's order, so they
+/// give the same bits.
+struct Edap {
+  template <typename T>
+  [[nodiscard]] T operator()(T latency_ms, T energy_mj, T area_mm2) const {
+    return energy_mj * latency_ms * area_mm2;
+  }
+  [[nodiscard]] double operator()(const CostMetrics& m) const {
+    return (*this)(m.latency_ms, m.energy_mj, m.area_mm2);
+  }
+};
+
+/// Eq. 4 as an HwCostFn (wraps Edap).
+[[nodiscard]] inline HwCostFn edap_cost() { return Edap{}; }
 
 }  // namespace dance::accel

@@ -6,6 +6,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <type_traits>
 
 #include "obs/registry.h"
 #include "runtime/profiler.h"
@@ -19,15 +20,91 @@ constexpr long kModelGrain = 8;
 /// Table lookups are cheap; batch plenty of configs per chunk.
 constexpr long kTableGrain = 256;
 
-/// The one place table sums become metrics, so `metrics` and the fused scan
-/// in `optimal` produce the same bits.
+/// The one place table sums become metrics, on doubles or on vector lanes,
+/// so `metrics` and the chunked scan in `optimal` produce the same bits.
+template <typename T>
+T latency_ms(T cycles, double clock_ghz) {
+  return cycles / (clock_ghz * 1e6);
+}
+template <typename T>
+T energy_mj(T energy_pj) {
+  return energy_pj * 1e-9;
+}
+
 accel::CostMetrics to_metrics(double cycles, double energy_pj, double area,
                               double clock_ghz) {
   accel::CostMetrics m;
-  m.latency_ms = cycles / (clock_ghz * 1e6);
-  m.energy_mj = energy_pj * 1e-9;
+  m.latency_ms = latency_ms(cycles, clock_ghz);
+  m.energy_mj = energy_mj(energy_pj);
   m.area_mm2 = area;
   return m;
+}
+
+// GCC vector extensions: one V2 is one SSE2 register. There is no AVX2
+// body: a 4-wide build of this kernel saved about 1 µs per scan, too little
+// against a served request to pay for a second body and an ISA switch.
+using V2 = double __attribute__((vector_size(16)));
+using M2 = long long __attribute__((vector_size(16)));
+
+/// Positions per chunk of the scan, held as kVecs registers per row.
+constexpr std::size_t kChunk = 16;
+constexpr int kVecs = static_cast<int>(kChunk / 2);
+
+/// Adds positions [0, count) of `row` to a chunk's lanes (assigns them when
+/// !Add). Only the last chunk of a scan is Partial; it reads no position at
+/// or past `count`, and adds 0 to those lanes.
+template <bool Partial, bool Add>
+[[gnu::always_inline]] inline void accumulate(V2 (&acc)[kVecs],
+                                              const double* row,
+                                              std::size_t count) {
+  double lanes[kChunk] = {};
+  if constexpr (Partial) {
+    std::copy_n(row, count, lanes);
+    row = lanes;
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < kVecs; ++r) {
+    V2 v;
+    __builtin_memcpy(&v, row + 2 * r, sizeof(v));
+    if constexpr (Add) {
+      acc[r] += v;
+    } else {
+      acc[r] = v;
+    }
+  }
+}
+
+/// A chunk's costs, computed in its registers.
+[[gnu::always_inline]] inline void chunk_costs(accel::Edap edap,
+                                               V2 (&cost)[kVecs],
+                                               const V2 (&cycles)[kVecs],
+                                               const V2 (&energy)[kVecs],
+                                               const V2 (&area)[kVecs],
+                                               double clock_ghz,
+                                               std::size_t /*count*/) {
+#pragma GCC unroll 8
+  for (int r = 0; r < kVecs; ++r) {
+    cost[r] = edap(latency_ms(cycles[r], clock_ghz), energy_mj(energy[r]),
+                   area[r]);
+  }
+}
+
+/// A chunk's costs, one cost_fn call per lane below `count` (the rest 0).
+inline void chunk_costs(const accel::HwCostFn& cost_fn, V2 (&cost)[kVecs],
+                        const V2 (&cycles)[kVecs], const V2 (&energy)[kVecs],
+                        const V2 (&area)[kVecs], double clock_ghz,
+                        std::size_t count) {
+  double c[kChunk];
+  double e[kChunk];
+  double ar[kChunk];
+  __builtin_memcpy(c, cycles, sizeof(c));
+  __builtin_memcpy(e, energy, sizeof(e));
+  __builtin_memcpy(ar, area, sizeof(ar));
+  double out[kChunk] = {};
+  for (std::size_t i = 0; i < count; ++i) {
+    out[i] = cost_fn(to_metrics(c[i], e[i], ar[i], clock_ghz));
+  }
+  __builtin_memcpy(cost, out, sizeof(out));
 }
 }  // namespace
 
@@ -178,37 +255,64 @@ std::vector<accel::CostMetrics> CostTable::evaluate_all(
 hwgen::HwSearchResult CostTable::optimal(
     const Architecture& a, const accel::HwCostFn& cost_fn) const {
   DANCE_PROFILE_SCOPE("arch.cost_table.optimal");
+  return scan(a, cost_fn);
+}
+
+hwgen::HwSearchResult CostTable::optimal(const Architecture& a,
+                                         accel::Edap cost) const {
+  DANCE_PROFILE_SCOPE("arch.cost_table.optimal");
+  return scan(a, cost);
+}
+
+template <typename Cost>
+hwgen::HwSearchResult CostTable::scan(const Architecture& a,
+                                      const Cost& cost) const {
   arch_space_.validate(a);
   // One pass over the kept prefix, which holds the first minimum of any
-  // non-decreasing cost (docs/cost_table.md, "Scan order"). Per position
-  // the sums run in the same order as metrics(), so the bits match.
-  const std::size_t n = num_kept_;
-  std::vector<double> cycles(fixed_cycles_.data(), fixed_cycles_.data() + n);
-  std::vector<double> energy(fixed_energy_.data(), fixed_energy_.data() + n);
-  for (int slot = 0; slot < slots_; ++slot) {
-    const std::size_t off =
-        slot_offset(slot, static_cast<int>(a[static_cast<std::size_t>(slot)]));
-    const double* slot_cycles = choice_cycles_.data() + off;
-    const double* slot_energy = choice_energy_.data() + off;
-    for (std::size_t p = 0; p < n; ++p) {
-      cycles[p] += slot_cycles[p];
-      energy[p] += slot_energy[p];
-    }
-  }
+  // non-decreasing cost (docs/cost_table.md, "Scan order"), 16 positions
+  // at a time in registers. Per position the sums run in the same order as
+  // metrics(), so the bits match.
   std::size_t best = 0;
   double best_cost = std::numeric_limits<double>::infinity();
-  for (std::size_t p = 0; p < n; ++p) {
-    const double cost =
-        cost_fn(to_metrics(cycles[p], energy[p], area_[p], clock_ghz_));
-    if (cost < best_cost) {
-      best_cost = cost;
-      best = p;
+  const auto chunk = [&](auto partial, std::size_t p, std::size_t count) {
+    constexpr bool kPartial = decltype(partial)::value;
+    V2 cycles[kVecs];
+    V2 energy[kVecs];
+    accumulate<kPartial, false>(cycles, fixed_cycles_.data() + p, count);
+    accumulate<kPartial, false>(energy, fixed_energy_.data() + p, count);
+    for (int slot = 0; slot < slots_; ++slot) {
+      const int op = static_cast<int>(a[static_cast<std::size_t>(slot)]);
+      const std::size_t off = slot_offset(slot, op) + p;
+      accumulate<kPartial, true>(cycles, choice_cycles_.data() + off, count);
+      accumulate<kPartial, true>(energy, choice_energy_.data() + off, count);
     }
+    V2 area[kVecs];
+    accumulate<kPartial, false>(area, area_.data() + p, count);
+    V2 costs[kVecs];
+    chunk_costs(cost, costs, cycles, energy, area, clock_ghz_, count);
+    // Strict-< first minimum. The vector compare only screens the chunk;
+    // a chunk that holds a lower cost is walked lane by lane, in order.
+    const V2 bound = {best_cost, best_cost};
+    M2 below = costs[0] < bound;
+#pragma GCC unroll 8
+    for (int r = 1; r < kVecs; ++r) below |= costs[r] < bound;
+    if ((below[0] | below[1]) == 0) return;
+    double lanes[kChunk];
+    __builtin_memcpy(lanes, costs, sizeof(lanes));
+    for (std::size_t i = 0; i < count; ++i) {
+      if (lanes[i] < best_cost) {
+        best_cost = lanes[i];
+        best = p + i;
+      }
+    }
+  };
+  std::size_t p = 0;
+  for (; p + kChunk <= num_kept_; p += kChunk) {
+    chunk(std::false_type{}, p, kChunk);
   }
-  return hwgen::HwSearchResult{
-      hw_space_.config_at(order_[best]),
-      to_metrics(cycles[best], energy[best], area_[best], clock_ghz_),
-      best_cost};
+  if (p < num_kept_) chunk(std::true_type{}, p, num_kept_ - p);
+  return hwgen::HwSearchResult{hw_space_.config_at(order_[best]),
+                               metrics_at(best, a), best_cost};
 }
 
 std::vector<std::uint8_t> CostTable::pruned_configs() const {

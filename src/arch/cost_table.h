@@ -60,6 +60,12 @@ class CostTable {
   [[nodiscard]] hwgen::HwSearchResult optimal(
       const Architecture& a, const accel::HwCostFn& cost_fn) const;
 
+  /// The same scan with EDAP inlined: the costs stay in vector registers
+  /// instead of one std::function call per configuration. Bit-identical to
+  /// `optimal(a, accel::edap_cost())`.
+  [[nodiscard]] hwgen::HwSearchResult optimal(const Architecture& a,
+                                              accel::Edap cost) const;
+
   /// Number of configurations `optimal` scans (the kept prefix).
   [[nodiscard]] std::size_t scan_size() const { return num_kept_; }
 
@@ -80,6 +86,11 @@ class CostTable {
   /// metrics() of the config stored at `position`, without validating `a`.
   [[nodiscard]] accel::CostMetrics metrics_at(std::size_t position,
                                               const Architecture& a) const;
+
+  /// Body of both `optimal` overloads (docs/cost_table.md, "Scan order").
+  template <typename Cost>
+  [[nodiscard]] hwgen::HwSearchResult scan(const Architecture& a,
+                                           const Cost& cost) const;
 
   /// `pruned[i]` is 1 when some lower-index config on one of config i's
   /// four hardware axes is `<=` config i on every table coordinate (fixed

@@ -9,11 +9,13 @@
 
 namespace dance::serve {
 
+ExactBackend::ExactBackend(const arch::CostTable& table) : table_(table) {}
+
 ExactBackend::ExactBackend(const arch::CostTable& table,
-                           accel::HwCostFn cost_fn)
-    : table_(table), cost_fn_(std::move(cost_fn)) {
-  if (!cost_fn_) {
-    throw std::invalid_argument("ExactBackend: cost_fn must be callable");
+                           const accel::HwCostFn& cost_fn)
+    : ExactBackend(table) {
+  if (cost_fn.target<accel::Edap>() == nullptr) {
+    throw std::invalid_argument("ExactBackend: serves EDAP only");
   }
 }
 
@@ -27,7 +29,7 @@ std::vector<Response> ExactBackend::query_batch(
       throw std::invalid_argument("ExactBackend: encoding width mismatch");
     }
     const arch::Architecture a = space.decode(req.encoding);
-    const hwgen::HwSearchResult best = table_.optimal(a, cost_fn_);
+    const hwgen::HwSearchResult best = table_.optimal(a, accel::Edap{});
     out.push_back(Response{best.metrics, best.config, /*cached=*/false});
   }
   return out;

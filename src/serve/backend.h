@@ -37,10 +37,17 @@ class CostQueryBackend {
 
 /// Ground-truth backend: argmax-decodes the encoding to a concrete
 /// architecture and runs exact hardware generation through the per-choice
-/// cost LUT (bit-identical to direct cost-model evaluation).
+/// cost LUT (bit-identical to direct cost-model evaluation). It always
+/// serves the paper's Eq. 4 EDAP, through the inlined
+/// `CostTable::optimal(a, accel::Edap{})` scan.
 class ExactBackend : public CostQueryBackend {
  public:
-  ExactBackend(const arch::CostTable& table, accel::HwCostFn cost_fn);
+  explicit ExactBackend(const arch::CostTable& table);
+
+  /// The two-argument form perfbench still constructs. `cost_fn` must be
+  /// `accel::edap_cost()`; any other cost throws std::invalid_argument
+  /// rather than being silently served as EDAP.
+  ExactBackend(const arch::CostTable& table, const accel::HwCostFn& cost_fn);
 
   [[nodiscard]] std::vector<Response> query_batch(
       std::span<const Request> requests) override;
@@ -48,7 +55,6 @@ class ExactBackend : public CostQueryBackend {
 
  private:
   const arch::CostTable& table_;
-  accel::HwCostFn cost_fn_;
 };
 
 /// Trained-surrogate backend: one Evaluator::forward_deterministic over the

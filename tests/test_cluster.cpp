@@ -13,7 +13,6 @@
 
 #include <unistd.h>
 
-#include "accel/cost_function.h"
 #include "arch/backbone.h"
 #include "arch/cost_table.h"
 #include "cluster/ring.h"
@@ -105,7 +104,7 @@ std::string arch_line(int id, const arch::Architecture& a) {
 
 TEST(cluster_shard, AnswersMatchTheWirePipelineExactly) {
   ExactFixture& f = fixture();
-  serve::ExactBackend backend(f.table, accel::edap_cost());
+  serve::ExactBackend backend(f.table);
   serve::Service socket_service(backend);
   serve::Service local_service(backend);
 
@@ -130,7 +129,7 @@ TEST(cluster_shard, AnswersMatchTheWirePipelineExactly) {
 TEST(cluster_router, RoutesByRingAndAnswersParseErrorsLocally) {
   ExactFixture& f = fixture();
   // Two live shards behind the router.
-  serve::ExactBackend backend(f.table, accel::edap_cost());
+  serve::ExactBackend backend(f.table);
   serve::Service s0(backend);
   serve::Service s1(backend);
   cluster::ShardServer shard0(s0, f.arch_space, net::Server::Options{});

@@ -34,7 +34,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "accel/cost_function.h"
 #include "arch/backbone.h"
 #include "arch/cost_table.h"
 #include "cluster/ring.h"
@@ -211,7 +210,7 @@ TEST(cluster_fuzz, ServerSurvivesSplitsGarbageAndTruncation) {
   // One long-lived server and one reference service: both see the same
   // line sequence in the same order across every trial, so their caches —
   // and therefore the "cached" response flags — evolve identically.
-  static serve::ExactBackend backend(f.table, accel::edap_cost());
+  static serve::ExactBackend backend(f.table);
   static serve::Service socket_service(backend);
   static serve::Service reference(backend);
   net::Server::Options sopts;
@@ -331,7 +330,7 @@ struct ReplayCase {
 
 TEST(cluster_identity, TwoShardClusterMatchesSingleProcessByteForByte) {
   ExactFixture& f = fixture();
-  static serve::ExactBackend backend(f.table, accel::edap_cost());
+  static serve::ExactBackend backend(f.table);
   static serve::Service s0(backend);
   static serve::Service s1(backend);
   static serve::Service single(backend);  // the single-process oracle
@@ -424,7 +423,7 @@ struct ChaosCase {
 
 TEST(cluster_chaos, RetryingClientAbsorbsTenPercentNetFaults) {
   ExactFixture& f = fixture();
-  static serve::ExactBackend backend(f.table, accel::edap_cost());
+  static serve::ExactBackend backend(f.table);
   static std::atomic<std::uint64_t> faults_taken{0};
   static std::atomic<int> next_id{0};
 

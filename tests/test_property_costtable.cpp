@@ -6,6 +6,9 @@
 //     the repo uses plus forced ties, against two oracles that never touch
 //     the scan order: hwgen::ExhaustiveSearch over metrics summed from the
 //     cost model (small space) and a full metrics(ci) scan (full space).
+//   - the inlined accel::Edap scan returns the bits of the HwCostFn scan
+//     with accel::edap_cost() and of a full metrics(ci) EDAP scan, on spaces
+//     that end in whole and in partial 16-position chunks.
 // Suite name carries the "costtable" tag so `ctest -R costtable` includes
 // this fuzz next to the example-based suites in tests/test_costtable.cpp.
 #include <gtest/gtest.h>
@@ -268,6 +271,44 @@ TEST(costtable_property, PrunedScanMatchesFullScanOnFullSpace) {
       });
   EXPECT_TRUE(result.ok) << result.report;
   EXPECT_GE(result.trials_run, 100);
+}
+
+// --- the inlined EDAP scan against the HwCostFn scan ------------------------
+
+TEST(costtable_property, EdapScanMatchesHwCostFnScan) {
+  const arch::ArchSpace arch_space(arch::cifar10_backbone());
+  const accel::CostModel model;
+  // The small and the full space, plus a three-config space whose whole
+  // scan is one partial chunk.
+  const std::vector<hwgen::HwSearchSpace> spaces{
+      hwgen::HwSearchSpace::small(), hwgen::HwSearchSpace(),
+      hwgen::HwSearchSpace(
+          {.pe_min = 8, .pe_max = 8, .rf_min = 8, .rf_max = 8, .rf_step = 8})};
+  const accel::HwCostFn edap_fn = accel::edap_cost();
+  bool partial_chunk = false;
+  for (const hwgen::HwSearchSpace& hw : spaces) {
+    const arch::CostTable table(arch_space, hw, model);
+    // The scan runs 16 positions at a time; a remainder is a partial chunk.
+    partial_chunk = partial_chunk || table.scan_size() % 16 != 0;
+    const auto result = testing_::check<arch::Architecture>(
+        "Edap scan vs HwCostFn scan and full metrics() scan",
+        architecture_gen(),
+        [&](const arch::Architecture& a, util::Rng&) -> std::string {
+          const hwgen::HwSearchResult inlined = table.optimal(a, accel::Edap{});
+          const std::string vs_fn = compare(inlined, table.optimal(a, edap_fn));
+          if (!vs_fn.empty()) return "vs the HwCostFn scan: " + vs_fn;
+          hwgen::HwSearchResult want{hw.config_at(0), table.metrics(0, a),
+                                     std::numeric_limits<double>::infinity()};
+          for (std::size_t ci = 0; ci < hw.size(); ++ci) {
+            const accel::CostMetrics m = table.metrics(ci, a);
+            if (m.edap() < want.cost) want = {hw.config_at(ci), m, m.edap()};
+          }
+          return compare(inlined, want);
+        });
+    EXPECT_TRUE(result.ok) << hw.size() << " configs: " << result.report;
+    EXPECT_GE(result.trials_run, 100);
+  }
+  EXPECT_TRUE(partial_chunk) << "no space ends in a partial chunk";
 }
 
 // --- the pooled build against a serial build --------------------------------

@@ -21,7 +21,6 @@
 #include <thread>
 #include <vector>
 
-#include "accel/cost_function.h"
 #include "arch/cost_table.h"
 #include "arch/ops.h"
 #include "evalnet/evaluator.h"
@@ -201,7 +200,7 @@ TEST(serve_cache_transparency, PoolHammeringMatchesDirectBackend) {
   const auto result = testing_::check<long>(
       "cache transparency under pool hammering", unique_key_gen(),
       [&](const long& unique, util::Rng& rng) -> std::string {
-        serve::ExactBackend backend(f.table, accel::edap_cost());
+        serve::ExactBackend backend(f.table);
         std::vector<Request> keys;
         std::vector<Response> reference;
         for (long k = 0; k < unique; ++k) {
@@ -249,7 +248,7 @@ TEST(serve_cache_transparency, ThreadedBatchedHammeringMatchesDirectBackend) {
   const auto result = testing_::check<long>(
       "cache transparency under batched hammering", unique_key_gen(),
       [&](const long& unique, util::Rng& rng) -> std::string {
-        serve::ExactBackend backend(f.table, accel::edap_cost());
+        serve::ExactBackend backend(f.table);
         std::vector<Request> keys;
         std::vector<Response> reference;
         for (long k = 0; k < unique; ++k) {
@@ -300,7 +299,7 @@ TEST(serve_cache_transparency, QueryManyMatchesSingleQueries) {
   const auto result = testing_::check<long>(
       "query_many vs single-query bit-identity", unique_key_gen(),
       [&](const long& unique, util::Rng& rng) -> std::string {
-        serve::ExactBackend backend(f.table, accel::edap_cost());
+        serve::ExactBackend backend(f.table);
         std::vector<Request> requests;
         for (long k = 0; k < 3 * unique; ++k) {
           if (k < unique) {

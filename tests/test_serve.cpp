@@ -10,6 +10,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <initializer_list>
 #include <limits>
 #include <stdexcept>
@@ -343,7 +344,7 @@ TEST_F(serve_service, QueryManyAnswersItsMissesInOneBackendCall) {
 }
 
 TEST_F(serve_service, ExactBackendMatchesDirectLutQuery) {
-  serve::ExactBackend backend(table_, accel::edap_cost());
+  serve::ExactBackend backend(table_);
   const Request req = request_for_seed(1);
   const auto responses = backend.query_batch({&req, 1});
   ASSERT_EQ(responses.size(), 1U);
@@ -356,14 +357,36 @@ TEST_F(serve_service, ExactBackendMatchesDirectLutQuery) {
   EXPECT_DOUBLE_EQ(responses[0].metrics.area_mm2, direct.metrics.area_mm2);
 }
 
+TEST_F(serve_service, ExactBackendServesOnlyEdap) {
+  // The two-argument constructor is kept for callers that still pass the
+  // cost: EDAP is accepted, any other cost is refused rather than served
+  // as EDAP.
+  serve::ExactBackend with_edap(table_, accel::edap_cost());
+  const Request req = request_for_seed(1);
+  const auto via_fn = with_edap.query_batch({&req, 1});
+  serve::ExactBackend plain(table_);
+  const auto via_plain = plain.query_batch({&req, 1});
+  ASSERT_EQ(via_fn.size(), 1U);
+  ASSERT_EQ(via_plain.size(), 1U);
+  EXPECT_EQ(via_fn[0].config, via_plain[0].config);
+  EXPECT_EQ(std::memcmp(&via_fn[0].metrics, &via_plain[0].metrics,
+                        sizeof(accel::CostMetrics)),
+            0);
+  const auto build = [this](const accel::HwCostFn& cost_fn) {
+    serve::ExactBackend backend(table_, cost_fn);
+  };
+  EXPECT_THROW(build(accel::linear_cost()), std::invalid_argument);
+  EXPECT_THROW(build(accel::HwCostFn{}), std::invalid_argument);
+}
+
 TEST_F(serve_service, ExactBackendRejectsWrongWidth) {
-  serve::ExactBackend backend(table_, accel::edap_cost());
+  serve::ExactBackend backend(table_);
   const Request bad{{1.0F, 2.0F}};
   EXPECT_THROW((void)backend.query_batch({&bad, 1}), std::invalid_argument);
 }
 
 TEST_F(serve_service, SecondIdenticalQueryIsACacheHit) {
-  serve::ExactBackend exact(table_, accel::edap_cost());
+  serve::ExactBackend exact(table_);
   CountingBackend backend(exact);
   serve::Service service(backend, serve::Service::Options{});
 
@@ -383,7 +406,7 @@ TEST_F(serve_service, SecondIdenticalQueryIsACacheHit) {
 }
 
 TEST_F(serve_service, QueryManyPreservesOrderAndMemoizes) {
-  serve::ExactBackend exact(table_, accel::edap_cost());
+  serve::ExactBackend exact(table_);
   CountingBackend backend(exact);
   serve::Service service(backend, serve::Service::Options{});
 
@@ -417,7 +440,7 @@ TEST_F(serve_service, QueryManyPreservesOrderAndMemoizes) {
 }
 
 TEST_F(serve_service, StatsReportMentionsEveryBlock) {
-  serve::ExactBackend backend(table_, accel::edap_cost());
+  serve::ExactBackend backend(table_);
   serve::Service service(backend, serve::Service::Options{});
   (void)service.query(request_for_seed(4));
   const std::string report = service.stats_report();
@@ -443,7 +466,7 @@ std::string encoding_line(long id, int width, const char* bad) {
 }
 
 TEST_F(serve_service, WireRejectsNonFiniteEncodingWithoutCaching) {
-  serve::ExactBackend backend(table_, accel::edap_cost());
+  serve::ExactBackend backend(table_);
   serve::Service service(backend, serve::Service::Options{});
   const int width = arch_space_.encoding_width();
 
@@ -462,7 +485,7 @@ TEST_F(serve_service, WireRejectsNonFiniteEncodingWithoutCaching) {
 }
 
 TEST_F(serve_service, WireRangeChecksArchBeforeCasting) {
-  serve::ExactBackend backend(table_, accel::edap_cost());
+  serve::ExactBackend backend(table_);
   serve::Service service(backend, serve::Service::Options{});
 
   for (const char* bad : {"nan", "inf", "-inf", "1e10", "-1e10", "7", "-1",
