@@ -11,7 +11,6 @@
 #include "obs/registry.h"
 #include "obs/span.h"
 #include "util/csv.h"
-#include "util/env.h"
 #include "util/parallel.h"
 
 namespace dance::search {
@@ -342,12 +341,6 @@ double HwHistory::penalty_factor(std::size_t config_index, double scale,
   if (he <= 0) return 1.0;
   return 1.0 + scale * std::pow(static_cast<double>(he), exponent);
 }
-
-RestartOptions::RestartOptions()
-    : history_scale(
-          util::env_double("DANCE_SEARCH_HISTORY_SCALE", 0.5, 0.0, 1e6)),
-      history_exponent(
-          util::env_double("DANCE_SEARCH_HISTORY_EXPONENT", 1.6, 0.1, 8.0)) {}
 
 RestartResult run_restarts(const data::SyntheticTask& task,
                            const arch::CostTable& table,

@@ -188,18 +188,16 @@ struct RestartOptions {
   int restarts = 4;
   bool history = true;
   /// Weight of the <encoding, he> arch term and of the hardware region
-  /// penalty. Default from DANCE_SEARCH_HISTORY_SCALE.
-  double history_scale;
+  /// penalty; 0 degrades to plain multi-seed restarts.
+  double history_scale = 0.5;
   /// Exponent on the visit counts (VLSIGR uses he^3.6/100; searches want a
-  /// milder curve). Default from DANCE_SEARCH_HISTORY_EXPONENT.
-  double history_exponent;
+  /// milder curve).
+  double history_exponent = 1.6;
   /// Also raise the cost of revisited hardware regions when re-picking the
   /// post-search accelerator.
   bool penalize_hardware = true;
   /// Per-restart seed stride (restart r runs with base.seed + r * stride).
   std::uint64_t seed_stride = 7919;
-
-  RestartOptions();
 };
 
 /// Result of a restart run, plus the diversity measures the Table-3-style

@@ -1,6 +1,5 @@
 #include "serve/wire.h"
 
-#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -8,7 +7,7 @@
 #include <cstring>
 #include <exception>
 #include <limits>
-#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "arch/ops.h"
@@ -26,34 +25,12 @@ bool is_space(char c) {
 
 bool is_digit(char c) { return c >= '0' && c <= '9'; }
 
-std::size_t skip_space(const std::string& line, std::size_t at) {
-  while (at < line.size() && is_space(line[at])) ++at;
-  return at;
-}
+bool ends_element(char c) { return c == ',' || c == ']' || is_space(c); }
 
-/// Finds `"key"` in key position — the quoted name followed by optional
-/// whitespace and ':' — and returns the offset of its value (past the ':'
-/// and any whitespace), or npos when the key is absent. A string value
-/// spelled like a key name (`"model": "encoding"`) is not followed by ':'
-/// and is skipped.
-std::size_t value_offset(const std::string& line, const char* key) {
-  const std::string quoted = std::string("\"") + key + "\"";
-  for (std::size_t at = line.find(quoted); at != std::string::npos;
-       at = line.find(quoted, at + 1)) {
-    const std::size_t colon = skip_space(line, at + quoted.size());
-    if (colon < line.size() && line[colon] == ':') {
-      return skip_space(line, colon + 1);
-    }
-  }
-  return std::string::npos;
-}
-
-/// End of the JSON number starting at `at`, whose grammar is
-/// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, or npos when no number
+/// End of the JSON number starting at `p`, whose grammar is
+/// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, or null when no number
 /// starts there. Only the longest match counts: "01" ends after its "0".
-std::size_t number_end(const std::string& line, std::size_t at) {
-  const char* p = line.data() + at;
-  const char* const end = line.data() + line.size();
+const char* number_end(const char* p, const char* const end) {
   const auto skip_digits = [&p, end] {
     if (p == end || !is_digit(*p)) return false;
     while (p != end && is_digit(*p)) ++p;
@@ -63,111 +40,102 @@ std::size_t number_end(const std::string& line, std::size_t at) {
   if (p != end && *p == '0') {
     ++p;
   } else if (!skip_digits()) {
-    return std::string::npos;
+    return nullptr;
   }
-  if (p != end && *p == '.' && (++p, !skip_digits())) return std::string::npos;
+  if (p != end && *p == '.' && (++p, !skip_digits())) return nullptr;
   if (p != end && (*p == 'e' || *p == 'E')) {
     ++p;
     if (p != end && (*p == '+' || *p == '-')) ++p;
-    if (!skip_digits()) return std::string::npos;
+    if (!skip_digits()) return nullptr;
   }
-  return static_cast<std::size_t>(p - line.data());
+  return p;
 }
 
-/// True when `line` is one {...} object and nothing else but whitespace:
-/// its first non-space character opens the object, and the brace that
-/// closes it is its last non-space character. Braces inside string
-/// literals do not count. strcspn jumps to the next character that
-/// matters; it also stops at a NUL byte, which ends the scan only at the
-/// end of the line.
-bool is_one_object(const std::string& line) {
-  const char* p = line.c_str() + skip_space(line, 0);
-  const char* const end = line.c_str() + line.size();
-  if (p == end || *p != '{') return false;
-  int depth = 0;
-  for (;; ++p) {
-    p += std::strcspn(p, "\"{}");
-    if (p == end) return false;  // the object never closes
-    if (*p == '"') {
-      for (++p;; ++p) {
-        p += std::strcspn(p, "\"\\");
-        if (p == end) return false;  // unterminated string
-        if (*p == '"') break;
-        if (*p == '\\' && ++p == end) return false;  // skip the escaped char
-      }
-    } else if (*p == '{') {
-      ++depth;
-    } else if (*p == '}' && --depth == 0) {
-      return skip_space(line, static_cast<std::size_t>(p + 1 - line.c_str())) ==
-             line.size();
-    }
-  }
-}
-
-/// Reads the integer value of `key` into `value`, which is left alone when
-/// the key is absent. False when the value is not a JSON integer in the
-/// range of a long followed by optional whitespace and ',' or '}'.
-bool parse_long_field(const std::string& line, const char* key, long& value) {
-  const std::size_t from = value_offset(line, key);
-  if (from == std::string::npos) return true;
-  const std::size_t end = number_end(line, from);
-  if (end == std::string::npos) return false;
-  char* stop = nullptr;
-  errno = 0;
-  const long v = std::strtol(line.c_str() + from, &stop, 10);
-  // strtol stops short of `end` at a fraction or an exponent.
-  if (stop != line.c_str() + end || errno == ERANGE) return false;
-  const std::size_t after = skip_space(line, end);
-  if (after >= line.size() || (line[after] != ',' && line[after] != '}')) {
-    return false;
-  }
-  value = v;
-  return true;
-}
-
-/// The float that the JSON number line[at, end) spells, rounded as strtof
-/// rounds it. from_chars is the fast path; it reports overflow and
-/// underflow as errors, and those rare inputs keep strtof's answer.
-float to_float(const std::string& line, std::size_t at, std::size_t end) {
+/// The float that the JSON number [p, end) spells, rounded as strtof rounds
+/// it. from_chars is the fast path; it reports overflow and underflow as
+/// errors, and those rare inputs keep strtof's answer. The line's string
+/// is NUL-terminated, and strtof stops where the JSON number does.
+float to_float(const char* p, const char* end) {
   float v = 0.0F;
-  const auto result =
-      std::from_chars(line.data() + at, line.data() + end, v);
-  if (result.ec != std::errc()) return std::strtof(line.c_str() + at, nullptr);
+  if (std::from_chars(p, end, v).ec != std::errc()) {
+    return std::strtof(p, nullptr);
+  }
   return v;
 }
 
-bool ends_element(char c) { return c == ',' || c == ']' || is_space(c); }
+enum Key { kId, kArch, kEncoding, kNumKeys };
 
-/// The array value '[' [element (',' element)*] ']' starting at `at` (a
-/// value_offset; npos when the key is absent): exactly one ',' between
-/// elements, none before the first or after the last. An element is the
-/// run of characters up to the next ',', ']' or whitespace. One that is
-/// not a JSON number reads as NaN, which both callers reject element by
-/// element (not finite; not an op index).
-std::optional<std::vector<float>> parse_array_field(const std::string& line,
-                                                    std::size_t at) {
-  if (at >= line.size() || line[at] != '[') return std::nullopt;
-  at = skip_space(line, at + 1);
-  std::vector<float> values;
-  if (at < line.size() && line[at] == ']') return values;
-  while (true) {
-    std::size_t end = number_end(line, at);
-    if (end != std::string::npos &&
-        (end == line.size() || ends_element(line[end]))) {
-      values.push_back(to_float(line, at, end));
-    } else {
-      end = at;
-      while (end < line.size() && !ends_element(line[end])) ++end;
-      if (end == at) return std::nullopt;  // empty element
-      values.push_back(std::numeric_limits<float>::quiet_NaN());
-    }
-    at = skip_space(line, end);
-    if (at >= line.size()) return std::nullopt;  // unterminated array
-    if (line[at] == ']') return values;
-    if (line[at] != ',') return std::nullopt;
-    at = skip_space(line, at + 1);
+/// One left-to-right pass over a request line. Each read_* consumes one
+/// production of the grammar in wire.h and returns false at the first byte
+/// that the production does not allow.
+struct Cursor {
+  const char* p;
+  const char* end;
+
+  void skip_space() {
+    while (p != end && is_space(*p)) ++p;
   }
-}
+  /// Skips whitespace, then consumes `c` if it comes next.
+  bool eat(char c) {
+    skip_space();
+    if (p == end || *p != c) return false;
+    ++p;
+    return true;
+  }
+
+  /// A quoted key, matched by its raw bytes: false when no string starts
+  /// here or it never ends; `key` is kNumKeys for a name not in the set.
+  bool read_key(Key& key) {
+    if (!eat('"')) return false;
+    const auto* close = static_cast<const char*>(
+        std::memchr(p, '"', static_cast<std::size_t>(end - p)));
+    if (close == nullptr) return false;
+    const std::string_view name(p, static_cast<std::size_t>(close - p));
+    key = name == "id"         ? kId
+          : name == "arch"     ? kArch
+          : name == "encoding" ? kEncoding
+                               : kNumKeys;
+    p = close + 1;
+    return true;
+  }
+
+  /// A JSON integer in the range of a long followed by optional whitespace
+  /// and ',' or '}', which stay unread.
+  bool read_id(long& id) {
+    skip_space();
+    const char* stop = number_end(p, end);
+    if (stop == nullptr) return false;
+    const auto [last, ec] = std::from_chars(p, stop, id);
+    // from_chars stops short of `stop` at a fraction or an exponent.
+    if (last != stop || ec != std::errc()) return false;
+    p = stop;
+    skip_space();
+    return p != end && (*p == ',' || *p == '}');
+  }
+
+  /// '[' [element (',' element)*] ']': exactly one ',' between elements,
+  /// none before the first or after the last. An element is the run of
+  /// characters up to the next ',', ']' or whitespace. One that is not a
+  /// JSON number reads as NaN, which both keys reject element by element
+  /// once the object has closed (not finite; not an op index).
+  bool read_array(std::vector<float>& values) {
+    if (!eat('[')) return false;
+    if (eat(']')) return true;
+    do {
+      skip_space();
+      const char* stop = number_end(p, end);
+      if (stop != nullptr && (stop == end || ends_element(*stop))) {
+        values.push_back(to_float(p, stop));
+      } else {
+        for (stop = p; stop != end && !ends_element(*stop);) ++stop;
+        if (stop == p) return false;  // empty element
+        values.push_back(std::numeric_limits<float>::quiet_NaN());
+      }
+      p = stop;
+    } while (eat(','));
+    return eat(']');
+  }
+};
 
 }  // namespace
 
@@ -178,59 +146,80 @@ bool is_blank(const std::string& line) {
 ParseOutcome parse_request(const std::string& line,
                            const arch::ArchSpace& space) {
   ParseOutcome out;
-  if (!is_one_object(line)) {
-    out.error = "request must be one JSON object";
-    return out;
+  const auto fail = [&out](const char* message) {
+    out.error = message;
+    return std::move(out);
+  };
+  constexpr const char* kNotOneObject = "request must be one JSON object";
+  Cursor in{line.data(), line.data() + line.size()};
+  bool seen[kNumKeys] = {};
+  // Copied into `out` only once the object has closed, so errors found
+  // before the closing brace carry id -1: the id may not have been read
+  // yet, and a line's answer must not depend on the order of its members.
+  long id = -1;
+  std::vector<float> arrays[kNumKeys];
+  if (!in.eat('{')) return fail(kNotOneObject);
+  if (!in.eat('}')) {
+    do {
+      Key key = kNumKeys;
+      if (!in.read_key(key)) return fail(kNotOneObject);
+      if (key == kNumKeys) {
+        return fail("unknown key: a request has only 'id', 'arch' and "
+                    "'encoding'");
+      }
+      if (seen[key]) return fail("request names a key twice");
+      seen[key] = true;
+      if (!in.eat(':')) return fail(kNotOneObject);
+      if (key == kId) {
+        if (!in.read_id(id)) return fail("id must be an integer");
+        continue;
+      }
+      // One allocation: no valid array is longer than an encoding.
+      arrays[key].reserve(static_cast<std::size_t>(space.encoding_width()));
+      if (!in.read_array(arrays[key])) {
+        return fail("request needs an 'encoding' or 'arch' array");
+      }
+    } while (in.eat(','));
+    if (!in.eat('}')) return fail(kNotOneObject);
   }
-  if (!parse_long_field(line, "id", out.request.id)) {
-    out.error = "id must be an integer";
-    return out;
-  }
+  in.skip_space();
+  if (in.p != in.end) return fail(kNotOneObject);
 
+  out.request.id = id;
   // A line naming both keys is ambiguous: neither one silently wins.
-  const std::size_t encoding_at = value_offset(line, "encoding");
-  const std::size_t arch_at = value_offset(line, "arch");
-  if (encoding_at != std::string::npos && arch_at != std::string::npos) {
-    out.error = "request must have an 'encoding' or an 'arch', not both";
-    return out;
+  if (seen[kArch] && seen[kEncoding]) {
+    return fail("request must have an 'encoding' or an 'arch', not both");
   }
-  if (auto enc = parse_array_field(line, encoding_at)) {
+  if (seen[kEncoding]) {
     // Finiteness only: soft (non-one-hot) encodings are valid input (the
     // backend argmax-decodes them), but a NaN/inf would answer arbitrarily
     // and poison the cache.
-    for (const float v : *enc) {
-      if (!std::isfinite(v)) {
-        out.error = "encoding values must be finite";
-        return out;
-      }
+    for (const float v : arrays[kEncoding]) {
+      if (!std::isfinite(v)) return fail("encoding values must be finite");
     }
-    out.request.encoding = std::move(*enc);
-  } else if (auto ops = parse_array_field(line, arch_at)) {
-    if (static_cast<int>(ops->size()) != space.num_searchable()) {
-      out.error = "arch must list one op index per searchable slot";
-      return out;
+    out.request.encoding = std::move(arrays[kEncoding]);
+  } else if (seen[kArch]) {
+    if (static_cast<int>(arrays[kArch].size()) != space.num_searchable()) {
+      return fail("arch must list one op index per searchable slot");
     }
     arch::Architecture a;
-    for (const float v : *ops) {
+    for (const float v : arrays[kArch]) {
       // Range-check the float before the cast: casting NaN or an
       // out-of-range value to int is undefined behaviour.
       if (!(v >= 0.0F && v < static_cast<float>(arch::kNumCandidateOps)) ||
           v != std::floor(v)) {
-        out.error = "arch entries must be integer op indices in [0, 6]";
-        return out;
+        return fail("arch entries must be integer op indices in [0, 6]");
       }
       const int op = static_cast<int>(v);
       a.push_back(arch::kAllCandidateOps[static_cast<std::size_t>(op)]);
     }
     out.request.encoding = space.encode(a);
   } else {
-    out.error = "request needs an 'encoding' or 'arch' array";
-    return out;
+    return fail("request needs an 'encoding' or 'arch' array");
   }
 
   if (static_cast<int>(out.request.encoding.size()) != space.encoding_width()) {
-    out.error = "encoding has the wrong width";
-    return out;
+    return fail("encoding has the wrong width");
   }
   out.ok = true;
   return out;

@@ -15,20 +15,28 @@ namespace dance::serve::wire {
 /// answered over any transport produces byte-identical lines (the cluster
 /// CI smoke literally `diff`s them).
 ///
-/// Request: exactly one JSON object per line. Whitespace around it is
-/// ignored; anything else before or after it makes the line malformed.
-/// Keys come in any order:
+/// Request: exactly one JSON object per line, read in one left-to-right
+/// pass over this grammar (JSON whitespace ws = space, tab, LF, CR):
+///   line   = ws '{' ws [member (ws ',' ws member)*] ws '}' ws
+///   member = key ws ':' ws value
+///   key    = "id" | "arch" | "encoding"     (compared by their raw bytes)
+///   "id"   : a JSON integer that fits a long
+///   "arch", "encoding" : '[' ws [number (ws ',' ws number)*] ws ']'
+///   number = -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+/// e.g.
 ///   {"id": 1, "arch": [0, 3, 6, 0, 1, 2, 4, 5, 0]}   per-slot op indices
 ///   {"id": 2, "encoding": [1.0, 0.0, ...]}           raw evaluator encoding
-/// A line with both "arch" and "encoding" is an error. "id" is optional; when present it must be an integer that fits a long.
-/// Arrays take exactly one ',' between numbers. Every id and array value
-/// must be spelled as a JSON number,
-///   -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-/// so the other spellings strtof/strtol accept (0x1, +1, 1., .5, 01, inf,
-/// nan) are errors. Not checked yet: duplicate keys (the first one wins),
-/// trailing commas between members, and malformed values under keys this
-/// parser does not read. Those need one tokenizer pass over the whole line
-/// rather than a per-field patch each (ROADMAP item 3).
+/// The key set is closed and each key appears at most once, in any order.
+/// A request has no string values, so the parser needs no escape decoder:
+/// any other key, one spelled with a '\' escape included, is an error.
+/// "id" is optional. An array element that is not a JSON number (0x1, +1,
+/// 1., .5, 01, inf, nan) reads as NaN and gets its key's value error.
+/// Errors found before the closing brace (the envelope, an unknown or a
+/// repeated key, a malformed id or array) carry id -1. The value checks
+/// run once the object has closed and carry the id, so reordering the
+/// members of a well-formed line never changes its answer: both "arch" and
+/// "encoding", neither, a wrong width, an op index outside [0, 6] or a
+/// non-finite encoding value.
 /// Response:
 ///   {"id": 1, "latency_ms": ..., "energy_mj": ..., "area_mm2": ...,
 ///    "pe_x": 16, "pe_y": 16, "rf_size": 32, "dataflow": "RS",
@@ -37,7 +45,8 @@ namespace dance::serve::wire {
 /// tier. The key stays so every existing client and recorded stream keeps
 /// parsing the same bytes; dropping it is a wire-format change.
 /// Errors:
-///   {"id": 1, "error": "..."}   (id -1 when the request carried no valid id)
+///   {"id": 1, "error": "..."}   (id -1 when the line has no id or the
+///                                 error came before its closing brace)
 
 /// True for lines with nothing but whitespace — skipped, never answered.
 [[nodiscard]] bool is_blank(const std::string& line);

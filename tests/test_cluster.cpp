@@ -162,6 +162,18 @@ TEST(cluster_router, RoutesByRingAndAnswersParseErrorsLocally) {
   EXPECT_EQ(router.handle_line("not json"),
             serve::wire::answer_line("not json", f.arch_space, local));
   EXPECT_EQ(router.handle_line(""), "");
+  // The router shares the one-pass parser, so its grammar rules answer
+  // the same bytes: a nested id, a trailing comma, an unknown key.
+  for (const std::string line :
+       {R"({"x":{"id":99},"id":1,"arch":[0,1,2,3,4,5,6,0,1]})",
+        R"({"id":1,"arch":[0,1,2,3,4,5,6,0,1],})",
+        R"({"id":1,"arch":[0,1,2,3,4,5,6,0,1],"zzz":tru})"}) {
+    const std::string answer = router.handle_line(line);
+    EXPECT_EQ(answer, serve::wire::answer_line(line, f.arch_space, local))
+        << line;
+    EXPECT_NE(answer.find("\"id\": -1, \"error\""), std::string::npos)
+        << answer;
+  }
 
   // The shard counters show the forwards landed on the shard the ring
   // picked (the router never re-routes).

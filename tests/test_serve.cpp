@@ -575,27 +575,6 @@ TEST(serve_wire, ArraysNeedExactlyOneCommaBetweenElements) {
                 .request.encoding);
 }
 
-TEST(serve_wire, StringValueSpelledLikeAKeyDoesNotShadowTheKey) {
-  // `"model": "encoding"` carries the key name "encoding" as a value. It
-  // must not be read as the "encoding" key (which would take the arch array
-  // as a 9-float encoding: "encoding has the wrong width"); a key matches
-  // only where its quoted name is followed by ':'.
-  const arch::ArchSpace space(arch::cifar10_backbone());
-  const std::string shadowed =
-      R"({"id": 2, "model": "encoding", "arch": [0,1,2,3,4,5,6,0,1]})";
-  const std::string reordered =
-      R"({"id": 2, "arch": [0,1,2,3,4,5,6,0,1], "model": "encoding"})";
-  const auto parsed = serve::wire::parse_request(shadowed, space);
-  EXPECT_TRUE(parsed.ok) << parsed.error;
-  EXPECT_EQ(parsed.request.id, 2);
-  EXPECT_EQ(parsed.request.encoding,
-            serve::wire::parse_request(reordered, space).request.encoding);
-  EXPECT_EQ(serve::wire::parse_request(
-                R"({"k": "id", "id" : 7, "arch": [0,1,2,3,4,5,6,0,1]})", space)
-                .request.id,
-            7);
-}
-
 // --- wire envelope: one JSON object per line --------------------------------
 
 constexpr const char* kNotOneObject =
@@ -607,6 +586,33 @@ std::string error_for(const std::string& line) {
   const auto parsed = serve::wire::parse_request(line, space);
   return parsed.ok ? "" : serve::wire::error_line(parsed.request.id,
                                                   parsed.error);
+}
+
+constexpr const char* kUnknownKey =
+    R"({"id": -1, "error": "unknown key: a request has only 'id', 'arch' and )"
+    R"('encoding'"})";
+
+TEST(serve_wire, StringValueSpelledLikeAKeyDoesNotShadowTheKey) {
+  // `"model": "encoding"` carries the key name "encoding" as a value. It
+  // must never be read as the "encoding" key (which would take the arch
+  // array as a 9-float encoding: "encoding has the wrong width"). The key
+  // set is closed, so the line is rejected for its unknown key "model",
+  // wherever that member sits, and the id is not trusted either.
+  EXPECT_EQ(
+      error_for(R"({"id": 2, "model": "encoding", "arch": [0,1,2,3,4,5,6,0,1]})"),
+      kUnknownKey);
+  EXPECT_EQ(
+      error_for(R"({"id": 2, "arch": [0,1,2,3,4,5,6,0,1], "model": "encoding"})"),
+      kUnknownKey);
+  EXPECT_EQ(
+      error_for(R"({"k": "id", "id" : 7, "arch": [0,1,2,3,4,5,6,0,1]})"),
+      kUnknownKey);
+  // Under a known key a string is the wrong kind of value, never a key.
+  EXPECT_EQ(error_for(R"({"id": "arch", "arch": [0,1,2,3,4,5,6,0,1]})"),
+            R"({"id": -1, "error": "id must be an integer"})");
+  EXPECT_EQ(error_for(R"({"id": 2, "arch": "encoding"})"),
+            R"({"id": -1, "error": "request needs an 'encoding' or 'arch' )"
+            R"(array"})");
 }
 
 TEST(serve_wire, TrailingTextAfterTheObjectIsAnError) {
@@ -623,10 +629,14 @@ TEST(serve_wire, TrailingTextAfterTheObjectIsAnError) {
 TEST(serve_wire, ObjectWithoutItsClosingBraceIsAnError) {
   EXPECT_EQ(error_for(R"({"id":4,"arch":[0,1,2,3,4,5,6,0,1])"),
             kNotOneObject);
-  // A brace inside a string literal does not close the object.
-  EXPECT_EQ(error_for(R"({"id":4,"arch":[0,1,2,3,4,5,6,0,1],"note":"}")"),
+  EXPECT_EQ(error_for(R"({"id":4,"arch":[0,1,2,3,4,5,6,0,1],)"),
             kNotOneObject);
-  EXPECT_EQ(error_for(R"({"id":4,"arch":[0,1,2,3,4,5,6,0,1],"note":"}"})"), "");
+  EXPECT_EQ(error_for(R"({)"), kNotOneObject);
+  // A brace inside quotes is a key's byte, never the closing brace.
+  EXPECT_EQ(error_for(R"({"id":4,"arch":[0,1,2,3,4,5,6,0,1],"}")"),
+            kUnknownKey);
+  EXPECT_EQ(error_for(R"({"id":4,"arch":[0,1,2,3,4,5,6,0,1],"}":1})"),
+            kUnknownKey);
 }
 
 TEST(serve_wire, ObjectWrappedInAnArrayIsAnError) {
@@ -648,9 +658,11 @@ TEST(serve_wire, RequestWithBothArchAndEncodingIsAnError) {
   EXPECT_EQ(error_for(enc.substr(0, enc.size() - 1) + ", " + arch + "}"),
             want);
   EXPECT_EQ(error_for("{" + arch + ", " + enc.substr(1)), want);
-  // A string value spelled like the other key is not a second key.
+  // A string value spelled like the other key is not a second key: the
+  // member that holds it has an unknown key, and that is the error.
   EXPECT_EQ(error_for(enc.substr(0, enc.size() - 1) + R"(, "model": "arch"})"),
-            "");
+            kUnknownKey);
+  EXPECT_EQ(error_for(enc), "");
 }
 
 // --- wire numbers: the JSON number grammar, not strtof's --------------------
@@ -732,6 +744,147 @@ TEST(serve_wire, OnlyJsonWhitespaceSeparatesTokens) {
   // Space, tab, line feed and carriage return still separate tokens.
   EXPECT_EQ(
       error_for("\r{\"id\": \t3,\n\"arch\":[0,\r1,2,3,4,5,6,0,1]}\n"), "");
+}
+
+// --- wire grammar: one pass over the members, a closed key set -------------
+//
+// Each line below breaks the request grammar in one place. A parser that
+// searches the raw line for each key answers it; it must get exactly one
+// error line.
+
+constexpr const char* kArch = R"("arch":[0,1,2,3,4,5,6,0,1])";
+
+constexpr const char* kDuplicateKey =
+    R"({"id": -1, "error": "request names a key twice"})";
+
+TEST(serve_wire, IdNestedUnderAnotherKeyIsNotTheId) {
+  // Not answered under id 99, an id another request may own.
+  EXPECT_EQ(error_for(std::string(R"({"x":{"id":99},"id":1,)") + kArch + "}"),
+            kUnknownKey);
+}
+
+TEST(serve_wire, ArchNestedUnderAnotherKeyIsNotTheArch) {
+  // Not answered for the nested all-6 arch.
+  EXPECT_EQ(error_for(std::string(
+                          R"({"x":["id",{"arch":[6,6,6,6,6,6,6,6,6]}],)") +
+                      kArch + "}"),
+            kUnknownKey);
+}
+
+TEST(serve_wire, EncodingNestedUnderAnotherKeyIsNotASecondKey) {
+  // Not the false error "not both".
+  EXPECT_EQ(error_for(std::string(R"({"x":{"encoding":[1]},)") + kArch + "}"),
+            kUnknownKey);
+}
+
+TEST(serve_wire, TrailingCommaAfterTheLastMemberIsAnError) {
+  EXPECT_EQ(error_for(std::string(R"({"id":1,)") + kArch + ",}"),
+            kNotOneObject);
+}
+
+TEST(serve_wire, LeadingCommaBeforeTheFirstMemberIsAnError) {
+  EXPECT_EQ(error_for(std::string(R"({,"id":1,)") + kArch + "}"),
+            kNotOneObject);
+}
+
+TEST(serve_wire, DoubleCommaBetweenMembersIsAnError) {
+  EXPECT_EQ(error_for(std::string(R"({"id":1,,)") + kArch + "}"),
+            kNotOneObject);
+}
+
+TEST(serve_wire, MissingCommaBetweenMembersIsAnError) {
+  EXPECT_EQ(error_for(std::string(R"({"id":1,)") + kArch + R"( "x":1})"),
+            kNotOneObject);
+  EXPECT_EQ(error_for(std::string(R"({"id":1 )") + kArch + "}"),
+            R"({"id": -1, "error": "id must be an integer"})");
+}
+
+TEST(serve_wire, MissingColonAfterAKeyIsAnError) {
+  EXPECT_EQ(error_for(std::string(R"({"id" 3,)") + kArch + "}"),
+            kNotOneObject);
+}
+
+TEST(serve_wire, UnquotedKeyIsAnError) {
+  EXPECT_EQ(error_for(std::string("{id:3,") + kArch + "}"), kNotOneObject);
+}
+
+TEST(serve_wire, DuplicateIdIsAnError) {
+  EXPECT_EQ(error_for(std::string(R"({"id":2,"id":3,)") + kArch + "}"),
+            kDuplicateKey);
+}
+
+TEST(serve_wire, DuplicateArchIsAnError) {
+  EXPECT_EQ(error_for(std::string(R"({"id":1,)") + kArch +
+                      R"(,"arch":[6,6,6,6,6,6,6,6,6]})"),
+            kDuplicateKey);
+}
+
+TEST(serve_wire, MalformedObjectUnderAnUnknownKeyIsAnError) {
+  EXPECT_EQ(error_for(std::string(R"({"id":1,)") + kArch +
+                      R"(,"zzz":{"a":[1,}}})"),
+            kUnknownKey);
+}
+
+TEST(serve_wire, MisspelledLiteralUnderAnUnknownKeyIsAnError) {
+  EXPECT_EQ(
+      error_for(std::string(R"({"id":1,)") + kArch + R"(,"zzz":tru})"),
+      kUnknownKey);
+}
+
+TEST(serve_wire, UnclosedArrayUnderAnUnknownKeyIsAnError) {
+  EXPECT_EQ(error_for(std::string(R"({"id":1,)") + kArch + R"(,"zzz":[})"),
+            kUnknownKey);
+}
+
+TEST(serve_wire, NonJsonNumberUnderAnUnknownKeyIsAnError) {
+  EXPECT_EQ(error_for(std::string(R"({"id":1,)") + kArch + R"(,"z":01})"),
+            kUnknownKey);
+}
+
+TEST(serve_wire, RawTabInsideAStringIsAnError) {
+  EXPECT_EQ(error_for(std::string(R"({"id":1,)") + kArch +
+                      ",\"note\":\"a\tb\"}"),
+            kUnknownKey);
+  EXPECT_EQ(error_for(std::string("{\"i\td\":1,") + kArch + "}"),
+            kUnknownKey);
+}
+
+TEST(serve_wire, InvalidEscapeInsideAStringIsAnError) {
+  EXPECT_EQ(error_for(std::string(R"({"id":1,)") + kArch +
+                      R"(,"note":"a\q"})"),
+            kUnknownKey);
+}
+
+TEST(serve_wire, KeysAreMatchedByTheirRawBytes) {
+  // "\u0069d" decodes to "id", but no request key is spelled with an
+  // escape, and the parser has no escape decoder to be fooled by.
+  EXPECT_EQ(error_for(std::string(R"({"\u0069d":3,)") + kArch + "}"),
+            kUnknownKey);
+  EXPECT_EQ(error_for(std::string(R"({"id ":3,)") + kArch + "}"), kUnknownKey);
+  EXPECT_EQ(error_for(std::string(R"({"ID":3,)") + kArch + "}"), kUnknownKey);
+}
+
+TEST(serve_wire, MemberOrderNeverChangesTheAnswer) {
+  // Value errors are checked once the object has closed, so they carry
+  // the id wherever it sits; syntax errors inside an array carry -1
+  // wherever the id sits.
+  const std::string wrong_width =
+      R"({"id": 5, "error": "arch must list one op index per searchable )"
+      R"(slot"})";
+  EXPECT_EQ(error_for(R"({"id":5,"arch":[1,2]})"), wrong_width);
+  EXPECT_EQ(error_for(R"({"arch":[1,2],"id":5})"), wrong_width);
+  const std::string bad_array =
+      R"({"id": -1, "error": "request needs an 'encoding' or 'arch' array"})";
+  EXPECT_EQ(error_for(R"({"id":5,"arch":[0,,1,2,3,4,5,6,0,1]})"), bad_array);
+  EXPECT_EQ(error_for(R"({"arch":[0,,1,2,3,4,5,6,0,1],"id":5})"), bad_array);
+  const arch::ArchSpace space(arch::cifar10_backbone());
+  const auto first = serve::wire::parse_request(
+      std::string(R"({"id":8,)") + kArch + "}", space);
+  const auto last = serve::wire::parse_request(
+      std::string("{") + kArch + R"(,"id":8})", space);
+  ASSERT_TRUE(first.ok && last.ok);
+  EXPECT_EQ(first.request.id, last.request.id);
+  EXPECT_EQ(first.request.encoding, last.request.encoding);
 }
 
 TEST(serve_options, FromEnvParsesAndIgnoresGarbage) {
