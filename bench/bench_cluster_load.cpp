@@ -1,10 +1,16 @@
 // Open-loop load generator for the sharded serve cluster.
 //
-// Spins up N in-process shard servers (exact backend, --small hardware
-// space) on unix sockets, then drives them with Poisson arrivals at a sweep
-// of target QPS points, measuring client-observed latency from each
-// request's *scheduled* arrival time — the open-loop discipline, so queueing
-// delay shows up in p99 instead of silently throttling the offered load.
+// Spins up N in-process shard servers (exact backend) on unix sockets, then
+// drives them with Poisson arrivals at a sweep of target QPS points,
+// measuring client-observed latency from each request's *scheduled* arrival
+// time — the open-loop discipline, so queueing delay shows up in p99 instead
+// of silently throttling the offered load.
+//
+// The legs are fixed: both hardware spaces (small: the CI-smoke table; full:
+// the 13872-config table perfbench serves) x {1 shard x 4 workers, 1 shard
+// x 8 workers, 2 shards x 4 workers}, targets 8k..128k QPS, 3 repeats per
+// point. 1 shard x 8 workers has as many server workers as the 2-shard
+// cluster, so it separates "more workers" from "more processes".
 //
 // Routing is client-side by default: every load thread embeds the same
 // consistent-hash ring the Router uses and dials shards directly (a
@@ -22,9 +28,12 @@
 //           scales with the shard count when there are free cores.
 //
 // Writes bench/data/cluster_load.csv:
-//   workload,shards,target_qps,achieved_qps,p50_us,p99_us
-// and prints the 2-shard/1-shard aggregate ratio at the top target (the
-// >=2x scaling check; CPU-bound workloads need >= 2 free cores to show it).
+//   space,workload,shards,workers,backend_mutex,repeat,target_qps,
+//   achieved_qps,p50_us,p99_us
+// and prints, per leg, the achieved QPS at the top target over the repeats.
+// backend_mutex is "yes" for this code; the "no" rows in the committed CSV
+// come from the same program with the lock_guard on Service::backend_mu_
+// deleted (docs/serve.md, "One process").
 //
 // DANCE_BENCH_SCALE scales the per-point durations and the target sweep.
 #include <benchmark/benchmark.h>
@@ -63,20 +72,28 @@ double us_since(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
-/// One in-process shard: exact backend over the tiny hardware space (the
-/// CI-smoke configuration) behind a ShardServer on a unix socket.
+net::Server::Options server_options(int workers) {
+  net::Server::Options opts;
+  opts.workers = workers;
+  return opts;
+}
+
+/// One in-process shard: exact backend over `hw_space` behind a ShardServer
+/// with `workers` handler threads on a unix socket.
 struct Shard {
   arch::ArchSpace arch_space{arch::cifar10_backbone()};
-  hwgen::HwSearchSpace hw_space = hwgen::HwSearchSpace::small();
-  arch::CostTable table{arch_space, hw_space, accel::CostModel{}};
+  hwgen::HwSearchSpace hw_space;
+  arch::CostTable table;
   serve::ExactBackend backend{table};
   serve::Service service;
   cluster::ShardServer server;
   net::Endpoint endpoint;
 
-  explicit Shard(int id)
-      : service(backend),
-        server(service, arch_space, net::Server::Options{}) {
+  Shard(int id, const hwgen::HwSearchSpace& hw, int workers)
+      : hw_space(hw),
+        table(arch_space, hw_space, accel::CostModel{}),
+        service(backend),
+        server(service, arch_space, server_options(workers)) {
     const std::string path = "/tmp/dance_bench_" + std::to_string(getpid()) +
                              "_shard" + std::to_string(id) + ".sock";
     endpoint = server.start(net::Endpoint::unix_path(path));
@@ -210,7 +227,7 @@ SweepPoint run_point(const std::vector<std::unique_ptr<Shard>>& shards,
 }
 
 void BM_ClusterRoundtripCached(benchmark::State& state) {
-  Shard shard(99);
+  Shard shard(99, hwgen::HwSearchSpace::small(), 4);
   net::Client client(shard.endpoint);
   const std::string line = "{\"id\": 0, \"arch\": [0, 1, 2, 3, 4, 5, 6, 0, 1]}";
   benchmark::DoNotOptimize(client.roundtrip(line));  // warm the cache entry
@@ -223,102 +240,103 @@ BENCHMARK(BM_ClusterRoundtripCached)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
+struct Leg {
+  int shards;
+  int workers;
+};
+
 int main(int argc, char** argv) {
-  const double scale = bench::scale();
-  const double seconds = 1.0 * scale;
-  const std::vector<double> targets = {1000, 2000, 4000, 8000, 16000};
+  const double seconds = 2.0 * bench::scale();
+  const std::vector<double> targets = {8000, 16000, 32000, 64000, 128000};
+  const std::vector<Leg> legs = {{1, 4}, {1, 8}, {2, 4}};
+  constexpr int kRepeats = 3;
 
   std::printf("== cluster load: open-loop Poisson sweep, direct ring routing "
               "==\n");
-  std::printf("%d client threads, %.1fs per point, unix sockets, exact "
-              "backend (small space), %ld cores\n\n",
-              kClientThreads, seconds, sysconf(_SC_NPROCESSORS_ONLN));
+  std::printf("%d client threads, %.1fs per point, %d repeats, unix sockets, "
+              "exact backend, %ld cores\n\n",
+              kClientThreads, seconds, kRepeats, sysconf(_SC_NPROCESSORS_ONLN));
 
   util::CsvWriter csv(bench::data_path("cluster_load.csv"),
-                      {"workload", "shards", "target_qps", "achieved_qps",
+                      {"space", "workload", "shards", "workers",
+                       "backend_mutex", "repeat", "target_qps", "achieved_qps",
                        "p50_us", "p99_us"});
-  util::Table table(
-      {"workload", "shards", "target QPS", "achieved QPS", "p50 us", "p99 us"});
+  util::Table table({"space", "workload", "shards x workers",
+                     "achieved QPS at top target (min..max)"});
 
-  // Capacity = highest target sustained with p99 under the bound (the usual
-  // saturation definition for open-loop sweeps: past capacity the backlog
-  // grows without bound and p99 explodes). Indexed [workload][shards].
-  constexpr double kSustainedP99Us = 10000.0;
-  double capacity[2][3] = {{0.0}};
-
-  for (const char* workload : {"cached", "miss"}) {
-    const bool cached = std::string(workload) == "cached";
-    for (int num_shards : {1, 2}) {
-      std::vector<std::unique_ptr<Shard>> shards;
-      std::vector<int> ids;
-      for (int s = 0; s < num_shards; ++s) {
-        shards.push_back(std::make_unique<Shard>(s));
-        ids.push_back(s);
+  for (const char* space : {"small", "full"}) {
+    const hwgen::HwSearchSpace hw = std::string(space) == "small"
+                                        ? hwgen::HwSearchSpace::small()
+                                        : hwgen::HwSearchSpace{};
+    for (const char* workload : {"cached", "miss"}) {
+      const bool cached = std::string(workload) == "cached";
+      for (const Leg& leg : legs) {
+        std::vector<std::unique_ptr<Shard>> shards;
+        std::vector<int> ids;
+        for (int s = 0; s < leg.shards; ++s) {
+          shards.push_back(std::make_unique<Shard>(s, hw, leg.workers));
+          ids.push_back(s);
+        }
+        const cluster::HashRing ring(ids);
+        const auto max_n = static_cast<std::size_t>(targets.back() * seconds);
+        const Workload w = make_workload(
+            shards[0]->arch_space, ring, max_n,
+            cached ? kCachedKeyPool : max_n, /*seed=*/41);
+        if (cached) {
+          // Warmup pass over the pool so the timed runs are pure cache hits.
+          net::Client::Options copts;
+          std::vector<std::unique_ptr<net::Client>> conns;
+          for (const auto& s : shards) {
+            conns.push_back(std::make_unique<net::Client>(s->endpoint, copts));
+          }
+          for (std::size_t i = 0;
+               i < std::min<std::size_t>(w.lines.size(), kCachedKeyPool * 4);
+               ++i) {
+            (void)conns[static_cast<std::size_t>(w.shard_of[i])]->roundtrip(
+                w.lines[i]);
+          }
+        }
+        double top_min = 0.0;
+        double top_max = 0.0;
+        for (double target : targets) {
+          for (int rep = 0; rep < kRepeats; ++rep) {
+            if (!cached) {
+              // Fresh cache per point so every request stays a miss.
+              for (const auto& s : shards) s->service.cache()->clear();
+            }
+            const SweepPoint p =
+                run_point(shards, w, target, seconds,
+                          /*seed=*/7 + static_cast<std::uint64_t>(
+                                           leg.shards * 100 + rep));
+            std::printf("  %s %s shards=%d workers=%d rep=%d target=%.0f "
+                        "achieved=%.0f p50=%.0fus p99=%.0fus\n",
+                        space, workload, leg.shards, leg.workers, rep,
+                        p.target_qps, p.achieved_qps, p.p50_us, p.p99_us);
+            csv.add_row({space, workload, std::to_string(leg.shards),
+                         std::to_string(leg.workers), "yes",
+                         std::to_string(rep),
+                         util::Table::fmt(p.target_qps, 0),
+                         util::Table::fmt(p.achieved_qps, 1),
+                         util::Table::fmt(p.p50_us, 2),
+                         util::Table::fmt(p.p99_us, 2)});
+            if (target == targets.back()) {
+              top_min = rep == 0 ? p.achieved_qps
+                                 : std::min(top_min, p.achieved_qps);
+              top_max = std::max(top_max, p.achieved_qps);
+            }
+          }
+        }
+        table.add_row({space, workload,
+                       std::to_string(leg.shards) + " x " +
+                           std::to_string(leg.workers),
+                       util::Table::fmt(top_min, 0) + " .. " +
+                           util::Table::fmt(top_max, 0)});
+        for (const auto& s : shards) s->server.drain_and_stop();
       }
-      const cluster::HashRing ring(ids);
-      const auto max_n = static_cast<std::size_t>(targets.back() * seconds);
-      const Workload w = make_workload(
-          shards[0]->arch_space, ring, max_n,
-          cached ? kCachedKeyPool : max_n, /*seed=*/41);
-      if (cached) {
-        // Warmup pass over the pool so the timed runs are pure cache hits.
-        net::Client::Options copts;
-        std::vector<std::unique_ptr<net::Client>> conns;
-        for (const auto& s : shards) {
-          conns.push_back(std::make_unique<net::Client>(s->endpoint, copts));
-        }
-        for (std::size_t i = 0; i < std::min<std::size_t>(w.lines.size(),
-                                                          kCachedKeyPool * 4);
-             ++i) {
-          (void)conns[static_cast<std::size_t>(w.shard_of[i])]->roundtrip(
-              w.lines[i]);
-        }
-      }
-      for (double target : targets) {
-        if (!cached) {
-          // Fresh cache per point so every request stays a miss.
-          for (const auto& s : shards) s->service.cache()->clear();
-        }
-        const SweepPoint p =
-            run_point(shards, w, target, seconds, /*seed=*/7 + num_shards);
-        std::printf("  %s shards=%d target=%.0f achieved=%.0f p50=%.0fus "
-                    "p99=%.0fus\n",
-                    workload, num_shards, p.target_qps, p.achieved_qps,
-                    p.p50_us, p.p99_us);
-        table.add_row({workload, std::to_string(num_shards),
-                       util::Table::fmt(p.target_qps, 0),
-                       util::Table::fmt(p.achieved_qps, 0),
-                       util::Table::fmt(p.p50_us, 1),
-                       util::Table::fmt(p.p99_us, 1)});
-        csv.add_row({workload, std::to_string(num_shards),
-                     util::Table::fmt(p.target_qps, 0),
-                     util::Table::fmt(p.achieved_qps, 1),
-                     util::Table::fmt(p.p50_us, 2),
-                     util::Table::fmt(p.p99_us, 2)});
-        if (p.p99_us <= kSustainedP99Us &&
-            p.achieved_qps >= 0.9 * p.target_qps) {
-          capacity[cached ? 0 : 1][num_shards] = std::max(
-              capacity[cached ? 0 : 1][num_shards], p.achieved_qps);
-        }
-      }
-      for (const auto& s : shards) s->server.drain_and_stop();
     }
   }
   csv.flush();
   std::printf("\n%s\n", table.to_string().c_str());
-
-  for (int wl = 0; wl < 2; ++wl) {
-    const char* name = wl == 0 ? "cached" : "miss";
-    const double ratio =
-        capacity[wl][1] > 0.0 ? capacity[wl][2] / capacity[wl][1] : 0.0;
-    std::printf("%s workload: sustained capacity (p99 <= %.0fms) 1 shard = "
-                "%.0f QPS, 2 shards = %.0f QPS -> %.2fx %s\n",
-                name, kSustainedP99Us / 1000.0, capacity[wl][1],
-                capacity[wl][2], ratio,
-                ratio >= 2.0 ? "(>= 2x scaling met)"
-                             : "(below 2x — CPU-bound workloads need >= 2 "
-                               "free cores to show shard scaling)");
-  }
   std::printf("wrote %s\n\n", bench::data_path("cluster_load.csv").c_str());
 
   benchmark::Initialize(&argc, argv);
