@@ -7,8 +7,7 @@
 // Malformed lines get an error line and processing continues; "degraded"
 // is always false (wire.h says why the key stays). Every answer is exact:
 // an ExactBackend (EDAP) over a CostTable built in memory at start-up, and
-// every line goes through serve::wire::answer_line, the pipeline the cluster
-// shards run too.
+// every line goes through serve::wire::answer_line.
 //
 // Flags:
 //   --small                    tiny hardware space (fast startup; CI smoke)
@@ -36,9 +35,7 @@ int run(const arch::ArchSpace& arch_space,
   const arch::CostTable table(arch_space, hw_space, accel::CostModel{});
   serve::ExactBackend backend(table);
   serve::Service service(backend);  // options from DANCE_SERVE_* env
-  std::fprintf(stderr,
-               "[serve_jsonl] backend=%s, reading JSON lines from stdin\n",
-               backend.name());
+  std::fprintf(stderr, "[serve_jsonl] reading JSON lines from stdin\n");
   const std::string metrics_path = util::env_string("DANCE_METRICS_JSON", "");
   if (!metrics_path.empty()) {
     std::fprintf(stderr, "[serve_jsonl] metrics will be exported to %s at exit\n",

@@ -14,8 +14,9 @@ namespace dance::serve {
 
 /// One cost query: a canonical architecture encoding (the evaluator's input
 /// format — num_searchable * kNumCandidateOps floats, one distribution per
-/// slot). Soft distributions are legal inputs for the surrogate backend;
-/// the exact backend argmax-decodes them (ArchSpace::decode semantics).
+/// slot). The wire accepts only one-hot encodings; an in-process caller may
+/// pass a soft one, which the exact backend argmax-decodes
+/// (ArchSpace::decode semantics).
 struct Request {
   Request() = default;
   explicit Request(std::vector<float> enc) : encoding(std::move(enc)) {}
@@ -59,11 +60,11 @@ inline std::vector<float> canonical_key(const std::vector<float>& encoding) {
   return key;
 }
 
-/// FNV-1a over the key bytes. Used by the cache's hash map, by
-/// `query_many`'s within-call dedup and by the cluster's hash ring;
-/// byte-hashing is exact because keys are canonicalized. Its low three bits
-/// are the same for every one-hot key (0.0f bytes leave them alone), so
-/// `hash % 8` cannot spread such keys over eight stripes.
+/// FNV-1a over the key bytes. Used by the cache's hash map and by
+/// `query_many`'s within-call dedup; byte-hashing is exact because keys are
+/// canonicalized. Its low three bits are the same for every one-hot key
+/// (0.0f bytes leave them alone), so `hash % 8` cannot spread such keys over
+/// eight stripes.
 struct KeyHash {
   std::size_t operator()(const std::vector<float>& key) const {
     std::uint64_t h = 0xcbf29ce484222325ULL;

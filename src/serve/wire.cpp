@@ -191,11 +191,34 @@ ParseOutcome parse_request(const std::string& line,
     return fail("request must have an 'encoding' or an 'arch', not both");
   }
   if (seen[kEncoding]) {
-    // Finiteness only: soft (non-one-hot) encodings are valid input (the
-    // backend argmax-decodes them), but a NaN/inf would answer arbitrarily
-    // and poison the cache.
-    for (const float v : arrays[kEncoding]) {
-      if (!std::isfinite(v)) return fail("encoding values must be finite");
+    // An encoding names one architecture: every value is 0 or 1 (-0 reads
+    // as 0) with exactly one 1 in each kNumCandidateOps-wide slot. Any other
+    // vector, soft or all-zero, would be argmax-decoded into an answer for
+    // an architecture the caller never sent. A non-finite value and a wrong
+    // width keep their own messages, checked first.
+    const std::vector<float>& enc = arrays[kEncoding];
+    bool one_hot = true;
+    int ones = 0;
+    for (std::size_t i = 0; i < enc.size(); ++i) {
+      if (!std::isfinite(enc[i])) {
+        return fail("encoding values must be finite");
+      }
+      if (enc[i] == 1.0F) {
+        ++ones;
+      } else if (enc[i] != 0.0F) {
+        one_hot = false;
+      }
+      if ((i + 1) % arch::kNumCandidateOps == 0) {
+        one_hot = one_hot && ones == 1;
+        ones = 0;
+      }
+    }
+    if (static_cast<int>(enc.size()) != space.encoding_width()) {
+      return fail("encoding has the wrong width");
+    }
+    if (!one_hot) {
+      return fail("encoding must be one-hot: each value 0 or 1, one 1 per "
+                  "slot");
     }
     out.request.encoding = std::move(arrays[kEncoding]);
   } else if (seen[kArch]) {
@@ -216,10 +239,6 @@ ParseOutcome parse_request(const std::string& line,
     out.request.encoding = space.encode(a);
   } else {
     return fail("request needs an 'encoding' or 'arch' array");
-  }
-
-  if (static_cast<int>(out.request.encoding.size()) != space.encoding_width()) {
-    return fail("encoding has the wrong width");
   }
   out.ok = true;
   return out;

@@ -9,11 +9,9 @@
 
 namespace dance::serve::wire {
 
-/// The JSON-lines wire protocol shared by every front-end — the stdin
-/// example (examples/serve_jsonl), the socket shard servers and the cluster
-/// router all parse and serialize through these functions, so a request
-/// answered over any transport produces byte-identical lines (the cluster
-/// CI smoke literally `diff`s them).
+/// The JSON-lines wire protocol of the stdin front-end
+/// (examples/serve_jsonl): every line is parsed and answered through these
+/// functions.
 ///
 /// Request: exactly one JSON object per line, read in one left-to-right
 /// pass over this grammar (JSON whitespace ws = space, tab, LF, CR):
@@ -25,7 +23,7 @@ namespace dance::serve::wire {
 ///   number = -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
 /// e.g.
 ///   {"id": 1, "arch": [0, 3, 6, 0, 1, 2, 4, 5, 0]}   per-slot op indices
-///   {"id": 2, "encoding": [1.0, 0.0, ...]}           raw evaluator encoding
+///   {"id": 2, "encoding": [1, 0, 0, ...]}            one-hot encoding
 /// The key set is closed and each key appears at most once, in any order.
 /// A request has no string values, so the parser needs no escape decoder:
 /// any other key, one spelled with a '\' escape included, is an error.
@@ -35,8 +33,10 @@ namespace dance::serve::wire {
 /// repeated key, a malformed id or array) carry id -1. The value checks
 /// run once the object has closed and carry the id, so reordering the
 /// members of a well-formed line never changes its answer: both "arch" and
-/// "encoding", neither, a wrong width, an op index outside [0, 6] or a
-/// non-finite encoding value.
+/// "encoding", neither, a wrong width, an op index outside [0, 6], a
+/// non-finite encoding value, or an encoding that is not one-hot (each
+/// value 0 or 1, -0 reading as 0, with exactly one 1 per
+/// kNumCandidateOps-wide slot).
 /// Response:
 ///   {"id": 1, "latency_ms": ..., "energy_mj": ..., "area_mm2": ...,
 ///    "pe_x": 16, "pe_y": 16, "rf_size": 32, "dataflow": "RS",
@@ -52,7 +52,8 @@ namespace dance::serve::wire {
 [[nodiscard]] bool is_blank(const std::string& line);
 
 /// A validated request: the id (-1 when absent) and the evaluator encoding,
-/// already checked against the space (op-index range, encoding width).
+/// already checked against the space (op-index range, encoding width,
+/// one-hot).
 struct ParsedRequest {
   long id = -1;
   std::vector<float> encoding;

@@ -465,6 +465,28 @@ std::string encoding_line(long id, int width, const char* bad) {
   return line + "]}";
 }
 
+/// An encoding request line that spells its values as given.
+std::string encoding_request(long id, const std::vector<std::string>& values) {
+  std::string line = "{\"id\": " + std::to_string(id) + ", \"encoding\": [";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    line += (i == 0 ? "" : ", ") + values[i];
+  }
+  return line + "]}";
+}
+
+/// The values of the one-hot encoding of arch [0, 1, 2, 3, 4, 5, 6, 0, 1],
+/// each 0 spelled `zero` and each 1 spelled `one`.
+std::vector<std::string> one_hot_values(const char* zero, const char* one) {
+  const int ops[] = {0, 1, 2, 3, 4, 5, 6, 0, 1};
+  std::vector<std::string> values;
+  for (const int op : ops) {
+    for (int k = 0; k < arch::kNumCandidateOps; ++k) {
+      values.emplace_back(k == op ? one : zero);
+    }
+  }
+  return values;
+}
+
 TEST_F(serve_service, WireRejectsNonFiniteEncodingWithoutCaching) {
   serve::ExactBackend backend(table_);
   serve::Service service(backend, serve::Service::Options{});
@@ -477,11 +499,13 @@ TEST_F(serve_service, WireRejectsNonFiniteEncodingWithoutCaching) {
         << bad;
     EXPECT_EQ(service.stats().cache.entries, 0U) << bad;
   }
-  // Soft (non-one-hot) but finite encodings stay valid surrogate input.
+  // A finite but soft encoding names no architecture: an error line, and
+  // nothing is cached for it either.
   const std::string soft = serve::wire::answer_line(
       encoding_line(4, width, "0.25"), arch_space_, service);
-  EXPECT_EQ(soft.find("error"), std::string::npos) << soft;
-  EXPECT_EQ(service.stats().cache.entries, 1U);
+  EXPECT_EQ(soft, R"({"id": 4, "error": "encoding must be one-hot: each )"
+                  R"(value 0 or 1, one 1 per slot"})");
+  EXPECT_EQ(service.stats().cache.entries, 0U);
 }
 
 TEST_F(serve_service, WireRangeChecksArchBeforeCasting) {
@@ -648,9 +672,7 @@ TEST(serve_wire, ObjectWrappedInAnArrayIsAnError) {
 
 TEST(serve_wire, RequestWithBothArchAndEncodingIsAnError) {
   // Neither key may silently win: the line is ambiguous, in either order.
-  const int width =
-      arch::ArchSpace(arch::cifar10_backbone()).encoding_width();
-  const std::string enc = encoding_line(6, width, "0");
+  const std::string enc = encoding_request(6, one_hot_values("0", "1"));
   const std::string arch = R"("arch": [0,1,2,3,4,5,6,0,1])";
   const std::string want =
       R"({"id": 6, "error": "request must have an 'encoding' or an 'arch', )"
@@ -700,19 +722,52 @@ TEST(serve_wire, EncodingValuesMustBeSpelledAsJsonNumbers) {
               R"({"id": 3, "error": "encoding values must be finite"})")
         << bad;
   }
-  // Accepted values read as strtof reads them, bit for bit, including
-  // subnormals and the largest finite float.
+  // Every spelling of 0 and of 1 the grammar allows reads as that value,
+  // so the line is the one-hot encoding of its arch form.
   const arch::ArchSpace space(arch::cifar10_backbone());
-  for (const char* good : {"0", "-0", "0.25", "2.5e-1", "-1E2", "0.1",
-                           "1e-40", "3.4028235e38", "1.17549435e-38",
-                           "123456789"}) {
-    const auto parsed =
-        serve::wire::parse_request(encoding_line(3, width, good), space);
-    ASSERT_TRUE(parsed.ok) << good << ": " << parsed.error;
-    EXPECT_EQ(std::bit_cast<std::uint32_t>(parsed.request.encoding[5]),
-              std::bit_cast<std::uint32_t>(std::strtof(good, nullptr)))
-        << good;
+  const std::vector<float> want =
+      serve::wire::parse_request(R"({"arch": [0,1,2,3,4,5,6,0,1]})", space)
+          .request.encoding;
+  for (const char* zero : {"0", "-0", "0.0", "0e5", "-0.0E-3", "0.000"}) {
+    for (const char* one : {"1", "1.0", "1e0", "1E+0", "10e-1", "0.1e1"}) {
+      const auto parsed = serve::wire::parse_request(
+          encoding_request(3, one_hot_values(zero, one)), space);
+      ASSERT_TRUE(parsed.ok) << zero << ", " << one << ": " << parsed.error;
+      EXPECT_EQ(parsed.request.encoding, want) << zero << ", " << one;
+    }
   }
+}
+
+TEST(serve_wire, EncodingMustBeOneHot) {
+  // None of these names an architecture: argmax-decoding would answer each
+  // as arch [0, ..., 0], under a cache entry of its own.
+  const auto width = static_cast<std::size_t>(
+      arch::ArchSpace(arch::cifar10_backbone()).encoding_width());
+  const auto filled = [width](const char* v) {
+    return std::vector<std::string>(width, v);
+  };
+  std::vector<std::string> single_one = filled("0");
+  single_one[0] = "1";
+  constexpr const char* kNotOneHot =
+      R"({"id": 3, "error": "encoding must be one-hot: each value 0 or 1, )"
+      R"(one 1 per slot"})";
+  for (const auto& values : {filled("0"), filled("-5"), filled("1e30"),
+                             filled("0.5"), single_one}) {
+    EXPECT_EQ(error_for(encoding_request(3, values)), kNotOneHot) << values[0];
+  }
+  // Two 1s in one slot, a 1 beside a soft value, and a value just off 1.
+  std::vector<std::string> two_ones = one_hot_values("0", "1");
+  two_ones[1] = "1";
+  EXPECT_EQ(error_for(encoding_request(3, two_ones)), kNotOneHot);
+  std::vector<std::string> soft_beside_one = one_hot_values("0", "1");
+  soft_beside_one[1] = "0.5";
+  EXPECT_EQ(error_for(encoding_request(3, soft_beside_one)), kNotOneHot);
+  EXPECT_EQ(error_for(encoding_request(3, one_hot_values("0", "1.0000001"))),
+            kNotOneHot);
+  // A wrong width keeps its own message.
+  EXPECT_EQ(error_for(R"({"id": 3, "encoding": [1, 0]})"),
+            R"({"id": 3, "error": "encoding has the wrong width"})");
+  EXPECT_EQ(error_for(encoding_request(3, one_hot_values("0", "1"))), "");
 }
 
 TEST(serve_wire, IdMustBeSpelledAsAJsonInteger) {

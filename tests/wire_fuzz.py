@@ -21,8 +21,11 @@ the parser under test:
 The oracle accepts a line when json.loads parses it with no duplicate key
 and no NaN/Infinity constant, it has no '\\' anywhere, its keys are among
 id, arch and encoding, the id is an integer and both arrays hold numbers
-only. "cached" is masked before answers are compared: it depends on which
-lines came earlier. Exits 1 on the first mismatch, printing it.
+only. Of the accepted lines, predicted_id answers only those whose arch
+lists nine op indices in [0, 6] or whose encoding is one-hot: 63 values,
+each 0 or 1, with one 1 in each 7-wide slot. "cached" is masked before
+answers are compared: it depends on which lines came earlier. Exits 1 on
+the first mismatch, printing it.
 """
 
 import argparse
@@ -105,6 +108,11 @@ def predicted_id(obj):
         values = [as_float32(v) for v in obj["encoding"]]
         if len(values) != WIDTH or not all(math.isfinite(v) for v in values):
             return None
+        # One-hot: each value 0 or 1 (-0 == 0), one 1 in every slot.
+        slots = [values[s * OPS:(s + 1) * OPS] for s in range(SLOTS)]
+        if not all(v in (0.0, 1.0) for v in values) or any(
+                slot.count(1.0) != 1 for slot in slots):
+            return None
     return rid
 
 
@@ -133,14 +141,16 @@ def base_members(rng, i):
         members.append(("arch", "[" + ",".join(spell(op) for op in ops) + "]"))
     else:
         values = []
-        for _ in range(SLOTS):
+        soft_slot = rng.randrange(SLOTS) if rng.random() < 0.2 else -1
+        for s in range(SLOTS):
             hot = rng.randrange(OPS)
-            soft = rng.random() < 0.2
             for k in range(OPS):
-                if soft:
+                if s == soft_slot:
                     values.append(rng.choice(["0.25", "0.5", "1e-3", "2"]))
+                elif k == hot:
+                    values.append(rng.choice(["1", "1.0", "1e0"]))
                 else:
-                    values.append("1" if k == hot else "0")
+                    values.append(rng.choice(["0", "0", "-0", "0.0"]))
         members.append(("encoding", "[" + ",".join(values) + "]"))
     rng.shuffle(members)
     return members
