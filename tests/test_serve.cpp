@@ -455,16 +455,6 @@ TEST_F(serve_service, StatsReportMentionsEveryBlock) {
 
 // --- wire front-end input validation --------------------------------------
 
-/// An encoding line of the backbone's width with `bad` at column 5.
-std::string encoding_line(long id, int width, const char* bad) {
-  std::string line = "{\"id\": " + std::to_string(id) + ", \"encoding\": [";
-  for (int i = 0; i < width; ++i) {
-    if (i != 0) line += ", ";
-    line += i == 5 ? bad : "0";
-  }
-  return line + "]}";
-}
-
 /// An encoding request line that spells its values as given.
 std::string encoding_request(long id, const std::vector<std::string>& values) {
   std::string line = "{\"id\": " + std::to_string(id) + ", \"encoding\": [";
@@ -472,6 +462,13 @@ std::string encoding_request(long id, const std::vector<std::string>& values) {
     line += (i == 0 ? "" : ", ") + values[i];
   }
   return line + "]}";
+}
+
+/// An encoding line of the backbone's width with `bad` at column 5.
+std::string encoding_line(long id, int width, const char* bad) {
+  std::vector<std::string> values(static_cast<std::size_t>(width), "0");
+  values[5] = bad;
+  return encoding_request(id, values);
 }
 
 /// The values of the one-hot encoding of arch [0, 1, 2, 3, 4, 5, 6, 0, 1],
