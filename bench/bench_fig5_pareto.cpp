@@ -16,7 +16,6 @@
 #include "evalnet/trainer.h"
 #include "search/baselines.h"
 #include "search/dance.h"
-#include "search/pareto.h"
 #include "util/csv.h"
 #include "util/table.h"
 
@@ -110,67 +109,6 @@ void run_fig5() {
   std::printf("data written to %s\n", csv_path.c_str());
   std::printf("paper shape: at matched error DANCE's EDAP is far lower; its "
               "frontier dominates the baseline's.\n\n");
-
-  // --- Multi-objective mode: one Pareto co-search over the same evaluator,
-  // emitting the 4-objective front (search/pareto.h). ---
-  std::printf("== Pareto front: one-run multi-objective co-search ==\n\n");
-  {
-    search::ParetoOptions popts;
-    popts.base.search_epochs = search_epochs;
-    popts.base.warmup_epochs = std::max(1, search_epochs / 4);
-    popts.base.retrain.epochs = retrain_epochs;
-    popts.base.seed = 31;
-    const std::vector<float> ladder = {0.5F, 1.0F, 2.5F, 4.0F, 6.0F, 10.0F};
-    popts.sweep = search::lambda2_sweep(ladder);
-    const search::ParetoResult front =
-        search::ParetoCoSearch(task, table, evaluator, net_config, popts)
-            .run();
-    util::Table pt({"", "lambda2", "Error(%)", "Lat(ms)", "E(mJ)",
-                    "Area(mm2)"});
-    for (const auto& p : front.points) {
-      pt.add_row({p.on_front ? "front" : "",
-                  util::Table::fmt(p.scalarization.lambda2, 1),
-                  util::Table::fmt(p.outcome.error_pct(), 2),
-                  util::Table::fmt(p.outcome.metrics.latency_ms, 3),
-                  util::Table::fmt(p.outcome.metrics.energy_mj, 3),
-                  util::Table::fmt(p.outcome.metrics.area_mm2, 2)});
-    }
-    std::printf("%s\n", pt.to_string().c_str());
-    const std::string front_csv = dance::bench::data_path("pareto_front.csv");
-    search::write_front_csv(front_csv, front);
-    std::printf("front data written to %s\n", front_csv.c_str());
-    const std::string verify_err =
-        search::verify_front(front, table, popts.base.constraints);
-    std::printf("front verification: %s\n\n",
-                verify_err.empty() ? "ok" : verify_err.c_str());
-  }
-
-  // --- Table-3-style diversity comparison: history-penalty restarts vs
-  // plain multi-seed restarts. ---
-  std::printf("== Restart diversity: history penalty vs multi-seed ==\n\n");
-  {
-    search::RestartOptions ropts;
-    ropts.base.search_epochs = std::max(2, search_epochs / 2);
-    ropts.base.warmup_epochs = 1;
-    ropts.base.retrain.epochs = std::max(2, retrain_epochs / 4);
-    ropts.base.seed = 37;
-    ropts.restarts = dance::bench::scaled(4);
-    util::Table rt({"Series", "DistinctArch", "DistinctHW", "MeanArchDist",
-                    "FrontSize"});
-    for (const bool history : {false, true}) {
-      ropts.history = history;
-      const auto r =
-          search::run_restarts(task, table, evaluator, net_config, ropts);
-      rt.add_row({history ? "history-penalty" : "multi-seed",
-                  std::to_string(r.distinct_architectures),
-                  std::to_string(r.distinct_hardware),
-                  util::Table::fmt(r.mean_pairwise_arch_distance, 3),
-                  std::to_string(r.front.size())});
-    }
-    std::printf("%s\n", rt.to_string().c_str());
-    std::printf("expected shape: the history series visits more distinct "
-                "(arch, HW) regions across restarts.\n\n");
-  }
 }
 
 /// Microbenchmark: one full post-search exact hardware generation (the

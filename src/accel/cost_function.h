@@ -23,8 +23,7 @@ struct LinearCostWeights {
 /// Contract: the cost is non-decreasing in latency, energy and area — a
 /// design that is no worse on all three never costs more. Exact hardware
 /// generation (arch::CostTable::optimal) relies on it to skip dominated
-/// configurations. EDAP, Eq. 3 with non-negative weights and
-/// search::constrained_cost_fn all meet it.
+/// configurations. EDAP and Eq. 3 with non-negative weights both meet it.
 using HwCostFn = std::function<double(const CostMetrics&)>;
 
 /// Eq. 3 linear combination. Throws std::invalid_argument on a negative or

@@ -78,9 +78,9 @@ Evaluator::Output Evaluator::forward_batch(
 void Evaluator::set_frozen(bool frozen) {
   // Idempotent: when every parameter already has the requested grad state
   // this is a pure read. That is what lets concurrent co-searches share one
-  // pre-frozen evaluator (search/pareto.h sweeps): each DanceSearch::run
-  // still calls set_frozen(true), but only the first — made before the
-  // sweep fans out — writes.
+  // pre-frozen evaluator: each DanceSearch::run still calls
+  // set_frozen(true), but only the first — made before the searches fan
+  // out — writes.
   bool changed = false;
   for (auto& p : hwgen_->parameters()) changed |= p.node()->requires_grad == frozen;
   for (auto& p : cost_->parameters()) changed |= p.node()->requires_grad == frozen;

@@ -76,10 +76,9 @@ class Evaluator {
   /// is already in performs no write. Combined with the facts that `forward`
   /// in eval mode reads only (batch norm uses its running buffers) and that
   /// backward never touches nodes with requires_grad unset, this makes a
-  /// frozen, eval-mode evaluator safe to share across concurrent searches
-  /// (the search/pareto.h sweep): prepare it once with set_training(false) +
-  /// set_frozen(true) before fanning out, and every lane's repeated calls
-  /// degrade to reads.
+  /// frozen, eval-mode evaluator safe to share across concurrent searches:
+  /// prepare it once with set_training(false) + set_frozen(true) before
+  /// fanning out, and every lane's repeated calls degrade to reads.
   void set_frozen(bool frozen);
   void set_training(bool training);
   [[nodiscard]] bool training() const { return training_; }

@@ -1,7 +1,6 @@
 #pragma once
 
-#include <cmath>
-#include <limits>
+#include <stdexcept>
 
 #include "accel/cost_function.h"
 #include "tensor/ops.h"
@@ -46,95 +45,6 @@ enum class CostKind {
 
 [[nodiscard]] inline const char* to_string(CostKind kind) {
   return kind == CostKind::kLinear ? "linear" : "EDAP";
-}
-
-// --- Hard constraints (docs/search.md) --------------------------------------
-
-/// Deployment constraints on the discovered accelerator: a die-area budget
-/// and a latency SLO. Unset dimensions default to +inf (unconstrained).
-/// During the gradient search the spec is lowered into a differentiable
-/// penalty (`constraint_penalty_variable`) that ramps in LambdaWarmup-style;
-/// at exact hardware-generation time it is lowered into a feasibility filter
-/// on the scalar cost (`constrained_cost_fn`).
-struct ConstraintSpec {
-  double area_budget_mm2 = std::numeric_limits<double>::infinity();
-  double latency_slo_ms = std::numeric_limits<double>::infinity();
-
-  [[nodiscard]] bool enabled() const {
-    return std::isfinite(area_budget_mm2) || std::isfinite(latency_slo_ms);
-  }
-
-  /// NaN metrics compare false against any budget, so a poisoned design is
-  /// never feasible.
-  [[nodiscard]] bool feasible(const accel::CostMetrics& m) const {
-    return m.area_mm2 <= area_budget_mm2 && m.latency_ms <= latency_slo_ms;
-  }
-
-  /// Summed relative violation: 0 when feasible, (metric/budget - 1) per
-  /// violated dimension, +inf for non-finite metrics (worse than any real
-  /// violation).
-  [[nodiscard]] double violation(const accel::CostMetrics& m) const {
-    if (!std::isfinite(m.area_mm2) || !std::isfinite(m.latency_ms)) {
-      return std::numeric_limits<double>::infinity();
-    }
-    double v = 0.0;
-    if (std::isfinite(area_budget_mm2) && area_budget_mm2 > 0.0) {
-      v += std::max(0.0, m.area_mm2 / area_budget_mm2 - 1.0);
-    }
-    if (std::isfinite(latency_slo_ms) && latency_slo_ms > 0.0) {
-      v += std::max(0.0, m.latency_ms / latency_slo_ms - 1.0);
-    }
-    return v;
-  }
-};
-
-/// Cost assigned to infeasible configurations by `constrained_cost_fn`. Far
-/// above any value the analytical model produces for real designs, so the
-/// arg-min can only land on an infeasible configuration when no feasible one
-/// exists — and then prefers the least-violating one.
-inline constexpr double kInfeasibleCost = 1e18;
-
-/// Scalar cost with the constraints lowered in: feasible metrics keep the
-/// base cost, infeasible metrics cost kInfeasibleCost * (1 + violation)
-/// (violation capped so the product stays finite). Assumes base costs stay
-/// below kInfeasibleCost, which holds for Eq. 3 / Eq. 4 over the modeled
-/// space by many orders of magnitude.
-[[nodiscard]] inline accel::HwCostFn constrained_cost_fn(
-    accel::HwCostFn base, const ConstraintSpec& spec) {
-  if (!spec.enabled()) return base;
-  return [base = std::move(base), spec](const accel::CostMetrics& m) {
-    if (spec.feasible(m)) return base(m);
-    return kInfeasibleCost * (1.0 + std::min(spec.violation(m), 1e6));
-  };
-}
-
-/// Differentiable constraint penalty from predicted metrics
-/// ([N, 3] = latency_ms, energy_mj, area_mm2):
-///   relu(latency/SLO - 1) + relu(area/budget - 1), summed over the batch.
-/// Zero (with zero gradient) inside the feasible region; outside it the
-/// gradient pushes the violated metric back toward its budget, scaled by
-/// 1/budget so both dimensions ramp comparably. The caller weights the term
-/// (LambdaWarmup-style ramp-in) before adding it to the Eq. 1 loss.
-[[nodiscard]] inline tensor::Variable constraint_penalty_variable(
-    const tensor::Variable& metrics, const ConstraintSpec& spec) {
-  namespace ops = dance::tensor::ops;
-  const int rows = metrics.value().shape()[0];
-  const tensor::Tensor minus_one = tensor::Tensor::full({rows, 1}, -1.0F);
-  tensor::Variable total;
-  const auto add_term = [&](int col, double budget) {
-    if (!std::isfinite(budget) || budget <= 0.0) return;
-    const tensor::Variable ratio =
-        ops::scale(ops::slice_cols(metrics, col, col + 1),
-                   static_cast<float>(1.0 / budget));
-    const tensor::Variable over = ops::relu(ops::add_const(ratio, minus_one));
-    total = total.defined() ? ops::add(total, over) : over;
-  };
-  add_term(0, spec.latency_slo_ms);
-  add_term(2, spec.area_budget_mm2);
-  if (!total.defined()) {
-    return tensor::Variable(tensor::Tensor::zeros({1, 1}));
-  }
-  return ops::sum_all(total);
 }
 
 }  // namespace dance::search

@@ -53,23 +53,6 @@ SearchOutcome DanceSearch::run() {
   const LambdaWarmup warmup(opts_.warmup_lambda2, opts_.lambda2,
                             opts_.warmup_epochs,
                             std::max(1, opts_.search_epochs / 6));
-  // Constraint penalty ramps in on its own warm-up (defaulting to the
-  // lambda2 schedule) so early epochs can reach a high-accuracy region
-  // before the feasibility pressure lands.
-  const LambdaWarmup constraint_warmup(
-      0.0F, opts_.constraints.enabled() ? opts_.constraint_weight : 0.0F,
-      opts_.constraint_warmup_epochs >= 0 ? opts_.constraint_warmup_epochs
-                                          : opts_.warmup_epochs,
-      std::max(1, opts_.search_epochs / 6));
-  // History penalty for the restart explorer: a constant [1, W] row over the
-  // arch one-hot encoding, dotted with the (straight-through) encoding every
-  // arch step. Materialized once outside the epoch loop.
-  tensor::Tensor history_row;
-  if (opts_.arch_history_penalty != nullptr && opts_.history_scale > 0.0F) {
-    history_row = tensor::Tensor::from(
-        {static_cast<int>(opts_.arch_history_penalty->size())},
-        *opts_.arch_history_penalty);
-  }
 
   obs::Gauge& lambda2_gauge = obs::Registry::global().gauge("dance.lambda2");
   obs::Gauge& loss_gauge = obs::Registry::global().gauge("dance.arch_loss");
@@ -127,26 +110,11 @@ SearchOutcome DanceSearch::run() {
           enc = nas::SuperNet::encode_gates(gates);
         }
         Variable loss = ops::cross_entropy(logits, by);
-        const float cweight = constraint_warmup.value(epoch);
-        if (lambda2 > 0.0F || cweight > 0.0F) {
+        if (lambda2 > 0.0F) {
           const evalnet::Evaluator::Output out = evaluator_.forward(enc, rng);
-          if (lambda2 > 0.0F) {
-            const Variable cost = hw_cost_variable(out.metrics, opts_.cost_kind,
-                                                   opts_.linear_weights);
-            loss = ops::add(loss, ops::sum_all(ops::scale(cost, lambda2)));
-          }
-          if (cweight > 0.0F) {
-            const Variable penalty =
-                constraint_penalty_variable(out.metrics, opts_.constraints);
-            loss = ops::add(loss, ops::scale(penalty, cweight));
-          }
-        }
-        if (history_row.numel() > 0) {
-          // <encoding, he-penalty>: straight-through gates make this push
-          // arch parameters away from regions earlier restarts converged to.
-          loss = ops::add(
-              loss, ops::scale(ops::sum_all(ops::mul_rowvec(enc, history_row)),
-                               opts_.history_scale));
+          const Variable cost = hw_cost_variable(out.metrics, opts_.cost_kind,
+                                                 opts_.linear_weights);
+          loss = ops::add(loss, ops::sum_all(ops::scale(cost, lambda2)));
         }
         arch_loss_sum += loss.value()[0];
         ++arch_steps;
@@ -178,16 +146,12 @@ SearchOutcome DanceSearch::run() {
   obs::Registry::global().gauge("dance.search_seconds")
       .set(outcome.search_seconds);
 
-  // One-time exact hardware generation after the search (§4.3). With
-  // constraints the arg-min runs over the penalized cost, so a feasible
-  // configuration wins whenever one exists (tests/test_property_pareto.cpp
-  // pins this against the filtered exhaustive oracle).
+  // One-time exact hardware generation after the search (§4.3).
   {
     DANCE_PROFILE_SCOPE("dance.hwgen");
     const hwgen::HwSearchResult hw = cost_table_.optimal(
         outcome.architecture,
-        constrained_cost_fn(make_cost_fn(opts_.cost_kind, opts_.linear_weights),
-                            opts_.constraints));
+        make_cost_fn(opts_.cost_kind, opts_.linear_weights));
     outcome.hardware = hw.config;
     outcome.metrics = hw.metrics;
   }

@@ -38,19 +38,6 @@ struct DanceOptions {
   int warmup_epochs = 6;         ///< §3.4 warm-up before lambda2 ramps in
   float warmup_lambda2 = 0.0F;
   float gumbel_tau = 1.0F;
-  // Hard constraints (docs/search.md): lowered into the arch loss as a
-  // LambdaWarmup-ramped differentiable penalty, and into the post-search
-  // exact hardware generation as a feasibility filter on the scalar cost.
-  ConstraintSpec constraints{};
-  float constraint_weight = 8.0F;    ///< penalty weight once fully ramped in
-  int constraint_warmup_epochs = -1; ///< -1: follow warmup_epochs
-  // History-penalty exploration (search/pareto.h, VLSIGR's negotiated-
-  // congestion `he` in spirit): when non-null, `arch_history_penalty` must
-  // have arch-encoding width and history_scale * <encoding, penalty> joins
-  // the architecture loss, steering restarts away from already-visited
-  // (slot, op) regions. The vector is borrowed and must outlive run().
-  const std::vector<float>* arch_history_penalty = nullptr;
-  float history_scale = 0.0F;
   nas::FixedTrainOptions retrain{};
   std::uint64_t seed = 42;
   bool verbose = false;

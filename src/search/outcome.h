@@ -14,10 +14,6 @@ struct SearchOutcome {
   accel::CostMetrics metrics;      ///< exact metrics on that hardware
   double search_seconds = 0.0;
   int trained_candidates = 1;      ///< networks trained during search
-
-  /// Validation error in percent — the first of the four minimization
-  /// objectives of the multi-objective mode (search/pareto.h).
-  [[nodiscard]] double error_pct() const { return 100.0 - val_accuracy_pct; }
 };
 
 }  // namespace dance::search

@@ -7,9 +7,9 @@ namespace dance::search {
 /// Hyper-parameter warm-up for lambda_2 (§3.4): the hardware cost weight is
 /// kept small for the first epochs so the architecture does not collapse to
 /// all-Zero before it reaches a high-accuracy region, then ramps linearly to
-/// its target value. `initial > target` down-ramps are supported (used by
-/// annealed penalty schedules); the value then decreases monotonically from
-/// `initial` to `target` over the same ramp window.
+/// its target value. `initial > target` also works: the value then
+/// decreases monotonically from `initial` to `target` over the same ramp
+/// window.
 ///
 /// Edge cases are normalized in the constructor so `value()` is total:
 ///  * negative `warmup_epochs` behaves like 0 (the ramp starts at epoch 0),

@@ -176,16 +176,6 @@ Variable scale_by(const Variable& a, const Variable& s) {
   });
 }
 
-Variable add_const(const Variable& a, const Tensor& c) {
-  if (!a.value().same_shape(c)) throw std::invalid_argument("add_const: shape mismatch");
-  Tensor out = a.value();
-  out.add_(c);
-  return make_result(std::move(out), {a.node()}, [](Node& self) {
-    auto& pa = self.parents[0];
-    if (into(pa)) pa->grad.add_(self.grad);
-  });
-}
-
 Variable mul_rowvec(const Variable& a, const Tensor& row) {
   if (a.value().rank() != 2 || row.rank() != 1 || a.value().cols() != row.dim(0)) {
     throw std::invalid_argument("mul_rowvec: expected [N,D] * [D]");

@@ -21,8 +21,6 @@ Variable scale(const Variable& a, float s);
 /// over all of a — used to gate candidate-op outputs by architecture
 /// parameters in the supernet.
 Variable scale_by(const Variable& a, const Variable& s);
-/// a + c where c is a constant tensor (no gradient into c).
-Variable add_const(const Variable& a, const Tensor& c);
 /// [N,D] * [D] constant row vector broadcast over rows (per-column scaling;
 /// no gradient into the row vector).
 Variable mul_rowvec(const Variable& a, const Tensor& row);

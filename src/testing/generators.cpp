@@ -140,36 +140,6 @@ std::string show_tensor(const tensor::Tensor& t) {
   return out.str();
 }
 
-Generator<tensor::Tensor> tensor_gen(int max_rows, int max_cols, float stddev) {
-  Generator<tensor::Tensor> gen;
-  gen.sample = [max_rows, max_cols, stddev](util::Rng& rng) {
-    const int r = rng.randint(1, max_rows);
-    const int c = rng.randint(1, max_cols);
-    return tensor::Tensor::randn({r, c}, rng, 0.0F, stddev);
-  };
-  gen.shrink = [](const tensor::Tensor& t) {
-    std::vector<tensor::Tensor> out;
-    const int r = t.rows();
-    const int c = t.cols();
-    // Keep the top-left block at half the rows / half the cols.
-    for (const auto& [nr, nc] : {std::pair{(r + 1) / 2, c}, {r, (c + 1) / 2}}) {
-      if (nr == r && nc == c) continue;
-      tensor::Tensor s({nr, nc});
-      for (int i = 0; i < nr; ++i) {
-        for (int j = 0; j < nc; ++j) s.at(i, j) = t.at(i, j);
-      }
-      out.push_back(std::move(s));
-    }
-    // All-zeros of the same shape (the "simplest" tensor).
-    bool all_zero = true;
-    for (std::size_t i = 0; i < t.numel(); ++i) all_zero &= (t[i] == 0.0F);
-    if (!all_zero) out.push_back(tensor::Tensor::zeros(t.shape()));
-    return out;
-  };
-  gen.show = show_tensor;
-  return gen;
-}
-
 Generator<std::vector<tensor::Tensor>> tensor_list_gen(int max_tensors,
                                                        int max_dim) {
   Generator<std::vector<tensor::Tensor>> gen;

@@ -26,12 +26,6 @@ namespace dance::testing {
 /// failure stays in its dataflow while shrinking.
 [[nodiscard]] Generator<accel::AcceleratorConfig> accel_config_gen();
 
-/// Random rank-2 tensor: shape in [1,max_rows] x [1,max_cols], i.i.d. normal
-/// entries scaled by `stddev`. Shrinks the shape (halving rows/cols, keeping
-/// the top-left block) before zeroing entries.
-[[nodiscard]] Generator<tensor::Tensor> tensor_gen(int max_rows, int max_cols,
-                                                   float stddev = 1.0F);
-
 /// Random tensor *list* for checkpoint round-trips: up to `max_tensors`
 /// tensors of rank 1 or 2, entries including the IEEE edge cases a byte-exact
 /// round trip must preserve (±0, ±inf, NaN, denormals).

@@ -167,93 +167,4 @@ TEST(CostTerm, LambdaWarmupEdgeCaseTable) {
   }
 }
 
-// --- Hard constraints (ConstraintSpec) --------------------------------------
-
-TEST(Constraints, UnsetSpecIsDisabledAndAlwaysFeasible) {
-  const search::ConstraintSpec spec;
-  EXPECT_FALSE(spec.enabled());
-  EXPECT_TRUE(spec.feasible(accel::CostMetrics{1e9, 1e9, 1e9}));
-  EXPECT_DOUBLE_EQ(spec.violation(accel::CostMetrics{1e9, 1e9, 1e9}), 0.0);
-}
-
-TEST(Constraints, FeasibilityAndViolation) {
-  search::ConstraintSpec spec;
-  spec.area_budget_mm2 = 10.0;
-  spec.latency_slo_ms = 2.0;
-  EXPECT_TRUE(spec.enabled());
-  EXPECT_TRUE(spec.feasible(accel::CostMetrics{2.0, 5.0, 10.0}));
-  EXPECT_FALSE(spec.feasible(accel::CostMetrics{2.5, 5.0, 10.0}));
-  EXPECT_FALSE(spec.feasible(accel::CostMetrics{2.0, 5.0, 15.0}));
-  EXPECT_DOUBLE_EQ(spec.violation(accel::CostMetrics{2.0, 5.0, 10.0}), 0.0);
-  // 25% over SLO + 50% over area budget.
-  EXPECT_NEAR(spec.violation(accel::CostMetrics{2.5, 5.0, 15.0}), 0.75, 1e-12);
-}
-
-TEST(Constraints, NanMetricsAreNeverFeasible) {
-  search::ConstraintSpec spec;
-  spec.area_budget_mm2 = 10.0;
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(spec.feasible(accel::CostMetrics{nan, 1.0, 1.0}));
-  EXPECT_FALSE(spec.feasible(accel::CostMetrics{1.0, 1.0, nan}));
-  EXPECT_TRUE(std::isinf(spec.violation(accel::CostMetrics{nan, 1.0, 1.0})));
-}
-
-TEST(Constraints, ConstrainedCostFnOrdersByFeasibilityFirst) {
-  search::ConstraintSpec spec;
-  spec.latency_slo_ms = 2.0;
-  const accel::HwCostFn fn =
-      search::constrained_cost_fn(accel::edap_cost(), spec);
-  // Feasible metrics keep the base cost.
-  const accel::CostMetrics ok{1.0, 2.0, 3.0};
-  EXPECT_DOUBLE_EQ(fn(ok), accel::edap_cost()(ok));
-  // Any infeasible cost dwarfs any feasible one, and worse violations cost
-  // more (so "least violating" wins when nothing is feasible).
-  const double bad1 = fn(accel::CostMetrics{2.5, 1.0, 1.0});
-  const double bad2 = fn(accel::CostMetrics{4.0, 1.0, 1.0});
-  EXPECT_GE(bad1, search::kInfeasibleCost);
-  EXPECT_GT(bad2, bad1);
-  EXPECT_LT(fn(ok), bad1);
-}
-
-TEST(Constraints, DisabledSpecReturnsBaseFnUnchanged) {
-  const accel::HwCostFn fn = search::constrained_cost_fn(
-      accel::edap_cost(), search::ConstraintSpec{});
-  const accel::CostMetrics m{7.0, 11.0, 13.0};
-  EXPECT_DOUBLE_EQ(fn(m), accel::edap_cost()(m));
-}
-
-TEST(Constraints, PenaltyVariableZeroInsideFeasibleRegion) {
-  search::ConstraintSpec spec;
-  spec.latency_slo_ms = 4.0;
-  spec.area_budget_mm2 = 20.0;
-  Variable metrics(metrics_tensor(2.0, 3.0, 10.0), /*requires_grad=*/true);
-  const Variable p = search::constraint_penalty_variable(metrics, spec);
-  EXPECT_FLOAT_EQ(p.value()[0], 0.0F);
-  p.backward();
-  for (int i = 0; i < 3; ++i) EXPECT_FLOAT_EQ(metrics.grad()[i], 0.0F);
-}
-
-TEST(Constraints, PenaltyVariableGradientPushesTowardBudget) {
-  search::ConstraintSpec spec;
-  spec.latency_slo_ms = 2.0;
-  spec.area_budget_mm2 = 10.0;
-  // Latency 3.0 > SLO 2.0 (violation 0.5), area 15 > 10 (violation 0.5).
-  Variable metrics(metrics_tensor(3.0, 1.0, 15.0), /*requires_grad=*/true);
-  const Variable p = search::constraint_penalty_variable(metrics, spec);
-  EXPECT_NEAR(p.value()[0], 1.0F, 1e-5F);
-  p.backward();
-  // d relu(lat/SLO - 1)/d lat = 1/SLO, d relu(area/budget - 1)/d area =
-  // 1/budget; energy is unconstrained.
-  EXPECT_NEAR(metrics.grad()[0], 0.5F, 1e-5F);
-  EXPECT_FLOAT_EQ(metrics.grad()[1], 0.0F);
-  EXPECT_NEAR(metrics.grad()[2], 0.1F, 1e-5F);
-}
-
-TEST(Constraints, PenaltyVariableNoFiniteBudgetIsInertZero) {
-  Variable metrics(metrics_tensor(3.0, 1.0, 15.0), /*requires_grad=*/true);
-  const Variable p = search::constraint_penalty_variable(
-      metrics, search::ConstraintSpec{});
-  EXPECT_FLOAT_EQ(p.value()[0], 0.0F);
-}
-
 }  // namespace

@@ -106,12 +106,6 @@ TEST(GradCheck, MulRowvecConstant) {
                  make_input({2, 3}));
 }
 
-TEST(GradCheck, AddConst) {
-  const Tensor c = make_input({2, 2}, 2.0F);
-  check_gradient([&](const Variable& x) { return ops::add_const(x, c); },
-                 make_input({2, 2}));
-}
-
 TEST(GradCheck, MatmulBothSides) {
   const Tensor b = make_input({3, 4}, 0.5F);
   check_gradient([&](const Variable& x) { return ops::matmul(x, Variable(b)); },

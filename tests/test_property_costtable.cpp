@@ -3,9 +3,10 @@
 //     table cell through evaluate_all, plus scan_size() and optimal() bits;
 //   - the pruned scan in optimal() returns the config, metric bits and cost
 //     bits of a full first-minimum scan, for every non-decreasing cost form
-//     the repo uses plus forced ties, against two oracles that never touch
-//     the scan order: hwgen::ExhaustiveSearch over metrics summed from the
-//     cost model (small space) and a full metrics(ci) scan (full space).
+//     the repo uses plus a feasibility filter and forced ties, against two
+//     oracles that never touch the scan order: hwgen::ExhaustiveSearch over
+//     metrics summed from the cost model (small space) and a full
+//     metrics(ci) scan (full space).
 //   - the inlined accel::Edap scan returns the bits of the HwCostFn scan
 //     with accel::edap_cost() and of a full metrics(ci) EDAP scan, on spaces
 //     that end in whole and in partial 16-position chunks.
@@ -13,11 +14,13 @@
 // this fuzz next to the example-based suites in tests/test_costtable.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "accel/cost_function.h"
@@ -25,7 +28,6 @@
 #include "arch/cost_table.h"
 #include "hwgen/exhaustive.h"
 #include "runtime/thread_pool.h"
-#include "search/cost_term.h"
 #include "testing/generators.h"
 #include "testing/property.h"
 
@@ -78,12 +80,36 @@ enum class CostForm {
 };
 constexpr int kNumCostForms = 8;
 
+/// Area budget and latency SLO of the kConstrained and kFeasible forms.
+struct Budgets {
+  double area_mm2 = 0.0;
+  double latency_ms = 0.0;
+};
+
+/// Feasibility filter over a base cost: a config within both budgets keeps
+/// its base cost, any other costs 1e18 * (1 + its summed relative violation,
+/// capped at 1e6). A budget <= 0 adds no violation, so with such budgets
+/// every config ties. Non-decreasing in every metric whenever `base` is.
+accel::HwCostFn feasibility_filtered(accel::HwCostFn base, Budgets b) {
+  return [base = std::move(base), b](const accel::CostMetrics& m) {
+    if (m.area_mm2 <= b.area_mm2 && m.latency_ms <= b.latency_ms) {
+      return base(m);
+    }
+    double v = 0.0;
+    if (b.area_mm2 > 0.0) v += std::max(0.0, m.area_mm2 / b.area_mm2 - 1.0);
+    if (b.latency_ms > 0.0) {
+      v += std::max(0.0, m.latency_ms / b.latency_ms - 1.0);
+    }
+    return 1e18 * (1.0 + std::min(v, 1e6));
+  };
+}
+
 struct CostCase {
   arch::Architecture a;
   CostForm form = CostForm::kEdap;
   accel::LinearCostWeights weights;  ///< kLinear, and a linear kConstrained
   bool linear_base = false;          ///< kConstrained: linear, else EDAP
-  search::ConstraintSpec spec;       ///< kConstrained and kFeasible
+  Budgets budgets;                   ///< kConstrained and kFeasible
   double quantum = 1.0;              ///< kQuantisedEdap
 };
 
@@ -96,13 +122,12 @@ accel::HwCostFn cost_of(const CostCase& c) {
     case CostForm::kLatency:
       return [](const accel::CostMetrics& m) { return m.latency_ms; };
     case CostForm::kConstrained:
-      return search::constrained_cost_fn(c.linear_base
-                                             ? accel::linear_cost(c.weights)
-                                             : accel::edap_cost(),
-                                         c.spec);
+      return feasibility_filtered(c.linear_base ? accel::linear_cost(c.weights)
+                                                : accel::edap_cost(),
+                                  c.budgets);
     case CostForm::kFeasible:  // 0 for every feasible config
-      return search::constrained_cost_fn(
-          [](const accel::CostMetrics&) { return 0.0; }, c.spec);
+      return feasibility_filtered(
+          [](const accel::CostMetrics&) { return 0.0; }, c.budgets);
     case CostForm::kQuantisedEdap:
       return [q = c.quantum](const accel::CostMetrics& m) {
         return std::floor(m.edap() / q) * q;
@@ -141,18 +166,17 @@ testing_::Generator<CostCase> cost_case_gen(const arch::CostTable& table) {
         c.a);
     switch (rng.randint(0, 2)) {
       case 0:  // nothing is feasible, every config costs the same
-        c.spec = {.area_budget_mm2 = 1e-9, .latency_slo_ms = 1e-9};
+        c.budgets = {.area_mm2 = 1e-9, .latency_ms = 1e-9};
         break;
       case 1:  // budgets of zero are ignored: again all configs tie
-        c.spec = {.area_budget_mm2 = 0.0, .latency_slo_ms = 0.0};
+        c.budgets = {.area_mm2 = 0.0, .latency_ms = 0.0};
         break;
       default:
-        c.spec = {.area_budget_mm2 = probe.area_mm2 * rng.uniform(0.5F, 1.5F),
-                  .latency_slo_ms = probe.latency_ms * rng.uniform(0.5F, 1.5F)};
+        c.budgets = {.area_mm2 = probe.area_mm2 * rng.uniform(0.5F, 1.5F),
+                     .latency_ms = probe.latency_ms * rng.uniform(0.5F, 1.5F)};
     }
     if (c.form == CostForm::kFeasible) {
-      c.spec = {.area_budget_mm2 = probe.area_mm2,
-                .latency_slo_ms = probe.latency_ms};
+      c.budgets = {.area_mm2 = probe.area_mm2, .latency_ms = probe.latency_ms};
     }
     c.quantum = probe.edap() * rng.uniform(0.05F, 1.0F);
     return c;
@@ -163,8 +187,8 @@ testing_::Generator<CostCase> cost_case_gen(const arch::CostTable& table) {
     for (const auto op : c.a) out << ' ' << static_cast<int>(op);
     out << " weights " << c.weights.lambda_l << ',' << c.weights.lambda_e
         << ',' << c.weights.lambda_a << " linear_base " << c.linear_base
-        << " budgets " << c.spec.area_budget_mm2 << ','
-        << c.spec.latency_slo_ms << " quantum " << c.quantum;
+        << " budgets " << c.budgets.area_mm2 << ',' << c.budgets.latency_ms
+        << " quantum " << c.quantum;
     return out.str();
   };
   return gen;
