@@ -25,6 +25,15 @@ void export_at_exit() {
   }
 }
 
+/// The shard the calling thread writes: threads take indices round-robin
+/// at their first observation and keep them for life, in every histogram.
+std::size_t this_thread_shard() {
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t shard =
+      next.fetch_add(1, std::memory_order_relaxed) % kHistogramShards;
+  return shard;
+}
+
 }  // namespace
 
 std::vector<double> default_time_bounds_ms() {
@@ -40,40 +49,52 @@ std::vector<double> default_latency_bounds_us() {
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());
   bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
-  buckets_.assign(bounds_.size() + 1, 0);  // +1: the implicit +Inf bucket
-  samples_.reserve(std::min<std::size_t>(kHistogramSampleCap, 64));
+  for (Shard& shard : shards_) {
+    shard.buckets.assign(bounds_.size() + 1, 0);  // +1: the implicit +Inf bucket
+  }
 }
 
 void Histogram::observe(double v) {
-  std::lock_guard<std::mutex> lk(mu_);
-  if (count_ == 0 || v < min_) min_ = v;
-  if (count_ == 0 || v > max_) max_ = v;
-  ++count_;
-  sum_ += v;
   // First bound >= v is the owning `le` bucket; past the end -> +Inf.
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
-  if (samples_.size() < kHistogramSampleCap) {
-    samples_.push_back(v);
+  const auto bucket = static_cast<std::size_t>(
+      std::lower_bound(bounds_.begin(), bounds_.end(), v) - bounds_.begin());
+  Shard& shard = shards_[this_thread_shard()];
+  std::lock_guard<std::mutex> lk(shard.mu);
+  if (shard.count == 0 || v < shard.min) shard.min = v;
+  if (shard.count == 0 || v > shard.max) shard.max = v;
+  ++shard.count;
+  shard.sum += v;
+  ++shard.buckets[bucket];
+  if (shard.samples.size() < kHistogramSampleCap) {
+    shard.samples.push_back(v);
   } else {
-    samples_[next_sample_] = v;
-    next_sample_ = (next_sample_ + 1) % kHistogramSampleCap;
+    shard.samples[shard.next_sample] = v;
+    shard.next_sample = (shard.next_sample + 1) % kHistogramSampleCap;
   }
 }
 
 Histogram::Snapshot Histogram::snapshot() const {
-  std::lock_guard<std::mutex> lk(mu_);
   Snapshot s;
-  s.count = count_;
-  s.sum = sum_;
-  s.min = min_;
-  s.max = max_;
-  s.p50 = util::percentile(samples_, 50.0);
-  s.p95 = util::percentile(samples_, 95.0);
   s.bounds = bounds_;
-  s.buckets.reserve(buckets_.size());
+  std::vector<std::uint64_t> buckets(bounds_.size() + 1, 0);
+  std::vector<double> samples;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lk(shard.mu);
+    if (shard.count == 0) continue;
+    if (s.count == 0 || shard.min < s.min) s.min = shard.min;
+    if (s.count == 0 || shard.max > s.max) s.max = shard.max;
+    s.count += shard.count;
+    s.sum += shard.sum;
+    for (std::size_t b = 0; b < buckets.size(); ++b) {
+      buckets[b] += shard.buckets[b];
+    }
+    samples.insert(samples.end(), shard.samples.begin(), shard.samples.end());
+  }
+  s.p50 = util::percentile(samples, 50.0);
+  s.p95 = util::percentile(samples, 95.0);
+  s.buckets.reserve(buckets.size());
   std::uint64_t cumulative = 0;
-  for (const std::uint64_t b : buckets_) {
+  for (const std::uint64_t b : buckets) {
     cumulative += b;
     s.buckets.push_back(cumulative);
   }
@@ -81,12 +102,14 @@ Histogram::Snapshot Histogram::snapshot() const {
 }
 
 void Histogram::reset() {
-  std::lock_guard<std::mutex> lk(mu_);
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  count_ = 0;
-  sum_ = min_ = max_ = 0.0;
-  samples_.clear();
-  next_sample_ = 0;
+  for (Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lk(shard.mu);
+    std::fill(shard.buckets.begin(), shard.buckets.end(), 0);
+    shard.count = 0;
+    shard.sum = shard.min = shard.max = 0.0;
+    shard.samples.clear();
+    shard.next_sample = 0;
+  }
 }
 
 Registry& Registry::global() {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -42,18 +43,27 @@ class Gauge {
   std::atomic<double> v_{0.0};
 };
 
-/// Samples retained per histogram for the percentile columns. Matches the
-/// runtime profiler's historical ring cap so percentile semantics carry over
-/// unchanged: p50/p95 describe the most recent kHistogramSampleCap
-/// observations, not the full history.
+/// Samples retained per histogram shard for the percentile columns. Matches
+/// the runtime profiler's historical ring cap so percentile semantics carry
+/// over unchanged for a single-threaded writer: p50/p95 describe the most
+/// recent kHistogramSampleCap observations of each writing thread, not the
+/// full history.
 inline constexpr std::size_t kHistogramSampleCap = 4096;
+
+/// Shards per histogram. Each writing thread owns one shard (threads past
+/// this many share them round-robin), so concurrent writers on different
+/// cores do not contend for one lock or bounce one cache line.
+inline constexpr std::size_t kHistogramShards = 8;
 
 /// Fixed-boundary histogram plus a bounded ring of recent samples.
 ///
 /// The boundaries are upper bounds (Prometheus `le` semantics) and are fixed
-/// at registration; observations land in the first bucket whose bound is
+/// at construction; observations land in the first bucket whose bound is
 /// >= the value, or in the implicit +Inf bucket. count/sum/min/max cover the
-/// full lifetime; p50/p95 come from the sample ring at snapshot time.
+/// full lifetime; p50/p95 come from the sample rings at snapshot time.
+///
+/// Sharded per thread: observe() writes only the calling thread's shard,
+/// under that shard's own mutex, and snapshot() merges the shards.
 class Histogram {
  public:
   struct Snapshot {
@@ -73,23 +83,30 @@ class Histogram {
     }
   };
 
+  /// A histogram outside the registry (serve::Service keeps one per stats
+  /// window); Registry::histogram hands out the process-global ones.
+  explicit Histogram(std::vector<double> bounds);
+
   void observe(double v);
   [[nodiscard]] Snapshot snapshot() const;
-
- private:
-  friend class Registry;
-  explicit Histogram(std::vector<double> bounds);
+  /// Zero every shard; the boundaries stay.
   void reset();
 
-  mutable std::mutex mu_;
-  std::vector<double> bounds_;           ///< sorted upper bounds
-  std::vector<std::uint64_t> buckets_;   ///< per-bucket (non-cumulative), +Inf last
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  std::vector<double> samples_;  ///< bounded ring for p50/p95
-  std::size_t next_sample_ = 0;
+ private:
+  /// One thread's slice, on cache lines of its own.
+  struct alignas(64) Shard {
+    mutable std::mutex mu;
+    std::vector<std::uint64_t> buckets;  ///< per-bucket (non-cumulative), +Inf last
+    std::uint64_t count = 0;
+    double sum = 0.0;
+    double min = 0.0;
+    double max = 0.0;
+    std::vector<double> samples;  ///< bounded ring for p50/p95
+    std::size_t next_sample = 0;
+  };
+
+  std::vector<double> bounds_;  ///< sorted upper bounds
+  std::array<Shard, kHistogramShards> shards_;
 };
 
 /// One environment knob as observed by util::env: the effective value after

@@ -17,15 +17,16 @@ namespace dance::serve {
 /// one hash map and one recency list. Holds at most `capacity` entries and
 /// evicts the least-recently-used one on overflow; `get` refreshes recency.
 ///
-/// One lock, not lock striping: `KeyHash % 8` put every one-hot key on the
-/// same stripe, and this cache measured no slower than the 8-stripe one it
-/// replaced (docs/serve.md, "Why one lock").
+/// One lock, not lock striping: the byte-wise hash of the time put every
+/// one-hot key on the same one of 8 stripes, and this cache measured no
+/// slower than the 8-stripe one it replaced (docs/serve.md, "Why one lock").
 ///
 /// Transparency contract: the cache stores responses verbatim and never
 /// synthesizes one, so for a deterministic backend a cached answer is
 /// bit-identical to an uncached one (tests/test_property_serve.cpp hammers
-/// this from many threads). Keys must be canonicalized (`canonical_key`)
-/// before insertion/lookup — the Service does this for every query.
+/// this from many threads). Keys are hashed and compared with
+/// -0.0f read as +0.0f (KeyHash, KeyEq), so a lookup may pass an encoding
+/// as sent; the Service stores each new entry under its `canonical_key`.
 class LruCache {
  public:
   using Key = std::vector<float>;

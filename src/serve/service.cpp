@@ -4,14 +4,15 @@
 #include <utility>
 
 #include "util/env.h"
-#include "util/stats.h"
 #include "util/table.h"
 
 namespace dance::serve {
 
 namespace {
 
-constexpr std::size_t kLatencySampleCap = 1 << 16;
+std::chrono::steady_clock::rep now_ticks() {
+  return std::chrono::steady_clock::now().time_since_epoch().count();
+}
 
 }  // namespace
 
@@ -26,29 +27,27 @@ Service::Service(CostQueryBackend& backend, Options opts)
     : opts_(opts),
       cache_(opts.cache_capacity),
       backend_(backend),
+      latency_us_(obs::default_latency_bounds_us()),
+      window_start_(now_ticks()),
       obs_queries_(obs::Registry::global().counter("serve.queries")),
       obs_latency_us_(obs::Registry::global().histogram(
           "serve.latency_us", obs::default_latency_bounds_us())),
       obs_backend_calls_(
           obs::Registry::global().counter("serve.batch.executed")),
       obs_backend_rows_(
-          obs::Registry::global().counter("serve.batch.requests")) {
-  latency_ring_.reserve(kLatencySampleCap);
-  window_start_ = std::chrono::steady_clock::now();
-}
+          obs::Registry::global().counter("serve.batch.requests")) {}
 
 Response Service::query(const Request& request) {
   const auto start = std::chrono::steady_clock::now();
-  const std::vector<float> key = canonical_key(request.encoding);
 
   Response response;
-  if (auto hit = cache_.get(key)) {
+  if (auto hit = cache_.get(request.encoding)) {
     response = *hit;
     response.cached = true;
   } else {
     response = std::move(call_backend({&request, 1}).front());
     response.cached = false;
-    cache_.put(key, response);
+    cache_.put(canonical_key(request.encoding), response);
   }
 
   const auto end = std::chrono::steady_clock::now();
@@ -68,13 +67,13 @@ std::vector<Response> Service::query_many(std::span<const Request> requests) {
   std::vector<std::pair<std::size_t, std::size_t>> miss_fill;
   std::unordered_map<std::vector<float>, std::size_t, KeyHash, KeyEq> pending;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    std::vector<float> key = canonical_key(requests[i].encoding);
-    if (auto hit = cache_.get(key)) {
+    if (auto hit = cache_.get(requests[i].encoding)) {
       out[i] = *hit;
       out[i].cached = true;
       continue;
     }
-    const auto [it, inserted] = pending.try_emplace(std::move(key), misses.size());
+    const auto [it, inserted] = pending.try_emplace(
+        canonical_key(requests[i].encoding), misses.size());
     if (inserted) misses.push_back(requests[i]);
     miss_fill.emplace_back(i, it->second);
   }
@@ -120,27 +119,19 @@ std::vector<Response> Service::call_backend(
 void Service::record_latency_us(double us) {
   obs_queries_.inc();
   obs_latency_us_.observe(us);
-  std::lock_guard<std::mutex> lk(stats_mu_);
-  ++queries_;
-  if (latency_ring_.size() < kLatencySampleCap) {
-    latency_ring_.push_back(us);
-  } else {
-    latency_ring_[latency_next_] = us;
-    latency_next_ = (latency_next_ + 1) % kLatencySampleCap;
-  }
+  latency_us_.observe(us);
 }
 
 ServiceStats Service::stats() const {
   ServiceStats s;
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    s.queries = queries_;
-    s.window_seconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - window_start_)
-                           .count();
-    s.p50_us = util::percentile(latency_ring_, 50.0);
-    s.p95_us = util::percentile(latency_ring_, 95.0);
-  }
+  const obs::Histogram::Snapshot latency = latency_us_.snapshot();
+  s.queries = latency.count;
+  s.window_seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::duration(
+                             now_ticks() - window_start_.load()))
+                         .count();
+  s.p50_us = latency.p50;
+  s.p95_us = latency.p95;
   s.qps = s.window_seconds > 0.0
               ? static_cast<double>(s.queries) / s.window_seconds
               : 0.0;
@@ -168,11 +159,8 @@ std::string Service::stats_report() const {
 }
 
 void Service::reset_stats() {
-  std::lock_guard<std::mutex> lk(stats_mu_);
-  queries_ = 0;
-  latency_ring_.clear();
-  latency_next_ = 0;
-  window_start_ = std::chrono::steady_clock::now();
+  latency_us_.reset();
+  window_start_.store(now_ticks());
 }
 
 }  // namespace dance::serve

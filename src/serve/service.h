@@ -1,5 +1,6 @@
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -21,19 +22,21 @@ struct ServiceStats {
   double qps = 0.0;
   LruCache::Stats cache;
   /// Client-observed per-query latency percentiles (microseconds), over the
-  /// most recent samples (bounded ring, like the runtime profiler).
+  /// most recent kHistogramSampleCap samples of each client thread.
   double p50_us = 0.0;
   double p95_us = 0.0;
 };
 
 /// The embeddable cost-query service: cache -> backend.
 ///
-/// `query` is the hot path: canonicalize the encoding, probe the LRU
-/// cache, and on a miss call the backend with that one request, memoizing
-/// the answer on the way out. Every query's wall latency is recorded for
-/// the p50/p95 report. Thread-safe: any number of client threads may call
-/// `query` and `query_many` concurrently; one mutex lets one of them at a
-/// time into the backend.
+/// `query` is the hot path: probe the LRU cache with the encoding as sent
+/// (the key hash folds -0), and on a miss call the backend with that one
+/// request, memoizing the answer under its canonical key on the way out.
+/// Every query's wall latency goes into a per-thread-sharded histogram for
+/// the p50/p95 report, so a hit takes no lock but the cache's and its own
+/// shard's. Thread-safe: any number of client threads may call `query` and
+/// `query_many` concurrently; one mutex lets one of them at a time into the
+/// backend.
 ///
 /// Every backend call adds 1 to the process-global obs counter
 /// serve.batch.executed and its row count to serve.batch.requests.
@@ -94,14 +97,14 @@ class Service {
   CostQueryBackend& backend_;
   std::mutex backend_mu_;  ///< held around every backend_.query_batch call
 
-  mutable std::mutex stats_mu_;
-  std::uint64_t queries_ = 0;
-  std::vector<double> latency_ring_;
-  std::size_t latency_next_ = 0;
-  std::chrono::steady_clock::time_point window_start_;
+  /// This stats window's latencies; its count is the window's query count.
+  obs::Histogram latency_us_;
+  /// steady_clock ticks at the window's start; read and written only by
+  /// stats() and reset_stats(), never on the query path.
+  std::atomic<std::chrono::steady_clock::rep> window_start_;
 
   // Process-global instruments for the JSON/Prometheus exporters; the first
-  // two mirror the per-instance counters above.
+  // two mirror the per-instance histogram above.
   obs::Counter& obs_queries_;
   obs::Histogram& obs_latency_us_;
   obs::Counter& obs_backend_calls_;  ///< serve.batch.executed

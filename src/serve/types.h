@@ -45,13 +45,12 @@ struct Response {
   bool cached = false;
 };
 
-/// Cache-key canonicalization: the memoization cache keys on the *bytes* of
-/// the encoding, so float values that compare equal but differ in bits must
-/// be collapsed first. The only such value a well-formed encoding can carry
-/// is -0.0f (e.g. produced by upstream arithmetic), which is flushed to
-/// +0.0f. NaNs are left untouched: a NaN-carrying encoding never equals
-/// anything, including itself, which is the safe behavior for a poisoned
-/// query (it simply never hits the cache).
+/// Cache-key canonicalization: float values that compare equal but differ
+/// in bits must share one cache entry. The only such value a well-formed
+/// encoding can carry is -0.0f (e.g. produced by upstream arithmetic), which
+/// is flushed to +0.0f. NaNs are left untouched. KeyHash and KeyEq apply the
+/// same rule word by word, so a lookup needs no canonical copy; the Service
+/// calls this only to store a missed key.
 inline std::vector<float> canonical_key(const std::vector<float>& encoding) {
   std::vector<float> key = encoding;
   for (float& v : key) {
@@ -60,31 +59,45 @@ inline std::vector<float> canonical_key(const std::vector<float>& encoding) {
   return key;
 }
 
-/// FNV-1a over the key bytes. Used by the cache's hash map and by
-/// `query_many`'s within-call dedup; byte-hashing is exact because keys are
-/// canonicalized. Its low three bits are the same for every one-hot key
-/// (0.0f bytes leave them alone), so `hash % 8` cannot spread such keys over
-/// eight stripes.
+/// The bits a key value hashes and compares by: -0.0f reads as +0.0f, and
+/// every other value, NaN payloads included, as its own bits.
+inline std::uint32_t key_word(float v) {
+  std::uint32_t w = 0;
+  std::memcpy(&w, &v, sizeof(w));
+  return w == 0x80000000U ? 0U : w;
+}
+
+/// Hash of a key by 4-byte words (key_word, so -0.0f hashes as +0.0f):
+/// FNV-1a's xor-multiply step per word, then the murmur3 64-bit finalizer.
+/// The finalizer spreads every word into every output bit, including the
+/// low bits the hash table's bucket index reads; one-hot keys hold only the
+/// words of 0.0f and 1.0f, whose low bits are all zero. Used by the cache's
+/// hash map and by `query_many`'s within-call dedup.
 struct KeyHash {
   std::size_t operator()(const std::vector<float>& key) const {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto* bytes = reinterpret_cast<const unsigned char*>(key.data());
-    for (std::size_t i = 0; i < key.size() * sizeof(float); ++i) {
-      h ^= bytes[i];
-      h *= 0x100000001b3ULL;
-    }
+    std::uint64_t h = 0xcbf29ce484222325ULL ^ key.size();
+    for (const float v : key) h = (h ^ key_word(v)) * 0x100000001b3ULL;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
     return static_cast<std::size_t>(h);
   }
 };
 
-/// Bytewise equality (exact, including NaN payloads — two requests with the
-/// same NaN bits do hit the same entry, which is still deterministic).
+/// Word-wise equality under key_word: -0.0f equals +0.0f, and NaNs are
+/// compared by their bits (two requests with the same NaN bits do hit the
+/// same entry, which is still deterministic).
 struct KeyEq {
   bool operator()(const std::vector<float>& a,
                   const std::vector<float>& b) const {
-    return a.size() == b.size() &&
-           (a.empty() ||
-            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+    if (a.size() != b.size()) return false;
+    std::uint32_t diff = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      diff |= key_word(a[i]) ^ key_word(b[i]);
+    }
+    return diff == 0;
   }
 };
 

@@ -1,7 +1,9 @@
 #include "serve/wire.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -52,15 +54,54 @@ const char* number_end(const char* p, const char* const end) {
 }
 
 /// The float that the JSON number [p, end) spells, rounded as strtof rounds
-/// it. from_chars is the fast path; it reports overflow and underflow as
-/// errors, and those rare inputs keep strtof's answer. The line's string
-/// is NUL-terminated, and strtof stops where the JSON number does.
+/// it. An integer spelling (an optional '-', at most 8 digits, then
+/// optionally '.' and only zeros) below 2^24 is a float exactly, so it is
+/// converted directly; "-0" stays -0.0f. Every other number goes through
+/// from_chars, which reports overflow and underflow as errors; those rare
+/// inputs keep strtof's answer. The line's string is NUL-terminated, and
+/// strtof stops where the JSON number does.
 float to_float(const char* p, const char* end) {
+  const bool negative = *p == '-';
+  const char* const digits = p + (negative ? 1 : 0);
+  const char* q = std::find_if_not(digits, end, is_digit);
+  if (q - digits <= 8) {
+    std::uint32_t mantissa = 0;
+    for (const char* d = digits; d != q; ++d) {
+      mantissa = 10 * mantissa + static_cast<std::uint32_t>(*d - '0');
+    }
+    if (q != end && *q == '.') {
+      q = std::find_if_not(q + 1, end, [](char c) { return c == '0'; });
+    }
+    if (q == end && mantissa < (1U << 24)) {
+      const auto v = static_cast<float>(mantissa);
+      return negative ? -v : v;
+    }
+  }
   float v = 0.0F;
   if (std::from_chars(p, end, v).ec != std::errc()) {
     return std::strtof(p, nullptr);
   }
   return v;
+}
+
+/// Appends `s` at `out` and returns the new end.
+char* put(char* out, std::string_view s) {
+  std::memcpy(out, s.data(), s.size());
+  return out + s.size();
+}
+
+/// Appends `v` at `out` spelled as printf's "%.6g" spells it (the
+/// [charconv] spec defines chars_format::general with a precision that
+/// way) and returns the new end. 16 chars hold the longest, -1.23457e-308.
+char* put_metric(char* out, double v) {
+  return std::to_chars(out, out + 16, v, std::chars_format::general, 6).ptr;
+}
+
+/// Appends the decimal spelling of `v` at `out` and returns the new end.
+/// 20 chars hold any 64-bit integer.
+template <class Int>
+char* put_int(char* out, Int v) {
+  return std::to_chars(out, out + 20, v).ptr;
 }
 
 enum Key { kId, kArch, kEncoding, kNumKeys };
@@ -251,16 +292,28 @@ std::string response_line(long id, const Response& r) {
       !std::isfinite(r.metrics.area_mm2)) {
     return error_line(id, "answer is not finite");
   }
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
-      "{\"id\": %ld, \"latency_ms\": %.6g, \"energy_mj\": %.6g, "
-      "\"area_mm2\": %.6g, \"pe_x\": %d, \"pe_y\": %d, \"rf_size\": %d, "
-      "\"dataflow\": \"%s\", \"cached\": %s, \"degraded\": false}",
-      id, r.metrics.latency_ms, r.metrics.energy_mj, r.metrics.area_mm2,
-      r.config.pe_x, r.config.pe_y, r.config.rf_size,
-      accel::to_string(r.config.dataflow).c_str(), r.cached ? "true" : "false");
-  return buf;
+  // The fixed text takes 138 bytes, each metric at most 16, each integer at
+  // most 20 and the dataflow 2: 268 in all.
+  char buf[320];
+  char* p = put(buf, "{\"id\": ");
+  p = put_int(p, id);
+  p = put(p, ", \"latency_ms\": ");
+  p = put_metric(p, r.metrics.latency_ms);
+  p = put(p, ", \"energy_mj\": ");
+  p = put_metric(p, r.metrics.energy_mj);
+  p = put(p, ", \"area_mm2\": ");
+  p = put_metric(p, r.metrics.area_mm2);
+  p = put(p, ", \"pe_x\": ");
+  p = put_int(p, r.config.pe_x);
+  p = put(p, ", \"pe_y\": ");
+  p = put_int(p, r.config.pe_y);
+  p = put(p, ", \"rf_size\": ");
+  p = put_int(p, r.config.rf_size);
+  p = put(p, ", \"dataflow\": \"");
+  p = put(p, accel::to_string(r.config.dataflow));
+  p = put(p, r.cached ? "\", \"cached\": true, \"degraded\": false}"
+                      : "\", \"cached\": false, \"degraded\": false}");
+  return std::string(buf, p);
 }
 
 std::string error_line(long id, const std::string& message) {

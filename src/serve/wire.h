@@ -71,7 +71,8 @@ struct ParseOutcome {
                                          const arch::ArchSpace& space);
 
 /// Serializers. Exact output bytes are part of the protocol contract:
-/// floats go through "%.6g", booleans are literal true/false. A response
+/// floats are spelled as "%.6g" spells them (std::to_chars, general
+/// format, precision 6), booleans are literal true/false. A response
 /// with a NaN or infinite metric has no JSON spelling, so response_line
 /// returns `error_line(id, "answer is not finite")` for it. error_line
 /// JSON-escapes its message ('"' and '\\' backslash-escaped, other control

@@ -4,7 +4,9 @@
 //    one histogram; afterwards the instruments must agree exactly with a
 //    serial oracle (totals, per-bucket counts, min/max, sum). Sample values
 //    are multiples of 0.5, which add exactly in double no matter the
-//    interleaving, so even `sum` is compared bit-for-bit.
+//    interleaving, so even `sum` is compared bit-for-bit. With more
+//    threads than histogram shards, the merged snapshot (percentiles too)
+//    must equal a histogram fed the same values from one thread.
 //
 // Suite names carry a lowercase "obs" so `ctest -R obs` selects these
 // alongside the unit suites in test_obs.cpp; CI runs them under TSan, which
@@ -132,6 +134,56 @@ TEST(obs_concurrent, CounterAndHistogramMatchSerialOracle) {
         return err.str();
       });
   EXPECT_TRUE(result.ok) << result.report;
+}
+
+TEST(obs_concurrent, HistogramShardsMergeToSerialOracle) {
+  // More writers than shards, so some shards take two threads. Each thread
+  // stays under the per-thread sample cap, so every sample survives and
+  // the merged percentiles must equal the serial oracle's.
+  constexpr int kThreads = 12;
+  static_assert(kThreads > static_cast<int>(obs::kHistogramShards));
+  constexpr int kPerThread = 300;
+  static_assert(kThreads * kPerThread <= obs::kHistogramSampleCap);
+  const Plan plan{kThreads, kPerThread, 0x5eed0b5ULL};
+  const std::vector<double> bounds = {2.0, 5.0, 10.0, 15.0};
+  obs::Histogram hist(bounds);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        hist.observe(planned_value(plan, t, i));
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  obs::Histogram serial(bounds);
+  std::vector<double> all;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      serial.observe(planned_value(plan, t, i));
+      all.push_back(planned_value(plan, t, i));
+    }
+  }
+  const auto got = hist.snapshot();
+  const auto want = serial.snapshot();
+  EXPECT_EQ(got.count, static_cast<std::uint64_t>(kThreads * kPerThread));
+  EXPECT_EQ(got.count, want.count);
+  EXPECT_EQ(got.sum, want.sum);  // multiples of 0.5: exact in any order
+  EXPECT_EQ(got.min, want.min);
+  EXPECT_EQ(got.max, want.max);
+  EXPECT_EQ(got.buckets, want.buckets);
+  EXPECT_EQ(got.buckets.back(), got.count);
+  EXPECT_EQ(got.p50, util::percentile(all, 50.0));
+  EXPECT_EQ(got.p95, util::percentile(all, 95.0));
+  EXPECT_EQ(got.p50, want.p50);
+  EXPECT_EQ(got.p95, want.p95);
+
+  hist.reset();
+  const auto zeroed = hist.snapshot();
+  EXPECT_EQ(zeroed.count, 0U);
+  EXPECT_EQ(zeroed.buckets.back(), 0U);
+  EXPECT_EQ(zeroed.p50, 0.0);
 }
 
 TEST(obs_concurrent, SpansFromManyThreadsAllSurface) {

@@ -9,6 +9,9 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
@@ -102,6 +105,32 @@ TEST(serve_cache, NegativeZeroCanonicalizesToPositiveZero) {
   EXPECT_EQ(serve::canonical_key(with_neg), with_pos);
   EXPECT_EQ(serve::KeyHash{}(serve::canonical_key(with_neg)),
             serve::KeyHash{}(with_pos));
+}
+
+TEST(serve_types, KeyHashFoldsNegativeZero) {
+  // A probe spelled with -0.0f finds its +0.0f twin without canonical_key.
+  const std::vector<float> with_neg = {1.0F, -0.0F, 0.0F, -0.0F};
+  const std::vector<float> with_pos = {1.0F, 0.0F, 0.0F, 0.0F};
+  EXPECT_EQ(serve::KeyHash{}(with_neg), serve::KeyHash{}(with_pos));
+  EXPECT_TRUE(serve::KeyEq{}(with_neg, with_pos));
+  EXPECT_FALSE(serve::KeyEq{}(with_neg, {1.0F, 0.0F, 1.0F, 0.0F}));
+  EXPECT_FALSE(serve::KeyEq{}(with_neg, {1.0F, 0.0F, 0.0F}));
+
+  serve::LruCache cache(4);
+  cache.put(with_pos, response_with_latency(7.0));
+  const auto hit = cache.get(with_neg);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->metrics.latency_ms, 7.0);
+
+  // A NaN key equals only a key with the same bits: not a NaN with another
+  // payload, and not a zero of either sign.
+  const float nan_a = std::bit_cast<float>(0x7fc00001U);
+  const float nan_b = std::bit_cast<float>(0x7fc00002U);
+  EXPECT_TRUE(serve::KeyEq{}({nan_a, 1.0F}, {nan_a, 1.0F}));
+  EXPECT_EQ(serve::KeyHash{}({nan_a, 1.0F}), serve::KeyHash{}({nan_a, 1.0F}));
+  EXPECT_FALSE(serve::KeyEq{}({nan_a, 1.0F}, {nan_b, 1.0F}));
+  EXPECT_FALSE(serve::KeyEq{}({nan_a, 1.0F}, {0.0F, 1.0F}));
+  EXPECT_FALSE(serve::KeyEq{}({nan_a, 1.0F}, {-0.0F, 1.0F}));
 }
 
 /// Deterministic fake backend: answers latency = sum of the encoding, and
@@ -405,6 +434,57 @@ TEST_F(serve_service, SecondIdenticalQueryIsACacheHit) {
   EXPECT_EQ(backend.rows, 1U);  // only the miss reached the backend
 }
 
+TEST_F(serve_service, NegativeZeroRequestHitsTheCachedEntry) {
+  serve::ExactBackend exact(table_);
+  CountingBackend backend(exact);
+  serve::Service service(backend, serve::Service::Options{});
+
+  const Request plus = request_for_seed(3);
+  Request minus = plus;
+  for (float& v : minus.encoding) {
+    if (v == 0.0F) v = -0.0F;
+  }
+  ASSERT_TRUE(std::signbit(minus.encoding.front()) ||
+              std::signbit(minus.encoding.back()));
+  const Response first = service.query(plus);
+  const Response second = service.query(minus);
+  EXPECT_FALSE(first.cached);
+  EXPECT_TRUE(second.cached);
+  EXPECT_TRUE(same_bits(first, second));
+  EXPECT_EQ(backend.rows, 1U);
+}
+
+TEST_F(serve_service, StatsCountQueriesFromEveryThread) {
+  serve::ExactBackend backend(table_);
+  serve::Service service(backend, serve::Service::Options{});
+  const Request req = request_for_seed(5);
+  (void)service.query(req);  // the one miss; every later query hits
+  service.reset_stats();
+  EXPECT_EQ(service.stats().queries, 0U);
+
+  constexpr int kThreads = 4;
+  constexpr int kHits = 500;
+  std::atomic<int> missed{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kThreads; ++t) {
+    clients.emplace_back([&] {
+      for (int i = 0; i < kHits; ++i) {
+        if (!service.query(req).cached) ++missed;
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  EXPECT_EQ(missed.load(), 0);
+  const serve::ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.queries, static_cast<std::uint64_t>(kThreads * kHits));
+  EXPECT_GT(stats.p95_us, 0.0);
+  EXPECT_GE(stats.p95_us, stats.p50_us);
+
+  service.reset_stats();
+  EXPECT_EQ(service.stats().queries, 0U);
+  EXPECT_EQ(service.stats().p50_us, 0.0);
+}
+
 TEST_F(serve_service, QueryManyPreservesOrderAndMemoizes) {
   serve::ExactBackend exact(table_);
   CountingBackend backend(exact);
@@ -546,6 +626,66 @@ TEST(serve_wire, NonFiniteAnswerIsAnErrorLine) {
           << "metric " << field << " = " << bad;
     }
   }
+}
+
+/// The response line as printf spelled it: the oracle for response_line.
+std::string printf_response_line(long id, const Response& r) {
+  char buf[512];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{\"id\": %ld, \"latency_ms\": %.6g, \"energy_mj\": %.6g, "
+      "\"area_mm2\": %.6g, \"pe_x\": %d, \"pe_y\": %d, \"rf_size\": %d, "
+      "\"dataflow\": \"%s\", \"cached\": %s, \"degraded\": false}",
+      id, r.metrics.latency_ms, r.metrics.energy_mj, r.metrics.area_mm2,
+      r.config.pe_x, r.config.pe_y, r.config.rf_size,
+      accel::to_string(r.config.dataflow).c_str(), r.cached ? "true" : "false");
+  return buf;
+}
+
+TEST(serve_wire, ResponseLineMatchesPrintfOracle) {
+  // Rounding edges of six significant digits, the %f/%e switch at 1e-4 and
+  // 1e6, subnormals and the extremes, each with both signs.
+  std::vector<double> values = {
+      0.0,      9.999995, 9.9999949999, 999999.5, 999999.4999, 1e-5, 0.0001,
+      0.00009999995, 1e6,  123456.5, 1.5,     2.5,  0.1,  1e100,
+      std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(), 4.9406564584124654e-320};
+  const std::size_t edges = values.size();
+  for (std::size_t i = 0; i < edges; ++i) values.push_back(-values[i]);
+  // Seeded random finite doubles over every exponent: uniform bit patterns.
+  util::Rng rng(20240611);
+  while (values.size() < 200000) {
+    const double v = std::bit_cast<double>(rng.engine()());
+    if (std::isfinite(v)) values.push_back(v);
+  }
+
+  const long ids[] = {std::numeric_limits<long>::min(),
+                      std::numeric_limits<long>::max(), -1, 0, 42};
+  const accel::Dataflow flows[] = {accel::Dataflow::kWeightStationary,
+                                   accel::Dataflow::kOutputStationary,
+                                   accel::Dataflow::kRowStationary};
+  const int ints[] = {std::numeric_limits<int>::min(),
+                      std::numeric_limits<int>::max(), -1, 0, 8, 64};
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    Response r;
+    r.metrics = {.latency_ms = values[i],
+                 .energy_mj = values[(i * 7 + 1) % values.size()],
+                 .area_mm2 = values[(i * 13 + 2) % values.size()]};
+    r.config.pe_x = ints[i % 6];
+    r.config.pe_y = ints[(i / 6) % 6];
+    r.config.rf_size = ints[(i / 36) % 6];
+    r.config.dataflow = flows[i % 3];
+    r.cached = i % 2 == 1;
+    const long id = ids[i % 5];
+    const std::string got = serve::wire::response_line(id, r);
+    const std::string want = printf_response_line(id, r);
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << "got  " << got << "\nwant " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0U);
 }
 
 TEST(serve_wire, NonIntegerOrOutOfRangeIdIsRejected) {
@@ -732,6 +872,44 @@ TEST(serve_wire, EncodingValuesMustBeSpelledAsJsonNumbers) {
       ASSERT_TRUE(parsed.ok) << zero << ", " << one << ": " << parsed.error;
       EXPECT_EQ(parsed.request.encoding, want) << zero << ", " << one;
     }
+  }
+  // Integer spellings are converted without from_chars, every other one
+  // through it; each value read carries strtof's bits, -0's sign included.
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  for (const char* zero : {"-0", "0.000", "-0.0", "0e5", "-0.0E-3"}) {
+    for (const char* one : {"1.0", "1", "1e0", "10e-1", "0.1e1", "1.000000"}) {
+      const auto parsed = serve::wire::parse_request(
+          encoding_request(3, one_hot_values(zero, one)), space);
+      ASSERT_TRUE(parsed.ok) << zero << ", " << one << ": " << parsed.error;
+      ASSERT_EQ(parsed.request.encoding.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        const char* spelled = want[i] == 1.0F ? one : zero;
+        EXPECT_EQ(bits(parsed.request.encoding[i]),
+                  bits(std::strtof(spelled, nullptr)))
+            << spelled << " at " << i;
+      }
+    }
+  }
+  // Past the integer path's reach a value still reads as strtof reads it:
+  // an op index spelled with trailing zeros is that op, and 2^24 or nine
+  // digits are out of range like any other large number.
+  const std::vector<float> op6 =
+      serve::wire::parse_request(R"({"arch": [6,1,2,3,4,5,6,0,1]})", space)
+          .request.encoding;
+  for (const char* six : {"6.000000", "6.0", "6e0", "60e-1"}) {
+    const auto parsed = serve::wire::parse_request(
+        std::string(R"({"arch": [)") + six + ", 1, 2, 3, 4, 5, 6, 0, 1]}",
+        space);
+    ASSERT_TRUE(parsed.ok) << six << ": " << parsed.error;
+    EXPECT_EQ(parsed.request.encoding, op6) << six;
+  }
+  for (const char* big : {"16777216", "16777215", "99999999", "123456789",
+                          "-16777216"}) {
+    EXPECT_EQ(error_for(std::string(R"({"id": 9, "arch": [)") + big +
+                        ", 1, 2, 3, 4, 5, 6, 0, 1]}"),
+              R"({"id": 9, "error": "arch entries must be integer op )"
+              R"(indices in [0, 6]"})")
+        << big;
   }
 }
 
