@@ -1,6 +1,8 @@
 #include "nn/optim.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 #include <stdexcept>
 
@@ -23,6 +25,13 @@ double Optimizer::clip_grad_norm(double max_norm) {
   double sq = 0.0;
   for (auto& p : params_) {
     const auto& g = p.node()->grad;
+    // A gradient of only ±0 would add +0 to sq, which leaves its bits as
+    // they are; a bit-OR scan, which vectorises, finds one first.
+    std::uint32_t nonzero = 0;
+    for (std::size_t i = 0; i < g.numel(); ++i) {
+      nonzero |= std::bit_cast<std::uint32_t>(g[i]) & 0x7fffffffU;
+    }
+    if (nonzero == 0) continue;
     for (std::size_t i = 0; i < g.numel(); ++i) {
       sq += static_cast<double>(g[i]) * static_cast<double>(g[i]);
     }
@@ -48,17 +57,30 @@ Sgd::Sgd(std::vector<tensor::Variable> params, const Options& opts)
 
 void Sgd::step() {
   if (opts_.max_grad_norm > 0.0F) clip_grad_norm(opts_.max_grad_norm);
+  const float lr = lr_;
+  const float decay = opts_.weight_decay;
+  const float momentum = opts_.momentum;
   for (std::size_t k = 0; k < params_.size(); ++k) {
     auto& node = *params_[k].node();
     if (node.grad.numel() == 0) continue;  // parameter unused this step
-    auto& vel = velocity_[k];
-    for (std::size_t i = 0; i < node.value.numel(); ++i) {
-      float g = node.grad[i] + opts_.weight_decay * node.value[i];
-      if (opts_.momentum != 0.0F) {
-        vel[i] = opts_.momentum * vel[i] + g;
-        g = opts_.nesterov ? g + opts_.momentum * vel[i] : vel[i];
+    // Distinct buffers, so the loops vectorise.
+    float* __restrict w = node.value.data();
+    const float* __restrict grad = node.grad.data();
+    float* __restrict vel = velocity_[k].data();
+    const std::size_t n = node.value.numel();
+    if (momentum == 0.0F) {
+      for (std::size_t i = 0; i < n; ++i) w[i] -= lr * (grad[i] + decay * w[i]);
+    } else if (opts_.nesterov) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const float g = grad[i] + decay * w[i];
+        vel[i] = momentum * vel[i] + g;
+        w[i] -= lr * (g + momentum * vel[i]);
       }
-      node.value[i] -= lr_ * g;
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        vel[i] = momentum * vel[i] + (grad[i] + decay * w[i]);
+        w[i] -= lr * vel[i];
+      }
     }
   }
 }
@@ -77,18 +99,26 @@ void Adam::step() {
   ++step_count_;
   const float bc1 = 1.0F - std::pow(opts_.beta1, static_cast<float>(step_count_));
   const float bc2 = 1.0F - std::pow(opts_.beta2, static_cast<float>(step_count_));
+  const float lr = lr_;
+  const float decay = opts_.weight_decay;
+  const float beta1 = opts_.beta1;
+  const float beta2 = opts_.beta2;
+  const float eps = opts_.eps;
   for (std::size_t k = 0; k < params_.size(); ++k) {
     auto& node = *params_[k].node();
     if (node.grad.numel() == 0) continue;
-    auto& m = m_[k];
-    auto& v = v_[k];
-    for (std::size_t i = 0; i < node.value.numel(); ++i) {
-      const float g = node.grad[i] + opts_.weight_decay * node.value[i];
-      m[i] = opts_.beta1 * m[i] + (1.0F - opts_.beta1) * g;
-      v[i] = opts_.beta2 * v[i] + (1.0F - opts_.beta2) * g * g;
+    float* __restrict w = node.value.data();
+    const float* __restrict grad = node.grad.data();
+    float* __restrict m = m_[k].data();
+    float* __restrict v = v_[k].data();
+    const std::size_t n = node.value.numel();
+    for (std::size_t i = 0; i < n; ++i) {
+      const float g = grad[i] + decay * w[i];
+      m[i] = beta1 * m[i] + (1.0F - beta1) * g;
+      v[i] = beta2 * v[i] + (1.0F - beta2) * g * g;
       const float mhat = m[i] / bc1;
       const float vhat = v[i] / bc2;
-      node.value[i] -= lr_ * mhat / (std::sqrt(vhat) + opts_.eps);
+      w[i] -= lr * mhat / (std::sqrt(vhat) + eps);
     }
   }
 }

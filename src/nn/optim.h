@@ -44,6 +44,11 @@ class Sgd : public Optimizer {
   Sgd(std::vector<tensor::Variable> params, const Options& opts);
   void step() override;
 
+  /// Momentum buffer of parameter k.
+  [[nodiscard]] const tensor::Tensor& velocity(std::size_t k) const {
+    return velocity_[k];
+  }
+
  private:
   Options opts_;
   std::vector<tensor::Tensor> velocity_;
@@ -62,6 +67,14 @@ class Adam : public Optimizer {
 
   Adam(std::vector<tensor::Variable> params, const Options& opts);
   void step() override;
+
+  /// First and second moment estimates of parameter k.
+  [[nodiscard]] const tensor::Tensor& first_moment(std::size_t k) const {
+    return m_[k];
+  }
+  [[nodiscard]] const tensor::Tensor& second_moment(std::size_t k) const {
+    return v_[k];
+  }
 
  private:
   Options opts_;

@@ -1,6 +1,9 @@
 #include "tensor/gemm.h"
 
+#include <immintrin.h>
+
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 
@@ -145,14 +148,57 @@ template <typename V>
   }
 }
 
+/// For each 8-bit mask, the lanes of its set bits in ascending order, one
+/// per byte from the low byte up, and how many there are.
+struct LaneList {
+  std::array<std::uint64_t, 256> lanes{};
+  std::array<std::uint8_t, 256> count{};
+};
+
+constexpr LaneList kLaneLists = [] {
+  LaneList t;
+  for (int mask = 0; mask < 256; ++mask) {
+    for (int lane = 0; lane < 8; ++lane) {
+      if ((mask >> lane & 1) != 0) {
+        t.lanes[mask] |= static_cast<std::uint64_t>(lane) << (8 * t.count[mask]++);
+      }
+    }
+  }
+  return t;
+}();
+
+/// Appends to idx[cnt..] the kk in [kk0, kk0 + 8) whose a_ik survives the
+/// zero-skip (±0 is skipped, NaN kept) and returns the new count. It stores
+/// all 8 slots from idx + cnt; those past the new count are scratch.
+[[gnu::always_inline]] inline int compact8(const float* a8, int kk0, int* idx,
+                                           int cnt) {
+  const __m128 zero = _mm_setzero_ps();
+  const int mask = _mm_movemask_ps(_mm_cmpneq_ps(_mm_loadu_ps(a8), zero)) |
+                   _mm_movemask_ps(_mm_cmpneq_ps(_mm_loadu_ps(a8 + 4), zero)) << 4;
+  // Widen the 8 lane bytes to 32 bits and add kk0.
+  const __m128i zeroi = _mm_setzero_si128();
+  const __m128i lanes = _mm_unpacklo_epi8(
+      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(&kLaneLists.lanes[mask])),
+      zeroi);
+  const __m128i base = _mm_set1_epi32(kk0);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(idx + cnt),
+                   _mm_add_epi32(_mm_unpacklo_epi16(lanes, zeroi), base));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(idx + cnt + 4),
+                   _mm_add_epi32(_mm_unpackhi_epi16(lanes, zeroi), base));
+  return cnt + kLaneLists.count[mask];
+}
+
 /// Computes rows [row_lo, row_hi) of C on the calling thread. Per row and
 /// kk pass, the kk whose a_ik survives the zero-skip are compacted first,
-/// without branches, then every C chunk runs over that list.
+/// 8 at a time through a table of lane lists and without branches, then
+/// every C chunk runs over that list. With a non-finite B nothing is
+/// skipped and the list is every kk of the pass.
 template <typename V>
 [[gnu::always_inline]] inline void rows(const float* a, const float* b,
                                         float* c, long row_lo, long row_hi,
                                         int k, int m, bool b_finite) {
-  const int keep_zeros = b_finite ? 0 : 1;
+  // compact8 starts its 8 stores at slot cnt <= kk - k0 <= kKChunk - 8, so
+  // they stay inside the list.
   int idx[kKChunk];
   for (long i = row_lo; i < row_hi; ++i) {
     const float* arow = a + i * k;
@@ -160,9 +206,15 @@ template <typename V>
     for (int k0 = 0; k0 < k; k0 += kKChunk) {
       const int k1 = std::min(k0 + kKChunk, k);
       int cnt = 0;
-      for (int kk = k0; kk < k1; ++kk) {
-        idx[cnt] = kk;
-        cnt += static_cast<int>(arow[kk] != 0.0F) | keep_zeros;
+      if (b_finite) {
+        int kk = k0;
+        for (; kk + 8 <= k1; kk += 8) cnt = compact8(arow + kk, kk, idx, cnt);
+        for (; kk < k1; ++kk) {
+          idx[cnt] = kk;
+          cnt += static_cast<int>(arow[kk] != 0.0F);
+        }
+      } else {
+        for (int kk = k0; kk < k1; ++kk) idx[cnt++] = kk;
       }
       if (cnt > 0) row_update<V>(arow, b, crow, idx, cnt, m);
     }

@@ -90,18 +90,24 @@ Variable add_rowvec(const Variable& a, const Variable& bias) {
   const int n = a.value().rows();
   const int d = a.value().cols();
   Tensor out = a.value();
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < d; ++c) out.at(r, c) += bias.value()[static_cast<std::size_t>(c)];
+  // Distinct buffers, so the row loops vectorise.
+  {
+    float* __restrict o = out.data();
+    const float* __restrict bv = bias.value().data();
+    for (int r = 0; r < n; ++r, o += d) {
+      for (int c = 0; c < d; ++c) o[c] += bv[c];
+    }
   }
   return make_result(std::move(out), {a.node(), bias.node()}, [n, d](Node& self) {
     auto& pa = self.parents[0];
     auto& pb = self.parents[1];
     if (into(pa)) pa->grad.add_(self.grad);
     if (into(pb)) {
-      for (int r = 0; r < n; ++r) {
-        for (int c = 0; c < d; ++c) {
-          pb->grad[static_cast<std::size_t>(c)] += self.grad.at(r, c);
-        }
+      // Each column sums its rows in ascending order.
+      float* __restrict gb = pb->grad.data();
+      const float* __restrict gs = self.grad.data();
+      for (int r = 0; r < n; ++r, gs += d) {
+        for (int c = 0; c < d; ++c) gb[c] += gs[c];
       }
     }
   });

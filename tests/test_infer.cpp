@@ -157,6 +157,7 @@ TEST(infer_gemm, PortableAndAvx2BodiesMatchNaiveTripleLoop) {
   RecordProperty("bodies", static_cast<int>(bodies.size()));
   struct Shape {
     int n, k, m;
+    bool all_masks = false;
   };
   std::vector<Shape> shapes;
   // Every width 1..17 (each m % 8 and m % 4, narrower than one vector too),
@@ -169,6 +170,10 @@ TEST(infer_gemm, PortableAndAvx2BodiesMatchNaiveTripleLoop) {
   // k beyond one 256-kk compaction pass.
   shapes.push_back({3, 300, 30});
   shapes.push_back({2, 600, 46});
+  // Every 8-lane zero-skip mask: kk group g of row i has mask 8i + g, so the
+  // 32 rows run all 256 compaction-table entries, and k = 67 leaves a 3-kk
+  // tail for the scalar compaction.
+  shapes.push_back({32, 67, 20, true});
   util::Rng rng(0x51a7);
   for (const Shape& s : shapes) {
     // Variant 0: finite. 1: one non-finite entry in B, so the zero-skip is
@@ -186,6 +191,18 @@ TEST(infer_gemm, PortableAndAvx2BodiesMatchNaiveTripleLoop) {
           float v = u < 0.125F ? 0.0F : u < 0.25F ? -0.0F : rng.normal();
           if (i == 0) v = -0.0F;
           if (i == 2) v = 0.0F;
+          if (s.all_masks && kk < 64) {
+            // A set bit keeps a non-zero value (NaN in one lane); a clear
+            // bit gets +0 or -0.
+            const int mask = i * 8 + kk / 8;
+            if ((mask >> (kk % 8) & 1) == 0) {
+              v = rng.randint(0, 1) == 0 ? 0.0F : -0.0F;
+            } else if (i == 31 && kk == 60) {
+              v = std::numeric_limits<float>::quiet_NaN();
+            } else {
+              v = 1.0F + rng.uniform();
+            }
+          }
           a[static_cast<std::size_t>(i) * s.k + kk] = v;
         }
       }
