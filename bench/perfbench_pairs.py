@@ -3,7 +3,7 @@
 
     python3 bench/perfbench_pairs.py --parent DIR --change DIR --workload W
                                      --seed S --pairs N --out FILE
-                                     [--seconds 18] [--first-pair K]
+                                     [--seconds 18] [--first-pair K] [--trace]
 
 DIR is the root of a checkout. Each side runs
 `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0` in its
@@ -17,6 +17,10 @@ run. The difference between the two runs, divided by the difference in
 searches, is the minor page faults and system CPU time of one search, with
 set-up cancelled out. Other workloads leave those two columns empty.
 
+With --trace each side runs with `--trace 1` instead, and a row holds the
+hit path's per-layer metrics (TRACE_METRICS) in place of the end-to-end ones,
+so traced rows go to a FILE of their own.
+
 Rows are appended; the header is written when FILE does not exist yet.
 """
 import argparse
@@ -28,8 +32,10 @@ import subprocess
 import sys
 
 METRICS = ("p50_us", "cpu_us_per_req", "setup_s", "peak_rss_mb", "ok_pct")
-COLUMNS = ("workload", "seed", "pair", "run_order", "side") + METRICS + (
-    "minflt_per_search", "sys_ms_per_search")
+TRACE_METRICS = ("wire.parse_us", "service.query_us", "wire.serialize_us",
+                 "trace.overhead_pct")
+KEYS = ("workload", "seed", "pair", "run_order", "side")
+COLUMNS = KEYS + METRICS + ("minflt_per_search", "sys_ms_per_search")
 SHORT_S, LONG_S = 2.0, 8.0
 
 
@@ -37,14 +43,15 @@ def last_json(stdout):
     return json.loads(stdout.rstrip("\n").splitlines()[-1])
 
 
-def bench(root, workload, seed, seconds):
-    """End-to-end metrics of one run.py run in the checkout at root."""
+def bench(root, workload, seed, seconds, names, trace=False):
+    """The metrics `names` of one run.py run in the checkout at root."""
     proc = subprocess.run(
         [sys.executable, os.path.join(root, "perfbench", "run.py"), "--workload",
-         workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         workload, "--seed", str(seed), "--seconds", str(seconds), "--trace",
+         "1" if trace else "0"],
         cwd=root, stdout=subprocess.PIPE, text=True, check=True)
     metrics = last_json(proc.stdout)["metrics"]
-    return {name: metrics[name]["value"] for name in METRICS}
+    return {name: metrics[name]["value"] for name in names}
 
 
 def searches_and_usage(root, seed, seconds):
@@ -80,7 +87,9 @@ def main():
     ap.add_argument("--out", required=True)
     ap.add_argument("--seconds", type=float, default=18.0)
     ap.add_argument("--first-pair", type=int, default=1)
+    ap.add_argument("--trace", action="store_true")
     args = ap.parse_args()
+    names = TRACE_METRICS if args.trace else METRICS
 
     roots = {"parent": os.path.abspath(args.parent),
              "change": os.path.abspath(args.change)}
@@ -88,20 +97,23 @@ def main():
     with open(args.out, "a", newline="") as f:
         out = csv.writer(f)
         if new_file:
-            out.writerow(COLUMNS)
+            out.writerow(KEYS + names if args.trace else COLUMNS)
         for pair in range(args.first_pair, args.first_pair + args.pairs):
             sides = ("parent", "change") if pair % 2 == 1 else ("change", "parent")
             for slot, side in enumerate(sides):
                 order = 2 * (pair - 1) + slot + 1
-                m = bench(roots[side], args.workload, args.seed, args.seconds)
-                usage = ("", "")
-                if args.workload == "cosearch":
-                    usage = tuple("%.1f" % v for v in per_search(roots[side], args.seed))
+                m = bench(roots[side], args.workload, args.seed, args.seconds,
+                          names, args.trace)
+                usage = []
+                if not args.trace:
+                    usage = ["", ""]
+                    if args.workload == "cosearch":
+                        usage = ["%.1f" % v for v in per_search(roots[side], args.seed)]
                 out.writerow([args.workload, args.seed, pair, order, side] +
-                             ["%.4f" % m[name] for name in METRICS] + list(usage))
+                             ["%.4f" % m[name] for name in names] + usage)
                 f.flush()
-                print("%s seed %d pair %d %s: p50 %.1f us" %
-                      (args.workload, args.seed, pair, side, m["p50_us"]),
+                print("%s seed %d pair %d %s: %s %.2f" %
+                      (args.workload, args.seed, pair, side, names[0], m[names[0]]),
                       file=sys.stderr)
     return 0
 

@@ -1,6 +1,5 @@
 #include "serve/wire.h"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -13,7 +12,6 @@
 #include <utility>
 
 #include "arch/ops.h"
-#include "obs/span.h"
 
 namespace dance::serve::wire {
 
@@ -29,56 +27,68 @@ bool is_digit(char c) { return c >= '0' && c <= '9'; }
 
 bool ends_element(char c) { return c == ',' || c == ']' || is_space(c); }
 
-/// End of the JSON number starting at `p`, whose grammar is
-/// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, or null when no number
-/// starts there. Only the longest match counts: "01" ends after its "0".
-const char* number_end(const char* p, const char* const end) {
-  const auto skip_digits = [&p, end] {
-    if (p == end || !is_digit(*p)) return false;
-    while (p != end && is_digit(*p)) ++p;
-    return true;
-  };
+/// What one pass over a JSON number reads.
+struct Number {
+  /// The end of the number, or null when [p, end) does not start with one.
+  const char* end;
+  /// True when the number is an integer spelling (an optional '-', at most
+  /// 8 digits, then optionally '.' and only zeros, no exponent) whose
+  /// digits are `mantissa` < 2^24: a float exactly, so no conversion needed.
+  bool exact;
+  std::uint32_t mantissa;
+};
+
+/// Scans the JSON number at `p` against
+/// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? in one pass, building the
+/// integer mantissa as it goes. Only the longest match counts, so an integer
+/// part with a leading zero and more digits ("01") is no number: whatever
+/// followed its "0" would end neither an array element nor an id. Which
+/// digit comes first never chooses a path, so "0.0" and "1.0" take the same
+/// one.
+Number scan_number(const char* p, const char* const end) {
+  Number n{nullptr, false, 0};
   if (p != end && *p == '-') ++p;
-  if (p != end && *p == '0') {
+  const char* const digits = p;
+  std::uint32_t mantissa = 0;  // may wrap past 9 digits, never exact
+  while (p != end && is_digit(*p)) {
+    mantissa = 10 * mantissa + static_cast<std::uint32_t>(*p - '0');
     ++p;
-  } else if (!skip_digits()) {
-    return nullptr;
   }
-  if (p != end && *p == '.' && (++p, !skip_digits())) return nullptr;
+  const std::ptrdiff_t count = p - digits;
+  if (count == 0 || (count > 1 && *digits == '0')) return n;
+  bool zeros = true;  // the fraction, if any, is all zeros
+  if (p != end && *p == '.') {
+    const char* const fraction = ++p;
+    while (p != end && is_digit(*p)) zeros &= *p++ == '0';
+    if (p == fraction) return n;
+  }
+  bool exponent = false;
   if (p != end && (*p == 'e' || *p == 'E')) {
+    exponent = true;
     ++p;
     if (p != end && (*p == '+' || *p == '-')) ++p;
-    if (!skip_digits()) return nullptr;
+    const char* const power = p;
+    while (p != end && is_digit(*p)) ++p;
+    if (p == power) return n;
   }
-  return p;
+  n.end = p;
+  n.exact = count <= 8 && zeros && !exponent && mantissa < (1U << 24);
+  n.mantissa = mantissa;
+  return n;
 }
 
-/// The float that the JSON number [p, end) spells, rounded as strtof rounds
-/// it. An integer spelling (an optional '-', at most 8 digits, then
-/// optionally '.' and only zeros) below 2^24 is a float exactly, so it is
-/// converted directly; "-0" stays -0.0f. Every other number goes through
-/// from_chars, which reports overflow and underflow as errors; those rare
-/// inputs keep strtof's answer. The line's string is NUL-terminated, and
-/// strtof stops where the JSON number does.
-float to_float(const char* p, const char* end) {
-  const bool negative = *p == '-';
-  const char* const digits = p + (negative ? 1 : 0);
-  const char* q = std::find_if_not(digits, end, is_digit);
-  if (q - digits <= 8) {
-    std::uint32_t mantissa = 0;
-    for (const char* d = digits; d != q; ++d) {
-      mantissa = 10 * mantissa + static_cast<std::uint32_t>(*d - '0');
-    }
-    if (q != end && *q == '.') {
-      q = std::find_if_not(q + 1, end, [](char c) { return c == '0'; });
-    }
-    if (q == end && mantissa < (1U << 24)) {
-      const auto v = static_cast<float>(mantissa);
-      return negative ? -v : v;
-    }
+/// The float that the JSON number `n` starting at `p` spells, rounded as
+/// strtof rounds it. An exact number converts directly; "-0" stays -0.0f.
+/// Every other number goes through from_chars, which reports overflow and
+/// underflow as errors; those rare inputs keep strtof's answer. The line's
+/// string is NUL-terminated, and strtof stops where the JSON number does.
+float to_value(const char* p, const Number& n) {
+  if (n.exact) {
+    const auto v = static_cast<float>(n.mantissa);
+    return *p == '-' ? -v : v;
   }
   float v = 0.0F;
-  if (std::from_chars(p, end, v).ec != std::errc()) {
+  if (std::from_chars(p, n.end, v).ec != std::errc()) {
     return std::strtof(p, nullptr);
   }
   return v;
@@ -144,7 +154,7 @@ struct Cursor {
   /// and ',' or '}', which stay unread.
   bool read_id(long& id) {
     skip_space();
-    const char* stop = number_end(p, end);
+    const char* stop = scan_number(p, end).end;
     if (stop == nullptr) return false;
     const auto [last, ec] = std::from_chars(p, stop, id);
     // from_chars stops short of `stop` at a fraction or an exponent.
@@ -164,9 +174,10 @@ struct Cursor {
     if (eat(']')) return true;
     do {
       skip_space();
-      const char* stop = number_end(p, end);
+      const Number n = scan_number(p, end);
+      const char* stop = n.end;
       if (stop != nullptr && (stop == end || ends_element(*stop))) {
-        values.push_back(to_float(p, stop));
+        values.push_back(to_value(p, n));
       } else {
         for (stop = p; stop != end && !ends_element(*stop);) ++stop;
         if (stop == p) return false;  // empty element
@@ -238,19 +249,19 @@ ParseOutcome parse_request(const std::string& line,
     // an architecture the caller never sent. A non-finite value and a wrong
     // width keep their own messages, checked first.
     const std::vector<float>& enc = arrays[kEncoding];
+    // Random one-hot lines put their 1 anywhere in a slot, so the 0/1 test
+    // and the count of ones take no branch on the value.
     bool one_hot = true;
     int ones = 0;
     for (std::size_t i = 0; i < enc.size(); ++i) {
       if (!std::isfinite(enc[i])) {
         return fail("encoding values must be finite");
       }
-      if (enc[i] == 1.0F) {
-        ++ones;
-      } else if (enc[i] != 0.0F) {
-        one_hot = false;
-      }
+      const bool one = enc[i] == 1.0F;
+      ones += static_cast<int>(one);
+      one_hot &= one | (enc[i] == 0.0F);
       if ((i + 1) % arch::kNumCandidateOps == 0) {
-        one_hot = one_hot && ones == 1;
+        one_hot &= ones == 1;
         ones = 0;
       }
     }
@@ -340,7 +351,6 @@ std::string answer_line(const std::string& line, const arch::ArchSpace& space,
   ParseOutcome parsed = parse_request(line, space);
   if (!parsed.ok) return error_line(parsed.request.id, parsed.error);
   try {
-    obs::ScopedSpan request_span("serve.wire.request");
     return response_line(parsed.request.id,
                          service.query(Request{std::move(parsed.request.encoding)}));
   } catch (const std::exception& e) {

@@ -82,7 +82,7 @@ struct ParseOutcome {
 
 /// The per-line pipeline behind every front-end: "" for blank lines (no
 /// response owed), the error line for malformed ones, otherwise the
-/// `service` answer inside the `serve.wire.request` span, serialized.
+/// `service` answer, serialized.
 /// Exceptions become error lines; this function does not throw.
 [[nodiscard]] std::string answer_line(const std::string& line,
                                       const arch::ArchSpace& space,

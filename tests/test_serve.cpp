@@ -6,8 +6,10 @@
 // suites, which CI runs under TSan).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -16,8 +18,10 @@
 #include <cstring>
 #include <initializer_list>
 #include <limits>
+#include <regex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -911,6 +915,136 @@ TEST(serve_wire, EncodingValuesMustBeSpelledAsJsonNumbers) {
               R"(indices in [0, 6]"})")
         << big;
   }
+}
+
+TEST(serve_wire, NumberScanMatchesGrammarOracle) {
+  // Random tokens over the characters JSON numbers are made of (and 'x'),
+  // plus every spelling of 0 and 1 the tests above list and integers that
+  // wrap a 32-bit mantissa, each placed as an arch element, as an encoding
+  // value and as the id. The oracle shares no code with the scanner:
+  // std::regex decides which tokens are JSON numbers, strtof gives an
+  // accepted value's bits and from_chars<long> an accepted id. A rejected
+  // token reads as NaN in an array, so it gets the arch or the finiteness
+  // error, and as the id it gets the id error.
+  const std::regex grammar(R"(-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?)");
+  std::vector<std::string> tokens = {
+      "0", "-0", "0.0", "-0.0", "0e5", "-0.0E-3", "0.000", "1", "1.0", "1e0",
+      "1E+0", "10e-1", "0.1e1", "1.000000", "1.0000001", "0x0", "+0", "0.",
+      "00", ".0", "-.5", "0e", "0x1", "+1", "1.", "01", ".5", "1e", "1.e2",
+      "-", "Inf", "inf", "nan", "1f",
+      // Past 9 digits a uint32 mantissa wraps: 2^32 + 1 and 2^64 + 1 wrap
+      // to 1, which must not read as op 1.
+      "4294967296", "4294967297", "-4294967297", "18446744073709551617"};
+  constexpr std::string_view kAlphabet = "0123456789-+.eEx";
+  util::Rng rng(20261020);
+  while (tokens.size() < 100000) {
+    std::string token(static_cast<std::size_t>(rng.randint(1, 10)), ' ');
+    for (char& c : token) {
+      c = kAlphabet[static_cast<std::size_t>(
+          rng.randint(0, static_cast<int>(kAlphabet.size()) - 1))];
+    }
+    tokens.push_back(std::move(token));
+  }
+
+  const arch::ArchSpace space(arch::cifar10_backbone());
+  const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+  // Arch [0, 1, 2, 3, op, 5, 6, 0, 1] for each op the token may spell.
+  std::vector<std::vector<float>> arch_with_op;
+  for (const arch::CandidateOp op : arch::kAllCandidateOps) {
+    arch::Architecture a;
+    for (const int k : {0, 1, 2, 3, 4, 5, 6, 0, 1}) {
+      a.push_back(arch::kAllCandidateOps[static_cast<std::size_t>(k)]);
+    }
+    a[4] = op;
+    arch_with_op.push_back(space.encode(a));
+  }
+  const std::vector<std::string> one_hot = one_hot_values("0", "1");
+  const std::vector<float> encoded = arch_with_op[4];
+  // Slot 0 is op 0: its 1 sits at column 0 and a 0 at column 1.
+  constexpr std::size_t kHot = 0;
+  constexpr std::size_t kCold = 1;
+  const std::string arch_error =
+      R"({"id": 9, "error": "arch entries must be integer op indices in )"
+      R"([0, 6]"})";
+  const std::string finite_error =
+      R"({"id": 3, "error": "encoding values must be finite"})";
+  const std::string one_hot_error =
+      R"({"id": 3, "error": "encoding must be one-hot: each value 0 or 1, )"
+      R"(one 1 per slot"})";
+  const std::string id_error =
+      R"({"id": -1, "error": "id must be an integer"})";
+  const auto answer = [&space](const std::string& line) {
+    return serve::wire::parse_request(line, space);
+  };
+
+  std::size_t mismatches = 0;
+  std::size_t numbers = 0;
+  std::size_t ops = 0;
+  const auto check = [&mismatches](bool ok, const std::string& what) {
+    if (!ok && ++mismatches <= 10) ADD_FAILURE() << what;
+  };
+  for (const std::string& token : tokens) {
+    const bool number = std::regex_match(token, grammar);
+    const float v = number ? std::strtof(token.c_str(), nullptr)
+                           : std::numeric_limits<float>::quiet_NaN();
+    numbers += number ? 1 : 0;
+
+    const auto in_arch = answer(R"({"id": 9, "arch": [0, 1, 2, 3, )" + token +
+                                ", 5, 6, 0, 1]}");
+    if (v >= 0.0F && v < static_cast<float>(arch::kNumCandidateOps) &&
+        v == std::floor(v)) {
+      ++ops;
+      check(in_arch.ok && in_arch.request.encoding ==
+                              arch_with_op[static_cast<std::size_t>(v)],
+            "arch op " + token + ": " + in_arch.error);
+    } else {
+      check(!in_arch.ok &&
+                serve::wire::error_line(in_arch.request.id, in_arch.error) ==
+                    arch_error,
+            "arch error " + token);
+    }
+
+    // A 1 replaces the 1 at column kHot; anything else replaces a 0.
+    const std::size_t at = v == 1.0F ? kHot : kCold;
+    std::vector<std::string> values = one_hot;
+    values[at] = token;
+    const auto in_encoding = answer(encoding_request(3, values));
+    if (v == 0.0F || v == 1.0F) {
+      std::vector<float> want = encoded;
+      want[at] = v;
+      const std::vector<float>& got = in_encoding.request.encoding;
+      const bool same_bits =
+          in_encoding.ok && got.size() == want.size() &&
+          std::equal(want.begin(), want.end(), got.begin(),
+                     [&bits](float a, float b) { return bits(a) == bits(b); });
+      check(same_bits, "encoding value " + token + ": " + in_encoding.error);
+    } else {
+      check(!in_encoding.ok &&
+                serve::wire::error_line(in_encoding.request.id,
+                                        in_encoding.error) ==
+                    (std::isfinite(v) ? one_hot_error : finite_error),
+            "encoding error " + token);
+    }
+
+    const auto as_id =
+        answer(R"({"id": )" + token + R"(, "arch": [0,1,2,3,4,5,6,0,1]})");
+    long id = 0;
+    const char* const last = token.data() + token.size();
+    const auto [stop, ec] = std::from_chars(token.data(), last, id);
+    if (number && stop == last && ec == std::errc()) {
+      check(as_id.ok && as_id.request.id == id,
+            "id " + token + ": " + as_id.error);
+    } else {
+      check(!as_id.ok && serve::wire::error_line(as_id.request.id,
+                                                 as_id.error) == id_error,
+            "id error " + token);
+    }
+  }
+  EXPECT_EQ(mismatches, 0U);
+  // The random tokens reach every branch of the grammar: about a fifth are
+  // numbers, and thousands of those spell an op index.
+  EXPECT_GT(numbers, 10000U);
+  EXPECT_GT(ops, 1000U);
 }
 
 TEST(serve_wire, EncodingMustBeOneHot) {

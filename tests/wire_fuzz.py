@@ -5,10 +5,10 @@ Usage: python3 tests/wire_fuzz.py build/examples/serve_jsonl [--seed N]
                                    [--count N]
 
 Takes seeded mutations of valid arch and encoding request lines (insert,
-delete or duplicate one of {}[],:" or a digit, swap two members or repeat
-one), feeds them to `serve_jsonl --small` and checks every answer
-against an oracle built on Python's json module, which shares no code with
-the parser under test:
+delete or duplicate one of {}[],:" or a digit, one of the number characters
+.eE+- or a space, swap two members or repeat one), feeds them to
+`serve_jsonl --small` and checks every answer against an oracle built on
+Python's json module, which shares no code with the parser under test:
 
   * each input line gets exactly one output line, and every output line
     passes json.loads;
@@ -29,11 +29,11 @@ the first mismatch, printing it.
 """
 
 import argparse
+import fractions
 import json
 import math
 import random
 import re
-import struct
 import subprocess
 import sys
 
@@ -42,7 +42,7 @@ OPS = 7
 WIDTH = SLOTS * OPS
 LONG_MIN, LONG_MAX = -(2**63), 2**63 - 1
 KEYS = {"id", "arch", "encoding"}
-MUTABLE = '{}[],:"0123456789'
+MUTABLE = '{}[],:"0123456789.eE+- '
 
 
 class Number(str):
@@ -84,11 +84,31 @@ def oracle(line):
 
 
 def as_float32(text):
-    """The float32 the server reads for a JSON number; inf on overflow."""
-    try:
-        return struct.unpack("<f", struct.pack("<f", float(text)))[0]
-    except OverflowError:
-        return math.inf
+    """The float32 the server reads for a JSON number, as strtof rounds it:
+    the exact decimal value rounded once, half to even, to 24 significant
+    bits (fewer below 2^-126); inf past the largest float32. Going through a
+    double first would round twice."""
+    value = fractions.Fraction(text)
+    if value == 0:
+        return -0.0 if text.startswith("-") else 0.0
+    size = abs(value)
+    # 2^exp <= size < 2^(exp + 1)
+    exp = size.numerator.bit_length() - size.denominator.bit_length()
+    if size < fractions.Fraction(2) ** exp:
+        exp -= 1
+    quantum = max(exp - 23, -149)
+    rounded = round(size / fractions.Fraction(2) ** quantum) * \
+        fractions.Fraction(2) ** quantum
+    if rounded >= 2**128:
+        return math.copysign(math.inf, value)
+    return math.copysign(float(rounded), value)
+
+
+# 1 + 2^-24 + 2^-60 spelled exactly, a hair above the midpoint between 1 and
+# the next float32: strtof reads 1 + 2^-23, but a double holds only
+# 1 + 2^-24, the midpoint itself, which then ties down to 1.
+ABOVE_MIDPOINT = str((2**60 + 2**36 + 1) * 5**60)
+ABOVE_MIDPOINT = ABOVE_MIDPOINT[0] + "." + ABOVE_MIDPOINT[1:]
 
 
 def predicted_id(obj):
@@ -148,9 +168,11 @@ def base_members(rng, i):
                 if s == soft_slot:
                     values.append(rng.choice(["0.25", "0.5", "1e-3", "2"]))
                 elif k == hot:
-                    values.append(rng.choice(["1", "1.0", "1e0"]))
+                    values.append(rng.choice(["1", "1.0", "1e0", "1E+0",
+                                              "10e-1"]))
                 else:
-                    values.append(rng.choice(["0", "0", "-0", "0.0"]))
+                    values.append(rng.choice(["0", "0", "-0", "0.0", "0.000",
+                                              "-0.0E-3"]))
         members.append(("encoding", "[" + ",".join(values) + "]"))
     rng.shuffle(members)
     return members
@@ -188,6 +210,8 @@ def main():
     parser.add_argument("--count", type=int, default=2000)
     args = parser.parse_args()
     rng = random.Random(args.seed)
+    if as_float32(ABOVE_MIDPOINT) != 1 + 2**-23:
+        sys.exit("as_float32 rounds %s twice" % ABOVE_MIDPOINT)
 
     fuzzed, permutations = [], []
     for i in range(args.count):
