@@ -24,7 +24,6 @@
 namespace {
 
 using namespace dance;
-using search::CostKind;
 
 int zero_slots(const arch::Architecture& a) {
   int n = 0;
@@ -58,7 +57,7 @@ void run_ablation() {
   evalnet::Evaluator evaluator(arch_space.encoding_width(), hw_space, rng, eopts);
   {
     auto ds = evalnet::generate_evaluator_dataset(
-        table, search::make_cost_fn(CostKind::kEdap),
+        table, accel::edap_cost(),
         dance::bench::scaled(6000), rng);
     auto [train, val] = evalnet::split_dataset(ds, 0.85);
     evalnet::TrainOptions hw_opts;

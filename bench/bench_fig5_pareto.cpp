@@ -24,7 +24,6 @@
 namespace {
 
 using namespace dance;
-using search::CostKind;
 
 void run_fig5() {
   std::printf("== Figure 5: Error-EDAP trade-off (lower-left is better) ==\n\n");
@@ -58,7 +57,7 @@ void run_fig5() {
     opts.search_epochs = search_epochs;
     opts.retrain.epochs = retrain_epochs;
     opts.flops_weight = fw;
-    opts.cost_kind = CostKind::kEdap;
+    opts.cost = accel::edap_cost();
     opts.seed = 17 + static_cast<std::uint64_t>(fw * 10);
     const auto out = search::run_baseline(task, table, net_config, opts);
     const double err = 100.0 - out.val_accuracy_pct;
@@ -75,7 +74,7 @@ void run_fig5() {
   evalnet::Evaluator evaluator(arch_space.encoding_width(), hw_space, rng, eopts);
   {
     auto ds = evalnet::generate_evaluator_dataset(
-        table, search::make_cost_fn(CostKind::kEdap),
+        table, accel::edap_cost(),
         dance::bench::scaled(8000), rng);
     auto [train, val] = evalnet::split_dataset(ds, 0.85);
     evalnet::TrainOptions hw_opts;
@@ -91,7 +90,7 @@ void run_fig5() {
     search::DanceOptions opts;
     opts.search_epochs = search_epochs;
     opts.warmup_epochs = std::max(1, search_epochs / 4);
-    opts.cost_kind = CostKind::kEdap;
+    opts.cost = accel::edap_cost();
     opts.lambda2 = l2;
     opts.retrain.epochs = retrain_epochs;
     opts.seed = 29 + static_cast<std::uint64_t>(l2);

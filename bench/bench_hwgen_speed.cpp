@@ -6,9 +6,8 @@
 //   - exhaustive hardware generation with direct cost-model evaluation,
 //     serial and on the runtime thread pool,
 //   - exhaustive generation through the per-choice cost table, a single-lane
-//     scan over the configs no lower-index config dominates, with the cost
-//     as an HwCostFn and with EDAP inlined,
-//   - coordinate-descent hardware generation,
+//     scan over the configs no lower-index config dominates, under EDAP and
+//     under the paper's Eq. 3 weights,
 //   - hardware generation *network* inference, alone and as part of the
 //     full evaluator's single-row forward_batch.
 // Expected shape: the learned generator is orders of magnitude faster than
@@ -24,7 +23,6 @@
 #include "arch/cost_table.h"
 #include "evalnet/evaluator.h"
 #include "evalnet/hwgen_net.h"
-#include "hwgen/coordinate_descent.h"
 #include "hwgen/exhaustive.h"
 #include "runtime/thread_pool.h"
 
@@ -38,7 +36,7 @@ struct Env {
   accel::CostModel model;
   std::unique_ptr<arch::CostTable> table;
   util::Rng rng{9};
-  accel::HwCostFn cost_fn = accel::edap_cost();
+  accel::HwCost cost_fn = accel::edap_cost();
 
   Env() { table = std::make_unique<arch::CostTable>(arch_space, hw_space, model); }
 };
@@ -69,19 +67,18 @@ void BM_ExhaustiveDirectSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_ExhaustiveDirectSerial)->Unit(benchmark::kMillisecond);
 
-/// Both instantiations of the table scan: the HwCostFn one every search
-/// passes, and the inlined EDAP one that serve::ExactBackend answers with.
-template <typename Cost>
-void BM_ExhaustiveViaLut(benchmark::State& state, Cost cost) {
+/// Both instantiations of the table scan: EDAP, which serve::ExactBackend
+/// answers with, and Eq. 3 with the paper's Table 2 weights.
+void BM_ExhaustiveViaLut(benchmark::State& state, const accel::HwCost& cost) {
   Env& e = env();
   const arch::Architecture a = e.arch_space.random(e.rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(e.table->optimal(a, cost));
   }
 }
-BENCHMARK_CAPTURE(BM_ExhaustiveViaLut, HwCostFn, accel::edap_cost())
+BENCHMARK_CAPTURE(BM_ExhaustiveViaLut, Edap, accel::edap_cost())
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK_CAPTURE(BM_ExhaustiveViaLut, Edap, accel::Edap{})
+BENCHMARK_CAPTURE(BM_ExhaustiveViaLut, Linear, accel::linear_cost())
     ->Unit(benchmark::kMicrosecond);
 
 void BM_EvaluateAllConfigs(benchmark::State& state) {
@@ -137,16 +134,6 @@ void BM_CostTableBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CostTableBuild)->Unit(benchmark::kMillisecond);
-
-void BM_CoordinateDescent(benchmark::State& state) {
-  Env& e = env();
-  hwgen::CoordinateDescent cd(e.hw_space, e.model, /*restarts=*/4);
-  const auto layers = e.arch_space.lower(e.arch_space.random(e.rng));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cd.run(layers, e.cost_fn));
-  }
-}
-BENCHMARK(BM_CoordinateDescent)->Unit(benchmark::kMillisecond);
 
 void BM_HwGenNetInference(benchmark::State& state) {
   Env& e = env();

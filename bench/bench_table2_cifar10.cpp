@@ -31,7 +31,6 @@
 namespace {
 
 using namespace dance;
-using search::CostKind;
 
 struct Setup {
   data::SyntheticTask task;
@@ -55,8 +54,9 @@ Setup make_setup() {
   return s;
 }
 
-/// Train one evaluator (hwgen + cost nets) on ground truth for `kind`.
-evalnet::Evaluator train_evaluator(const Setup& s, CostKind kind, bool ff,
+/// Train one evaluator (hwgen + cost nets) on ground truth for `cost`.
+evalnet::Evaluator train_evaluator(const Setup& s, const accel::HwCost& cost,
+                                   bool ff,
                                    util::Rng& rng) {
   evalnet::Evaluator::Options eopts;
   eopts.cost.feature_forwarding = ff;
@@ -64,7 +64,7 @@ evalnet::Evaluator train_evaluator(const Setup& s, CostKind kind, bool ff,
   evalnet::Evaluator evaluator(s.arch_space.encoding_width(), s.hw_space, rng,
                                eopts);
   auto ds = evalnet::generate_evaluator_dataset(
-      s.table, search::make_cost_fn(kind), dance::bench::scaled(8000), rng);
+      s.table, cost, dance::bench::scaled(8000), rng);
   auto [train, val] = evalnet::split_dataset(ds, 0.85);
   evalnet::TrainOptions hw_opts;
   hw_opts.epochs = dance::bench::scaled(20);
@@ -87,10 +87,10 @@ std::vector<std::string> row(const std::string& name,
           util::Table::fmt(out.search_seconds, 0) + "s"};
 }
 
-void run_cost_kind(const Setup& s, CostKind kind) {
+void run_cost(const Setup& s, const accel::HwCost& cost) {
   const int search_epochs = dance::bench::scaled(12);
   const int retrain_epochs = dance::bench::scaled(25);
-  std::printf("-- Cost function: %s --\n", search::to_string(kind));
+  std::printf("-- Cost function: %s --\n", cost.name());
 
   util::Table t({"Method", "Acc.(%)", "Latency(ms)", "Energy(mJ)", "EDAP",
                  "Search"});
@@ -100,7 +100,7 @@ void run_cost_kind(const Setup& s, CostKind kind) {
     search::BaselineOptions opts;
     opts.search_epochs = search_epochs;
     opts.retrain.epochs = retrain_epochs;
-    opts.cost_kind = kind;
+    opts.cost = cost;
     t.add_row(row("Baseline (No penalty) + HW",
                   search::run_baseline(s.task, s.table, s.net_config, opts)));
     opts.flops_weight = 0.15F;
@@ -116,7 +116,7 @@ void run_cost_kind(const Setup& s, CostKind kind) {
     search::DanceOptions opts;
     opts.search_epochs = search_epochs;
     opts.warmup_epochs = std::max(1, search_epochs / 4);
-    opts.cost_kind = kind;
+    opts.cost = cost;
     opts.lambda2 = lambda2;
     opts.retrain.epochs = retrain_epochs;
     opts.seed = seed;
@@ -124,20 +124,20 @@ void run_cost_kind(const Setup& s, CostKind kind) {
     return dance.run();
   };
 
-  // lambda2 grids per cost kind: EDAP is O(0.05-0.3), linear cost is O(5-10).
+  // lambda2 grids per cost: EDAP is O(0.05-0.3), linear cost is O(5-10).
   const std::vector<float> grid =
-      kind == CostKind::kEdap ? std::vector<float>{1.0F, 2.5F, 4.0F, 6.0F}
-                              : std::vector<float>{0.04F, 0.1F, 0.25F, 0.5F};
-  const accel::HwCostFn report_fn = search::make_cost_fn(kind);
+      cost.kind() == accel::HwCost::Kind::kEdap
+          ? std::vector<float>{1.0F, 2.5F, 4.0F, 6.0F}
+          : std::vector<float>{0.04F, 0.1F, 0.25F, 0.5F};
 
   {
     util::Rng rng(31);
-    evalnet::Evaluator ev = train_evaluator(s, kind, /*ff=*/false, rng);
+    evalnet::Evaluator ev = train_evaluator(s, cost, /*ff=*/false, rng);
     t.add_row(row("DANCE (w/o FF)", run_dance(ev, grid[1], 31)));
   }
   {
     util::Rng rng(32);
-    evalnet::Evaluator ev = train_evaluator(s, kind, /*ff=*/true, rng);
+    evalnet::Evaluator ev = train_evaluator(s, cost, /*ff=*/true, rng);
     std::vector<search::SearchOutcome> sweep;
     for (std::size_t i = 0; i < grid.size(); ++i) {
       sweep.push_back(run_dance(ev, grid[i], 33 + i));
@@ -145,7 +145,7 @@ void run_cost_kind(const Setup& s, CostKind kind) {
     // -A/-B selection as in §4.3 (the paper allows a 1%p accuracy drop for
     // -B; our retrained accuracies carry a little more noise, hence 2.5).
     const search::DesignPoints points =
-        search::select_design_points(sweep, report_fn, 2.5);
+        search::select_design_points(sweep, cost, 2.5);
     t.add_row(row("DANCE (w/ FF)-A", points.accuracy_oriented));
     t.add_row(row("DANCE (w/ FF)-B", points.efficiency_oriented));
   }
@@ -157,8 +157,8 @@ void run_table2() {
   std::printf("== Table 2: Performance of DANCE on CIFAR-10 (synthetic "
               "stand-in task) ==\n\n");
   Setup s = make_setup();
-  run_cost_kind(s, CostKind::kEdap);
-  run_cost_kind(s, CostKind::kLinear);
+  run_cost(s, accel::edap_cost());
+  run_cost(s, accel::linear_cost());
 }
 
 /// Microbenchmark: one DANCE architecture-step loss evaluation through the
@@ -179,7 +179,8 @@ void BM_EvaluatorForwardBackward(benchmark::State& state) {
   for (auto _ : state) {
     enc.zero_grad();
     const auto out = evaluator.forward(enc, rng);
-    const auto cost = search::hw_cost_variable(out.metrics, CostKind::kEdap);
+    const auto cost =
+        search::hw_cost_variable(out.metrics, accel::edap_cost());
     tensor::ops::sum_all(cost).backward();
     benchmark::DoNotOptimize(enc.grad());
   }

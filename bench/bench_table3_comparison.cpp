@@ -28,7 +28,6 @@
 namespace {
 
 using namespace dance;
-using search::CostKind;
 
 void run_table3() {
   std::printf("== Table 3: Co-exploration algorithm comparison (equal search "
@@ -75,7 +74,7 @@ void run_table3() {
   evalnet::Evaluator evaluator(arch_space.encoding_width(), hw_space, rng, eopts);
   {
     auto ds = evalnet::generate_evaluator_dataset(
-        table, search::make_cost_fn(CostKind::kEdap),
+        table, accel::edap_cost(),
         dance::bench::scaled(8000), rng);
     auto [train, val] = evalnet::split_dataset(ds, 0.85);
     evalnet::TrainOptions hw_opts;
@@ -104,7 +103,7 @@ void run_table3() {
     sweep_seconds += sweep.back().search_seconds;
   }
   search::SearchOutcome dance_out =
-      search::select_design_points(sweep, search::make_cost_fn(CostKind::kEdap),
+      search::select_design_points(sweep, accel::edap_cost(),
                                    2.5)
           .efficiency_oriented;
   dance_out.search_seconds = sweep_seconds;

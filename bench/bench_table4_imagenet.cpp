@@ -22,7 +22,6 @@
 namespace {
 
 using namespace dance;
-using search::CostKind;
 
 void run_table4() {
   std::printf("== Table 4: Performance of DANCE on ImageNet (synthetic "
@@ -52,7 +51,7 @@ void run_table4() {
 
   const int search_epochs = dance::bench::scaled(12);
   const int retrain_epochs = dance::bench::scaled(25);
-  const CostKind kind = CostKind::kEdap;
+  const accel::HwCost cost = accel::edap_cost();
 
   util::Table t({"Method", "Acc.(%)", "Latency(ms)", "Energy(mJ)", "EDAP"});
 
@@ -62,7 +61,7 @@ void run_table4() {
     search::BaselineOptions opts;
     opts.search_epochs = search_epochs;
     opts.retrain.epochs = retrain_epochs;
-    opts.cost_kind = kind;
+    opts.cost = cost;
     const auto out = search::run_baseline(task, table, net_config, opts);
     baseline_acc = out.val_accuracy_pct;
     t.add_row({"Baseline + HW", util::Table::fmt(out.val_accuracy_pct, 1),
@@ -79,7 +78,7 @@ void run_table4() {
     evalnet::Evaluator evaluator(arch_space.encoding_width(), hw_space, rng,
                                  eopts);
     auto ds = evalnet::generate_evaluator_dataset(
-        table, search::make_cost_fn(kind), dance::bench::scaled(8000), rng);
+        table, cost, dance::bench::scaled(8000), rng);
     auto [train, val] = evalnet::split_dataset(ds, 0.85);
     evalnet::TrainOptions hw_opts;
     hw_opts.epochs = dance::bench::scaled(20);
@@ -98,21 +97,20 @@ void run_table4() {
       search::DanceOptions opts;
       opts.search_epochs = search_epochs;
       opts.warmup_epochs = std::max(1, search_epochs / 4);
-      opts.cost_kind = kind;
+      opts.cost = cost;
       opts.lambda2 = l2;
       opts.retrain.epochs = retrain_epochs;
       opts.seed = 61 + static_cast<std::uint64_t>(l2 * 100);
       search::DanceSearch dance_search(task, table, evaluator, net_config, opts);
       sweep.push_back(dance_search.run());
     }
-    const accel::HwCostFn fn = search::make_cost_fn(kind);
     // Fallback if nothing lands within the accuracy budget: the most
     // accurate point of the sweep.
     search::SearchOutcome out =
-        search::select_design_points(sweep, fn, 2.5).accuracy_oriented;
+        search::select_design_points(sweep, cost, 2.5).accuracy_oriented;
     for (const auto& o : sweep) {
       if (o.val_accuracy_pct + 3.0 >= baseline_acc &&
-          fn(o.metrics) < fn(out.metrics)) {
+          cost(o.metrics) < cost(out.metrics)) {
         out = o;
       }
     }

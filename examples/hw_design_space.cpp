@@ -63,7 +63,7 @@ int main() {
   std::printf("Optimal accelerator per cost function:\n");
   util::Table opt({"Cost function", "Config", "Latency(ms)", "Energy(mJ)",
                    "Area(mm^2)", "EDAP"});
-  const auto report = [&](const char* name, const accel::HwCostFn& fn) {
+  const auto report = [&](const char* name, const accel::HwCost& fn) {
     const auto best = search.run_precomputed(all, fn);
     opt.add_row({name, best.config.to_string(),
                  util::Table::fmt(best.metrics.latency_ms, 3),
@@ -73,9 +73,9 @@ int main() {
   };
   report("EDAP", accel::edap_cost());
   report("linear (paper Table 2)", accel::linear_cost());
-  report("latency-only", [](const accel::CostMetrics& m) { return m.latency_ms; });
-  report("energy-only", [](const accel::CostMetrics& m) { return m.energy_mj; });
-  report("area-only", [](const accel::CostMetrics& m) { return m.area_mm2; });
+  report("latency-only", accel::linear_cost({1.0, 0.0, 0.0}));
+  report("energy-only", accel::linear_cost({0.0, 1.0, 0.0}));
+  report("area-only", accel::linear_cost({0.0, 0.0, 1.0}));
   std::printf("%s", opt.to_string().c_str());
   return 0;
 }

@@ -74,38 +74,6 @@ template <bool Partial, bool Add>
   }
 }
 
-/// A chunk's costs, computed in its registers.
-[[gnu::always_inline]] inline void chunk_costs(accel::Edap edap,
-                                               V2 (&cost)[kVecs],
-                                               const V2 (&cycles)[kVecs],
-                                               const V2 (&energy)[kVecs],
-                                               const V2 (&area)[kVecs],
-                                               double clock_ghz,
-                                               std::size_t /*count*/) {
-#pragma GCC unroll 8
-  for (int r = 0; r < kVecs; ++r) {
-    cost[r] = edap(latency_ms(cycles[r], clock_ghz), energy_mj(energy[r]),
-                   area[r]);
-  }
-}
-
-/// A chunk's costs, one cost_fn call per lane below `count` (the rest 0).
-inline void chunk_costs(const accel::HwCostFn& cost_fn, V2 (&cost)[kVecs],
-                        const V2 (&cycles)[kVecs], const V2 (&energy)[kVecs],
-                        const V2 (&area)[kVecs], double clock_ghz,
-                        std::size_t count) {
-  double c[kChunk];
-  double e[kChunk];
-  double ar[kChunk];
-  __builtin_memcpy(c, cycles, sizeof(c));
-  __builtin_memcpy(e, energy, sizeof(e));
-  __builtin_memcpy(ar, area, sizeof(ar));
-  double out[kChunk] = {};
-  for (std::size_t i = 0; i < count; ++i) {
-    out[i] = cost_fn(to_metrics(c[i], e[i], ar[i], clock_ghz));
-  }
-  __builtin_memcpy(cost, out, sizeof(out));
-}
 }  // namespace
 
 CostTable::CostTable(const ArchSpace& arch_space,
@@ -252,21 +220,14 @@ std::vector<accel::CostMetrics> CostTable::evaluate_all(
   return out;
 }
 
-hwgen::HwSearchResult CostTable::optimal(
-    const Architecture& a, const accel::HwCostFn& cost_fn) const {
-  DANCE_PROFILE_SCOPE("arch.cost_table.optimal");
-  return scan(a, cost_fn);
-}
-
 hwgen::HwSearchResult CostTable::optimal(const Architecture& a,
-                                         accel::Edap cost) const {
+                                         const accel::HwCost& cost) const {
   DANCE_PROFILE_SCOPE("arch.cost_table.optimal");
-  return scan(a, cost);
+  return cost.visit([&](auto form) { return scan(a, form); });
 }
 
-template <typename Cost>
-hwgen::HwSearchResult CostTable::scan(const Architecture& a,
-                                      const Cost& cost) const {
+template <typename Form>
+hwgen::HwSearchResult CostTable::scan(const Architecture& a, Form form) const {
   arch_space_.validate(a);
   // One pass over the kept prefix, which holds the first minimum of any
   // non-decreasing cost (docs/cost_table.md, "Scan order"), 16 positions
@@ -289,7 +250,11 @@ hwgen::HwSearchResult CostTable::scan(const Architecture& a,
     V2 area[kVecs];
     accumulate<kPartial, false>(area, area_.data() + p, count);
     V2 costs[kVecs];
-    chunk_costs(cost, costs, cycles, energy, area, clock_ghz_, count);
+#pragma GCC unroll 8
+    for (int r = 0; r < kVecs; ++r) {
+      costs[r] = form(latency_ms(cycles[r], clock_ghz_), energy_mj(energy[r]),
+                      area[r]);
+    }
     // Strict-< first minimum. The vector compare only screens the chunk;
     // a chunk that holds a lower cost is walked lane by lane, in order.
     const V2 bound = {best_cost, best_cost};

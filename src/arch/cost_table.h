@@ -49,22 +49,17 @@ class CostTable {
   [[nodiscard]] std::vector<accel::CostMetrics> evaluate_all(
       const Architecture& a) const;
 
-  /// Exact hardware generation (arg-min over the whole space, Eq. 4): the
-  /// first configuration in space order at the minimum cost (strict `<`),
-  /// or configuration 0 with cost +inf when no cost is below +inf.
+  /// Exact hardware generation: the arg-min of `cost` (Eq. 3 or Eq. 4) over
+  /// the whole space, i.e. the first configuration in space order at the
+  /// minimum cost (strict `<`), or configuration 0 with cost +inf when no
+  /// cost is below +inf.
   ///
-  /// Contract: `cost_fn` must be non-decreasing in latency, energy and
-  /// area (see accel::HwCostFn). Configurations that a lower-index
-  /// configuration dominates can then never be the first minimum, so the
-  /// scan skips them.
-  [[nodiscard]] hwgen::HwSearchResult optimal(
-      const Architecture& a, const accel::HwCostFn& cost_fn) const;
-
-  /// The same scan with EDAP inlined: the costs stay in vector registers
-  /// instead of one std::function call per configuration. Bit-identical to
-  /// `optimal(a, accel::edap_cost())`.
+  /// Every accel::HwCost is non-decreasing in latency, energy and area, so
+  /// a configuration that a lower-index configuration dominates can never
+  /// be the first minimum, and the scan skips it. The cost is computed on
+  /// vector lanes, with the same bits as `cost(metrics(ci, a))`.
   [[nodiscard]] hwgen::HwSearchResult optimal(const Architecture& a,
-                                              accel::Edap cost) const;
+                                              const accel::HwCost& cost) const;
 
   /// Number of configurations `optimal` scans (the kept prefix).
   [[nodiscard]] std::size_t scan_size() const { return num_kept_; }
@@ -87,10 +82,11 @@ class CostTable {
   [[nodiscard]] accel::CostMetrics metrics_at(std::size_t position,
                                               const Architecture& a) const;
 
-  /// Body of both `optimal` overloads (docs/cost_table.md, "Scan order").
-  template <typename Cost>
+  /// Body of `optimal` for one lane form of the cost, HwCost::Linear or
+  /// HwCost::Edap (docs/cost_table.md, "Scan order").
+  template <typename Form>
   [[nodiscard]] hwgen::HwSearchResult scan(const Architecture& a,
-                                           const Cost& cost) const;
+                                           Form form) const;
 
   /// `pruned[i]` is 1 when some lower-index config on one of config i's
   /// four hardware axes is `<=` config i on every table coordinate (fixed

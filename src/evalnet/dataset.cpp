@@ -8,7 +8,7 @@
 namespace dance::evalnet {
 
 EvaluatorDataset generate_evaluator_dataset(const arch::CostTable& table,
-                                            const accel::HwCostFn& cost_fn,
+                                            const accel::HwCost& cost_fn,
                                             int count, util::Rng& rng) {
   if (count <= 0) throw std::invalid_argument("generate_evaluator_dataset: count");
   DANCE_PROFILE_SCOPE("evalnet.dataset.generate");

@@ -28,7 +28,7 @@ struct EvaluatorDataset {
 /// the exact exhaustive hardware generation tool on each. This is the C++
 /// counterpart of the paper's Timeloop+Accelergy ground-truth corpus.
 [[nodiscard]] EvaluatorDataset generate_evaluator_dataset(
-    const arch::CostTable& table, const accel::HwCostFn& cost_fn, int count,
+    const arch::CostTable& table, const accel::HwCost& cost_fn, int count,
     util::Rng& rng);
 
 /// Split a dataset into train/validation parts (no shuffling; samples are

@@ -36,13 +36,12 @@ ExhaustiveSearch::ExhaustiveSearch(const HwSearchSpace& space,
     : space_(space), model_(model) {}
 
 HwSearchResult ExhaustiveSearch::run(std::span<const accel::ConvShape> layers,
-                                     const accel::HwCostFn& cost_fn) const {
+                                     const accel::HwCost& cost_fn) const {
   if (layers.empty()) throw std::invalid_argument("ExhaustiveSearch: no layers");
   DANCE_PROFILE_SCOPE("hwgen.exhaustive.run");
-  // Each lane fills a disjoint slice of `costs`; the cost model is stateless
-  // and `cost_fn` must be pure (all shipped cost functions are). The arg-min
-  // itself stays serial, so the result is bit-identical to the serial scan
-  // at any thread count.
+  // Each lane fills a disjoint slice of `costs`; the cost model and
+  // `cost_fn` are both stateless. The arg-min itself stays serial, so the
+  // result is bit-identical to the serial scan at any thread count.
   std::vector<double> costs(space_.size());
   runtime::global_pool().parallel_for(
       0, static_cast<long>(space_.size()), kConfigGrain,
@@ -63,7 +62,7 @@ HwSearchResult ExhaustiveSearch::run(std::span<const accel::ConvShape> layers,
 
 HwSearchResult ExhaustiveSearch::run_precomputed(
     std::span<const accel::CostMetrics> metrics,
-    const accel::HwCostFn& cost_fn) const {
+    const accel::HwCost& cost_fn) const {
   if (metrics.size() != space_.size()) {
     throw std::invalid_argument("ExhaustiveSearch: metrics size mismatch");
   }

@@ -26,7 +26,7 @@ class ExhaustiveSearch {
 
   /// Optimal configuration for a network given as a list of layer shapes.
   [[nodiscard]] HwSearchResult run(std::span<const accel::ConvShape> layers,
-                                   const accel::HwCostFn& cost_fn) const;
+                                   const accel::HwCost& cost_fn) const;
 
   /// Optimal configuration when per-config metrics were precomputed
   /// (`metrics[i]` corresponds to `space.config_at(i)`), e.g. via a cost
@@ -34,7 +34,7 @@ class ExhaustiveSearch {
   /// amortized.
   [[nodiscard]] HwSearchResult run_precomputed(
       std::span<const accel::CostMetrics> metrics,
-      const accel::HwCostFn& cost_fn) const;
+      const accel::HwCost& cost_fn) const;
 
   /// Per-config network metrics for all configurations in space order.
   [[nodiscard]] std::vector<accel::CostMetrics> evaluate_all(

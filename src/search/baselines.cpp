@@ -108,8 +108,8 @@ SearchOutcome run_baseline(const data::SyntheticTask& task,
   outcome.trained_candidates = 1;
 
   // Post-hoc hardware generation ("+ HW" in Table 2).
-  const hwgen::HwSearchResult hw = cost_table.optimal(
-      outcome.architecture, make_cost_fn(opts.cost_kind, opts.linear_weights));
+  const hwgen::HwSearchResult hw =
+      cost_table.optimal(outcome.architecture, opts.cost);
   outcome.hardware = hw.config;
   outcome.metrics = hw.metrics;
 

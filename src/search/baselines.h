@@ -1,10 +1,10 @@
 #pragma once
 
+#include "accel/cost_function.h"
 #include "arch/cost_table.h"
 #include "data/synthetic.h"
 #include "nas/supernet.h"
 #include "nas/trainer.h"
-#include "search/cost_term.h"
 #include "search/outcome.h"
 
 namespace dance::search {
@@ -27,8 +27,7 @@ struct BaselineOptions {
   float flops_weight = 0.0F;
   float gumbel_tau = 1.0F;
   /// Cost function used for the *post-hoc* hardware generation and reports.
-  CostKind cost_kind = CostKind::kEdap;
-  accel::LinearCostWeights linear_weights{};
+  accel::HwCost cost = accel::edap_cost();
   nas::FixedTrainOptions retrain{};
   std::uint64_t seed = 42;
 };

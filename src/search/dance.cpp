@@ -112,8 +112,7 @@ SearchOutcome DanceSearch::run() {
         Variable loss = ops::cross_entropy(logits, by);
         if (lambda2 > 0.0F) {
           const evalnet::Evaluator::Output out = evaluator_.forward(enc, rng);
-          const Variable cost = hw_cost_variable(out.metrics, opts_.cost_kind,
-                                                 opts_.linear_weights);
+          const Variable cost = hw_cost_variable(out.metrics, opts_.cost);
           loss = ops::add(loss, ops::sum_all(ops::scale(cost, lambda2)));
         }
         arch_loss_sum += loss.value()[0];
@@ -149,9 +148,8 @@ SearchOutcome DanceSearch::run() {
   // One-time exact hardware generation after the search (§4.3).
   {
     DANCE_PROFILE_SCOPE("dance.hwgen");
-    const hwgen::HwSearchResult hw = cost_table_.optimal(
-        outcome.architecture,
-        make_cost_fn(opts_.cost_kind, opts_.linear_weights));
+    const hwgen::HwSearchResult hw =
+        cost_table_.optimal(outcome.architecture, opts_.cost);
     outcome.hardware = hw.config;
     outcome.metrics = hw.metrics;
   }

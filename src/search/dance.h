@@ -32,8 +32,7 @@ struct DanceOptions {
   // Architecture-parameter path (Adam, as in ProxylessNAS).
   float arch_lr = 5e-3F;
   // Hardware cost term.
-  CostKind cost_kind = CostKind::kEdap;
-  accel::LinearCostWeights linear_weights{};
+  accel::HwCost cost = accel::edap_cost();
   float lambda2 = 1.0F;          ///< Eq. 1 hardware cost weight
   int warmup_epochs = 6;         ///< §3.4 warm-up before lambda2 ramps in
   float warmup_lambda2 = 0.0F;

@@ -11,7 +11,7 @@ namespace {
 /// is finite. NaN poisons comparisons silently (`NaN > x` and `NaN < x` are
 /// both false), so a single non-finite outcome could win -A by being the
 /// seed of the scan, or block -B by making its cost comparison always false.
-bool selectable(const SearchOutcome& o, const accel::HwCostFn& cost_fn) {
+bool selectable(const SearchOutcome& o, const accel::HwCost& cost_fn) {
   return std::isfinite(o.val_accuracy_pct) &&
          std::isfinite(o.metrics.latency_ms) &&
          std::isfinite(o.metrics.energy_mj) &&
@@ -21,7 +21,7 @@ bool selectable(const SearchOutcome& o, const accel::HwCostFn& cost_fn) {
 }  // namespace
 
 DesignPoints select_design_points(std::span<const SearchOutcome> sweep,
-                                  const accel::HwCostFn& cost_fn,
+                                  const accel::HwCost& cost_fn,
                                   double accuracy_budget_pct) {
   if (sweep.empty()) {
     throw std::invalid_argument("select_design_points: empty sweep");

@@ -22,7 +22,7 @@ struct DesignPoints {
 /// outcome is non-finite the sweep is unusable and std::invalid_argument is
 /// thrown.
 [[nodiscard]] DesignPoints select_design_points(
-    std::span<const SearchOutcome> sweep, const accel::HwCostFn& cost_fn,
+    std::span<const SearchOutcome> sweep, const accel::HwCost& cost_fn,
     double accuracy_budget_pct = 1.0);
 
 }  // namespace dance::search

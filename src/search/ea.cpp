@@ -31,7 +31,6 @@ SearchOutcome run_ea_coexploration(const data::SyntheticTask& task,
   util::Rng rng(opts.seed);
   const auto& arch_space = cost_table.arch_space();
   const auto& hw_space = cost_table.hw_space();
-  const accel::HwCostFn cost_fn = make_cost_fn(opts.cost_kind, opts.linear_weights);
 
   nas::FixedTrainOptions proxy;
   proxy.epochs = opts.proxy_epochs;
@@ -41,7 +40,7 @@ SearchOutcome run_ea_coexploration(const data::SyntheticTask& task,
   double cost_ref;
   {
     const arch::Architecture probe = arch_space.random(rng);
-    cost_ref = std::max(1e-12, cost_table.optimal(probe, cost_fn).cost);
+    cost_ref = std::max(1e-12, cost_table.optimal(probe, opts.cost).cost);
   }
 
   int trained = 0;
@@ -53,7 +52,8 @@ SearchOutcome run_ea_coexploration(const data::SyntheticTask& task,
     g.proxy_accuracy_pct = r.val_accuracy_pct;
     g.metrics = cost_table.metrics(hw_space.index_of(g.hardware), g.architecture);
     g.fitness =
-        r.val_accuracy_pct / 100.0 - opts.beta * cost_fn(g.metrics) / cost_ref;
+        r.val_accuracy_pct / 100.0 -
+        opts.beta * opts.cost(g.metrics) / cost_ref;
   };
 
   auto random_hw = [&]() {

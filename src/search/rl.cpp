@@ -55,14 +55,13 @@ SearchOutcome run_rl_coexploration(const data::SyntheticTask& task,
       std::vector<float>(static_cast<std::size_t>(hw_space.num_rf_choices()), 0.0F),
       std::vector<float>(3, 0.0F)};
 
-  const accel::HwCostFn cost_fn = make_cost_fn(opts.cost_kind, opts.linear_weights);
 
   // Cost scale reference: a mid-range configuration on a random architecture,
   // so rewards are O(1).
   double cost_ref;
   {
     const arch::Architecture probe = arch_space.random(rng);
-    cost_ref = std::max(1e-12, cost_table.optimal(probe, cost_fn).cost);
+    cost_ref = std::max(1e-12, cost_table.optimal(probe, opts.cost).cost);
   }
 
   // Proxy training options shared by every candidate.
@@ -102,7 +101,7 @@ SearchOutcome run_rl_coexploration(const data::SyntheticTask& task,
     const nas::FixedTrainResult r = nas::train_fixed_net(net, task, proxy);
     const accel::CostMetrics metrics =
         cost_table.metrics(hw_space.index_of(config), a);
-    const double cost = cost_fn(metrics);
+    const double cost = opts.cost(metrics);
     const double reward =
         r.val_accuracy_pct / 100.0 - opts.beta * cost / cost_ref;
 

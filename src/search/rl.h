@@ -1,10 +1,10 @@
 #pragma once
 
+#include "accel/cost_function.h"
 #include "arch/cost_table.h"
 #include "data/synthetic.h"
 #include "nas/supernet.h"
 #include "nas/trainer.h"
-#include "search/cost_term.h"
 #include "search/outcome.h"
 
 namespace dance::search {
@@ -23,8 +23,7 @@ struct RlOptions {
   float policy_lr = 0.15F;
   /// Reward = accuracy/100 - beta * cost / cost_reference.
   float beta = 0.5F;
-  CostKind cost_kind = CostKind::kEdap;
-  accel::LinearCostWeights linear_weights{};
+  accel::HwCost cost = accel::edap_cost();
   nas::FixedTrainOptions retrain{};
   std::uint64_t seed = 42;
 };

@@ -12,9 +12,9 @@ namespace dance::serve {
 ExactBackend::ExactBackend(const arch::CostTable& table) : table_(table) {}
 
 ExactBackend::ExactBackend(const arch::CostTable& table,
-                           const accel::HwCostFn& cost_fn)
+                           const accel::HwCost& cost)
     : ExactBackend(table) {
-  if (cost_fn.target<accel::Edap>() == nullptr) {
+  if (cost.kind() != accel::HwCost::Kind::kEdap) {
     throw std::invalid_argument("ExactBackend: serves EDAP only");
   }
 }
@@ -29,7 +29,7 @@ std::vector<Response> ExactBackend::query_batch(
       throw std::invalid_argument("ExactBackend: encoding width mismatch");
     }
     const arch::Architecture a = space.decode(req.encoding);
-    const hwgen::HwSearchResult best = table_.optimal(a, accel::Edap{});
+    const hwgen::HwSearchResult best = table_.optimal(a, accel::edap_cost());
     out.push_back(Response{best.metrics, best.config, /*cached=*/false});
   }
   return out;

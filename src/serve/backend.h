@@ -38,16 +38,16 @@ class CostQueryBackend {
 /// Ground-truth backend: argmax-decodes the encoding to a concrete
 /// architecture and runs exact hardware generation through the per-choice
 /// cost LUT (bit-identical to direct cost-model evaluation). It always
-/// serves the paper's Eq. 4 EDAP, through the inlined
-/// `CostTable::optimal(a, accel::Edap{})` scan.
+/// serves the paper's Eq. 4 EDAP, through
+/// `CostTable::optimal(a, accel::edap_cost())`.
 class ExactBackend : public CostQueryBackend {
  public:
   explicit ExactBackend(const arch::CostTable& table);
 
-  /// The two-argument form perfbench still constructs. `cost_fn` must be
-  /// `accel::edap_cost()`; any other cost throws std::invalid_argument
+  /// The two-argument form perfbench still constructs. `cost` must be
+  /// `accel::edap_cost()`; a linear cost throws std::invalid_argument
   /// rather than being silently served as EDAP.
-  ExactBackend(const arch::CostTable& table, const accel::HwCostFn& cost_fn);
+  ExactBackend(const arch::CostTable& table, const accel::HwCost& cost);
 
   [[nodiscard]] std::vector<Response> query_batch(
       std::span<const Request> requests) override;

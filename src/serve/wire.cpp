@@ -32,8 +32,9 @@ struct Number {
   /// The end of the number, or null when [p, end) does not start with one.
   const char* end;
   /// True when the number is an integer spelling (an optional '-', at most
-  /// 8 digits, then optionally '.' and only zeros, no exponent) whose
-  /// digits are `mantissa` < 2^24: a float exactly, so no conversion needed.
+  /// 8 digits, then optionally '.' and only zeros, no exponent). Its digits
+  /// are then `mantissa` < 10^8, which never wraps, and casting it to float
+  /// rounds to nearest even as strtof does, so no conversion is needed.
   bool exact;
   std::uint32_t mantissa;
 };
@@ -72,7 +73,7 @@ Number scan_number(const char* p, const char* const end) {
     if (p == power) return n;
   }
   n.end = p;
-  n.exact = count <= 8 && zeros && !exponent && mantissa < (1U << 24);
+  n.exact = count <= 8 && zeros && !exponent;
   n.mantissa = mantissa;
   return n;
 }

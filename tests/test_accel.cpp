@@ -139,14 +139,14 @@ TEST(CostMetrics, EdapIsProduct) {
 }
 
 TEST(CostFunction, LinearUsesPaperWeights) {
-  const HwCostFn fn = linear_cost();
+  const HwCost fn = linear_cost();
   const CostMetrics m{1.0, 1.0, 1.0};
   EXPECT_NEAR(fn(m), 4.1 + 4.8 + 1.0, 1e-12);
 }
 
 TEST(CostFunction, LinearRejectsNegativeOrNonFiniteWeights) {
   // A negative weight makes the cost fall as a metric grows, which breaks
-  // the HwCostFn contract the pruned exact scan relies on.
+  // the HwCost contract the pruned exact scan relies on.
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (const double bad : {-1.0, -1e-300, inf, -inf, nan}) {
@@ -154,12 +154,12 @@ TEST(CostFunction, LinearRejectsNegativeOrNonFiniteWeights) {
     EXPECT_THROW((void)linear_cost({.lambda_e = bad}), std::invalid_argument);
     EXPECT_THROW((void)linear_cost({.lambda_a = bad}), std::invalid_argument);
   }
-  const HwCostFn zeros = linear_cost({0.0, -0.0, 0.0});
+  const HwCost zeros = linear_cost({0.0, -0.0, 0.0});
   EXPECT_EQ(zeros(CostMetrics{1.0, 2.0, 3.0}), 0.0);
 }
 
 TEST(CostFunction, EdapMatchesMetric) {
-  const HwCostFn fn = edap_cost();
+  const HwCost fn = edap_cost();
   const CostMetrics m{1.5, 2.0, 3.0};
   EXPECT_DOUBLE_EQ(fn(m), m.edap());
 }

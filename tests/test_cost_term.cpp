@@ -17,7 +17,6 @@ namespace testing_ = dance::testing;
 namespace {
 
 using namespace dance;
-using search::CostKind;
 using tensor::Tensor;
 using tensor::Variable;
 
@@ -53,26 +52,63 @@ testing_::Generator<MetricsCase> metrics_gen() {
   return gen;
 }
 
-TEST(CostTerm, LinearVariableMatchesScalarCost) {
-  const auto result = testing_::check<MetricsCase>(
-      "Eq. 3 variable/scalar consistency", metrics_gen(),
-      [](const MetricsCase& m, util::Rng&) -> std::string {
-        const accel::LinearCostWeights w;
-        const Variable mv(metrics_tensor(m.lat, m.energy, m.area));
-        const double var_cost = static_cast<double>(
-            search::hw_cost_variable(mv, CostKind::kLinear, w).value()[0]);
+/// The Eq. 3 variable against the scalar HwCost on the same float-rounded
+/// metrics; empty when they agree at float precision.
+std::string linear_mismatch(const MetricsCase& m,
+                            const accel::LinearCostWeights& w) {
+  const accel::HwCost cost = accel::linear_cost(w);
+  const Variable mv(metrics_tensor(m.lat, m.energy, m.area));
+  const double var_cost =
+      static_cast<double>(search::hw_cost_variable(mv, cost).value()[0]);
 
-        accel::CostMetrics cm;
-        cm.latency_ms = static_cast<double>(static_cast<float>(m.lat));
-        cm.energy_mj = static_cast<double>(static_cast<float>(m.energy));
-        cm.area_mm2 = static_cast<double>(static_cast<float>(m.area));
-        const double fn_cost = search::make_cost_fn(CostKind::kLinear, w)(cm);
-        // The variable path computes in float32; compare at float precision.
-        if (std::abs(var_cost - fn_cost) > 1e-5 * (1.0 + std::abs(fn_cost))) {
-          return "linear cost diverged: variable " + std::to_string(var_cost) +
-                 " vs scalar " + std::to_string(fn_cost);
-        }
-        return "";
+  accel::CostMetrics cm;
+  cm.latency_ms = static_cast<double>(static_cast<float>(m.lat));
+  cm.energy_mj = static_cast<double>(static_cast<float>(m.energy));
+  cm.area_mm2 = static_cast<double>(static_cast<float>(m.area));
+  const double fn_cost = cost(cm);
+  // The variable path computes in float32; compare at float precision.
+  if (std::abs(var_cost - fn_cost) > 1e-5 * (1.0 + std::abs(fn_cost))) {
+    return "linear cost diverged: variable " + std::to_string(var_cost) +
+           " vs scalar " + std::to_string(fn_cost);
+  }
+  return "";
+}
+
+struct LinearCase {
+  MetricsCase m;
+  accel::LinearCostWeights w;
+};
+
+TEST(CostTerm, LinearVariableMatchesScalarCost) {
+  // A fixed case with non-default weights, checked against the hand sum.
+  const MetricsCase fixed{2.0, 3.0, 4.0};
+  const accel::LinearCostWeights fixed_w{1.0, 2.0, 0.5};
+  EXPECT_EQ(linear_mismatch(fixed, fixed_w), "");
+  const Variable fixed_v(metrics_tensor(2.0, 3.0, 4.0));
+  EXPECT_NEAR(search::hw_cost_variable(fixed_v, accel::linear_cost(fixed_w))
+                  .value()[0],
+              1.0 * 2.0 + 2.0 * 3.0 + 0.5 * 4.0, 1e-5);
+
+  // Random non-negative weights, each 0 a third of the time.
+  testing_::Generator<LinearCase> gen;
+  gen.sample = [metrics = metrics_gen()](util::Rng& rng) {
+    const auto weight = [&rng] {
+      return rng.randint(0, 2) == 0
+                 ? 0.0
+                 : static_cast<double>(rng.uniform(0.0F, 10.0F));
+    };
+    LinearCase c{metrics.sample(rng), {}};
+    c.w = {weight(), weight(), weight()};
+    return c;
+  };
+  gen.show = [](const LinearCase& c) {
+    return c.m.show() + " weights " + std::to_string(c.w.lambda_l) + "," +
+           std::to_string(c.w.lambda_e) + "," + std::to_string(c.w.lambda_a);
+  };
+  const auto result = testing_::check<LinearCase>(
+      "Eq. 3 variable/scalar consistency", gen,
+      [](const LinearCase& c, util::Rng&) {
+        return linear_mismatch(c.m, c.w);
       });
   EXPECT_TRUE(result.ok) << result.report;
   EXPECT_GE(result.trials_run, 100);
@@ -84,13 +120,13 @@ TEST(CostTerm, EdapVariableMatchesScalarCost) {
       [](const MetricsCase& m, util::Rng&) -> std::string {
         const Variable mv(metrics_tensor(m.lat, m.energy, m.area));
         const double var_cost = static_cast<double>(
-            search::hw_cost_variable(mv, CostKind::kEdap).value()[0]);
+            search::hw_cost_variable(mv, accel::edap_cost()).value()[0]);
 
         accel::CostMetrics cm;
         cm.latency_ms = static_cast<double>(static_cast<float>(m.lat));
         cm.energy_mj = static_cast<double>(static_cast<float>(m.energy));
         cm.area_mm2 = static_cast<double>(static_cast<float>(m.area));
-        const double fn_cost = search::make_cost_fn(CostKind::kEdap)(cm);
+        const double fn_cost = accel::edap_cost()(cm);
         if (std::abs(var_cost - fn_cost) > 1e-4 * (1.0 + std::abs(fn_cost))) {
           return "EDAP cost diverged: variable " + std::to_string(var_cost) +
                  " vs scalar " + std::to_string(fn_cost);
@@ -105,7 +141,7 @@ TEST(CostTerm, LinearGradientIsTheWeights) {
   // d(Cost)/d(metrics) for Eq. 3 is exactly (lambda_l, lambda_e, lambda_a).
   const accel::LinearCostWeights w;
   Variable metrics(metrics_tensor(1.5, 2.5, 3.5), /*requires_grad=*/true);
-  search::hw_cost_variable(metrics, CostKind::kLinear, w).backward();
+  search::hw_cost_variable(metrics, accel::linear_cost(w)).backward();
   EXPECT_NEAR(metrics.grad()[0], static_cast<float>(w.lambda_l), 1e-6);
   EXPECT_NEAR(metrics.grad()[1], static_cast<float>(w.lambda_e), 1e-6);
   EXPECT_NEAR(metrics.grad()[2], static_cast<float>(w.lambda_a), 1e-6);
@@ -115,15 +151,15 @@ TEST(CostTerm, EdapGradientIsTheProductRule) {
   // d(L*E*A)/dL = E*A, etc. This is the gradient that steers the
   // architecture away from expensive designs in Eq. 1.
   Variable metrics(metrics_tensor(2.0, 3.0, 5.0), /*requires_grad=*/true);
-  search::hw_cost_variable(metrics, CostKind::kEdap).backward();
+  search::hw_cost_variable(metrics, accel::edap_cost()).backward();
   EXPECT_NEAR(metrics.grad()[0], 15.0F, 1e-4);  // E*A
   EXPECT_NEAR(metrics.grad()[1], 10.0F, 1e-4);  // L*A
   EXPECT_NEAR(metrics.grad()[2], 6.0F, 1e-4);   // L*E
 }
 
 TEST(CostTerm, ToStringNamesBothKinds) {
-  EXPECT_STREQ(search::to_string(CostKind::kLinear), "linear");
-  EXPECT_STREQ(search::to_string(CostKind::kEdap), "EDAP");
+  EXPECT_STREQ(accel::linear_cost().name(), "linear");
+  EXPECT_STREQ(accel::edap_cost().name(), "EDAP");
 }
 
 // --- LambdaWarmup edge-case audit ------------------------------------------

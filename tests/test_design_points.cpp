@@ -15,9 +15,8 @@ search::SearchOutcome make(double acc, double latency) {
   return o;
 }
 
-const accel::HwCostFn kLatency = [](const accel::CostMetrics& m) {
-  return m.latency_ms;
-};
+/// Latency only: Eq. 3 with every other weight 0.
+const accel::HwCost kLatency = accel::linear_cost({1.0, 0.0, 0.0});
 
 TEST(DesignPoints, PicksMostAccurateAsA) {
   const std::vector<search::SearchOutcome> sweep = {

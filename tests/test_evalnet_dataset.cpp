@@ -69,7 +69,7 @@ TEST_F(EvalDatasetTest, DifferentCostFnsYieldDifferentOptima) {
   const auto edap = evalnet::generate_evaluator_dataset(
       table_, accel::edap_cost(), 40, r1);
   const auto lat = evalnet::generate_evaluator_dataset(
-      table_, [](const accel::CostMetrics& m) { return m.latency_ms; }, 40, r2);
+      table_, accel::linear_cost({1.0, 0.0, 0.0}), 40, r2);
   int diff = 0;
   for (std::size_t i = 0; i < edap.samples.size(); ++i) {
     if (edap.samples[i].hw_labels != lat.samples[i].hw_labels) ++diff;

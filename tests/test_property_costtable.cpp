@@ -1,26 +1,24 @@
 // Property suite: the cost-table pipeline end to end.
 //   - the pool-parallel table build is bit-identical to a serial build: every
 //     table cell through evaluate_all, plus scan_size() and optimal() bits;
-//   - the pruned scan in optimal() returns the config, metric bits and cost
-//     bits of a full first-minimum scan, for every non-decreasing cost form
-//     the repo uses plus a feasibility filter and forced ties, against two
-//     oracles that never touch the scan order: hwgen::ExhaustiveSearch over
-//     metrics summed from the cost model (small space) and a full
-//     metrics(ci) scan (full space).
-//   - the inlined accel::Edap scan returns the bits of the HwCostFn scan
-//     with accel::edap_cost() and of a full metrics(ci) EDAP scan, on spaces
-//     that end in whole and in partial 16-position chunks.
+//   - the pruned vector scan in optimal() returns the config, metric bits and
+//     cost bits of a full first-minimum scan, for every cost the API
+//     accepts: EDAP, and Eq. 3 with random non-negative weights, zeros
+//     included. Latency only {1,0,0}, area only {0,0,1} (area ignores the
+//     dataflow, so many configs tie) and all zero {0,0,0} (every config
+//     ties) are drawn as fixed cases. The oracles never touch the scan
+//     order: hwgen::ExhaustiveSearch over metrics summed from the cost model
+//     (small space), and a scalar full metrics(ci) scan written here, on the
+//     small and the full space and on a three-config space whose whole scan
+//     is one partial 16-position chunk.
 // Suite name carries the "costtable" tag so `ctest -R costtable` includes
 // this fuzz next to the example-based suites in tests/test_costtable.cpp.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "accel/cost_function.h"
@@ -68,127 +66,61 @@ testing_::Generator<arch::Architecture> architecture_gen() {
 
 // --- the pruned scan against full-scan oracles ------------------------------
 
-enum class CostForm {
-  kEdap,
-  kLinear,
-  kLatency,
-  kConstrained,
-  kFeasible,
-  kQuantisedEdap,
-  kZero,
-  kInfinity
-};
-constexpr int kNumCostForms = 8;
-
-/// Area budget and latency SLO of the kConstrained and kFeasible forms.
-struct Budgets {
-  double area_mm2 = 0.0;
-  double latency_ms = 0.0;
-};
-
-/// Feasibility filter over a base cost: a config within both budgets keeps
-/// its base cost, any other costs 1e18 * (1 + its summed relative violation,
-/// capped at 1e6). A budget <= 0 adds no violation, so with such budgets
-/// every config ties. Non-decreasing in every metric whenever `base` is.
-accel::HwCostFn feasibility_filtered(accel::HwCostFn base, Budgets b) {
-  return [base = std::move(base), b](const accel::CostMetrics& m) {
-    if (m.area_mm2 <= b.area_mm2 && m.latency_ms <= b.latency_ms) {
-      return base(m);
-    }
-    double v = 0.0;
-    if (b.area_mm2 > 0.0) v += std::max(0.0, m.area_mm2 / b.area_mm2 - 1.0);
-    if (b.latency_ms > 0.0) {
-      v += std::max(0.0, m.latency_ms / b.latency_ms - 1.0);
-    }
-    return 1e18 * (1.0 + std::min(v, 1e6));
-  };
-}
-
 struct CostCase {
   arch::Architecture a;
-  CostForm form = CostForm::kEdap;
-  accel::LinearCostWeights weights;  ///< kLinear, and a linear kConstrained
-  bool linear_base = false;          ///< kConstrained: linear, else EDAP
-  Budgets budgets;                   ///< kConstrained and kFeasible
-  double quantum = 1.0;              ///< kQuantisedEdap
+  bool edap = false;
+  accel::LinearCostWeights weights;  ///< Eq. 3 weights when !edap
+
+  [[nodiscard]] accel::HwCost cost() const {
+    return edap ? accel::edap_cost() : accel::linear_cost(weights);
+  }
+
+  /// The cost written out in scalar form, as the scan's oracle.
+  [[nodiscard]] double scalar(const accel::CostMetrics& m) const {
+    if (edap) return m.edap();
+    return weights.lambda_l * m.latency_ms + weights.lambda_e * m.energy_mj +
+           weights.lambda_a * m.area_mm2;
+  }
 };
 
-accel::HwCostFn cost_of(const CostCase& c) {
-  switch (c.form) {
-    case CostForm::kEdap:
-      return accel::edap_cost();
-    case CostForm::kLinear:
-      return accel::linear_cost(c.weights);
-    case CostForm::kLatency:
-      return [](const accel::CostMetrics& m) { return m.latency_ms; };
-    case CostForm::kConstrained:
-      return feasibility_filtered(c.linear_base ? accel::linear_cost(c.weights)
-                                                : accel::edap_cost(),
-                                  c.budgets);
-    case CostForm::kFeasible:  // 0 for every feasible config
-      return feasibility_filtered(
-          [](const accel::CostMetrics&) { return 0.0; }, c.budgets);
-    case CostForm::kQuantisedEdap:
-      return [q = c.quantum](const accel::CostMetrics& m) {
-        return std::floor(m.edap() / q) * q;
-      };
-    case CostForm::kZero:
-      return [](const accel::CostMetrics&) { return 0.0; };
-    case CostForm::kInfinity:
-      return [](const accel::CostMetrics&) {
-        return std::numeric_limits<double>::infinity();
-      };
-  }
-  return nullptr;
-}
-
-/// Random architecture and cost. Budgets and quanta are scaled from the
-/// metrics of a random config of `table`, so constraints bind and quantised
-/// costs tie for many configs. kFeasible's budgets are exactly one config's
-/// metrics; every feasible config ties, which is what exposes a config
-/// pruned by a higher-index dominator.
-testing_::Generator<CostCase> cost_case_gen(const arch::CostTable& table) {
+/// Random architecture and cost: EDAP, Eq. 3 with random weights that are 0
+/// a third of the time, or one of the fixed weight sets that force ties.
+testing_::Generator<CostCase> cost_case_gen(const arch::ArchSpace& space) {
   testing_::Generator<CostCase> gen;
-  gen.sample = [&table](util::Rng& rng) {
+  gen.sample = [&space](util::Rng& rng) {
     CostCase c;
-    c.a = table.arch_space().random(rng);
-    c.form = static_cast<CostForm>(rng.randint(0, kNumCostForms - 1));
+    c.a = space.random(rng);
     const auto weight = [&rng] {
       return rng.randint(0, 2) == 0
                  ? 0.0
                  : static_cast<double>(rng.uniform(0.0F, 10.0F));
     };
-    c.weights = {weight(), weight(), weight()};
-    c.linear_base = rng.randint(0, 1) == 1;
-    const auto probe = table.metrics(
-        static_cast<std::size_t>(rng.randint(
-            0, static_cast<int>(table.hw_space().size()) - 1)),
-        c.a);
-    switch (rng.randint(0, 2)) {
-      case 0:  // nothing is feasible, every config costs the same
-        c.budgets = {.area_mm2 = 1e-9, .latency_ms = 1e-9};
+    switch (rng.randint(0, 4)) {
+      case 0:
+        c.edap = true;
         break;
-      case 1:  // budgets of zero are ignored: again all configs tie
-        c.budgets = {.area_mm2 = 0.0, .latency_ms = 0.0};
+      case 1:
+        c.weights = {weight(), weight(), weight()};
+        break;
+      case 2:
+        c.weights = {1.0, 0.0, 0.0};  // latency only
+        break;
+      case 3:
+        c.weights = {0.0, 0.0, 1.0};  // area only
         break;
       default:
-        c.budgets = {.area_mm2 = probe.area_mm2 * rng.uniform(0.5F, 1.5F),
-                     .latency_ms = probe.latency_ms * rng.uniform(0.5F, 1.5F)};
+        c.weights = {0.0, 0.0, 0.0};  // every config ties
     }
-    if (c.form == CostForm::kFeasible) {
-      c.budgets = {.area_mm2 = probe.area_mm2, .latency_ms = probe.latency_ms};
-    }
-    c.quantum = probe.edap() * rng.uniform(0.05F, 1.0F);
     return c;
   };
   gen.show = [](const CostCase& c) {
     std::ostringstream out;
-    out << "form " << static_cast<int>(c.form) << " arch";
+    out << (c.edap ? "EDAP" : "linear") << " arch";
     for (const auto op : c.a) out << ' ' << static_cast<int>(op);
-    out << " weights " << c.weights.lambda_l << ',' << c.weights.lambda_e
-        << ',' << c.weights.lambda_a << " linear_base " << c.linear_base
-        << " budgets " << c.budgets.area_mm2 << ',' << c.budgets.latency_ms
-        << " quantum " << c.quantum;
+    if (!c.edap) {
+      out << " weights " << c.weights.lambda_l << ',' << c.weights.lambda_e
+          << ',' << c.weights.lambda_a;
+    }
     return out.str();
   };
   return gen;
@@ -253,32 +185,26 @@ TEST(costtable_property, PrunedScanMatchesExhaustiveSearchOnSmallSpace) {
   const arch::CostTable table(arch_space, hw, model);
   const hwgen::ExhaustiveSearch exhaustive(hw, model);
   const auto result = testing_::check<CostCase>(
-      "pruned optimal vs ExhaustiveSearch", cost_case_gen(table),
+      "pruned optimal vs ExhaustiveSearch", cost_case_gen(arch_space),
       [&](const CostCase& c, util::Rng&) -> std::string {
-        const accel::HwCostFn cost_fn = cost_of(c);
+        const accel::HwCost cost = c.cost();
         const auto all = model_metrics(arch_space, hw, model, c.a);
-        hwgen::HwSearchResult want = exhaustive.run_precomputed(all, cost_fn);
-        // When no cost is below +inf, ExhaustiveSearch names no config;
-        // CostTable::optimal's contract then names config 0.
-        if (!(want.cost < std::numeric_limits<double>::infinity())) {
-          want = {hw.config_at(0), all[0], want.cost};
-        }
-        return compare(table.optimal(c.a, cost_fn), want);
+        return compare(table.optimal(c.a, cost),
+                       exhaustive.run_precomputed(all, cost));
       });
   EXPECT_TRUE(result.ok) << result.report;
   EXPECT_GE(result.trials_run, 100);
 }
 
-TEST(costtable_property, PrunedScanMatchesFullScanOnFullSpace) {
-  const arch::ArchSpace arch_space(arch::cifar10_backbone());
-  const hwgen::HwSearchSpace hw;
-  const accel::CostModel model;
-  const arch::CostTable table(arch_space, hw, model);
-  ASSERT_LT(table.scan_size(), hw.size());
-  const auto result = testing_::check<CostCase>(
-      "pruned optimal vs full metrics() scan", cost_case_gen(table),
+/// optimal() against a scalar first-minimum scan over every config of the
+/// table's space, in space order, with the cost written out in
+/// CostCase::scalar.
+testing_::CheckResult check_against_full_scan(const arch::CostTable& table) {
+  const hwgen::HwSearchSpace& hw = table.hw_space();
+  return testing_::check<CostCase>(
+      "pruned optimal vs full metrics() scan",
+      cost_case_gen(table.arch_space()),
       [&](const CostCase& c, util::Rng&) -> std::string {
-        const accel::HwCostFn cost_fn = cost_of(c);
         const auto all = table.evaluate_all(c.a);
         hwgen::HwSearchResult want{hw.config_at(0), table.metrics(0, c.a),
                                    std::numeric_limits<double>::infinity()};
@@ -288,47 +214,39 @@ TEST(costtable_property, PrunedScanMatchesFullScanOnFullSpace) {
             return "evaluate_all differs from metrics() at config " +
                    std::to_string(ci);
           }
-          const double cost = cost_fn(m);
+          const double cost = c.scalar(m);
           if (cost < want.cost) want = {hw.config_at(ci), m, cost};
         }
-        return compare(table.optimal(c.a, cost_fn), want);
+        return compare(table.optimal(c.a, c.cost()), want);
       });
+}
+
+TEST(costtable_property, PrunedScanMatchesFullScanOnFullSpace) {
+  const arch::ArchSpace arch_space(arch::cifar10_backbone());
+  const hwgen::HwSearchSpace hw;
+  const accel::CostModel model;
+  const arch::CostTable table(arch_space, hw, model);
+  ASSERT_LT(table.scan_size(), hw.size());
+  const auto result = check_against_full_scan(table);
   EXPECT_TRUE(result.ok) << result.report;
   EXPECT_GE(result.trials_run, 100);
 }
 
-// --- the inlined EDAP scan against the HwCostFn scan ------------------------
-
-TEST(costtable_property, EdapScanMatchesHwCostFnScan) {
+TEST(costtable_property, PrunedScanMatchesFullScanOnSmallSpaces) {
   const arch::ArchSpace arch_space(arch::cifar10_backbone());
   const accel::CostModel model;
-  // The small and the full space, plus a three-config space whose whole
-  // scan is one partial chunk.
+  // The small space, and a three-config space whose whole scan is one
+  // partial chunk.
   const std::vector<hwgen::HwSearchSpace> spaces{
-      hwgen::HwSearchSpace::small(), hwgen::HwSearchSpace(),
+      hwgen::HwSearchSpace::small(),
       hwgen::HwSearchSpace(
           {.pe_min = 8, .pe_max = 8, .rf_min = 8, .rf_max = 8, .rf_step = 8})};
-  const accel::HwCostFn edap_fn = accel::edap_cost();
   bool partial_chunk = false;
   for (const hwgen::HwSearchSpace& hw : spaces) {
     const arch::CostTable table(arch_space, hw, model);
     // The scan runs 16 positions at a time; a remainder is a partial chunk.
     partial_chunk = partial_chunk || table.scan_size() % 16 != 0;
-    const auto result = testing_::check<arch::Architecture>(
-        "Edap scan vs HwCostFn scan and full metrics() scan",
-        architecture_gen(),
-        [&](const arch::Architecture& a, util::Rng&) -> std::string {
-          const hwgen::HwSearchResult inlined = table.optimal(a, accel::Edap{});
-          const std::string vs_fn = compare(inlined, table.optimal(a, edap_fn));
-          if (!vs_fn.empty()) return "vs the HwCostFn scan: " + vs_fn;
-          hwgen::HwSearchResult want{hw.config_at(0), table.metrics(0, a),
-                                     std::numeric_limits<double>::infinity()};
-          for (std::size_t ci = 0; ci < hw.size(); ++ci) {
-            const accel::CostMetrics m = table.metrics(ci, a);
-            if (m.edap() < want.cost) want = {hw.config_at(ci), m, m.edap()};
-          }
-          return compare(inlined, want);
-        });
+    const auto result = check_against_full_scan(table);
     EXPECT_TRUE(result.ok) << hw.size() << " configs: " << result.report;
     EXPECT_GE(result.trials_run, 100);
   }

@@ -8,7 +8,6 @@
 #include "arch/cost_table.h"
 #include "evalnet/trainer.h"
 #include "search/baselines.h"
-#include "search/cost_term.h"
 #include "search/dance.h"
 #include "search/rl.h"
 #include "search/warmup.h"
@@ -16,7 +15,6 @@
 namespace {
 
 using namespace dance;
-using search::CostKind;
 
 TEST(Warmup, HoldsThenRamps) {
   const search::LambdaWarmup w(0.0F, 2.0F, 5, 4);
@@ -32,35 +30,6 @@ TEST(Warmup, NonZeroInitial) {
   const search::LambdaWarmup w(0.5F, 1.5F, 2, 2);
   EXPECT_FLOAT_EQ(w.value(1), 0.5F);
   EXPECT_FLOAT_EQ(w.value(3), 1.0F);
-}
-
-TEST(CostTerm, LinearMatchesScalarFn) {
-  tensor::Variable metrics(
-      tensor::Tensor::from({1, 3}, {2.0F, 3.0F, 4.0F}), true);
-  accel::LinearCostWeights w{1.0, 2.0, 0.5};
-  const tensor::Variable cost =
-      search::hw_cost_variable(metrics, CostKind::kLinear, w);
-  EXPECT_NEAR(cost.value()[0], 1.0 * 2.0 + 2.0 * 3.0 + 0.5 * 4.0, 1e-5);
-  const accel::HwCostFn fn = search::make_cost_fn(CostKind::kLinear, w);
-  EXPECT_NEAR(fn(accel::CostMetrics{2.0, 3.0, 4.0}), cost.value()[0], 1e-5);
-}
-
-TEST(CostTerm, EdapMatchesScalarFnAndBackprops) {
-  tensor::Variable metrics(
-      tensor::Tensor::from({1, 3}, {2.0F, 3.0F, 4.0F}), true);
-  const tensor::Variable cost =
-      search::hw_cost_variable(metrics, CostKind::kEdap);
-  EXPECT_NEAR(cost.value()[0], 24.0, 1e-4);
-  tensor::ops::sum_all(cost).backward();
-  // d(L*E*A)/dL = E*A etc.
-  EXPECT_NEAR(metrics.grad()[0], 12.0F, 1e-4F);
-  EXPECT_NEAR(metrics.grad()[1], 8.0F, 1e-4F);
-  EXPECT_NEAR(metrics.grad()[2], 6.0F, 1e-4F);
-}
-
-TEST(CostTerm, Names) {
-  EXPECT_STREQ(search::to_string(CostKind::kLinear), "linear");
-  EXPECT_STREQ(search::to_string(CostKind::kEdap), "EDAP");
 }
 
 /// Shared fixture for the (slow) integration smokes: tiny task, tiny

@@ -405,11 +405,10 @@ TEST_F(serve_service, ExactBackendServesOnlyEdap) {
   EXPECT_EQ(std::memcmp(&via_fn[0].metrics, &via_plain[0].metrics,
                         sizeof(accel::CostMetrics)),
             0);
-  const auto build = [this](const accel::HwCostFn& cost_fn) {
-    serve::ExactBackend backend(table_, cost_fn);
+  const auto build = [this](const accel::HwCost& cost) {
+    serve::ExactBackend backend(table_, cost);
   };
   EXPECT_THROW(build(accel::linear_cost()), std::invalid_argument);
-  EXPECT_THROW(build(accel::HwCostFn{}), std::invalid_argument);
 }
 
 TEST_F(serve_service, ExactBackendRejectsWrongWidth) {
